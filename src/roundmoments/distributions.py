@@ -74,15 +74,6 @@ class DensityModel:
         val, _ = adaptive_quad(f, lo, hi, rtol=1e-12, breakpoints=breakpoints)
         return val
 
-    def moment_quad(self, k: int, about: float = 0.0) -> float:
-        """Quadrature oracle for E[(X - about)^k]."""
-        key = ("mq", k, about)
-        if key not in self._cache:
-            self._cache[key] = self._quad(
-                lambda x: (x - about) ** k * self._pdf(x), breakpoints=(about,)
-            )
-        return self._cache[key]
-
     def abs_central_moment(self, m: int, about: float | None = None) -> float:
         """E|X - about|^m; analytic for m in {0, 1} about the mean."""
         if about is None:
@@ -409,7 +400,6 @@ class SymmetricSplit:
 
     model: DensityModel
     center: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def g(self, x):
         x = np.asarray(x, dtype=float)
@@ -419,16 +409,6 @@ class SymmetricSplit:
     def h(self, x):
         x = np.asarray(x, dtype=float)
         return np.maximum(self.model.density(x) - self.g(x), 0.0)
-
-    def h_peak(self) -> float:
-        if "peak" not in self._cache:
-            lo, hi = self.model.effective_range()
-            c = self.center
-            span_lo = min(lo, 2.0 * c - hi)
-            span_hi = max(hi, 2.0 * c - lo)
-            extras = [lo, hi, 2.0 * c - lo, 2.0 * c - hi, c]
-            self._cache["peak"] = _scan_max(self.h, span_lo, span_hi, extra=extras)
-        return self._cache["peak"]
 
     def h_integral(self, j: int, lo: float, hi: float) -> float:
         """Integral of x^j h(x) over [lo, hi]."""

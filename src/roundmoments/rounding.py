@@ -10,6 +10,7 @@ per call.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,35 @@ class RoundingScheme(str, enum.Enum):
             return cls(name)
         except ValueError:
             raise ConfigError(f"unknown rounding scheme {name!r}")
+
+
+def int_power(x, k: int):
+    """x ** k for a non-negative integer k, by repeated squaring.
+
+    numpy's ``power`` has a fast path only for k == 2; larger exponents go
+    through libm ``pow``, an order of magnitude slower than multiplying.
+    For k <= 2 the result is bit-identical to ``x ** k``; above that each
+    of the k - 1 multiplications rounds once, so the relative error is at
+    most (k - 1) * 2**-53 to first order.  Intermediate powers lie between
+    |x| and |x|^k, so nothing over- or underflows that ``x ** k`` itself
+    would not.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ConfigError(f"power must be a non-negative integer, got {k!r}") from None
+    if k < 0:
+        raise ConfigError(f"power must be a non-negative integer, got {k}")
+    if k <= 2:
+        return x ** k
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
 
 
 DETERMINISTIC_SCHEMES = (
@@ -164,8 +194,8 @@ def stoch_expected_err_pows(lo: float, hi: float, x, k: int):
         z = np.zeros_like(x)
         return (0.0, 0.0) if scalar else (z, z)
     p = (x - lo) / (hi - lo)
-    abs_pow = (x - lo) ** k * (1.0 - p) + (hi - x) ** k * p
-    signed_pow = (lo - x) ** k * (1.0 - p) + (hi - x) ** k * p
+    abs_pow = int_power(x - lo, k) * (1.0 - p) + int_power(hi - x, k) * p
+    signed_pow = int_power(lo - x, k) * (1.0 - p) + int_power(hi - x, k) * p
     if scalar:
         return float(abs_pow), float(signed_pow)
     return abs_pow, signed_pow

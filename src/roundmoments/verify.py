@@ -17,10 +17,10 @@ import numpy as np
 
 from . import bounds as B
 from .distributions import make_exponential, make_normal, make_semicircle, make_uniform
-from .errors import SymmetryUnavailableError
+from .errors import ConfigError, SymmetryUnavailableError
 from .grids import FloatSystem, UniformMesh, ceil_to, floor_to, gap_stats
 from .oracle import centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
-from .rounding import RoundingScheme, scheme_eps_delta
+from .rounding import RoundingScheme, int_power, scheme_eps_delta
 
 ALL_SCHEMES = tuple(RoundingScheme)
 _SIGNED = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
@@ -149,7 +149,7 @@ def _gen_mixed(rng, pool, budget):
         rep = B.mixed_moment_bound(model, mu0, m, n, mode, base)
         desc = f"mixed {model.name} {scheme.value} m={m} n={n} {mode}"
     a, b = model.effective_range()
-    w = lambda x: (x - mu0) ** m * model.density(x)
+    w = lambda x: int_power(x - mu0, m) * model.density(x)
     orc = err_weighted_integral(mesh, scheme, w, a, b, n, signed=True)
     return [_result("mixed", desc, orc.value, rep.value, budget)]
 
@@ -294,7 +294,7 @@ def _gen_normal_partial(rng, pool, budget):
     rep = B.normal_partial_moment_bound(mu, sigma2, m, n, eps)
     model = make_normal(mu, sigma2)
     a, b = model.effective_range()
-    w = lambda x: (x - mu) ** m * model.density(x)
+    w = lambda x: int_power(x - mu, m) * model.density(x)
     orc = err_weighted_integral(fs, RoundingScheme.NEAREST, w, a, b, n, signed=True)
     desc = f"normal-partial mu={mu:.2f} s2={sigma2:.2f} m={m} n={n}"
     return [_result("normal_partial", desc, orc.value, rep.value, budget)]
@@ -325,6 +325,8 @@ def run_suite(
     ``bound_scale`` shrinks every bound before comparison; 1.0 is the real
     check, 0.5 is the self-test that must produce violations.
     """
+    if n_instances < 1:
+        raise ConfigError(f"need at least one instance, got {n_instances}")
     rng = random.Random(seed)
     pool = tuple(RoundingScheme) if scheme is None else (scheme,)
     results: list[CheckResult] = []

@@ -121,6 +121,14 @@ def test_verify_stochastic_scheme(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_empty_suite(capsys, count):
+    code, out, err = run_cli(capsys, "verify", "--instances", count)
+    assert code == 2
+    assert "instance" in err
+    assert out == ""
+
+
 def test_plan_subcommand(capsys):
     code, out, _ = run_cli(capsys, "plan", "--variance", "2", "--c", "1.5", "--p", "0.05")
     assert code == 0

@@ -1,10 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from roundmoments import ExplicitSet, FloatSystem, UniformMesh, make_semicircle, make_uniform
+from roundmoments import (
+    ExplicitSet,
+    FloatSystem,
+    UniformMesh,
+    make_normal,
+    make_semicircle,
+    make_uniform,
+    oracle,
+)
 from roundmoments.errors import DegenerateFitError, TooManyCellsError
+from roundmoments.grids import CELL_BUDGET
+from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
     centered_moment_of_rounded,
     convergence_slope,
@@ -228,3 +239,122 @@ def test_simulated_sum_counts_overflow():
 def test_too_many_cells_guard(semicircle):
     with pytest.raises(TooManyCellsError):
         err_weighted_integral(UniformMesh(1e-10, 0.0), RS.NEAREST, ONE, 0.0, 1.0, 1, budget=10_000)
+
+
+# --- the blocked per-cell kernel against a single-matrix reference -----------
+
+
+def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
+    """Single-matrix per-cell Gauss quadrature with plain ``**`` powers.
+
+    Integrates w(x) err(x)^power (or w(x) E[(rd(x) - shift)^power] when a
+    shift is given) at n nodes over every piece at once, as the oracle did
+    before it was blocked.  Returns the value and the per-piece terms.
+    """
+    lo_p, hi_p, c_lo, c_hi = oracle._pieces(grid, scheme, a, b, CELL_BUDGET)
+    nodes, weights = gauss_legendre_nodes(n)
+    X = 0.5 * (lo_p + hi_p)[:, None] + 0.5 * (hi_p - lo_p)[:, None] * nodes[None, :]
+    if scheme is RS.STOCHASTIC:
+        lo = c_lo[:, None]
+        hi = c_hi[:, None]
+        width = hi - lo
+        degenerate = width <= 0.0
+        p = (X - lo) / np.where(degenerate, 1.0, width)
+        if shift is not None:
+            vals = (lo - shift) ** power * (1.0 - p) + (hi - shift) ** power * p
+            vals = np.where(degenerate, (lo - shift) ** power, vals)
+        elif signed:
+            vals = (lo - X) ** power * (1.0 - p) + (hi - X) ** power * p
+            vals = np.where(degenerate, (lo - X) ** power, vals)
+        else:
+            vals = (X - lo) ** power * (1.0 - p) + (hi - X) ** power * p
+            vals = np.where(degenerate, np.abs(lo - X) ** power, vals)
+    else:
+        tgt = oracle._targets(scheme, lo_p, hi_p, c_lo, c_hi)[:, None]
+        if shift is not None:
+            vals = (tgt - shift) ** power * np.ones_like(X)
+        else:
+            err = tgt - X
+            vals = err ** power if signed else np.abs(err) ** power
+    terms = 0.5 * (hi_p - lo_p) * ((w(X) * vals) @ weights)
+    return float(np.sum(terms)), terms
+
+
+def assert_matches_reference(got, want, terms):
+    # summation order and the k-ulp powers: N u sum|terms| bounds both
+    tol = terms.size * 2.0 ** -52 * float(np.sum(np.abs(terms)))
+    assert abs(got.value - want) <= tol, (got.value, want, tol)
+
+
+def cubic_weight(x):
+    return (x - 0.2) ** 3 * np.exp(-x * x)
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC, RS.TOWARD_ZERO])
+def test_cubic_integrals_match_pow_reference(scheme):
+    mesh = UniformMesh(0.03, 0.011)
+    a, b = -2.7, 3.1
+    got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, 3, signed=True)
+    want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 3)
+    assert_matches_reference(got, want, terms)
+    got = rd_moment_integral(mesh, scheme, cubic_weight, a, b, 3, shift=0.4)
+    want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 3, shift=0.4)
+    assert_matches_reference(got, want, terms)
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC, RS.AWAY_FROM_ZERO])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
+    # a partition of block + extra pieces: one full block, one short block,
+    # or one block and a single leftover piece
+    mesh = UniformMesh(0.05, 0.013)
+    a, b = -1.9, 2.3
+    pieces = oracle._pieces(mesh, scheme, a, b, CELL_BUDGET)[0].size
+    monkeypatch.setattr(oracle, "QUAD_BLOCK", pieces - extra)
+    for k, signed in ((1, True), (2, False), (3, True), (4, False)):
+        got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
+        want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
+        assert_matches_reference(got, want, terms)
+        assert got.details == {"pieces": pieces, "nodes": max(k + 8, 20), "chunks": 2 if extra == 1 else 1}
+    got = rd_moment_integral(mesh, scheme, cubic_weight, a, b, 2, shift=-0.1)
+    want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 2, shift=-0.1)
+    assert_matches_reference(got, want, terms)
+    assert got.details["chunks"] == (2 if extra == 1 else 1)
+
+
+def test_single_block_is_bit_identical_to_reference():
+    # one block and k <= 2: the same operations in the same order as before
+    mesh = UniformMesh(0.05, 0.013)
+    for scheme in RS:
+        got = err_weighted_integral(mesh, scheme, cubic_weight, -1.0, 1.5, 2, signed=False)
+        assert got.details["chunks"] == 1
+        assert got.value == reference_quad(mesh, scheme, cubic_weight, -1.0, 1.5, 20, 2, signed=False)[0]
+
+
+def test_float_integral_memory_is_bounded_by_pieces():
+    # about 180k pieces: one pieces x nodes float64 matrix is 29 MB
+    fs = FloatSystem(10, -40, 6)
+    model = make_normal(0.5, 1.0)
+    a, b = model.effective_range()
+    tracemalloc.start()
+    try:
+        got = err_weighted_integral(fs, RS.NEAREST, model, a, b, 1, signed=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pieces, nodes = got.details["pieces"], got.details["nodes"]
+    assert pieces > 150_000
+    assert got.details["chunks"] == math.ceil(pieces / oracle.QUAD_BLOCK)
+    assert peak < pieces * nodes * 8
+    want, terms = reference_quad(fs, RS.NEAREST, model.density, a, b, nodes, 1)
+    assert_matches_reference(got, want, terms)
+
+
+def test_mc_moment_orders_share_samples(semicircle):
+    mesh = UniformMesh(0.1, 0.03)
+    low = mc_rounded_moments(semicircle, mesh, RS.STOCHASTIC, 1, 20_000, seed=4)
+    high = mc_rounded_moments(semicircle, mesh, RS.STOCHASTIC, 4, 20_000, seed=4)
+    assert low.central == () and len(high.central) == 3 and len(high.raw) == 4
+    assert low.raw[0] == high.raw[0]
+    assert low.delta_v == high.delta_v
+    assert high.delta_v.abs_error_estimate == high.central[0].abs_error_estimate

@@ -15,8 +15,8 @@ from roundmoments import (
     scheme_eps_delta,
     stoch_expected_err_pows,
 )
-from roundmoments.errors import MissingVariateError
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme
+from roundmoments.errors import ConfigError, MissingVariateError
+from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme, int_power
 
 INT_MESH = UniformMesh(0.5, 0.0)  # spacing 1: the integers
 
@@ -181,3 +181,59 @@ def test_round_value_lands_on_neighbor(x, half_gap, offset, u):
     for scheme in RoundingScheme:
         out = round_value(mesh, scheme, x, u)
         assert out in (lo, hi)
+
+
+# --- int_power ---------------------------------------------------------------
+
+# Repeated squaring rounds once in each of its k - 1 multiplications and libm
+# pow is within one ulp, so the two agree to about k ulp; allow twice that.
+def _pow_rtol(k):
+    return k * 2.0 ** -52
+
+
+# signed, zero, tiny and large entries whose 8th powers are still normal
+POW_SAMPLE = np.array(
+    [-7e37, -3.7, -1.0, -0.3, -1e-30, -0.0, 0.0, 5e-31, 0.3, 1.0, 2.5, 123.456, 1e30]
+)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_int_power_low_orders_bit_identical(k):
+    x = np.concatenate([POW_SAMPLE, [np.nan, np.inf, -np.inf]])
+    assert _same_bits(int_power(x, k), x ** k)
+    assert _same_bits(int_power(x[:, None], k), x[:, None] ** k)
+    assert int_power(-2.5, k) == (-2.5) ** k
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_int_power_matches_pow_within_k_ulp(k):
+    rng = np.random.default_rng(k)
+    mags = 10.0 ** rng.uniform(-30.0, 30.0, 10_000)
+    x = np.concatenate([POW_SAMPLE, mags * rng.choice([-1.0, 1.0], mags.size)])
+    got = int_power(x, k)
+    want = x ** k
+    np.testing.assert_allclose(got, want, rtol=_pow_rtol(k), atol=0.0)
+    assert np.all(np.signbit(got) == np.signbit(want))
+    assert np.all(np.isfinite(got)) and np.all((got == 0.0) == (x == 0.0))
+    assert int_power(1.5, k) == pytest.approx(1.5 ** k, rel=_pow_rtol(k), abs=0.0)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_int_power_propagates_nan_and_inf(k):
+    x = np.array([np.nan, np.inf, -np.inf])
+    np.testing.assert_array_equal(int_power(x, k), x ** k)
+
+
+@pytest.mark.parametrize("k", [-1, 2.0, 1.5, "3", None])
+def test_int_power_rejects_bad_exponent(k):
+    with pytest.raises(ConfigError):
+        int_power(np.ones(3), k)
+
+
+def test_int_power_accepts_numpy_integer():
+    assert _same_bits(int_power(POW_SAMPLE, np.int64(2)), POW_SAMPLE ** 2)
