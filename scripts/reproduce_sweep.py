@@ -3,20 +3,23 @@
 
 Writes one CSV per mesh size plus an SVG of the delta = 0.1 sweep into
 results/ (created if missing), and asserts that every oracle value stays
-inside its tier bounds.
+inside its tier bounds.  Each CSV is written by the ``roundmoments sweep``
+command, which exits 1 on a dominance violation; the SVG is drawn from the
+rows of its CSV, so each sweep runs once.
 
 Usage: python scripts/reproduce_sweep.py [--offsets 64] [--out-dir results]
 """
 
 import argparse
+import csv
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from roundmoments import make_semicircle
-from roundmoments.cli import _sweep_csv, _sweep_svg
-from roundmoments.oracle import offset_sweep
+from roundmoments.cli import main as cli_main
+from roundmoments.cli import sweep_svg
+from roundmoments.verify import SweepRow
 
 
 def main() -> int:
@@ -28,16 +31,20 @@ def main() -> int:
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = make_semicircle(args.r, 0.0)
+    dist = f"semicircle:r={args.r},mu=0"
     for delta in (0.05, 0.1, 0.2):
-        rows = offset_sweep(model, delta, args.offsets, check=True)
         path = out / f"sweep_semicircle_delta{delta}.csv"
-        path.write_text(_sweep_csv(rows))
+        sweep = ["sweep", "--dist", dist, "--delta", str(delta), "--offsets", str(args.offsets)]
+        if cli_main(["--out", str(path), *sweep]) != 0:
+            return 1
+        with path.open() as fh:
+            # 17 significant digits round-trip every double; empty cells are None.
+            rows = [SweepRow(*(float(v) if v else None for v in line)) for line in list(csv.reader(fh))[1:]]
         worst_e = max(abs(r.delta_e) for r in rows)
         worst_v = max(abs(r.delta_v) for r in rows)
         print(f"delta={delta}: wrote {path} (worst |dE| {worst_e:.3e}, worst |dV| {worst_v:.3e})")
         if delta == 0.1:
-            (out / "sweep_semicircle_delta0.1.svg").write_text(_sweep_svg(rows))
+            (out / "sweep_semicircle_delta0.1.svg").write_text(sweep_svg(rows))
     print("all sweeps dominated by their tier bounds")
     return 0
 

@@ -54,75 +54,14 @@ from .bounds import (
 from .oracle import (
     MCMoments,
     OracleResult,
-    SweepRow,
     centered_moment_of_rounded,
     convergence_slope,
     delta_e_and_v,
     err_weighted_integral,
     mc_rounded_moments,
-    offset_sweep,
     rd_moment_integral,
     simulated_sum,
 )
-from .verify import CheckResult, run_suite, worst_margin
-
-__all__ = [
-    "ExplicitSet",
-    "FloatSystem",
-    "GapStats",
-    "UniformMesh",
-    "ceil_to",
-    "float_cells",
-    "floor_to",
-    "gap_stats",
-    "parse_grid_config",
-    "RoundingScheme",
-    "err_value",
-    "round_value",
-    "scheme_constants",
-    "scheme_eps_delta",
-    "stoch_expected_err_pows",
-    "DensityModel",
-    "Envelope",
-    "SymmetricSplit",
-    "best_mesh_center",
-    "envelope",
-    "make_exponential",
-    "make_normal",
-    "make_semicircle",
-    "make_uniform",
-    "parse_dist_config",
-    "symmetric_split",
-    "ADDITIVE",
-    "MULTIPLICATIVE",
-    "BoundReport",
-    "BoundTerm",
-    "centered_moment_first_order",
-    "float_moment_bound",
-    "interval_error_bound",
-    "mean_and_variance_diff_bounds",
-    "mixed_moment_bound",
-    "normal_partial_moment_bound",
-    "plan_measurement",
-    "rounded_chebyshev",
-    "rounded_sum_bound",
-    "sheppard_two_sided",
-    "strong_bound",
-    "unimodal_moment_bound",
-    "MCMoments",
-    "OracleResult",
-    "SweepRow",
-    "centered_moment_of_rounded",
-    "convergence_slope",
-    "delta_e_and_v",
-    "err_weighted_integral",
-    "mc_rounded_moments",
-    "offset_sweep",
-    "rd_moment_integral",
-    "simulated_sum",
-    "CheckResult",
-    "run_suite",
-    "worst_margin",
-]
+from .verify import CheckResult, SweepRow, offset_sweep, run_suite, worst_margin
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ import numpy as np
 
 from .distributions import (
     DensityModel,
-    _scan_max,
     best_mesh_center,
     envelope,
+    scan_max,
     symmetric_split,
 )
 from .errors import (
@@ -414,7 +414,7 @@ def _h_region_sum(model: DensityModel, center: float, n: int = 4001) -> float:
         # refine the bump peak so the scan cannot undercut the true supremum
         a = xs[max(i - 1, 0)]
         b = xs[min(j + 1, xs.size - 1)]
-        total += max(seg_max, _scan_max(split.h, a, b, n=257))
+        total += max(seg_max, scan_max(split.h, a, b, n=257))
         i = j + 1
     return total
 

@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: ``bound`` (evaluate a bound), ``verify`` (randomized dominance
-suite), ``sweep`` (offset sweep with tier envelopes), ``plan`` (measurement
-budget), ``sum-demo`` (rounded-sum simulation vs. its bound).  Exit codes:
-0 success, 1 dominance violation, 2 configuration error, 3 violated
-theorem hypothesis.
+Subcommands: ``bound`` (evaluate a bound; ``bound --plan`` runs the
+measurement planner), ``verify`` (randomized dominance suite), ``sweep``
+(offset sweep with tier envelopes), ``sum-demo`` (rounded-sum simulation
+vs. its bound).  Exit codes: 0 success, 1 dominance violation, 2
+configuration error, 3 violated theorem hypothesis.
 """
 
 from __future__ import annotations
@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 
 from . import bounds as B
 from .distributions import make_uniform, parse_dist_config
 from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh, parse_grid_config
-from .oracle import BoundViolationError, offset_sweep, simulated_sum
-from .plotting import polyline_chart
+from .oracle import simulated_sum
+from .plotting import polyline_chart, stacked_charts
 from .rounding import RoundingScheme, scheme_eps_delta
-from .verify import run_suite, worst_margin
+from .verify import BoundViolationError, offset_sweep, run_suite, worst_margin
 
 CSV_HEADER = "offset,delta_E,delta_V,bound_A_E,bound_B_E,bound_C_E,bound_D_E,bound_A_V,bound_B_V,bound_C_V"
 
@@ -84,22 +85,21 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_plan(args, out_path):
-    n = int(args.n) if args.n is not None else None
-    n_min, delta_max = B.plan_measurement(args.variance, args.c, args.p, n=n)
+def _cmd_plan(args):
+    n_min, delta_max = B.plan_measurement(args.variance, args.c, args.p, n=args.n)
     payload = {"n_min": n_min, "delta_max": delta_max}
-    if args.t is not None and n is not None:
+    if args.t is not None and args.n is not None:
         payload["probability_bound"] = B.rounded_chebyshev(
-            args.variance, n, args.delta if args.delta is not None else 0.0, args.t
+            args.variance, args.n, args.delta if args.delta is not None else 0.0, args.t
         )
-    _emit(json.dumps(payload, indent=2), out_path)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
 def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     if args.plan:
-        return _cmd_plan(args, args.out)
+        return _cmd_plan(args)
     model = _resolve_dist(args, cfg)
     grid = _resolve_grid(args, cfg)
     scheme = RoundingScheme.parse(args.scheme)
@@ -156,7 +156,8 @@ def _series(rows, pairs):
     return out
 
 
-def _sweep_svg(rows) -> str:
+def sweep_svg(rows) -> str:
+    """Mean-shift and variance-shift panels of a sweep, one SVG document."""
     xs = [r.offset for r in rows]
     panel_e = polyline_chart(
         xs,
@@ -191,29 +192,12 @@ def _sweep_svg(rows) -> str:
         "|Delta_V|",
         log_y=True,
     )
-    return panel_e + "\n" + panel_v
+    return stacked_charts([panel_e, panel_v])
 
 
 def _sweep_csv(rows) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _g17(v)
-                for v in (
-                    r.offset,
-                    r.delta_e,
-                    r.delta_v,
-                    r.bound_a_e,
-                    r.bound_b_e,
-                    r.bound_c_e,
-                    r.bound_d_e,
-                    r.bound_a_v,
-                    r.bound_b_v,
-                    r.bound_c_v,
-                )
-            )
-        )
+    lines.extend(",".join(_g17(v) for v in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -233,23 +217,10 @@ def cmd_sweep(args) -> int:
         print(f"dominance violation: {exc}", file=sys.stderr)
         return 1
     if args.format == "svg":
-        _emit(_sweep_svg(rows), args.out)
+        _emit(sweep_svg(rows), args.out)
     elif args.format == "json":
-        payload = [
-            {
-                "offset": r.offset,
-                "delta_E": r.delta_e,
-                "delta_V": r.delta_v,
-                "bound_A_E": r.bound_a_e,
-                "bound_B_E": r.bound_b_e,
-                "bound_C_E": r.bound_c_e,
-                "bound_D_E": r.bound_d_e,
-                "bound_A_V": r.bound_a_v,
-                "bound_B_V": r.bound_b_v,
-                "bound_C_V": r.bound_c_v,
-            }
-            for r in rows
-        ]
+        columns = CSV_HEADER.split(",")
+        payload = [dict(zip(columns, astuple(r))) for r in rows]
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         _emit(_sweep_csv(rows), args.out)
@@ -299,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--variance", type=float, default=1.0)
     pb.add_argument("--c", type=float, default=1.0)
     pb.add_argument("--p", type=float, default=0.05)
-    pb.add_argument("--n", type=float)
+    pb.add_argument("--n", type=int)
     pb.add_argument("--t", type=float)
     pb.set_defaults(func=cmd_bound)
 
@@ -317,15 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scheme", default="nearest")
     ps.add_argument("--no-check", action="store_true")
     ps.set_defaults(func=cmd_sweep)
-
-    pp = sub.add_parser("plan", help="measurement planner")
-    pp.add_argument("--variance", type=float, required=True)
-    pp.add_argument("--c", type=float, required=True)
-    pp.add_argument("--p", type=float, required=True)
-    pp.add_argument("--n", type=float)
-    pp.add_argument("--t", type=float)
-    pp.add_argument("--delta", type=float)
-    pp.set_defaults(func=lambda a: _cmd_plan(a, a.out))
 
     pd = sub.add_parser("sum-demo", help="rounded-sum simulation against its bound")
     pd.add_argument("--summands", type=int, default=10)

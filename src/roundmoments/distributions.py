@@ -108,11 +108,13 @@ class DensityModel:
         key = ("scw", about)
         if key not in self._cache:
             w = lambda x: np.abs(x - about) * self._pdf(x)
-            self._cache[key] = _scan_max(w, *self.effective_range(), extra=(about,))
+            self._cache[key] = scan_max(w, *self.effective_range(), extra=(about,))
         return self._cache[key]
 
 
-def _scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
+def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
+    """Maximum of a vectorized f over [lo, hi]: the best of n even points
+    (plus ``extra``), refined by golden-section search around it."""
     xs = np.linspace(lo, hi, n)
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))

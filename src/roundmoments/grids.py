@@ -170,46 +170,46 @@ class FloatSystem:
         hi = np.where(exact_top, x, hi)
         return lo.reshape(shape), hi.reshape(shape)
 
-    def _mag_blocks(self):
-        """(anchor, step, block_lo, block_hi) runs covering magnitudes [0, top].
+    def stretches(self, lo: float, hi: float):
+        """Uniformly spaced stretches of the lattice meeting [lo, hi].
 
-        Anchors are always grid points, so lattice enumeration within a
-        clipped query range stays on the true grid.
+        Yields ``(sign, anchor, step, a, b)``: on the magnitude interval
+        [a, b] (a < b, clipped to the query and to [0, top]) the lattice is
+        ``anchor + j*step``, so the grid points of [lo, hi] there are
+        ``sign * (anchor + j*step)``.  The stretches are the subnormal
+        interval [0, 2^k_min] and each binade [2^i, 2^(i+1)], negative side
+        first.  Anchors are always grid points, so lattice enumeration
+        within a clipped query range stays on the true grid.
         """
-        yield 0.0, self._sub_step(), 0.0, self.tiny
+        blocks = [(0.0, self._sub_step(), self.tiny)]  # (anchor, step, end)
         for i in range(self.k_min, self.k_max):
-            blo = math.ldexp(1.0, i)
-            yield blo, math.ldexp(1.0, i - self.mantissa_bits), blo, 2.0 * blo
+            blocks.append((math.ldexp(1.0, i), math.ldexp(1.0, i - self.mantissa_bits), math.ldexp(1.0, i + 1)))
+        for sign in (-1.0, 1.0):
+            a = max(lo, 0.0) if sign > 0 else max(-hi, 0.0)
+            b = min(hi, self.top) if sign > 0 else min(-lo, self.top)
+            for anchor, step, end in blocks:
+                c_lo, c_hi = max(a, anchor), min(b, end)
+                if c_lo < c_hi:
+                    yield sign, anchor, step, c_lo, c_hi
 
     def points_in(self, lo: float, hi: float, budget: int = CELL_BUDGET) -> np.ndarray:
         chunks = []
         count = 0
-        for sign in (-1.0, 1.0):
-            a = max(lo, -self.top) if sign < 0 else max(lo, 0.0)
-            b = min(hi, 0.0) if sign < 0 else min(hi, self.top)
-            if sign < 0:
-                a, b = -b, -a
-            if a >= b:
-                continue
-            for anchor, step, blo, bhi in self._mag_blocks():
-                c_lo, c_hi = max(a, blo), min(b, bhi)
-                if c_hi < c_lo:
-                    continue
-                j0 = math.ceil((c_lo - anchor) / step - 1e-12)
-                j1 = math.floor((c_hi - anchor) / step + 1e-12)
-                n = max(0, j1 - j0 + 1)
-                count += n
-                if count > budget:
-                    raise TooManyCellsError("float lattice exceeds cell budget")
-                if n:
-                    pts = anchor + step * np.arange(j0, j1 + 1, dtype=float)
-                    chunks.append(sign * pts)
-            if b == self.top:
-                chunks.append(np.array([sign * self.top]))
+        for sign, anchor, step, a, b in self.stretches(lo, hi):
+            j0 = math.ceil((a - anchor) / step - 1e-12)
+            j1 = math.floor((b - anchor) / step + 1e-12)
+            n = max(0, j1 - j0 + 1)
+            count += n
+            if count > budget:
+                raise TooManyCellsError("float lattice exceeds cell budget")
+            if n:
+                chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
         if not chunks:
             return np.empty(0)
         pts = np.unique(np.concatenate(chunks))
-        return pts[(pts >= lo) & (pts <= hi)]
+        # Both sides hold 0, so which signed zero survives np.unique depends
+        # on the sort; adding 0.0 always returns +0.0.
+        return pts[(pts >= lo) & (pts <= hi)] + 0.0
 
 
 @dataclass(frozen=True)
@@ -291,20 +291,7 @@ def float_cells(fs: FloatSystem, lo: float, hi: float) -> list[FloatCell]:
     """
     if lo < 0.0 or hi <= lo:
         raise ConfigError("float_cells requires 0 <= lo < hi")
-    hi = min(hi, fs.top)
-    out = []
-    tiny = fs.tiny
-    if lo < tiny:
-        a, b = lo, min(hi, tiny)
-        if b > a:
-            out.append(FloatCell(a, b, 0.5 * fs._sub_step()))
-    for i in range(fs.k_min, fs.k_max):
-        blo = math.ldexp(1.0, i)
-        bhi = math.ldexp(1.0, i + 1)
-        a, b = max(lo, blo), min(hi, bhi)
-        if b > a:
-            out.append(FloatCell(a, b, math.ldexp(1.0, i - fs.mantissa_bits - 1)))
-    return out
+    return [FloatCell(a, b, 0.5 * step) for _, _, step, a, b in fs.stretches(lo, hi)]
 
 
 def _cell_stats(cells: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -343,22 +330,14 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
         eps0 = 0.0
         delta0 = 0.0
         found = False
-        for sign in (-1.0, 1.0):
-            a = max(lo, 0.0) if sign > 0 else max(-hi, 0.0)
-            b = min(hi, grid.top) if sign > 0 else min(-lo, grid.top)
-            if b <= a:
+        for _, anchor, step, c_lo, c_hi in grid.stretches(lo, hi):
+            j0 = math.ceil((c_lo - anchor) / step - 1e-12)
+            p0 = anchor + j0 * step
+            if p0 + step > c_hi * (1.0 + 1e-15):
                 continue
-            for anchor, step, blo, bhi in grid._mag_blocks():
-                c_lo, c_hi = max(a, blo), min(b, bhi)
-                if c_hi <= c_lo:
-                    continue
-                j0 = math.ceil((c_lo - anchor) / step - 1e-12)
-                p0 = anchor + j0 * step
-                if p0 + step > c_hi * (1.0 + 1e-15):
-                    continue
-                found = True
-                delta0 = max(delta0, step)
-                eps0 = math.inf if p0 == 0.0 else max(eps0, step / p0)
+            found = True
+            delta0 = max(delta0, step)
+            eps0 = math.inf if p0 == 0.0 else max(eps0, step / p0)
         if not found:
             raise EmptyRangeError("no full cell in range")
         if lo < 0.0 < hi:

@@ -18,22 +18,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DensityModel
-from .errors import DegenerateFitError, PreconditionError, RoundMomentsError
+from .errors import DegenerateFitError, PreconditionError
 from .grids import CELL_BUDGET, FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
-from .rounding import RoundingScheme, int_power, round_value, scheme_eps_delta
-
-from .bounds import mean_and_variance_diff_bounds  # tier bounds for sweep rows
+from .rounding import RoundingScheme, int_power, round_value, stoch_err_power, stoch_expectation
 
 # Pieces per block of the per-cell kernel.  A block's 20-node float64 node
 # matrix is 320 KiB, so it and the few temporaries the integrand builds from
 # it stay in L2 cache (1,024-2,048 was fastest with 2 MB of L2 per core;
 # 16,384 was 30% slower).  Oracle memory then grows with pieces, not with pieces x nodes.
 QUAD_BLOCK = 2048
-
-
-class BoundViolationError(RoundMomentsError):
-    """An oracle value exceeded the bound that claims to dominate it."""
 
 
 @dataclass(frozen=True)
@@ -136,29 +130,6 @@ def _per_cell_gauss(w, values, lo_p, hi_p, cells, n: int) -> OracleResult:
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
 
 
-def _cell_fraction(X, c_lo, c_hi):
-    """Position p of each node inside its cell, and the degenerate-cell mask
-    (lo == hi: saturated or on-grid), as broadcastable columns."""
-    lo = c_lo[:, None]
-    width = c_hi[:, None] - lo
-    degenerate = width <= 0.0
-    p = (X - lo) / np.where(degenerate, 1.0, width)
-    return p, degenerate
-
-
-def _stoch_err_powers(X, c_lo, c_hi, k: int, signed: bool):
-    """Expected error powers under stochastic rounding at node matrix X."""
-    lo = c_lo[:, None]
-    hi = c_hi[:, None]
-    p, degenerate = _cell_fraction(X, c_lo, c_hi)
-    near = int_power(lo - X if signed else X - lo, k)
-    vals = near * (1.0 - p) + int_power(hi - X, k) * p
-    if np.any(degenerate):
-        clamp = near if signed else int_power(np.abs(lo - X), k)
-        vals = np.where(degenerate, clamp, vals)
-    return vals
-
-
 def _det_err_powers(X, tgt, k: int, signed: bool):
     """Error powers of a deterministic scheme at node matrix X."""
     err = tgt[:, None] - X
@@ -187,8 +158,8 @@ def err_weighted_integral(
     lo_p, hi_p, c_lo, c_hi = _pieces(grid, scheme, a, b, budget)
     n = n_nodes or max(k + 8, 20)
     if scheme is RoundingScheme.STOCHASTIC:
-        cells = (c_lo, c_hi)
-        values = partial(_stoch_err_powers, k=k, signed=signed)
+        cells = (c_lo[:, None], c_hi[:, None])
+        values = partial(stoch_err_power, k=k, signed=signed)
     else:
         cells = (_targets(scheme, lo_p, hi_p, c_lo, c_hi),)
         values = partial(_det_err_powers, k=k, signed=signed)
@@ -214,12 +185,9 @@ def rd_moment_integral(
     if scheme is RoundingScheme.STOCHASTIC:
 
         def values(X, lo, hi):
-            p, degenerate = _cell_fraction(X, lo, hi)
-            lo_j = int_power(lo[:, None] - shift, j)
-            vals = lo_j * (1.0 - p) + int_power(hi[:, None] - shift, j) * p
-            return np.where(degenerate, lo_j, vals)
+            return stoch_expectation(X, lo, hi, int_power(lo - shift, j), int_power(hi - shift, j))
 
-        cells = (c_lo, c_hi)
+        cells = (c_lo[:, None], c_hi[:, None])
     else:
 
         def values(X, rd_j):
@@ -315,89 +283,6 @@ def mc_rounded_moments(
     v_rd = float(np.var(rd, ddof=1))
     delta_v = OracleResult(v_rd - model.variance, central[0].abs_error_estimate, "monte_carlo", dict(info))
     return MCMoments(raw=raw, central=central[: k_max - 1], delta_e=delta_e, delta_v=delta_v)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep offset; bounds for tiers a scheme cannot support are None
-    (directed rounding has no cancellation tiers) and serialize as empty."""
-
-    offset: float
-    delta_e: float
-    delta_v: float
-    bound_a_e: float
-    bound_b_e: float | None
-    bound_c_e: float | None
-    bound_d_e: float | None
-    bound_a_v: float
-    bound_b_v: float | None
-    bound_c_v: float | None
-
-    def violations(self, budget: float = 1e-9) -> list[str]:
-        out = []
-        ae = abs(self.delta_e)
-        av = abs(self.delta_v)
-        for name, bound in (
-            ("A_E", self.bound_a_e),
-            ("B_E", self.bound_b_e),
-            ("C_E", self.bound_c_e),
-            ("D_E", self.bound_d_e),
-        ):
-            if bound is not None and ae > bound + budget:
-                out.append(f"|Delta_E| = {ae:.3e} exceeds tier {name} bound {bound:.3e}")
-        for name, bound in (
-            ("A_V", self.bound_a_v),
-            ("B_V", self.bound_b_v),
-            ("C_V", self.bound_c_v),
-        ):
-            if bound is not None and av > bound + budget:
-                out.append(f"|Delta_V| = {av:.3e} exceeds tier {name} bound {bound:.3e}")
-        return out
-
-
-def offset_sweep(
-    model: DensityModel,
-    delta: float,
-    n_offsets: int,
-    scheme: RoundingScheme = RoundingScheme.NEAREST,
-    check: bool = True,
-    budget: float = 1e-9,
-) -> list[SweepRow]:
-    """Quadrature Delta_E / Delta_V against tier bounds over a full period
-    of mesh offsets [0, 2*delta)."""
-    if n_offsets < 2:
-        raise PreconditionError("need at least 2 offsets")
-    mesh0 = UniformMesh(delta, 0.0)
-    dlt = scheme_eps_delta(scheme, 0.0, mesh0.step)[1]
-    de_a, dv_a = mean_and_variance_diff_bounds(model, "A", mesh=mesh0, delta=dlt, scheme=scheme)
-    tiered = scheme in (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
-    if tiered:
-        de_b, dv_b = mean_and_variance_diff_bounds(model, "B", mesh=mesh0, delta=dlt, scheme=scheme)
-        de_c, dv_c = mean_and_variance_diff_bounds(model, "C", mesh=mesh0, delta=dlt, scheme=scheme)
-    rows = []
-    problems = []
-    for a in np.linspace(0.0, mesh0.step, n_offsets, endpoint=False):
-        mesh = UniformMesh(delta, float(a))
-        if tiered:
-            de_d, _ = mean_and_variance_diff_bounds(model, "D", mesh=mesh, delta=dlt, scheme=scheme)
-        de, dv = delta_e_and_v(model, mesh, scheme)
-        row = SweepRow(
-            offset=float(a),
-            delta_e=de.value,
-            delta_v=dv.value,
-            bound_a_e=de_a.value,
-            bound_b_e=de_b.value if tiered else None,
-            bound_c_e=de_c.value if tiered else None,
-            bound_d_e=de_d.value if tiered else None,
-            bound_a_v=dv_a.value,
-            bound_b_v=dv_b.value if tiered else None,
-            bound_c_v=dv_c.value if tiered else None,
-        )
-        rows.append(row)
-        problems.extend(f"offset {a:.6g}: {v}" for v in row.violations(budget))
-    if check and problems:
-        raise BoundViolationError("; ".join(problems))
-    return rows
 
 
 @dataclass(frozen=True)

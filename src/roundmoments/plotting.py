@@ -6,6 +6,7 @@ import math
 from typing import Sequence
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#66a182", "#edae49", "#8d5a97", "#2e4057", "#7a9e7e")
+_WIDTH, _HEIGHT = 720, 420
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -22,8 +23,8 @@ def polyline_chart(
     x_label: str,
     y_label: str,
     log_y: bool = False,
-    width: int = 720,
-    height: int = 420,
+    width: int = _WIDTH,
+    height: int = _HEIGHT,
 ) -> str:
     """Render one chart as an SVG string."""
     margin = 60
@@ -71,5 +72,18 @@ def polyline_chart(
             f'<text x="{margin - 6}" y="{plot_y[0] + frac * (plot_y[1] - plot_y[0]):.0f}" '
             f'text-anchor="end" font-size="10">{yv:.4g}</text>'
         )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def stacked_charts(charts: Sequence[str]) -> str:
+    """One SVG document holding default-size charts, each below the last."""
+    total = _HEIGHT * len(charts)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{total}" '
+        f'viewBox="0 0 {_WIDTH} {total}">'
+    ]
+    for i, chart in enumerate(charts):
+        parts.append(f'<g transform="translate(0 {_HEIGHT * i})">\n{chart}\n</g>')
     parts.append("</svg>")
     return "\n".join(parts)

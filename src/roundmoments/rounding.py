@@ -98,8 +98,7 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
         if u is None:
             raise MissingVariateError("stochastic rounding needs a uniform variate")
         u = np.asarray(u, dtype=float)
-        width = np.where(on_grid, 1.0, hi - lo)
-        p_up = (x - lo) / width
+        p_up, _ = cell_fraction(x, lo, hi)
         out = np.where(u < p_up, hi, lo)
     else:  # pragma: no cover
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -180,22 +179,58 @@ def scheme_constants(scheme: RoundingScheme) -> SchemeConstants:
     return _CONSTANTS[scheme]
 
 
+def cell_fraction(x, lo, hi):
+    """Position p = (x - lo) / (hi - lo) of x inside its cell [lo, hi], and
+    the degenerate-cell mask (lo == hi: x on the grid or saturated).
+
+    Stochastic rounding sends x to hi with probability p.  On a degenerate
+    cell p is x - lo, which callers must not read as a probability.
+    """
+    width = hi - lo
+    degenerate = width <= 0.0
+    return (x - lo) / np.where(degenerate, 1.0, width), degenerate
+
+
+def stoch_expectation(x, lo, hi, f_lo, f_hi):
+    """E[f(rd(x))] = f(lo) (1 - p) + f(hi) p under stochastic rounding of x
+    inside its cell [lo, hi], and f(lo) on a degenerate cell.
+
+    ``f_lo`` and ``f_hi`` are f evaluated at the cell ends; all arguments
+    broadcast against each other.
+    """
+    p, degenerate = cell_fraction(x, lo, hi)
+    vals = f_lo * (1.0 - p) + f_hi * p
+    if np.any(degenerate):
+        vals = np.where(degenerate, f_lo, vals)
+    return vals
+
+
+def stoch_err_power(x, lo, hi, k: int, signed: bool):
+    """E[err^k] (``signed``) or E[|err|^k] under stochastic rounding of x
+    inside its cell [lo, hi], where err = rd(x) - x."""
+    if signed:
+        f_lo = int_power(lo - x, k)
+    else:
+        # |lo - x| is x - lo inside a cell, but a saturated query on the
+        # negative side lies below its degenerate cell; even powers need no abs.
+        d = x - lo
+        f_lo = int_power(np.abs(d) if k % 2 else d, k)
+    return stoch_expectation(x, lo, hi, f_lo, int_power(hi - x, k))
+
+
 def stoch_expected_err_pows(lo: float, hi: float, x, k: int):
     """Per-point expectations of |err|^k and err^k under stochastic rounding.
 
     lo/hi are the enclosing grid neighbors of x.  A degenerate cell
-    (lo == hi, x on the grid) contributes (0, 0).
+    (lo == hi) contributes the error of rounding to lo: (0, 0) for x on the
+    grid.
     """
     if k < 1:
         raise ConfigError("power must be a positive integer")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
-    if hi == lo:
-        z = np.zeros_like(x)
-        return (0.0, 0.0) if scalar else (z, z)
-    p = (x - lo) / (hi - lo)
-    abs_pow = int_power(x - lo, k) * (1.0 - p) + int_power(hi - x, k) * p
-    signed_pow = int_power(lo - x, k) * (1.0 - p) + int_power(hi - x, k) * p
+    abs_pow = stoch_err_power(x, lo, hi, k, signed=False)
+    signed_pow = stoch_err_power(x, lo, hi, k, signed=True)
     if scalar:
         return float(abs_pow), float(signed_pow)
     return abs_pow, signed_pow

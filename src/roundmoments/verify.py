@@ -1,4 +1,4 @@
-"""Randomized dominance suite: every bound must beat its oracle.
+"""Randomized dominance suite and offset sweeps: every bound must beat its oracle.
 
 Instances draw a model, grid, scheme and order, compute the analytic bound
 and the corresponding brute-force oracle, and record the margin.  A negative
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as B
-from .distributions import make_exponential, make_normal, make_semicircle, make_uniform
-from .errors import ConfigError, SymmetryUnavailableError
+from .distributions import DensityModel, make_exponential, make_normal, make_semicircle, make_uniform
+from .errors import ConfigError, PreconditionError, RoundMomentsError, SymmetryUnavailableError
 from .grids import FloatSystem, UniformMesh, ceil_to, floor_to, gap_stats
 from .oracle import centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
 from .rounding import RoundingScheme, int_power, scheme_eps_delta
@@ -352,3 +352,90 @@ def run_suite(
 
 def worst_margin(results: list[CheckResult]) -> CheckResult:
     return min(results, key=lambda r: r.margin)
+
+
+class BoundViolationError(RoundMomentsError):
+    """An oracle value exceeded the bound that claims to dominate it."""
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep offset; bounds for tiers a scheme cannot support are None
+    (directed rounding has no cancellation tiers) and serialize as empty."""
+
+    offset: float
+    delta_e: float
+    delta_v: float
+    bound_a_e: float
+    bound_b_e: float | None
+    bound_c_e: float | None
+    bound_d_e: float | None
+    bound_a_v: float
+    bound_b_v: float | None
+    bound_c_v: float | None
+
+    def violations(self, budget: float = 1e-9) -> list[str]:
+        out = []
+        ae = abs(self.delta_e)
+        av = abs(self.delta_v)
+        for name, bound in (
+            ("A_E", self.bound_a_e),
+            ("B_E", self.bound_b_e),
+            ("C_E", self.bound_c_e),
+            ("D_E", self.bound_d_e),
+        ):
+            if bound is not None and ae > bound + budget:
+                out.append(f"|Delta_E| = {ae:.3e} exceeds tier {name} bound {bound:.3e}")
+        for name, bound in (
+            ("A_V", self.bound_a_v),
+            ("B_V", self.bound_b_v),
+            ("C_V", self.bound_c_v),
+        ):
+            if bound is not None and av > bound + budget:
+                out.append(f"|Delta_V| = {av:.3e} exceeds tier {name} bound {bound:.3e}")
+        return out
+
+
+def offset_sweep(
+    model: DensityModel,
+    delta: float,
+    n_offsets: int,
+    scheme: RoundingScheme = RoundingScheme.NEAREST,
+    check: bool = True,
+    budget: float = 1e-9,
+) -> list[SweepRow]:
+    """Quadrature Delta_E / Delta_V against tier bounds over a full period
+    of mesh offsets [0, 2*delta)."""
+    if n_offsets < 2:
+        raise PreconditionError("need at least 2 offsets")
+    mesh0 = UniformMesh(delta, 0.0)
+    dlt = scheme_eps_delta(scheme, 0.0, mesh0.step)[1]
+    de_a, dv_a = B.mean_and_variance_diff_bounds(model, "A", mesh=mesh0, delta=dlt, scheme=scheme)
+    tiered = scheme in (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
+    if tiered:
+        de_b, dv_b = B.mean_and_variance_diff_bounds(model, "B", mesh=mesh0, delta=dlt, scheme=scheme)
+        de_c, dv_c = B.mean_and_variance_diff_bounds(model, "C", mesh=mesh0, delta=dlt, scheme=scheme)
+    rows = []
+    problems = []
+    for a in np.linspace(0.0, mesh0.step, n_offsets, endpoint=False):
+        mesh = UniformMesh(delta, float(a))
+        if tiered:
+            de_d, _ = B.mean_and_variance_diff_bounds(model, "D", mesh=mesh, delta=dlt, scheme=scheme)
+        de, dv = delta_e_and_v(model, mesh, scheme)
+        row = SweepRow(
+            offset=float(a),
+            delta_e=de.value,
+            delta_v=dv.value,
+            bound_a_e=de_a.value,
+            bound_b_e=de_b.value if tiered else None,
+            bound_c_e=de_c.value if tiered else None,
+            bound_d_e=de_d.value if tiered else None,
+            bound_a_v=dv_a.value,
+            bound_b_v=dv_b.value if tiered else None,
+            bound_c_v=dv_c.value if tiered else None,
+        )
+        rows.append(row)
+        problems.extend(f"offset {a:.6g}: {v}" for v in row.violations(budget))
+    if check and problems:
+        raise BoundViolationError("; ".join(problems))
+    return rows

@@ -35,10 +35,10 @@ from roundmoments.oracle import (
     convergence_slope,
     err_weighted_integral,
     mc_rounded_moments,
-    offset_sweep,
     simulated_sum,
 )
 from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS
+from roundmoments.verify import offset_sweep
 
 ONE = np.ones_like
 

@@ -1,5 +1,9 @@
 import json
 import math
+import pathlib
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -35,6 +39,20 @@ def test_bound_plan_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["delta_max"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_bound_plan_n_min(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--plan", "--variance", "2", "--c", "1.5", "--p", "0.05")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_min"] == math.ceil(1 / (0.05 * 1.5 ** 2)) + 1
+
+
+def test_bound_plan_rejects_fractional_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--plan", "--variance", "1", "--c", "1", "--p", "0.01", "--n", "400.5"])
+    assert exc.value.code == 2
+    assert "invalid int value: '400.5'" in capsys.readouterr().err
 
 
 def test_bound_json_round_trip(capsys):
@@ -105,6 +123,30 @@ def test_sweep_svg(capsys, tmp_path):
     assert code == 0
     body = out_file.read_text()
     assert body.startswith("<svg") and "polyline" in body
+    # One well-formed document holding both panels.
+    root = ET.fromstring(body)
+    svg = "{http://www.w3.org/2000/svg}"
+    assert root.tag == f"{svg}svg"
+    panels = root.findall(f"{svg}g/{svg}svg")
+    assert [p.find(f"{svg}text").text for p in panels] == ["mean shift vs. offset", "variance shift vs. offset"]
+    assert all(p.findall(f"{svg}polyline") for p in panels)
+
+
+def test_reproduce_sweep_svg_matches_cli(capsys, tmp_path):
+    # The script draws its SVG from the rows of its CSV instead of rerunning the sweep.
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_sweep.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--offsets", "8", "--out-dir", str(tmp_path)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    cli_svg = tmp_path / "cli.svg"
+    code, _, _ = run_cli(
+        capsys,
+        "--format", "svg", "--out", str(cli_svg),
+        "sweep", "--dist", "semicircle:r=1.0,mu=0", "--delta", "0.1", "--offsets", "8",
+    )
+    assert code == 0
+    assert (tmp_path / "sweep_semicircle_delta0.1.svg").read_text() == cli_svg.read_text()
 
 
 def test_verify_pass_and_self_test(capsys):
@@ -127,13 +169,6 @@ def test_verify_rejects_empty_suite(capsys, count):
     assert code == 2
     assert "instance" in err
     assert out == ""
-
-
-def test_plan_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "plan", "--variance", "2", "--c", "1.5", "--p", "0.05")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["n_min"] == math.ceil(1 / (0.05 * 1.5 ** 2)) + 1
 
 
 def test_sum_demo_dominated(capsys):

@@ -22,11 +22,11 @@ from roundmoments.oracle import (
     delta_e_and_v,
     err_weighted_integral,
     mc_rounded_moments,
-    offset_sweep,
     rd_moment_integral,
     simulated_sum,
 )
 from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS
+from roundmoments.verify import offset_sweep
 
 ONE = np.ones_like
 INT_MESH = UniformMesh(0.5, 0.0)

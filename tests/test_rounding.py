@@ -97,6 +97,12 @@ def test_stoch_expected_pows_two_outcome():
     assert stoch_expected_err_pows(0.5, 0.5, 0.5, 2) == (0.0, 0.0)
 
 
+def test_stoch_expected_pows_saturated_cell_rounds_to_clamp():
+    # beyond +/- top the cell is degenerate and rd(x) is the clamp itself
+    assert stoch_expected_err_pows(-4.0, -4.0, -5.0, 3) == (1.0, 1.0)
+    assert stoch_expected_err_pows(4.0, 4.0, 6.0, 3) == (8.0, -8.0)
+
+
 def test_stochastic_pointwise_unbiased_everywhere():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-40.0, 40.0, 1000)
