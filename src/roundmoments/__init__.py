@@ -7,7 +7,6 @@ from .grids import (
     GapStats,
     UniformMesh,
     ceil_to,
-    float_cells,
     floor_to,
     gap_stats,
     parse_grid_config,

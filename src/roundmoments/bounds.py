@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     SymmetryUnavailableError,
 )
-from .grids import FloatSystem, UniformMesh, float_cells, floor_to
+from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
 from .rounding import RoundingScheme, scheme_constants, scheme_eps_delta
 from .special import upper_incomplete_gamma
@@ -80,6 +80,7 @@ class BoundReport:
             "theorem": self.theorem,
             "tier": self.tier,
             "mode": self.mode,
+            "notes": list(self.notes),
         }
         if self.two_sided is not None:
             out["two_sided"] = {"center": self.two_sided[0], "radius": self.two_sided[1]}
@@ -98,6 +99,7 @@ class BoundReport:
             tier=obj["tier"],
             mode=obj["mode"],
             two_sided=(ts["center"], ts["radius"]) if ts is not None else None,
+            notes=tuple(obj["notes"]),
         )
 
 
@@ -533,38 +535,29 @@ def float_moment_bound(
     supp_lo, supp_hi = model.effective_range()
     notes = []
     total = 0.0
-    for sign in (-1.0, 1.0):
-        if sign > 0:
-            a, b = max(supp_lo, 0.0), min(supp_hi, fs.top)
-        else:
-            a, b = max(-supp_hi, 0.0), min(-supp_lo, fs.top)
-        if b <= a:
+    for sign, anchor, step, a, b in fs.stretches(supp_lo, supp_hi):
+        lo, hi = (a, b) if sign > 0 else (-b, -a)
+        sup, inf, n_max, flips = _probe_block(model, lo, hi)
+        if sup == 0.0:
             continue
-        for cell in float_cells(fs, a, b):
-            lo, hi = (cell.lo, cell.hi) if sign > 0 else (-cell.hi, -cell.lo)
-            sup, inf, n_max, flips = _probe_block(model, lo, hi)
-            if sup == 0.0:
-                continue
-            # stochastic rounding sees the full gap as its additive error
-            dlt = scheme_eps_delta(scheme, 0.0, 2.0 * cell.half_gap)[1]
-            if flips > 1:
-                # worst-case error-model term for this stretch, flagged
-                mass, _ = adaptive_quad(model.density, lo, hi, rtol=1e-10)
-                total += mass * dlt ** k
-                notes.append(f"binade [{lo:g},{hi:g}) fell back to the first-order bound")
-                continue
-            if signed:
-                total += 2.0 * n_max * cs.d(k) * (sup - inf) * dlt ** (k + 1)
-                # a stretch clipped off the grid (support edge inside a
-                # binade) loses the aligned cancellation of its infimum part
-                clipped = (cell.lo == a and floor_to(fs, sign * a) != sign * a) or (
-                    cell.hi == b and floor_to(fs, sign * b) != sign * b
-                )
-                if clipped:
-                    total += inf * cs.d(k) * dlt ** (k + 1)
-            else:
-                length = cell.hi - cell.lo
-                total += sup * (cs.c(k) * length * dlt ** k + 4.0 * cs.c(k) * dlt ** (k + 1))
+        # stochastic rounding sees the full gap as its additive error
+        dlt = scheme_eps_delta(scheme, 0.0, step)[1]
+        if flips > 1:
+            # worst-case error-model term for this stretch, flagged
+            mass, _ = adaptive_quad(model.density, lo, hi, rtol=1e-10)
+            total += mass * dlt ** k
+            notes.append(f"binade [{lo:g},{hi:g}) fell back to the first-order bound")
+            continue
+        if signed:
+            total += 2.0 * n_max * cs.d(k) * (sup - inf) * dlt ** (k + 1)
+            # a stretch clipped off the grid (support edge inside a binade)
+            # loses the aligned cancellation of its infimum part; an end is
+            # on the grid when it is on the stretch's lattice anchor + j*step
+            # (binade ends, 0 and +/- top always are; both sides are exact)
+            if (a - anchor) % step or (b - anchor) % step:
+                total += inf * cs.d(k) * dlt ** (k + 1)
+        else:
+            total += sup * (cs.c(k) * (b - a) * dlt ** k + 4.0 * cs.c(k) * dlt ** (k + 1))
     # overflow remainder: mass rounded onto +/- top keeps an O(1) error
     r_val = 0.0
     if supp_hi > fs.top:

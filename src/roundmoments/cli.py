@@ -110,22 +110,22 @@ def cmd_bound(args) -> int:
     if delta is None and args.eps is None:
         raise ConfigError("need --delta, --eps, or a uniform mesh grid")
 
+    if args.eps is not None:
+        mode, base = B.MULTIPLICATIVE, args.eps
+    else:
+        mode, base = B.ADDITIVE, delta
+
     if args.quantity in ("mean", "variance"):
         de, dv = B.mean_and_variance_diff_bounds(
             model, args.tier, mesh=mesh, delta=delta, scheme=scheme
         )
         report = de if args.quantity == "mean" else dv
     elif args.quantity == "strong":
-        mode = B.MULTIPLICATIVE if args.eps is not None else B.ADDITIVE
-        report = B.strong_bound(model, args.k, mode, args.eps if args.eps is not None else delta)
+        report = B.strong_bound(model, args.k, mode, base)
     elif args.quantity == "centered":
-        mode = B.MULTIPLICATIVE if args.eps is not None else B.ADDITIVE
-        report = B.centered_moment_first_order(model, args.k, mode, args.eps if args.eps is not None else delta)
+        report = B.centered_moment_first_order(model, args.k, mode, base)
     elif args.quantity == "err-moment":
-        mode = B.MULTIPLICATIVE if args.eps is not None else B.ADDITIVE
-        report = B.unimodal_moment_bound(
-            model, args.k, scheme, mode, args.eps if args.eps is not None else delta, signed=args.signed
-        )
+        report = B.unimodal_moment_bound(model, args.k, scheme, mode, base, signed=args.signed)
     else:
         raise ConfigError(f"unknown quantity {args.quantity!r}")
     _emit(json.dumps(report.to_json(), indent=2), args.out)

@@ -126,13 +126,17 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
     # golden-section refinement inside the bracketing pair
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = float(f(np.asarray(c))), float(f(np.asarray(d)))
     for _ in range(80):
-        if float(f(np.asarray(c))) > float(f(np.asarray(d))):
-            b, d = d, c
+        # one probe carries over from the previous step with its value
+        if fc > fd:
+            b, d, fd = d, c, fc
             c = b - gr * (b - a)
+            fc = float(f(np.asarray(c)))
         else:
-            a, c = c, d
+            a, c, fc = c, d, fd
             d = a + gr * (b - a)
+            fd = float(f(np.asarray(d)))
     x_best = 0.5 * (a + b)
     return max(float(ys[i]), float(f(np.asarray(x_best))))
 

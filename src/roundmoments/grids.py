@@ -68,11 +68,11 @@ class UniformMesh:
         hi = np.where(lo == x, lo, self.offset + (z + 1.0) * step)
         return lo, hi
 
-    def points_in(self, lo: float, hi: float, budget: int = CELL_BUDGET) -> np.ndarray:
+    def points_in(self, lo: float, hi: float) -> np.ndarray:
         step = self.step
         z0 = math.ceil((lo - self.offset) / step - 1e-12)
         z1 = math.floor((hi - self.offset) / step + 1e-12)
-        if z1 - z0 + 1 > budget:
+        if z1 - z0 + 1 > CELL_BUDGET:
             raise TooManyCellsError(f"{z1 - z0 + 1} mesh points in range")
         pts = self.offset + step * np.arange(z0, z1 + 1, dtype=float)
         return pts[(pts >= lo) & (pts <= hi)]
@@ -192,20 +192,22 @@ class FloatSystem:
                 if c_lo < c_hi:
                     yield sign, anchor, step, c_lo, c_hi
 
-    def points_in(self, lo: float, hi: float, budget: int = CELL_BUDGET) -> np.ndarray:
-        chunks = []
+    def points_in(self, lo: float, hi: float) -> np.ndarray:
+        # A side of the range that meets the lattice in one point (lo == hi,
+        # or a range that ends at 0 or is clipped to +/- top) holds no
+        # stretch; that point is one of the range's ends clipped to the top.
+        ends = np.clip([lo, hi], -self.top, self.top)
+        chunks = [ends[self.neighbors(ends)[0] == ends]]
         count = 0
         for sign, anchor, step, a, b in self.stretches(lo, hi):
             j0 = math.ceil((a - anchor) / step - 1e-12)
             j1 = math.floor((b - anchor) / step + 1e-12)
             n = max(0, j1 - j0 + 1)
             count += n
-            if count > budget:
+            if count > CELL_BUDGET:
                 raise TooManyCellsError("float lattice exceeds cell budget")
             if n:
                 chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
-        if not chunks:
-            return np.empty(0)
         pts = np.unique(np.concatenate(chunks))
         # Both sides hold 0, so which signed zero survives np.unique depends
         # on the sort; adding 0.0 always returns +0.0.
@@ -236,7 +238,7 @@ class ExplicitSet:
             raise AboveGridError("no grid point at or above query")
         return self.points[i_lo], self.points[i_hi]
 
-    def points_in(self, lo: float, hi: float, budget: int = CELL_BUDGET) -> np.ndarray:
+    def points_in(self, lo: float, hi: float) -> np.ndarray:
         i0 = np.searchsorted(self.points, lo, side="left")
         i1 = np.searchsorted(self.points, hi, side="right")
         return self.points[i0:i1]
@@ -271,27 +273,6 @@ class GapStats:
     delta0: float
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class FloatCell:
-    """A maximal uniformly spaced stretch of a float system."""
-
-    lo: float
-    hi: float
-    half_gap: float
-
-
-def float_cells(fs: FloatSystem, lo: float, hi: float) -> list[FloatCell]:
-    """Dyadic intervals of ``fs`` intersected with [lo, hi] (0 <= lo < hi).
-
-    Yields the subnormal interval ``[0, 2^k_min)`` and each binade
-    ``[2^i, 2^(i+1))``, clipped, each carrying its half gap
-    ``2^(i - m - 1)``.  Negative ranges are mirrored by the caller.
-    """
-    if lo < 0.0 or hi <= lo:
-        raise ConfigError("float_cells requires 0 <= lo < hi")
-    return [FloatCell(a, b, 0.5 * step) for _, _, step, a, b in fs.stretches(lo, hi)]
 
 
 def _cell_stats(cells: Iterable[tuple[float, float]]) -> tuple[float, float]:

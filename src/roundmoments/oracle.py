@@ -19,9 +19,9 @@ import numpy as np
 
 from .distributions import DensityModel
 from .errors import DegenerateFitError, PreconditionError
-from .grids import CELL_BUDGET, FloatSystem, Grid, UniformMesh
+from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
-from .rounding import RoundingScheme, int_power, round_value, stoch_err_power, stoch_expectation
+from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_expectation
 
 # Pieces per block of the per-cell kernel.  A block's 20-node float64 node
 # matrix is 320 KiB, so it and the few temporaries the integrand builds from
@@ -61,10 +61,10 @@ def _edge_refine(edges: np.ndarray, a: float, b: float, levels: int = 14) -> np.
     return np.unique(np.concatenate([edges, np.asarray(extra)]))
 
 
-def _pieces(grid: Grid, scheme: RoundingScheme, a: float, b: float, budget: int):
+def _pieces(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     """Integration pieces [lo, hi] with their enclosing cells, split so the
     error function is a single linear branch on each piece."""
-    pts = grid.points_in(a, b, budget)
+    pts = grid.points_in(a, b)
     inner = pts[(pts > a) & (pts < b)]
     edges = np.concatenate([[a], inner, [b]])
     edges = _edge_refine(edges, a, b)
@@ -103,15 +103,28 @@ def _targets(scheme: RoundingScheme, lo_p, hi_p, c_lo, c_hi):
     raise PreconditionError("deterministic targets undefined for stochastic rounding")
 
 
-def _per_cell_gauss(w, values, lo_p, hi_p, cells, n: int) -> OracleResult:
-    """Per-cell Gauss quadrature of w(x) * values(X, *cells) over the pieces.
+def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
+    """Pieces of [a, b] with each piece's rounding data, as columns: both
+    cell ends under stochastic rounding, else the rounding target."""
+    if not a < b:
+        raise PreconditionError("need a < b")
+    lo_p, hi_p, c_lo, c_hi = _pieces(grid, scheme, a, b)
+    if scheme is RoundingScheme.STOCHASTIC:
+        return lo_p, hi_p, (c_lo[:, None], c_hi[:, None])
+    # derived once _pieces' temporaries are freed, to keep the peak down
+    return lo_p, hi_p, (_targets(scheme, lo_p, hi_p, c_lo, c_hi)[:, None],)
 
-    ``values`` maps a block's node matrix X (pieces x nodes) and that
-    block's slices of the per-piece arrays ``cells`` to integrand factors;
-    ``w`` must act pointwise.  Pieces are taken QUAD_BLOCK at a time, so
-    memory is O(QUAD_BLOCK x nodes) however many pieces there are.  Each
-    block is integrated at n nodes and at the half-order rerun whose
-    difference is the error estimate.
+
+def _per_cell_gauss(w, f, lo_p, hi_p, rd_data, n: int) -> OracleResult:
+    """Per-cell Gauss quadrature of w(x) E[f(rd(x), x)] over the pieces.
+
+    ``f`` maps rounded values and a block's node matrix X (pieces x nodes)
+    to integrand factors; ``w`` must act pointwise.  ``rd_data`` is the
+    per-piece rounding data from :func:`_partition`: one target, or the two
+    cell ends whose stochastic expectation is taken.  Pieces are taken
+    QUAD_BLOCK at a time, so memory is O(QUAD_BLOCK x nodes) however many
+    pieces there are.  Each block is integrated at n nodes and at the
+    half-order rerun whose difference is the error estimate.
     """
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
     sums: tuple[list, list] = ([], [])
@@ -120,20 +133,22 @@ def _per_cell_gauss(w, values, lo_p, hi_p, cells, n: int) -> OracleResult:
         lo, hi = lo_p[blk], hi_p[blk]
         mid = 0.5 * (lo + hi)[:, None]
         half = 0.5 * (hi - lo)
-        cell_blk = [c[blk] for c in cells]
+        rd_blk = [r[blk] for r in rd_data]
         for (nodes, weights), out in zip(rules, sums):
             X = mid + half[:, None] * nodes[None, :]
-            vals = np.asarray(w(X)) * values(X, *cell_blk)
-            out.append(np.sum(half * (vals @ weights)))
+            if len(rd_blk) == 1:
+                vals = f(rd_blk[0], X)
+            else:
+                c_lo, c_hi = rd_blk
+                vals = stoch_expectation(X, c_lo, c_hi, f(c_lo, X), f(c_hi, X))
+            out.append(np.sum(half * ((np.asarray(w(X)) * vals) @ weights)))
     value, coarse = (float(np.sum(s)) for s in sums)
     details = {"pieces": int(lo_p.size), "nodes": n, "chunks": len(sums[0])}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
 
 
-def _det_err_powers(X, tgt, k: int, signed: bool):
-    """Error powers of a deterministic scheme at node matrix X."""
-    err = tgt[:, None] - X
-    return int_power(err if signed else np.abs(err), k)
+def _shifted_power(rd, x, j: int, shift: float):
+    return int_power(rd - shift, j)
 
 
 def err_weighted_integral(
@@ -144,7 +159,6 @@ def err_weighted_integral(
     b: float,
     k: int,
     signed: bool = False,
-    budget: int = CELL_BUDGET,
     n_nodes: int | None = None,
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b].
@@ -152,18 +166,9 @@ def err_weighted_integral(
     Stochastic rounding integrates the expected error powers instead of a
     realization.  The error estimate compares against a half-order rerun.
     """
-    if not a < b:
-        raise PreconditionError("need a < b")
-    w = _weight_callable(model_or_weight)
-    lo_p, hi_p, c_lo, c_hi = _pieces(grid, scheme, a, b, budget)
+    f = partial(err_power, k=k, signed=signed)
     n = n_nodes or max(k + 8, 20)
-    if scheme is RoundingScheme.STOCHASTIC:
-        cells = (c_lo[:, None], c_hi[:, None])
-        values = partial(stoch_err_power, k=k, signed=signed)
-    else:
-        cells = (_targets(scheme, lo_p, hi_p, c_lo, c_hi),)
-        values = partial(_det_err_powers, k=k, signed=signed)
-    return _per_cell_gauss(w, values, lo_p, hi_p, cells, n)
+    return _per_cell_gauss(_weight_callable(model_or_weight), f, *_partition(grid, scheme, a, b), n)
 
 
 def rd_moment_integral(
@@ -174,41 +179,22 @@ def rd_moment_integral(
     b: float,
     j: int,
     shift: float = 0.0,
-    budget: int = CELL_BUDGET,
-    n_nodes: int = 20,
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx."""
-    if not a < b:
-        raise PreconditionError("need a < b")
-    w = _weight_callable(model_or_weight)
-    lo_p, hi_p, c_lo, c_hi = _pieces(grid, scheme, a, b, budget)
-    if scheme is RoundingScheme.STOCHASTIC:
-
-        def values(X, lo, hi):
-            return stoch_expectation(X, lo, hi, int_power(lo - shift, j), int_power(hi - shift, j))
-
-        cells = (c_lo[:, None], c_hi[:, None])
-    else:
-
-        def values(X, rd_j):
-            return rd_j[:, None]  # the rounded value is constant on a piece
-
-        cells = (int_power(_targets(scheme, lo_p, hi_p, c_lo, c_hi) - shift, j),)
-    return _per_cell_gauss(w, values, lo_p, hi_p, cells, n_nodes)
+    f = partial(_shifted_power, j=j, shift=shift)
+    return _per_cell_gauss(_weight_callable(model_or_weight), f, *_partition(grid, scheme, a, b), 20)
 
 
-def delta_e_and_v(
-    model: DensityModel, grid: Grid, scheme: RoundingScheme, budget: int = CELL_BUDGET
-) -> tuple[OracleResult, OracleResult]:
+def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:
     """Quadrature values of Delta_E = E[rd(X)] - E[X] and Delta_V likewise.
 
     Delta_E comes straight from the error integral (no cancellation);
     V[rd(X)] is assembled from per-cell first and second rounded moments.
     """
     a, b = model.effective_range()
-    de = err_weighted_integral(grid, scheme, model, a, b, 1, signed=True, budget=budget)
-    m1 = rd_moment_integral(grid, scheme, model, a, b, 1, budget=budget)
-    m2 = rd_moment_integral(grid, scheme, model, a, b, 2, budget=budget)
+    de = err_weighted_integral(grid, scheme, model, a, b, 1, signed=True)
+    m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
+    m2 = rd_moment_integral(grid, scheme, model, a, b, 2)
     v_rd = m2.value - m1.value ** 2
     dv = OracleResult(
         v_rd - model.variance,
@@ -219,13 +205,11 @@ def delta_e_and_v(
     return de, dv
 
 
-def centered_moment_of_rounded(
-    model: DensityModel, grid: Grid, scheme: RoundingScheme, k: int, budget: int = CELL_BUDGET
-) -> OracleResult:
+def centered_moment_of_rounded(model: DensityModel, grid: Grid, scheme: RoundingScheme, k: int) -> OracleResult:
     """Quadrature value of M_k[rd(X)] (centered at E[rd(X)])."""
     a, b = model.effective_range()
-    m1 = rd_moment_integral(grid, scheme, model, a, b, 1, budget=budget)
-    mk = rd_moment_integral(grid, scheme, model, a, b, k, shift=m1.value, budget=budget)
+    m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
+    mk = rd_moment_integral(grid, scheme, model, a, b, k, shift=m1.value)
     return mk
 
 

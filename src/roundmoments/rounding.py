@@ -205,17 +205,11 @@ def stoch_expectation(x, lo, hi, f_lo, f_hi):
     return vals
 
 
-def stoch_err_power(x, lo, hi, k: int, signed: bool):
-    """E[err^k] (``signed``) or E[|err|^k] under stochastic rounding of x
-    inside its cell [lo, hi], where err = rd(x) - x."""
-    if signed:
-        f_lo = int_power(lo - x, k)
-    else:
-        # |lo - x| is x - lo inside a cell, but a saturated query on the
-        # negative side lies below its degenerate cell; even powers need no abs.
-        d = x - lo
-        f_lo = int_power(np.abs(d) if k % 2 else d, k)
-    return stoch_expectation(x, lo, hi, f_lo, int_power(hi - x, k))
+def err_power(rd, x, k: int, signed: bool):
+    """err^k (``signed``) or |err|^k for the rounding error err = rd - x."""
+    err = rd - x
+    # even powers need no abs
+    return int_power(np.abs(err) if k % 2 and not signed else err, k)
 
 
 def stoch_expected_err_pows(lo: float, hi: float, x, k: int):
@@ -229,8 +223,8 @@ def stoch_expected_err_pows(lo: float, hi: float, x, k: int):
         raise ConfigError("power must be a positive integer")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
-    abs_pow = stoch_err_power(x, lo, hi, k, signed=False)
-    signed_pow = stoch_err_power(x, lo, hi, k, signed=True)
+    abs_pow = stoch_expectation(x, lo, hi, err_power(lo, x, k, False), err_power(hi, x, k, False))
+    signed_pow = stoch_expectation(x, lo, hi, err_power(lo, x, k, True), err_power(hi, x, k, True))
     if scalar:
         return float(abs_pow), float(signed_pow)
     return abs_pow, signed_pow

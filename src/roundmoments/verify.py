@@ -26,6 +26,8 @@ ALL_SCHEMES = tuple(RoundingScheme)
 _SIGNED = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
 
 QUAD_BUDGET = 1e-12
+# (label, base name) of each error model in check descriptions
+_MODE_TAGS = {B.ADDITIVE: ("additive", "delta"), B.MULTIPLICATIVE: ("mult", "eps")}
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,9 @@ class CheckResult:
     ok: bool
 
 
-def _result(kind: str, desc: str, oracle: float, bound: float, budget: float) -> CheckResult:
+def _result(kind: str, desc: str, oracle: float, bound: float) -> CheckResult:
     margin = bound - abs(oracle)
-    return CheckResult(kind, desc, abs(oracle), bound, margin, abs(oracle) <= bound + budget)
+    return CheckResult(kind, desc, abs(oracle), bound, margin, abs(oracle) <= bound + QUAD_BUDGET)
 
 
 def _any_model(rng: random.Random):
@@ -75,34 +77,37 @@ def _mult_eps(mesh: UniformMesh, scheme: RoundingScheme, supp: tuple[float, floa
     return scheme_eps_delta(scheme, gs.eps0, gs.delta0)[0]
 
 
+def _error_model(rng: random.Random, scheme: RoundingScheme):
+    """An additive instance (any model, delta from the mesh) or a
+    multiplicative one (support away from zero, eps from its gap stats),
+    each with probability 1/2: (model, mesh, mode, delta or eps)."""
+    if rng.random() < 0.5:
+        model = _any_model(rng)
+        mesh = _mesh(rng)
+        return model, mesh, B.ADDITIVE, scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+    model = _positive_model(rng)
+    mesh = _mesh(rng, 0.01, 0.05)
+    return model, mesh, B.MULTIPLICATIVE, _mult_eps(mesh, scheme, model.support)
+
+
 def _pick(rng, pool, allowed):
     options = [s for s in pool if s in allowed]
     return rng.choice(options) if options else None
 
 
-def _gen_strong(rng, pool, budget):
+def _gen_strong(rng, pool):
     scheme = _pick(rng, pool, ALL_SCHEMES)
     n = rng.randint(1, 3)
-    if rng.random() < 0.5:
-        model = _any_model(rng)
-        mesh = _mesh(rng)
-        dlt = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
-        rep = B.strong_bound(model, n, B.ADDITIVE, dlt)
-        a, b = model.effective_range()
-        orc = err_weighted_integral(mesh, scheme, model, a, b, n, signed=False)
-        desc = f"strong additive {model.name} {scheme.value} n={n} delta={dlt:.3g}"
-    else:
-        model = _positive_model(rng)
-        mesh = _mesh(rng, 0.01, 0.05)
-        eps = _mult_eps(mesh, scheme, model.support)
-        rep = B.strong_bound(model, n, B.MULTIPLICATIVE, eps)
-        a, b = model.effective_range()
-        orc = err_weighted_integral(mesh, scheme, model, a, b, n, signed=False)
-        desc = f"strong mult {model.name} {scheme.value} n={n} eps={eps:.3g}"
-    return [_result("strong", desc, orc.value, rep.value, budget)]
+    model, mesh, mode, base = _error_model(rng, scheme)
+    rep = B.strong_bound(model, n, mode, base)
+    a, b = model.effective_range()
+    orc = err_weighted_integral(mesh, scheme, model, a, b, n, signed=False)
+    tag, sym = _MODE_TAGS[mode]
+    desc = f"strong {tag} {model.name} {scheme.value} n={n} {sym}={base:.3g}"
+    return [_result("strong", desc, orc.value, rep.value)]
 
 
-def _gen_mixed(rng, pool, budget):
+def _gen_mixed(rng, pool):
     scheme = _pick(rng, pool, ALL_SCHEMES)
     m = rng.randint(0, 2)
     n = rng.randint(1, 2)
@@ -136,25 +141,16 @@ def _gen_mixed(rng, pool, budget):
         desc = f"mixed symmetric {model.name} {scheme.value} m={m} n={n} {mode}"
     else:
         mu0 = rng.uniform(-1.0, 1.0)
-        if rng.random() < 0.5:
-            model = _any_model(rng)
-            mesh = _mesh(rng)
-            base = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
-            mode = B.ADDITIVE
-        else:
-            model = _positive_model(rng)
-            mesh = _mesh(rng, 0.01, 0.05)
-            base = _mult_eps(mesh, scheme, model.support)
-            mode = B.MULTIPLICATIVE
+        model, mesh, mode, base = _error_model(rng, scheme)
         rep = B.mixed_moment_bound(model, mu0, m, n, mode, base)
         desc = f"mixed {model.name} {scheme.value} m={m} n={n} {mode}"
     a, b = model.effective_range()
     w = lambda x: int_power(x - mu0, m) * model.density(x)
     orc = err_weighted_integral(mesh, scheme, w, a, b, n, signed=True)
-    return [_result("mixed", desc, orc.value, rep.value, budget)]
+    return [_result("mixed", desc, orc.value, rep.value)]
 
 
-def _gen_centered(rng, pool, budget):
+def _gen_centered(rng, pool):
     scheme = _pick(rng, pool, ALL_SCHEMES)
     k = rng.randint(2, 4)
     model = _any_model(rng)
@@ -164,10 +160,10 @@ def _gen_centered(rng, pool, budget):
     mk = centered_moment_of_rounded(model, mesh, scheme, k)
     orc = mk.value - model.central_moment(k)
     desc = f"centered {model.name} {scheme.value} k={k} delta={dlt:.3g}"
-    return [_result("centered", desc, orc, rep.value, budget)]
+    return [_result("centered", desc, orc, rep.value)]
 
 
-def _gen_interval(rng, pool, budget):
+def _gen_interval(rng, pool):
     signed = rng.random() < 0.5
     scheme = _pick(rng, pool, _SIGNED if signed else ALL_SCHEMES)
     if scheme is None:
@@ -194,34 +190,24 @@ def _gen_interval(rng, pool, budget):
         rep = B.interval_error_bound(a, b, k, scheme, B.MULTIPLICATIVE, eps, signed=signed)
         desc = f"interval mult {scheme.value} k={k} signed={signed}"
     orc = err_weighted_integral(mesh, scheme, one, a, b, k, signed=signed)
-    return [_result("interval", desc, orc.value, rep.value, budget)]
+    return [_result("interval", desc, orc.value, rep.value)]
 
 
-def _gen_unimodal(rng, pool, budget):
+def _gen_unimodal(rng, pool):
     scheme = _pick(rng, pool, _SIGNED)
     if scheme is None:
         return None
     signed = rng.random() < 0.5
     k = rng.choice((1, 3)) if signed else rng.randint(1, 3)
-    if rng.random() < 0.5:
-        model = _any_model(rng)
-        mesh = _mesh(rng)
-        dlt = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
-        rep = B.unimodal_moment_bound(model, k, scheme, B.ADDITIVE, dlt, signed=signed)
-        desc = f"unimodal additive {model.name} {scheme.value} k={k} signed={signed}"
-        grid = mesh
-    else:
-        model = _positive_model(rng)
-        grid = _mesh(rng, 0.01, 0.05)
-        eps = _mult_eps(grid, scheme, model.support)
-        rep = B.unimodal_moment_bound(model, k, scheme, B.MULTIPLICATIVE, eps, signed=signed)
-        desc = f"unimodal mult {model.name} {scheme.value} k={k} signed={signed}"
+    model, mesh, mode, base = _error_model(rng, scheme)
+    rep = B.unimodal_moment_bound(model, k, scheme, mode, base, signed=signed)
+    desc = f"unimodal {_MODE_TAGS[mode][0]} {model.name} {scheme.value} k={k} signed={signed}"
     a, b = model.effective_range()
-    orc = err_weighted_integral(grid, scheme, model, a, b, k, signed=signed)
-    return [_result("unimodal", desc, orc.value, rep.value, budget)]
+    orc = err_weighted_integral(mesh, scheme, model, a, b, k, signed=signed)
+    return [_result("unimodal", desc, orc.value, rep.value)]
 
 
-def _gen_sheppard(rng, pool, budget):
+def _gen_sheppard(rng, pool):
     if RoundingScheme.NEAREST not in pool:
         return None
     n = rng.randint(1, 3)
@@ -240,10 +226,10 @@ def _gen_sheppard(rng, pool, budget):
         orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, model, a, b, n, signed=False)
         desc = f"sheppard weighted {model.name} n={n} delta={dlt:.3g}"
     center, radius = rep.two_sided
-    return [_result("sheppard", desc, orc.value - center, radius, budget)]
+    return [_result("sheppard", desc, orc.value - center, radius)]
 
 
-def _gen_tiers(rng, pool, budget):
+def _gen_tiers(rng, pool):
     tier = rng.choice(("A", "B", "C", "D"))
     allowed = ALL_SCHEMES if tier == "A" else _SIGNED
     scheme = _pick(rng, pool, allowed)
@@ -255,12 +241,12 @@ def _gen_tiers(rng, pool, budget):
     de, dv = delta_e_and_v(model, mesh, scheme)
     desc = f"tier {tier} {model.name} {scheme.value} delta={mesh.half_gap:.3g} offset={mesh.offset:.3g}"
     return [
-        _result("tier", desc + " [mean]", de.value, de_b.value, budget),
-        _result("tier", desc + " [variance]", dv.value, dv_b.value, budget),
+        _result("tier", desc + " [mean]", de.value, de_b.value),
+        _result("tier", desc + " [variance]", dv.value, dv_b.value),
     ]
 
 
-def _gen_float(rng, pool, budget):
+def _gen_float(rng, pool):
     scheme = _pick(rng, pool, _SIGNED)
     if scheme is None:
         return None
@@ -279,10 +265,10 @@ def _gen_float(rng, pool, budget):
     a, b = model.effective_range()
     orc = err_weighted_integral(fs, scheme, model, a, b, k, signed=signed)
     desc = f"float {model.name} {scheme.value} m={fs.mantissa_bits} k={k} signed={signed}"
-    return [_result("float", desc, orc.value, rep.value, budget)]
+    return [_result("float", desc, orc.value, rep.value)]
 
 
-def _gen_normal_partial(rng, pool, budget):
+def _gen_normal_partial(rng, pool):
     if RoundingScheme.NEAREST not in pool:
         return None
     mu = rng.uniform(0.3, 2.0)
@@ -297,7 +283,7 @@ def _gen_normal_partial(rng, pool, budget):
     w = lambda x: int_power(x - mu, m) * model.density(x)
     orc = err_weighted_integral(fs, RoundingScheme.NEAREST, w, a, b, n, signed=True)
     desc = f"normal-partial mu={mu:.2f} s2={sigma2:.2f} m={m} n={n}"
-    return [_result("normal_partial", desc, orc.value, rep.value, budget)]
+    return [_result("normal_partial", desc, orc.value, rep.value)]
 
 
 _GENERATORS = (
@@ -318,7 +304,6 @@ def run_suite(
     seed: int = 0,
     scheme: RoundingScheme | None = None,
     bound_scale: float = 1.0,
-    budget: float = QUAD_BUDGET,
 ) -> list[CheckResult]:
     """Generate and evaluate the randomized instance suite.
 
@@ -338,14 +323,11 @@ def run_suite(
         guard += 1
         if guard > 50 * n_instances:
             raise RuntimeError("instance generation stalled")
-        out = gen(rng, pool, budget)
+        out = gen(rng, pool)
         if not out:
             continue
         if bound_scale != 1.0:
-            out = [
-                _result(r.kind, r.description, r.oracle, r.bound * bound_scale, budget)
-                for r in out
-            ]
+            out = [_result(r.kind, r.description, r.oracle, r.bound * bound_scale) for r in out]
         results.extend(out)
     return results[:n_instances]
 

@@ -250,6 +250,17 @@ def test_float_bound_constant_density_single_binade():
     assert rep.value <= 1e-12
 
 
+def test_float_bound_clipped_stretch_keeps_infimum_term():
+    # one binade [1, 2] with step 1/8: a support edge off the grid loses the
+    # aligned cancellation of the flat part, inf * d(1) * (step / 2)^2
+    fs = FloatSystem(3, -4, 2)
+    rep, _ = float_moment_bound(make_uniform(1.0, 1.5), fs, 1, RS.NEAREST, signed=True)
+    assert rep.value == 0.0
+    for lo, hi in ((1.05, 1.5), (-1.5, -1.05)):
+        rep, _ = float_moment_bound(make_uniform(lo, hi), fs, 1, RS.NEAREST, signed=True)
+        assert rep.value == 1.0 / (1.5 - 1.05) * 0.5 * (1.0 / 16.0) ** 2
+
+
 def test_float_bound_negligible_tail_flag():
     model = make_semicircle(1.0, 0.0)
     rep, rem = float_moment_bound(model, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)
@@ -305,15 +316,14 @@ def test_report_json_round_trip(semicircle):
         strong_bound(semicircle, 2, ADDITIVE, 0.1),
         unimodal_moment_bound(semicircle, 1, RS.NEAREST, ADDITIVE, 0.1, signed=True),
         sheppard_two_sided(None, 0.0, 1.0, 2, 0.1),
+        rounded_sum_bound([0.5, 1.5], 2.0 ** -10),
+        float_moment_bound(semicircle, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)[0],
     ]
+    assert reports[-1].notes and reports[-2].notes
     for rep in reports:
         blob = json.dumps(rep.to_json())
-        again = BoundReport.from_json(json.loads(blob))
-        assert again.value == rep.value
-        assert again.leading == rep.leading
-        assert again.higher_order == rep.higher_order
-        assert again.two_sided == rep.two_sided
-        assert json.loads(blob).keys() >= {"value", "leading", "higher_order", "theorem", "tier", "mode"}
+        assert BoundReport.from_json(json.loads(blob)) == rep
+        assert json.loads(blob).keys() >= {"value", "leading", "higher_order", "theorem", "tier", "mode", "notes"}
 
 
 def test_report_invariant_value_is_sum(semicircle):

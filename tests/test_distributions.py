@@ -15,7 +15,7 @@ from roundmoments import (
     parse_dist_config,
     symmetric_split,
 )
-from roundmoments.distributions import dist_config
+from roundmoments.distributions import dist_config, scan_max
 from roundmoments.errors import NotUnimodalError
 from roundmoments.quadrature import adaptive_quad
 
@@ -202,3 +202,43 @@ def test_dist_config_round_trip(all_models):
         assert again.name == model.name
         assert again.mean == model.mean
         assert again.variance == model.variance
+
+
+def two_probe_scan_max(f, lo, hi, n=4001):
+    """scan_max with both golden-section probes evaluated on every step."""
+    xs = np.linspace(lo, hi, n)
+    ys = np.asarray(f(xs))
+    i = int(np.argmax(ys))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    for _ in range(80):
+        if float(f(np.asarray(c))) > float(f(np.asarray(d))):
+            b, d = d, c
+            c = b - gr * (b - a)
+        else:
+            a, c = c, d
+            d = a + gr * (b - a)
+    return max(float(ys[i]), float(f(np.asarray(0.5 * (a + b)))))
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: np.sin(3.0 * x) * np.exp(-x * x), -2.0, 2.0),
+        (make_semicircle(1.0, 0.3).density, -1.0, 1.5),
+        (lambda x: -np.abs(x - 0.123456789), 0.0, 1.0),
+        (make_uniform(0.2, 0.7).density, 0.0, 1.0),
+    ],
+)
+def test_scan_max_evaluates_each_probe_once(f, lo, hi):
+    probes = []
+
+    def counted(x):
+        if np.ndim(x) == 0:
+            probes.append(float(x))
+        return f(x)
+
+    assert scan_max(counted, lo, hi) == two_probe_scan_max(f, lo, hi)
+    # two starting probes, one new probe per step, and the final midpoint
+    assert len(probes) == 2 + 80 + 1

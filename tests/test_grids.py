@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from roundmoments import (
     FloatSystem,
     UniformMesh,
     ceil_to,
-    float_cells,
     floor_to,
     gap_stats,
     parse_grid_config,
@@ -158,29 +158,53 @@ def test_gap_stats_explicit_set():
     assert math.isinf(gs.eps0)  # a cell straddles zero
 
 
-def test_float_cells_small_system():
-    cells = float_cells(FloatSystem(2, 0, 2), 0.0, 4.0)
-    got = [(c.lo, c.hi, c.half_gap) for c in cells]
-    assert got == [(0.0, 1.0, 2.0 ** -3), (1.0, 2.0, 2.0 ** -3), (2.0, 4.0, 2.0 ** -2)]
-    # cross-check half gaps against brute-force enumeration gaps
+def test_stretches_small_system():
+    fs = FloatSystem(2, 0, 2)
+    got = list(fs.stretches(-4.0, 4.0))
+    # (sign, anchor, step, a, b): negative side first, then the mirror image
+    positive = [(0.0, 2.0 ** -2, 0.0, 1.0), (1.0, 2.0 ** -2, 1.0, 2.0), (2.0, 2.0 ** -1, 2.0, 4.0)]
+    assert got == [(-1.0, *s) for s in positive] + [(1.0, *s) for s in positive]
+    # cross-check steps against brute-force enumeration gaps, both signs
     pts = enumerate_float_system(2, 0, 2)
-    for lo, hi, hg in got:
+    for sign, anchor, step, a, b in got:
+        lo, hi = (a, b) if sign > 0 else (-b, -a)
         inside = pts[(pts >= lo) & (pts <= hi)]
-        assert np.max(np.diff(inside)) == pytest.approx(2 * hg)
+        assert np.all(np.diff(inside) == step)
+        assert sign * anchor in pts
 
 
-def test_float_cells_single_binade_ieee():
-    cells = float_cells(FloatSystem(23, -126, 128), 1.0, 2.0)
-    assert len(cells) == 1
-    assert cells[0].half_gap == 2.0 ** -24
+def test_stretches_single_binade_ieee():
+    fs = FloatSystem(23, -126, 128)
+    assert list(fs.stretches(1.0, 2.0)) == [(1.0, 1.0, 2.0 ** -23, 1.0, 2.0)]
+    assert list(fs.stretches(-2.0, -1.0)) == [(-1.0, 1.0, 2.0 ** -23, 1.0, 2.0)]
 
 
-def test_float_cells_subnormal_half_gap():
-    cells = float_cells(FloatSystem(1, 0, 1), 0.0, 1.0)
-    assert cells[0].half_gap == 2.0 ** -2
+def test_stretches_subnormal_step_and_clipped_ends():
+    fs = FloatSystem(1, 0, 1)
     pts = enumerate_float_system(1, 0, 1)
     sub = pts[(pts >= 0) & (pts <= 1)]
-    assert np.max(np.diff(sub)) == pytest.approx(2 * cells[0].half_gap)
+    # clipped to the query on one side and to the top (2) on the other
+    got = list(fs.stretches(-0.3, 5.0))
+    assert got == [(-1.0, 0.0, 0.5, 0.0, 0.3), (1.0, 0.0, 0.5, 0.0, 1.0), (1.0, 1.0, 0.5, 1.0, 2.0)]
+    assert np.max(np.diff(sub)) == got[1][2]
+    # one-point and empty intersections yield nothing
+    assert list(fs.stretches(1.0, 1.0)) == [] and list(fs.stretches(2.0, 9.0)) == []
+
+
+@pytest.mark.parametrize("params", [(3, -4, 2, True), (2, -3, 1, False)])
+def test_float_points_in_matches_enumeration(params):
+    fs = FloatSystem(*params)
+    pts = enumerate_float_system(*params)
+    rng = np.random.default_rng(5)
+    ranges = [(p, p) for p in pts]  # every one-point range on the grid
+    ranges += [(fs.top, 9.0), (-9.0, -fs.top), (-0.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]
+    for _ in range(500):
+        # ends on or off the grid, some beyond the top
+        ends = [float(rng.choice(pts)) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0) for _ in range(2)]
+        ranges.append((min(ends), max(ends)))
+    for lo, hi in ranges:
+        want = pts[(pts >= lo) & (pts <= hi)]
+        np.testing.assert_array_equal(fs.points_in(lo, hi), want, err_msg=f"[{lo}, {hi}]")
 
 
 def test_uniform_offset_normalization():
@@ -191,7 +215,16 @@ def test_uniform_offset_normalization():
 
 def test_points_in_budget_guard():
     with pytest.raises(TooManyCellsError):
-        UniformMesh(1e-9, 0.0).points_in(0.0, 1.0, budget=1000)
+        UniformMesh(1e-9, 0.0).points_in(0.0, 1.0)
+    # 2^30 points in one binade: refused before any of them is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyCellsError):
+            FloatSystem(30, 0, 2).points_in(1.0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_grid_config_round_trip():

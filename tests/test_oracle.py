@@ -14,7 +14,6 @@ from roundmoments import (
     oracle,
 )
 from roundmoments.errors import DegenerateFitError, TooManyCellsError
-from roundmoments.grids import CELL_BUDGET
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
     centered_moment_of_rounded,
@@ -238,7 +237,7 @@ def test_simulated_sum_counts_overflow():
 
 def test_too_many_cells_guard(semicircle):
     with pytest.raises(TooManyCellsError):
-        err_weighted_integral(UniformMesh(1e-10, 0.0), RS.NEAREST, ONE, 0.0, 1.0, 1, budget=10_000)
+        err_weighted_integral(UniformMesh(1e-10, 0.0), RS.NEAREST, ONE, 0.0, 1.0, 1)
 
 
 # --- the blocked per-cell kernel against a single-matrix reference -----------
@@ -251,7 +250,7 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
     shift is given) at n nodes over every piece at once, as the oracle did
     before it was blocked.  Returns the value and the per-piece terms.
     """
-    lo_p, hi_p, c_lo, c_hi = oracle._pieces(grid, scheme, a, b, CELL_BUDGET)
+    lo_p, hi_p, c_lo, c_hi = oracle._pieces(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
     X = 0.5 * (lo_p + hi_p)[:, None] + 0.5 * (hi_p - lo_p)[:, None] * nodes[None, :]
     if scheme is RS.STOCHASTIC:
@@ -309,7 +308,7 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
     # or one block and a single leftover piece
     mesh = UniformMesh(0.05, 0.013)
     a, b = -1.9, 2.3
-    pieces = oracle._pieces(mesh, scheme, a, b, CELL_BUDGET)[0].size
+    pieces = oracle._pieces(mesh, scheme, a, b)[0].size
     monkeypatch.setattr(oracle, "QUAD_BLOCK", pieces - extra)
     for k, signed in ((1, True), (2, False), (3, True), (4, False)):
         got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
