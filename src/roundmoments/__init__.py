@@ -17,7 +17,6 @@ from .rounding import (
     round_value,
     scheme_constants,
     scheme_eps_delta,
-    stoch_expected_err_pows,
 )
 from .distributions import (
     DensityModel,

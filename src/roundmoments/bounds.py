@@ -11,7 +11,7 @@ and D a known offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +33,11 @@ from .errors import (
 )
 from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
-from .rounding import RoundingScheme, scheme_constants, scheme_eps_delta
+from .rounding import CANCELLING_SCHEMES, RoundingScheme, scheme_constants, scheme_eps_delta
 from .special import upper_incomplete_gamma
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
-
-_SIGNED_SCHEMES = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
 
 
 @dataclass(frozen=True)
@@ -128,19 +126,15 @@ def _finite(x: float, what: str) -> float:
 
 
 def strong_bound(model: DensityModel, n: int, mode: str, eps_or_delta: float) -> BoundReport:
-    """First-order bound on E|rd(X) - X|^n.
+    """First-order bound on E|rd(X) - X|^n: the plain mixed-moment bound at
+    m = 0 about 0.
 
     Multiplicative: E|X|^n * eps^n.  Additive: delta^n, model-free.
     """
-    _check_mode(mode)
     if n < 1:
         raise ConfigError("n must be a positive integer")
-    if mode == MULTIPLICATIVE:
-        coef = _finite(model.abs_mixed_moment(0, n, 0.0), "E|X|^n")
-    else:
-        coef = 1.0
-    leading = BoundTerm(coef, n, eps_or_delta)
-    return _report(leading, BoundTerm(0.0, n + 1, eps_or_delta), "strong_convergence", tier="A", mode=mode)
+    report = mixed_moment_bound(model, 0.0, 0, n, mode, eps_or_delta)
+    return replace(report, theorem="strong_convergence")
 
 
 def mixed_moment_bound(
@@ -151,7 +145,6 @@ def mixed_moment_bound(
     mode: str,
     eps_or_delta: float,
     use_symmetry: bool = False,
-    scheme: RoundingScheme | None = None,
 ) -> BoundReport:
     """Bound on |E[(X - mu0)^m err(X)^n]|.
 
@@ -190,10 +183,8 @@ def mixed_moment_bound(
 
 
 def _mixed_value(model: DensityModel, m: int, n: int, mode: str, base: float) -> float:
-    """Plain mixed-bound value used as a building block."""
-    if mode == MULTIPLICATIVE:
-        return model.abs_mixed_moment(m, n, model.mean) * base ** n
-    return model.abs_central_moment(m, model.mean) * base ** n
+    """Plain mixed-bound value about the mean, used as a building block."""
+    return mixed_moment_bound(model, model.mean, m, n, mode, base).value
 
 
 def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_delta: float) -> BoundReport:
@@ -269,7 +260,7 @@ def interval_error_bound(
     if signed:
         if k % 2 == 0:
             raise BadOrderError("signed error-power bound needs odd k")
-        if scheme not in _SIGNED_SCHEMES:
+        if scheme not in CANCELLING_SCHEMES:
             raise SymmetryUnavailableError("signed cancellation needs nearest or stochastic rounding")
         leading = BoundTerm(0.0, k, base)
         exact_zero = endpoints_on_grid and scheme is RoundingScheme.NEAREST
@@ -313,7 +304,7 @@ def unimodal_moment_bound(
     _check_mode(mode)
     if k < 1:
         raise ConfigError("k must be a positive integer")
-    if scheme not in _SIGNED_SCHEMES:
+    if scheme not in CANCELLING_SCHEMES:
         raise SymmetryUnavailableError("envelope bound needs nearest or stochastic rounding")
     env = envelope(model)
     cs = scheme_constants(scheme)
@@ -441,7 +432,7 @@ def mean_and_variance_diff_bounds(
     dlt = _tier_delta(scheme, mesh, delta)
     if tier in ("C", "D") and mesh is None:
         raise PreconditionError(f"tier {tier} requires a uniform mesh")
-    if tier != "A" and scheme not in _SIGNED_SCHEMES:
+    if tier != "A" and scheme not in CANCELLING_SCHEMES:
         raise PreconditionError("tiers beyond A need nearest or stochastic rounding")
 
     mu = model.mean
@@ -483,14 +474,6 @@ def mean_and_variance_diff_bounds(
     return de, dv
 
 
-@dataclass(frozen=True)
-class OverflowRemainder:
-    """Tail contribution beyond the largest representable magnitude."""
-
-    value: float
-    negligible: bool
-
-
 def _probe_block(model: DensityModel, lo: float, hi: float, n: int = 33):
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(model.density(xs), dtype=float)
@@ -516,17 +499,18 @@ def float_moment_bound(
     k: int,
     scheme: RoundingScheme = RoundingScheme.NEAREST,
     signed: bool = True,
-) -> tuple[BoundReport, OverflowRemainder]:
+) -> BoundReport:
     """Bound |integral of f err^k| over a float system, binade by binade.
 
     Within each uniformly spaced stretch the grid-aligned cancellation
     applies to the density shifted by its infimum, leaving a
     (sup - inf) * half_gap^(k+1) term per maxima region; a binade whose
     probe shows more than one maxima region falls back to the worst-case
-    first-order term and is flagged.  The overflow remainder integrates the
-    saturated tail mass beyond +/- 2^k_max.
+    first-order term and is flagged.  The overflow remainder, the report's
+    higher-order term, integrates the saturated tail mass beyond
+    +/- 2^k_max; when it is negligible it is zero and a note says so.
     """
-    if scheme not in _SIGNED_SCHEMES:
+    if scheme not in CANCELLING_SCHEMES:
         raise SymmetryUnavailableError("per-binade cancellation needs nearest or stochastic rounding")
     if signed and k % 2 == 0:
         raise BadOrderError("signed error-power bound needs odd k")
@@ -566,15 +550,12 @@ def float_moment_bound(
     if supp_lo < -fs.top:
         v, _ = adaptive_quad(lambda x: model.density(x) * (-fs.top - x) ** k, supp_lo, -fs.top, rtol=1e-10)
         r_val += abs(v)
-    negligible = r_val < 1e-300
-    if negligible:
+    if r_val < 1e-300:
         r_val = 0.0
         notes.append("overflow remainder negligible; reported as zero")
-    remainder = OverflowRemainder(r_val, negligible)
     leading = BoundTerm(total / eps ** (k + 1), k + 1, eps)
     higher = BoundTerm(r_val, 0, eps)
-    report = _report(leading, higher, "float_decomposition", tier="D", mode=MULTIPLICATIVE, notes=notes)
-    return report, remainder
+    return _report(leading, higher, "float_decomposition", tier="D", mode=MULTIPLICATIVE, notes=notes)
 
 
 def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: float) -> BoundReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import astuple
 
@@ -97,6 +98,10 @@ def _cmd_plan(args):
 
 
 def cmd_bound(args) -> int:
+    for flag in ("delta", "eps"):
+        value = getattr(args, flag)
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ConfigError(f"--{flag} must be finite and non-negative, got {value!r}")
     cfg = _load_config(args.config)
     if args.plan:
         return _cmd_plan(args)

@@ -446,14 +446,17 @@ def parse_dist_config(obj: dict) -> DensityModel:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ConfigError("distribution config must be an object with a 'kind' field")
-    if kind == "semicircle":
-        return make_semicircle(float(obj["r"]), float(obj.get("mu", 0.0)))
-    if kind == "normal":
-        return make_normal(float(obj["mu"]), float(obj["sigma2"]))
-    if kind == "exponential":
-        return make_exponential(float(obj["lambda"]))
-    if kind == "uniform":
-        return make_uniform(float(obj["lo"]), float(obj["hi"]))
+    try:
+        if kind == "semicircle":
+            return make_semicircle(float(obj["r"]), float(obj.get("mu", 0.0)))
+        if kind == "normal":
+            return make_normal(float(obj["mu"]), float(obj["sigma2"]))
+        if kind == "exponential":
+            return make_exponential(float(obj["lambda"]))
+        if kind == "uniform":
+            return make_uniform(float(obj["lo"]), float(obj["hi"]))
+    except KeyError as exc:
+        raise ConfigError(f"{kind} distribution config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 

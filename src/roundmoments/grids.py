@@ -118,57 +118,20 @@ class FloatSystem:
         x = np.asarray(x, dtype=float)
         return np.abs(x) > self.top
 
-    def _mag_neighbors(self, ax: np.ndarray):
-        """Enclosing lattice magnitudes for ax >= 0 (caller clips at the top)."""
-        lo = np.zeros_like(ax)
-        hi = np.zeros_like(ax)
-
-        sub = ax < self.tiny
-        if np.any(sub):
-            step = self._sub_step()
-            j = np.floor(ax[sub] / step)
-            slo = j * step
-            slo = np.where(slo > ax[sub], slo - step, slo)
-            shi = np.where(slo == ax[sub], slo, slo + step)
-            lo[sub] = slo
-            hi[sub] = np.minimum(shi, self.tiny)
-
-        norm = ~sub
-        if np.any(norm):
-            axn = ax[norm]
-            _, e = np.frexp(axn)
-            i = e - 1  # axn in [2^i, 2^(i+1))
-            base = np.ldexp(1.0, i)
-            step = np.ldexp(1.0, i - self.mantissa_bits)
-            j = np.floor((axn - base) / step)
-            nlo = base + j * step
-            nlo = np.where(nlo > axn, nlo - step, nlo)
-            nlo = np.where(nlo + step <= axn, nlo + step, nlo)
-            nhi = np.where(nlo == axn, nlo, nlo + step)
-            lo[norm] = nlo
-            hi[norm] = nhi
-        return lo, hi
-
     def neighbors(self, x):
-        x0 = np.asarray(x, dtype=float)
-        shape = x0.shape
-        x = np.atleast_1d(x0).ravel()
+        x = np.asarray(x, dtype=float)
+        # Queries beyond +/- top saturate onto it, and top is a grid point.
         ax = np.minimum(np.abs(x), self.top)
-        mlo, mhi = self._mag_neighbors(ax)
+        # ax lies in [2^(e-1), 2^e); the spacing there is a power of two, so
+        # floor(ax/step)*step is exact.
+        _, e = np.frexp(ax)
+        step = np.ldexp(1.0, np.maximum(e - 1, self.k_min) - self.mantissa_bits)
+        if not self.subnormals:
+            step = np.where(ax < self.tiny, self.tiny, step)
+        lo = np.floor(ax / step) * step
+        hi = np.where(lo == ax, lo, lo + step)
         neg = x < 0
-        lo = np.where(neg, -mhi, mlo)
-        hi = np.where(neg, -mlo, mhi)
-        # Saturated queries collapse onto +/- 2^k_max.
-        sat_hi = x > self.top
-        sat_lo = x < -self.top
-        lo = np.where(sat_hi, self.top, lo)
-        hi = np.where(sat_hi, self.top, hi)
-        lo = np.where(sat_lo, -self.top, lo)
-        hi = np.where(sat_lo, -self.top, hi)
-        exact_top = np.abs(x) == self.top
-        lo = np.where(exact_top, x, lo)
-        hi = np.where(exact_top, x, hi)
-        return lo.reshape(shape), hi.reshape(shape)
+        return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
 
     def stretches(self, lo: float, hi: float):
         """Uniformly spaced stretches of the lattice meeting [lo, hi].
@@ -341,17 +304,20 @@ def parse_grid_config(obj: dict) -> Grid:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ConfigError("grid config must be an object with a 'kind' field")
-    if kind == "uniform":
-        return UniformMesh(half_gap=float(obj["half_gap"]), offset=float(obj.get("offset", 0.0)))
-    if kind == "float":
-        return FloatSystem(
-            mantissa_bits=int(obj["m"]),
-            k_min=int(obj["k_min"]),
-            k_max=int(obj["k_max"]),
-            subnormals=bool(obj.get("subnormals", True)),
-        )
-    if kind == "explicit":
-        return ExplicitSet(points=np.asarray(obj["points"], dtype=float))
+    try:
+        if kind == "uniform":
+            return UniformMesh(half_gap=float(obj["half_gap"]), offset=float(obj.get("offset", 0.0)))
+        if kind == "float":
+            return FloatSystem(
+                mantissa_bits=int(obj["m"]),
+                k_min=int(obj["k_min"]),
+                k_max=int(obj["k_max"]),
+                subnormals=bool(obj.get("subnormals", True)),
+            )
+        if kind == "explicit":
+            return ExplicitSet(points=np.asarray(obj["points"], dtype=float))
+    except KeyError as exc:
+        raise ConfigError(f"{kind} grid config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown grid kind {kind!r}")
 
 

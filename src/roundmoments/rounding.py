@@ -68,6 +68,8 @@ DETERMINISTIC_SCHEMES = (
     RoundingScheme.AWAY_FROM_ZERO,
     RoundingScheme.NEAREST,
 )
+# schemes whose signed error cancels over a cell (the tier B-D bounds)
+CANCELLING_SCHEMES = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
 
 
 def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
@@ -211,20 +213,3 @@ def err_power(rd, x, k: int, signed: bool):
     # even powers need no abs
     return int_power(np.abs(err) if k % 2 and not signed else err, k)
 
-
-def stoch_expected_err_pows(lo: float, hi: float, x, k: int):
-    """Per-point expectations of |err|^k and err^k under stochastic rounding.
-
-    lo/hi are the enclosing grid neighbors of x.  A degenerate cell
-    (lo == hi) contributes the error of rounding to lo: (0, 0) for x on the
-    grid.
-    """
-    if k < 1:
-        raise ConfigError("power must be a positive integer")
-    scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=float)
-    abs_pow = stoch_expectation(x, lo, hi, err_power(lo, x, k, False), err_power(hi, x, k, False))
-    signed_pow = stoch_expectation(x, lo, hi, err_power(lo, x, k, True), err_power(hi, x, k, True))
-    if scalar:
-        return float(abs_pow), float(signed_pow)
-    return abs_pow, signed_pow

@@ -20,10 +20,9 @@ from .distributions import DensityModel, make_exponential, make_normal, make_sem
 from .errors import ConfigError, PreconditionError, RoundMomentsError, SymmetryUnavailableError
 from .grids import FloatSystem, UniformMesh, ceil_to, floor_to, gap_stats
 from .oracle import centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
-from .rounding import RoundingScheme, int_power, scheme_eps_delta
+from .rounding import CANCELLING_SCHEMES, RoundingScheme, int_power, scheme_eps_delta
 
 ALL_SCHEMES = tuple(RoundingScheme)
-_SIGNED = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
 
 QUAD_BUDGET = 1e-12
 # (label, base name) of each error model in check descriptions
@@ -134,7 +133,7 @@ def _gen_mixed(rng, pool):
                 n += 1
             base = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
         try:
-            rep = B.mixed_moment_bound(model, 0.0, m, n, mode, base, use_symmetry=True, scheme=scheme)
+            rep = B.mixed_moment_bound(model, 0.0, m, n, mode, base, use_symmetry=True)
         except SymmetryUnavailableError:
             return None
         mu0 = 0.0
@@ -165,7 +164,7 @@ def _gen_centered(rng, pool):
 
 def _gen_interval(rng, pool):
     signed = rng.random() < 0.5
-    scheme = _pick(rng, pool, _SIGNED if signed else ALL_SCHEMES)
+    scheme = _pick(rng, pool, CANCELLING_SCHEMES if signed else ALL_SCHEMES)
     if scheme is None:
         return None
     k = rng.choice((1, 3)) if signed else rng.randint(1, 4)
@@ -194,7 +193,7 @@ def _gen_interval(rng, pool):
 
 
 def _gen_unimodal(rng, pool):
-    scheme = _pick(rng, pool, _SIGNED)
+    scheme = _pick(rng, pool, CANCELLING_SCHEMES)
     if scheme is None:
         return None
     signed = rng.random() < 0.5
@@ -231,7 +230,7 @@ def _gen_sheppard(rng, pool):
 
 def _gen_tiers(rng, pool):
     tier = rng.choice(("A", "B", "C", "D"))
-    allowed = ALL_SCHEMES if tier == "A" else _SIGNED
+    allowed = ALL_SCHEMES if tier == "A" else CANCELLING_SCHEMES
     scheme = _pick(rng, pool, allowed)
     if scheme is None:
         return None
@@ -247,7 +246,7 @@ def _gen_tiers(rng, pool):
 
 
 def _gen_float(rng, pool):
-    scheme = _pick(rng, pool, _SIGNED)
+    scheme = _pick(rng, pool, CANCELLING_SCHEMES)
     if scheme is None:
         return None
     signed = rng.random() < 0.6
@@ -261,7 +260,7 @@ def _gen_float(rng, pool):
     else:
         model = make_normal(rng.uniform(0.3, 2.0), rng.uniform(0.25, 1.0))
     fs = FloatSystem(rng.randint(5, 9), rng.randint(-12, -6), rng.randint(5, 7))
-    rep, _ = B.float_moment_bound(model, fs, k, scheme, signed=signed)
+    rep = B.float_moment_bound(model, fs, k, scheme, signed=signed)
     a, b = model.effective_range()
     orc = err_weighted_integral(fs, scheme, model, a, b, k, signed=signed)
     desc = f"float {model.name} {scheme.value} m={fs.mantissa_bits} k={k} signed={signed}"
@@ -393,7 +392,7 @@ def offset_sweep(
     mesh0 = UniformMesh(delta, 0.0)
     dlt = scheme_eps_delta(scheme, 0.0, mesh0.step)[1]
     de_a, dv_a = B.mean_and_variance_diff_bounds(model, "A", mesh=mesh0, delta=dlt, scheme=scheme)
-    tiered = scheme in (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
+    tiered = scheme in CANCELLING_SCHEMES
     if tiered:
         de_b, dv_b = B.mean_and_variance_diff_bounds(model, "B", mesh=mesh0, delta=dlt, scheme=scheme)
         de_c, dv_c = B.mean_and_variance_diff_bounds(model, "C", mesh=mesh0, delta=dlt, scheme=scheme)

@@ -152,7 +152,7 @@ def test_criterion_07_exponential_over_floats():
     clock = _Clock(10.0)
     model = make_exponential(1.0)
     fs = FloatSystem(8, -8, 8)
-    rep, rem = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
+    rep = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
     lo, hi = model.effective_range()
     oracle = err_weighted_integral(fs, RS.NEAREST, model, lo, hi, 1, signed=True)
     assert abs(oracle.value) <= rep.value

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -35,8 +36,11 @@ from roundmoments.errors import (
     PreconditionError,
     SymmetryUnavailableError,
 )
+from roundmoments.oracle import err_weighted_integral
 from roundmoments.quadrature import adaptive_quad
 from roundmoments.rounding import RoundingScheme as RS
+
+NEGLIGIBLE_NOTE = "overflow remainder negligible; reported as zero"
 
 
 def test_strong_bound_values(semicircle):
@@ -56,15 +60,15 @@ def test_mixed_moment_part_one(semicircle):
 def test_mixed_moment_symmetry_reduces_to_raw_moment():
     # density fully right of zero: no asymmetric remainder on the negatives
     model = make_semicircle(0.5, 2.0)
-    rep = mixed_moment_bound(model, 0.0, 1, 2, MULTIPLICATIVE, 0.01, use_symmetry=True, scheme=RS.NEAREST)
+    rep = mixed_moment_bound(model, 0.0, 1, 2, MULTIPLICATIVE, 0.01, use_symmetry=True)
     assert rep.value == pytest.approx(model.raw_moment(3) * 0.01 ** 2, rel=1e-10)
 
 
 def test_mixed_moment_symmetry_requires_odd_sum(semicircle):
     with pytest.raises(SymmetryUnavailableError):
-        mixed_moment_bound(semicircle, 0.0, 1, 1, MULTIPLICATIVE, 0.01, use_symmetry=True, scheme=RS.NEAREST)
+        mixed_moment_bound(semicircle, 0.0, 1, 1, MULTIPLICATIVE, 0.01, use_symmetry=True)
     with pytest.raises(SymmetryUnavailableError):
-        mixed_moment_bound(semicircle, 0.0, 2, 1, ADDITIVE, 0.01, use_symmetry=True, scheme=RS.NEAREST)
+        mixed_moment_bound(semicircle, 0.0, 2, 1, ADDITIVE, 0.01, use_symmetry=True)
 
 
 def test_centered_k2_matches_three_term_assembly(semicircle):
@@ -224,7 +228,7 @@ def test_float_bound_exponential_terms():
     lam = 1.0
     model = make_exponential(lam)
     fs = FloatSystem(4, -4, 4)
-    rep, rem = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
+    rep = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
     want = 0.0
     f = lambda t: lam * math.exp(-lam * t)
     want += (lam - f(2.0 ** -4)) * (2.0 ** (-4 - 4 - 1)) ** 2  # subnormal stretch
@@ -233,11 +237,13 @@ def test_float_bound_exponential_terms():
         want += (f(2.0 ** i) - f(2.0 ** (i + 1))) * hg ** 2
     # remainder beyond the top is genuinely nonzero here (top = 16)
     tail, _ = adaptive_quad(lambda x: model.density(x) * (x - 16.0), 16.0, np.inf)
-    assert rem.value == pytest.approx(tail, rel=1e-6)
-    assert rep.value == pytest.approx(want + rem.value, rel=1e-6)
+    remainder = rep.higher_order.coef
+    assert remainder == pytest.approx(tail, rel=1e-6)
+    assert NEGLIGIBLE_NOTE not in rep.notes
+    assert rep.value == pytest.approx(want + remainder, rel=1e-6)
     # factored coefficient is finite and scales the right power
     eps = 2.0 ** -5
-    assert rep.leading.coef == pytest.approx((rep.value - rem.value) / eps ** 2, rel=1e-12)
+    assert rep.leading.coef == pytest.approx((rep.value - remainder) / eps ** 2, rel=1e-12)
 
 
 def test_float_bound_constant_density_single_binade():
@@ -245,8 +251,8 @@ def test_float_bound_constant_density_single_binade():
     # sup - inf term vanishes and the support edges are grid points
     model = make_uniform(1.0, 2.0)
     fs = FloatSystem(6, -6, 6)
-    rep, rem = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
-    assert rem.negligible
+    rep = float_moment_bound(model, fs, 1, RS.NEAREST, signed=True)
+    assert NEGLIGIBLE_NOTE in rep.notes
     assert rep.value <= 1e-12
 
 
@@ -254,18 +260,33 @@ def test_float_bound_clipped_stretch_keeps_infimum_term():
     # one binade [1, 2] with step 1/8: a support edge off the grid loses the
     # aligned cancellation of the flat part, inf * d(1) * (step / 2)^2
     fs = FloatSystem(3, -4, 2)
-    rep, _ = float_moment_bound(make_uniform(1.0, 1.5), fs, 1, RS.NEAREST, signed=True)
+    rep = float_moment_bound(make_uniform(1.0, 1.5), fs, 1, RS.NEAREST, signed=True)
     assert rep.value == 0.0
     for lo, hi in ((1.05, 1.5), (-1.5, -1.05)):
-        rep, _ = float_moment_bound(make_uniform(lo, hi), fs, 1, RS.NEAREST, signed=True)
+        rep = float_moment_bound(make_uniform(lo, hi), fs, 1, RS.NEAREST, signed=True)
         assert rep.value == 1.0 / (1.5 - 1.05) * 0.5 * (1.0 / 16.0) ** 2
 
 
 def test_float_bound_negligible_tail_flag():
     model = make_semicircle(1.0, 0.0)
-    rep, rem = float_moment_bound(model, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)
-    assert rem.negligible and rem.value == 0.0
-    assert any("negligible" in n for n in rep.notes)
+    rep = float_moment_bound(model, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)
+    assert NEGLIGIBLE_NOTE in rep.notes and rep.higher_order.coef == 0.0
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC])
+@pytest.mark.parametrize("k,signed", [(1, True), (3, True), (2, False)])
+def test_float_bound_two_bump_binade_falls_back(scheme, k, signed):
+    # two bumps inside the binade [1, 2]: the probe sees more than one maxima
+    # region, so the stretch takes the first-order term mass * delta^k
+    pdf = lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
+    model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, _cache={})
+    fs = FloatSystem(4, -4, 3)
+    rep = float_moment_bound(model, fs, k, scheme, signed=signed)
+    assert "binade [1,2) fell back to the first-order bound" in rep.notes
+    dlt = 1.0 / 32.0 if scheme is RS.NEAREST else 1.0 / 16.0
+    assert rep.value == pytest.approx(dlt ** k, rel=1e-9)
+    oracle = err_weighted_integral(fs, scheme, model, 1.0, 2.0, k, signed=signed)
+    assert abs(oracle.value) <= rep.value
 
 
 def test_normal_partial_constant():
@@ -317,7 +338,7 @@ def test_report_json_round_trip(semicircle):
         unimodal_moment_bound(semicircle, 1, RS.NEAREST, ADDITIVE, 0.1, signed=True),
         sheppard_two_sided(None, 0.0, 1.0, 2, 0.1),
         rounded_sum_bound([0.5, 1.5], 2.0 ** -10),
-        float_moment_bound(semicircle, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)[0],
+        float_moment_bound(semicircle, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True),
     ]
     assert reports[-1].notes and reports[-2].notes
     for rep in reports:

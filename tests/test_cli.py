@@ -74,6 +74,33 @@ def test_bound_config_error_exit_2(capsys):
     assert "cauchy" in err or "config" in err
 
 
+@pytest.mark.parametrize("flag,spec,key", [
+    ("--dist", "semicircle:mu=0", "'r'"),
+    ("--grid", "uniform:offset=0", "'half_gap'"),
+    ("--grid", "float:m=3", "'k_min'"),
+])
+def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
+    args = {"--dist": "semicircle:r=1", "--delta": "0.1", flag: spec}
+    code, out, err = run_cli(capsys, "bound", *[t for pair in args.items() for t in pair])
+    assert code == 2
+    assert out == ""
+    assert key in err and "config error" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--delta", "nan"),
+    ("--delta", "-0.1"),
+    ("--delta", "inf"),
+    ("--eps", "nan"),
+    ("--eps", "-0.01"),
+])
+def test_bound_rejects_bad_delta_or_eps(capsys, flag, value):
+    code, out, err = run_cli(capsys, "bound", "--dist", "semicircle:r=1", "--quantity", "strong", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_bound_precondition_exit_3(capsys):
     code, _, err = run_cli(
         capsys,

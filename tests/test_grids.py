@@ -65,17 +65,48 @@ def test_float_system_saturates_flagged():
     (4, -2, 4, True),
     (1, 0, 1, True),
     (3, -3, 3, False),
+    (2, 1, 4, True),
+    (3, 2, 4, False),
 ])
 def test_float_neighbors_match_enumeration(m, k_min, k_max, subnormals):
     fs = FloatSystem(m, k_min, k_max, subnormals)
     pts = enumerate_float_system(m, k_min, k_max, subnormals)
     rng = np.random.default_rng(42)
     top = math.ldexp(1.0, k_max)
-    xs = rng.uniform(-top, top, 10_000)
+    # random queries, every cell midpoint, and queries beyond +/- top,
+    # which saturate onto it
+    xs = np.concatenate([
+        rng.uniform(-top, top, 10_000),
+        0.5 * (pts[:-1] + pts[1:]),
+        rng.uniform(top, 4.0 * top, 100) * rng.choice((-1.0, 1.0), 100),
+        [-np.inf, np.inf],
+    ])
     lo, hi = fs.neighbors(xs)
     for x, l, h in zip(xs, lo, hi):
-        assert l == brute_floor(pts, x), (x, l)
-        assert h == brute_ceil(pts, x), (x, h)
+        c = min(max(x, -top), top)
+        assert l == brute_floor(pts, c), (x, l)
+        assert h == brute_ceil(pts, c), (x, h)
+
+
+def test_float_neighbors_match_float32():
+    # IEEE single precision, with numpy's float32 cast and nextafter as an
+    # independent reference, on random doubles over every binade and the
+    # subnormals, plus the float32 values themselves
+    fs = FloatSystem(23, -126, 128)
+    rng = np.random.default_rng(11)
+    big = float(np.finfo(np.float32).max)
+    mags = np.minimum(np.exp2(rng.uniform(-152.0, 128.0, 200_000)), big)
+    xs = mags * rng.choice((-1.0, 1.0), mags.size)
+    xs = np.concatenate([xs, xs.astype(np.float32).astype(float), [0.0, big, -big]])
+    f = xs.astype(np.float32)
+    with np.errstate(over="ignore"):  # outward from +/- max gives inf, which np.where drops
+        down = np.nextafter(f, np.float32(-np.inf))
+        up = np.nextafter(f, np.float32(np.inf))
+    want_lo = np.where(f > xs, down, f).astype(float)
+    want_hi = np.where(f < xs, up, f).astype(float)
+    lo, hi = fs.neighbors(xs)
+    np.testing.assert_array_equal(lo, want_lo)
+    np.testing.assert_array_equal(hi, want_hi)
 
 
 def test_float_neighbors_hit_grid_points_exactly():

@@ -13,10 +13,9 @@ from roundmoments import (
     round_value,
     scheme_constants,
     scheme_eps_delta,
-    stoch_expected_err_pows,
 )
 from roundmoments.errors import ConfigError, MissingVariateError
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme, int_power
+from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme, err_power, int_power, stoch_expectation
 
 INT_MESH = UniformMesh(0.5, 0.0)  # spacing 1: the integers
 
@@ -84,6 +83,15 @@ def test_constant_table():
     assert st_.c(1) == pytest.approx(1.0 / 3.0)
     assert st_.d(2) == pytest.approx((1 - 5 / 8) / 12)
     assert st_.beta(0.25) == 1.0
+
+
+def stoch_expected_err_pows(lo, hi, x, k):
+    """(E|err|^k, E err^k) under stochastic rounding of x in its cell [lo, hi],
+    taken as the oracle takes them: the expectation over the cell ends."""
+    return tuple(
+        float(stoch_expectation(x, lo, hi, err_power(lo, x, k, signed), err_power(hi, x, k, signed)))
+        for signed in (False, True)
+    )
 
 
 def test_stoch_expected_pows_two_outcome():
