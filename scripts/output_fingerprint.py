@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Print a fingerprint of the package's numeric output, one line per item.
+
+Run it on two commits and diff the outputs to see which printed numbers a
+change moved.  It prints:
+
+* every oracle integral over four models x five grids x four schemes:
+  ``float.hex`` of its value and error estimate, and its ``details``;
+* the sha256 of ``verify --instances 200`` stdout for seeds 0-2, whole and
+  split by check kind;
+* the sha256 of the four benchmark sweeps and of a toward-zero sweep, whole
+  and column by column;
+* the ``bound`` JSON of the tier-A mean and variance bounds and of the
+  centered-moment bound.
+
+Usage: python scripts/output_fingerprint.py > fingerprint.txt
+(about a minute on one core).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from roundmoments import (  # noqa: E402
+    ExplicitSet,
+    FloatSystem,
+    RoundingScheme,
+    UniformMesh,
+    make_exponential,
+    make_normal,
+    make_semicircle,
+    make_uniform,
+)
+from roundmoments.cli import main as cli_main  # noqa: E402
+from roundmoments.oracle import (  # noqa: E402
+    centered_moment_of_rounded,
+    delta_e_and_v,
+    err_weighted_integral,
+    rd_moment_integral,
+)
+
+MODELS = {
+    "semicircle": make_semicircle(1.0, 0.0),
+    "normal": make_normal(0.3, 1.0),
+    "exponential": make_exponential(1.0),
+    "uniform": make_uniform(-0.5, 1.0),
+}
+GRIDS = {
+    "mesh0.1": UniformMesh(0.1, 0.0),
+    "mesh0.05+0.013": UniformMesh(0.05, 0.013),
+    "mesh0.2+0.07": UniformMesh(0.2, 0.07),
+    "float8": FloatSystem(8, -20, 5),
+    # nonuniform, denser near zero, covering every model's effective range
+    "explicit": ExplicitSet(np.linspace(-60.0, 60.0, 1201) ** 3 / 3600.0),
+}
+# the four benchmark sweeps, then one under directed rounding
+SWEEPS = (
+    ("semicircle:r=1.0,mu=0.0", "0.05", "nearest"),
+    ("semicircle:r=1.0,mu=0.0", "0.1", "nearest"),
+    ("semicircle:r=1.0,mu=0.0", "0.2", "nearest"),
+    ("normal:mu=0.3,sigma2=1.0", "0.1", "stochastic"),
+    ("semicircle:r=1.0,mu=0.0", "0.1", "toward_zero"),
+)
+DISTS = (
+    "semicircle:r=1,mu=0",
+    "semicircle:r=1.5,mu=0.4",
+    "normal:mu=0.3,sigma2=1",
+    "exponential:lambda=1.5",
+    "uniform:lo=-0.5,hi=1",
+)
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_stdout(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli_main(argv)
+    return rc, buf.getvalue()
+
+
+def oracle_line(label: str, res) -> str:
+    details = json.dumps(res.details, sort_keys=True)
+    return f"oracle {label} {float.hex(res.value)} {float.hex(res.abs_error_estimate)} {details}"
+
+
+def oracle_lines():
+    for mname, model in MODELS.items():
+        a, b = model.effective_range()
+        for gname, grid in GRIDS.items():
+            for scheme in RoundingScheme:
+                tag = f"{mname} {gname} {scheme.value}"
+                for k, signed in ((1, True), (2, False), (3, True)):
+                    res = err_weighted_integral(grid, scheme, model, a, b, k, signed=signed)
+                    yield oracle_line(f"{tag} err k={k} signed={signed}", res)
+                res = rd_moment_integral(grid, scheme, model, a, b, 2, shift=0.25)
+                yield oracle_line(f"{tag} rd j=2 shift=0.25", res)
+                de, dv = delta_e_and_v(model, grid, scheme)
+                yield oracle_line(f"{tag} delta_e", de)
+                yield oracle_line(f"{tag} delta_v", dv)
+                yield oracle_line(f"{tag} centered k=3", centered_moment_of_rounded(model, grid, scheme, 3))
+
+
+def verify_lines():
+    for seed in (0, 1, 2):
+        rc, out = cli_stdout(["--seed", str(seed), "verify", "--instances", "200"])
+        yield f"verify seed={seed} rc={rc} sha256={sha(out)}"
+        by_kind: dict = {}
+        for line in out.splitlines():
+            if "[" in line:
+                kind = line.split("[", 1)[1].split("]", 1)[0].strip()
+                by_kind.setdefault(kind, []).append(line)
+        for kind in sorted(by_kind):
+            yield f"verify seed={seed} kind={kind} sha256={sha(chr(10).join(by_kind[kind]))}"
+
+
+def sweep_lines():
+    for dist, delta, scheme in SWEEPS:
+        tag = f"{dist} delta={delta} {scheme}"
+        rc, out = cli_stdout(["sweep", "--dist", dist, "--delta", delta, "--scheme", scheme, "--offsets", "64"])
+        yield f"sweep {tag} rc={rc} sha256={sha(out)}"
+        rows = [line.split(",") for line in out.splitlines()]
+        for i, name in enumerate(rows[0]):
+            yield f"sweep {tag} column={name} sha256={sha(chr(10).join(r[i] for r in rows[1:]))}"
+
+
+def bound_lines():
+    for dist in DISTS:
+        for quantity in ("mean", "variance"):
+            argv = ["bound", "--dist", dist, "--tier", "A", "--delta", "0.1", "--quantity", quantity]
+            rc, out = cli_stdout(argv)
+            yield f"bound {dist} tier=A {quantity} rc={rc} {json.dumps(json.loads(out), sort_keys=True)}"
+        for k in (2, 3, 4):
+            for flag, base in (("--delta", "0.1"), ("--eps", "0.01")):
+                argv = ["bound", "--dist", dist, "--quantity", "centered", "--k", str(k), flag, base]
+                rc, out = cli_stdout(argv)
+                text = json.dumps(json.loads(out), sort_keys=True) if rc == 0 else "-"
+                yield f"bound {dist} centered k={k} {flag}={base} rc={rc} {text}"
+
+
+def main() -> int:
+    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines):
+        for line in section():
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -173,18 +173,12 @@ def mixed_moment_bound(
         theorem = "mixed_moment_symmetric"
         notes = ("requires rd(-x) = -rd(x) on a sign-symmetric grid",)
     else:
-        if mode == MULTIPLICATIVE:
-            coef = _finite(model.abs_mixed_moment(m, n, mu0), "E[|X-mu0|^m |X|^n]")
-        else:
-            coef = _finite(model.abs_central_moment(m, mu0), "E|X-mu0|^m")
+        # the multiplicative error model weighs err^n by |X|^n
+        j = n if mode == MULTIPLICATIVE else 0
+        coef = _finite(model.abs_mixed_moment(m, j, mu0), f"E[|X-mu0|^{m} |X|^{j}]")
         theorem = "mixed_moment"
     leading = BoundTerm(coef, n, eps_or_delta)
     return _report(leading, BoundTerm(0.0, n + 1, eps_or_delta), theorem, tier="A", mode=mode, notes=notes)
-
-
-def _mixed_value(model: DensityModel, m: int, n: int, mode: str, base: float) -> float:
-    """Plain mixed-bound value about the mean, used as a building block."""
-    return mixed_moment_bound(model, model.mean, m, n, mode, base).value
 
 
 def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_delta: float) -> BoundReport:
@@ -192,35 +186,42 @@ def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_d
 
     Expands the shifted moment binomially around the exact one; every term
     mixing the error is bounded by the mixed-moment rule, while pure
-    central moments of X enter exactly.  For k = 2 the classic three-term
-    variance split (covariance, raw second error moment, squared error
-    mean) gives a slightly tighter assembly and is used directly.
+    central moments of X enter exactly.  A term with i error factors is a
+    coefficient times base^i; those with i >= 2 form the higher-order term.
+    For k = 2 the classic three-term variance split (covariance, raw second
+    error moment, squared error mean) gives a slightly tighter assembly and
+    is used directly.
     """
     _check_mode(mode)
     if k < 2:
         raise ConfigError("k must be >= 2")
     base = eps_or_delta
-    d_val = _mixed_value(model, 0, 1, mode, base)  # bound on |E err|
+
+    def coef(m: int, n: int) -> float:
+        """Coefficient of base^n in the mixed-moment bound about the mean."""
+        return mixed_moment_bound(model, model.mean, m, n, mode, base).leading.coef
+
+    d = coef(0, 1)  # |E err| <= d base
     if k == 2:
-        lead_val = 2.0 * _mixed_value(model, 1, 1, mode, base)
-        high_val = _mixed_value(model, 0, 2, mode, base) + 2.0 * d_val * d_val
+        lead = 2.0 * coef(1, 1)
+        high = coef(0, 2) + 2.0 * d * d
     else:
-        lead_val = 0.0
-        high_val = 0.0
+        lead = 0.0
+        high = 0.0
         for i in range(1, k + 1):
             for j in range(0, i + 1):
-                coef = math.comb(k, i) * math.comb(i, j)
+                c = math.comb(k, i) * math.comb(i, j)
                 if j == 0:
                     central = abs(model.central_moment(k - i)) if k - i != 1 else 0.0
-                    term = coef * d_val ** i * central
+                    term = c * d ** i * central
                 else:
-                    term = coef * d_val ** (i - j) * _mixed_value(model, k - i, j, mode, base)
+                    term = c * d ** (i - j) * coef(k - i, j)
                 if i == 1:
-                    lead_val += term
+                    lead += term
                 else:
-                    high_val += term
-    leading = BoundTerm(lead_val / base if base else 0.0, 1, base)
-    higher = BoundTerm(high_val / base ** 2 if base else 0.0, 2, base)
+                    high += term * base ** (i - 2)
+    leading = BoundTerm(lead, 1, base)
+    higher = BoundTerm(high, 2, base)
     return _report(leading, higher, "centered_moment_first_order", tier="A", mode=mode)
 
 
@@ -375,7 +376,7 @@ def _tier_delta(scheme: RoundingScheme, mesh: UniformMesh | None, delta: float |
     return scheme_eps_delta(scheme, 0.0, mesh.step)[1]
 
 
-def _h_region_sum(model: DensityModel, center: float, n: int = 4001) -> float:
+def _h_region_sum(model: DensityModel, center: float) -> float:
     """Sum of per-bump suprema of the asymmetric remainder h about center.
 
     The cancellation bound charges one cell-integral term per connected
@@ -386,29 +387,23 @@ def _h_region_sum(model: DensityModel, center: float, n: int = 4001) -> float:
     lo, hi = model.effective_range()
     span_lo = min(lo, 2.0 * center - hi)
     span_hi = max(hi, 2.0 * center - lo)
-    xs = np.linspace(span_lo, span_hi, n)
+    xs = np.linspace(span_lo, span_hi, 4001)
     extras = np.asarray([lo, hi, 2.0 * center - lo, 2.0 * center - hi, center])
     xs = np.unique(np.concatenate([xs, extras[(extras >= span_lo) & (extras <= span_hi)]]))
     ys = np.asarray(split.h(xs), dtype=float)
     top = float(ys.max())
     if top <= 0.0:
         return 0.0
-    active = ys > 1e-9 * top
+    # bumps are the runs of samples above the threshold: [start, stop)
+    active = np.concatenate([[False], ys > 1e-9 * top, [False]])
+    starts, stops = np.flatnonzero(np.diff(active)).reshape(-1, 2).T
     total = 0.0
-    i = 0
-    while i < xs.size:
-        if not active[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < xs.size and active[j + 1]:
-            j += 1
-        seg_max = float(ys[i : j + 1].max())
+    for i, j in zip(starts, stops):
+        seg_max = float(ys[i:j].max())
         # refine the bump peak so the scan cannot undercut the true supremum
         a = xs[max(i - 1, 0)]
-        b = xs[min(j + 1, xs.size - 1)]
+        b = xs[min(j, xs.size - 1)]
         total += max(seg_max, scan_max(split.h, a, b, n=257))
-        i = j + 1
     return total
 
 
@@ -437,11 +432,9 @@ def mean_and_variance_diff_bounds(
 
     mu = model.mean
     if tier == "A":
-        de = _report(BoundTerm(1.0, 1, dlt), BoundTerm(0.0, 2, dlt), "mean_diff", tier="A")
-        lead = BoundTerm(2.0 * model.abs_central_moment(1, mu), 1, dlt)
-        high = BoundTerm(3.0, 2, dlt)
-        dv = _report(lead, high, "variance_diff", tier="A")
-        return de, dv
+        de = mixed_moment_bound(model, mu, 0, 1, ADDITIVE, dlt)
+        dv = centered_moment_first_order(model, 2, ADDITIVE, dlt)
+        return replace(de, theorem="mean_diff"), replace(dv, theorem="variance_diff")
 
     env = envelope(model)
     cs = scheme_constants(scheme)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NotUnimodalError
-from .grids import UniformMesh
+from .grids import UniformMesh, config_number
 from .quadrature import adaptive_quad
 
 _MASS_TOL = 1e-18
@@ -74,30 +74,18 @@ class DensityModel:
         val, _ = adaptive_quad(f, lo, hi, rtol=1e-12, breakpoints=breakpoints)
         return val
 
-    def abs_central_moment(self, m: int, about: float | None = None) -> float:
-        """E|X - about|^m; analytic for m in {0, 1} about the mean."""
-        if about is None:
-            about = self.mean
-        if m == 0:
-            return 1.0
-        if m == 1 and about == self.mean:
-            return self._abs_central_first
-        key = ("acm", m, about)
-        if key not in self._cache:
-            self._cache[key] = self._quad(
-                lambda x: np.abs(x - about) ** m * self._pdf(x), breakpoints=(about,)
-            )
-        return self._cache[key]
-
     def abs_mixed_moment(self, m: int, n: int, about: float) -> float:
-        """E[|X - about|^m |X|^n]."""
+        """E[|X - about|^m |X|^n]; analytic for m = n = 0 and for E|X - mean|."""
         if m == 0 and n == 0:
             return 1.0
+        if m == 1 and n == 0 and about == self.mean:
+            return self._abs_central_first
         key = ("amm", m, n, about)
         if key not in self._cache:
+            # |x|^0 has no kink at 0
             self._cache[key] = self._quad(
                 lambda x: np.abs(x - about) ** m * np.abs(x) ** n * self._pdf(x),
-                breakpoints=(0.0, about),
+                breakpoints=(0.0, about) if n else (about,),
             )
         return self._cache[key]
 
@@ -448,13 +436,13 @@ def parse_dist_config(obj: dict) -> DensityModel:
         raise ConfigError("distribution config must be an object with a 'kind' field")
     try:
         if kind == "semicircle":
-            return make_semicircle(float(obj["r"]), float(obj.get("mu", 0.0)))
+            return make_semicircle(config_number(obj["r"], "r"), config_number(obj.get("mu", 0.0), "mu"))
         if kind == "normal":
-            return make_normal(float(obj["mu"]), float(obj["sigma2"]))
+            return make_normal(config_number(obj["mu"], "mu"), config_number(obj["sigma2"], "sigma2"))
         if kind == "exponential":
-            return make_exponential(float(obj["lambda"]))
+            return make_exponential(config_number(obj["lambda"], "lambda"))
         if kind == "uniform":
-            return make_uniform(float(obj["lo"]), float(obj["hi"]))
+            return make_uniform(config_number(obj["lo"], "lo"), config_number(obj["hi"], "hi"))
     except KeyError as exc:
         raise ConfigError(f"{kind} distribution config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown distribution kind {kind!r}")

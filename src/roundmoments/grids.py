@@ -94,8 +94,9 @@ class FloatSystem:
     subnormals: bool = True
 
     def __post_init__(self):
-        if self.mantissa_bits < 1:
-            raise ConfigError("mantissa_bits must be >= 1")
+        if not 1 <= self.mantissa_bits <= 52:
+            # a wider mantissa puts grid points between adjacent doubles
+            raise ConfigError("mantissa_bits must lie in [1, 52]")
         if not self.k_min < self.k_max:
             raise ConfigError("k_min must be < k_max")
         if self.k_min - self.mantissa_bits < -1000 or self.k_max > 1000:
@@ -298,6 +299,18 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
     raise ConfigError(f"unknown grid type {type(grid)!r}")
 
 
+def config_number(value, name: str, integer: bool = False):
+    """The config value ``value`` of parameter ``name`` as a finite float, or
+    as an int when ``integer``; anything else is a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    return int(x) if integer else x
+
+
 def parse_grid_config(obj: dict) -> Grid:
     """Build a grid from its JSON-style description."""
     try:
@@ -306,16 +319,22 @@ def parse_grid_config(obj: dict) -> Grid:
         raise ConfigError("grid config must be an object with a 'kind' field")
     try:
         if kind == "uniform":
-            return UniformMesh(half_gap=float(obj["half_gap"]), offset=float(obj.get("offset", 0.0)))
+            return UniformMesh(
+                half_gap=config_number(obj["half_gap"], "half_gap"),
+                offset=config_number(obj.get("offset", 0.0), "offset"),
+            )
         if kind == "float":
             return FloatSystem(
-                mantissa_bits=int(obj["m"]),
-                k_min=int(obj["k_min"]),
-                k_max=int(obj["k_max"]),
+                mantissa_bits=config_number(obj["m"], "m", integer=True),
+                k_min=config_number(obj["k_min"], "k_min", integer=True),
+                k_max=config_number(obj["k_max"], "k_max", integer=True),
                 subnormals=bool(obj.get("subnormals", True)),
             )
         if kind == "explicit":
-            return ExplicitSet(points=np.asarray(obj["points"], dtype=float))
+            points = obj["points"]
+            if not isinstance(points, list):
+                raise ConfigError("explicit grid points must be a list")
+            return ExplicitSet(points=np.array([config_number(p, "point") for p in points], dtype=float))
     except KeyError as exc:
         raise ConfigError(f"{kind} grid config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown grid kind {kind!r}")

@@ -44,75 +44,44 @@ def _weight_callable(model_or_weight) -> Callable:
     return model_or_weight
 
 
-def _edge_refine(edges: np.ndarray, a: float, b: float, levels: int = 14) -> np.ndarray:
-    """Geometrically subdivide the outermost pieces toward a and b.
-
-    Densities often lose smoothness exactly at their support edges (square
-    root onsets, jumps); grading the end pieces keeps fixed-order Gauss
-    panels at full accuracy there.
-    """
-    if edges.size < 2:
-        return edges
-    extra = []
-    w = edges[1] - edges[0]
-    extra.extend(a + w * 3.0 ** (-j) for j in range(1, levels))
-    w = edges[-1] - edges[-2]
-    extra.extend(b - w * 3.0 ** (-j) for j in range(1, levels))
-    return np.unique(np.concatenate([edges, np.asarray(extra)]))
-
-
-def _pieces(grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """Integration pieces [lo, hi] with their enclosing cells, split so the
-    error function is a single linear branch on each piece."""
-    pts = grid.points_in(a, b)
-    inner = pts[(pts > a) & (pts < b)]
-    edges = np.concatenate([[a], inner, [b]])
-    edges = _edge_refine(edges, a, b)
-    lo_p, hi_p = edges[:-1], edges[1:]
-    keep = hi_p - lo_p > 0.0
-    lo_p, hi_p = lo_p[keep], hi_p[keep]
-    mids = 0.5 * (lo_p + hi_p)
-    c_lo, c_hi = grid.neighbors(mids)
-
-    if scheme is RoundingScheme.NEAREST:
-        bp = 0.5 * (c_lo + c_hi)
-    elif scheme is RoundingScheme.STOCHASTIC:
-        bp = None  # expected error powers are smooth inside a cell
-    else:
-        bp = np.zeros_like(lo_p)
-    if bp is not None:
-        inside = (bp > lo_p) & (bp < hi_p)
-        if np.any(inside):
-            lo_p = np.concatenate([lo_p, bp[inside]])
-            hi_p = np.concatenate([np.where(inside, bp, hi_p), hi_p[inside]])
-            c_lo = np.concatenate([c_lo, c_lo[inside]])
-            c_hi = np.concatenate([c_hi, c_hi[inside]])
-    return lo_p, hi_p, c_lo, c_hi
-
-
-def _targets(scheme: RoundingScheme, lo_p, hi_p, c_lo, c_hi):
-    """Rounding destination per piece for the deterministic schemes."""
-    mids = 0.5 * (lo_p + hi_p)
-    if scheme is RoundingScheme.NEAREST:
-        cell_mid = 0.5 * (c_lo + c_hi)
-        return np.where(mids <= cell_mid, c_lo, c_hi)
-    if scheme is RoundingScheme.TOWARD_ZERO:
-        return np.where(mids >= 0.0, c_lo, c_hi)
-    if scheme is RoundingScheme.AWAY_FROM_ZERO:
-        return np.where(mids >= 0.0, c_hi, c_lo)
-    raise PreconditionError("deterministic targets undefined for stochastic rounding")
-
-
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """Pieces of [a, b] with each piece's rounding data, as columns: both
-    cell ends under stochastic rounding, else the rounding target."""
+    """Pieces [lo, hi] of [a, b] with each piece's rounding data, as columns:
+    both cell ends under stochastic rounding, else the rounding target.
+
+    Pieces are cut at grid points and, under a deterministic scheme, at each
+    cell's switch point (its midpoint under nearest rounding, 0 under
+    directed rounding), so the error is one linear branch on each piece.
+    The outermost pieces are graded geometrically toward a and b: densities
+    often lose smoothness exactly at their support edges (square root
+    onsets, jumps), and grading keeps fixed-order Gauss panels at full
+    accuracy there.
+    """
     if not a < b:
         raise PreconditionError("need a < b")
-    lo_p, hi_p, c_lo, c_hi = _pieces(grid, scheme, a, b)
+    pts = grid.points_in(a, b)
+    edges = np.concatenate([[a], pts[(pts > a) & (pts < b)], [b]])
+    w_lo, w_hi = edges[1] - edges[0], edges[-1] - edges[-2]
+    grading = [a + w_lo * 3.0 ** (-j) for j in range(1, 14)]
+    grading += [b - w_hi * 3.0 ** (-j) for j in range(1, 14)]
+    edges = np.unique(np.concatenate([edges, grading]))
+    lo_p, hi_p = edges[:-1], edges[1:]
+    c_lo, c_hi = grid.neighbors(0.5 * (lo_p + hi_p))
     if scheme is RoundingScheme.STOCHASTIC:
+        # expected error powers are smooth inside a cell: no switch point
         return lo_p, hi_p, (c_lo[:, None], c_hi[:, None])
-    # derived once _pieces' temporaries are freed, to keep the peak down
-    return lo_p, hi_p, (_targets(scheme, lo_p, hi_p, c_lo, c_hi)[:, None],)
+    switch = 0.5 * (c_lo + c_hi) if scheme is RoundingScheme.NEAREST else np.zeros_like(lo_p)
+    # targets below and above each switch point: only rounding toward zero
+    # takes the upper cell end below it
+    below, above = (c_hi, c_lo) if scheme is RoundingScheme.TOWARD_ZERO else (c_lo, c_hi)
+    # a piece the switch point cuts keeps its lower part in place and its
+    # upper part is appended after all the others
+    inside = (switch > lo_p) & (switch < hi_p)
+    cut, upper = switch[inside], hi_p[inside]
+    hi_p = np.where(inside, switch, hi_p)
+    targets = np.concatenate([np.where(hi_p <= switch, below, above), above[inside]])
+    # freed before the pieces are concatenated, to keep the peak down
+    del c_lo, c_hi, switch, below, above, inside
+    return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets[:, None],)
 
 
 def _per_cell_gauss(w, f, lo_p, hi_p, rd_data, n: int) -> OracleResult:

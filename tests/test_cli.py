@@ -87,6 +87,25 @@ def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     assert key in err and "config error" in err
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["--dist", "semicircle:r=inf,mu=0"], None),
+    (["--dist", "semicircle:r=1", "--grid", "float:m=3.5,k_min=-2,k_max=2"], None),
+    ([], {"distribution": {"kind": "semicircle", "r": "abc"}}),
+])
+def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
+    # every numeric config value must be a finite number, and an integer
+    # where the parameter counts something
+    head = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        head = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *head, "bound", *argv, "--delta", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--delta", "nan"),
     ("--delta", "-0.1"),

@@ -281,3 +281,20 @@ def test_bad_configs_rejected():
         FloatSystem(0, -2, 2)
     with pytest.raises(ConfigError):
         ExplicitSet(np.array([1.0, 1.0]))
+
+
+def test_float_system_mantissa_fits_a_double():
+    # wider mantissas put grid points between doubles: |x|/step overflowed
+    # to (inf, inf) neighbors for FloatSystem(1990, 990, 1000)
+    for m, k_min, k_max in ((53, -2, 2), (1990, 990, 1000)):
+        with pytest.raises(ConfigError):
+            FloatSystem(m, k_min, k_max)
+    fs = FloatSystem(52, -2, 2)
+    assert fs.neighbors(1.0 + 2.0 ** -52) == (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52)
+
+
+def test_grid_config_integral_floats_accepted():
+    # the inline parser reads every number as a float
+    fs = parse_grid_config({"kind": "float", "m": 3.0, "k_min": -2.0, "k_max": 2})
+    assert (fs.mantissa_bits, fs.k_min, fs.k_max) == (3, -2, 2)
+    assert isinstance(fs.mantissa_bits, int)

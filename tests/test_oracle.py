@@ -24,7 +24,7 @@ from roundmoments.oracle import (
     rd_moment_integral,
     simulated_sum,
 )
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS
+from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS, round_value
 from roundmoments.verify import offset_sweep
 
 ONE = np.ones_like
@@ -250,12 +250,11 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
     shift is given) at n nodes over every piece at once, as the oracle did
     before it was blocked.  Returns the value and the per-piece terms.
     """
-    lo_p, hi_p, c_lo, c_hi = oracle._pieces(grid, scheme, a, b)
+    lo_p, hi_p, rd_data = oracle._partition(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
     X = 0.5 * (lo_p + hi_p)[:, None] + 0.5 * (hi_p - lo_p)[:, None] * nodes[None, :]
     if scheme is RS.STOCHASTIC:
-        lo = c_lo[:, None]
-        hi = c_hi[:, None]
+        lo, hi = rd_data
         width = hi - lo
         degenerate = width <= 0.0
         p = (X - lo) / np.where(degenerate, 1.0, width)
@@ -269,7 +268,7 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
             vals = (X - lo) ** power * (1.0 - p) + (hi - X) ** power * p
             vals = np.where(degenerate, np.abs(lo - X) ** power, vals)
     else:
-        tgt = oracle._targets(scheme, lo_p, hi_p, c_lo, c_hi)[:, None]
+        tgt = rd_data[0]
         if shift is not None:
             vals = (tgt - shift) ** power * np.ones_like(X)
         else:
@@ -308,7 +307,7 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
     # or one block and a single leftover piece
     mesh = UniformMesh(0.05, 0.013)
     a, b = -1.9, 2.3
-    pieces = oracle._pieces(mesh, scheme, a, b)[0].size
+    pieces = oracle._partition(mesh, scheme, a, b)[0].size
     monkeypatch.setattr(oracle, "QUAD_BLOCK", pieces - extra)
     for k, signed in ((1, True), (2, False), (3, True), (4, False)):
         got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
@@ -357,3 +356,46 @@ def test_mc_moment_orders_share_samples(semicircle):
     assert low.raw[0] == high.raw[0]
     assert low.delta_v == high.delta_v
     assert high.delta_v.abs_error_estimate == high.central[0].abs_error_estimate
+
+
+# --- the partition's rounding targets -----------------------------------------
+
+
+def test_one_ulp_piece_above_the_switch_point_rounds_up(semicircle):
+    # Grading puts a cut one ulp above the midpoint 0.99375 of the cell
+    # [0.94375, 1.04375]; the midpoint of that one-ulp piece rounds down onto
+    # the switch point, yet the whole piece lies above it.
+    mesh = UniformMesh(0.05, np.linspace(0.0, 0.1, 64, endpoint=False)[28])
+    lo_p, hi_p, (targets,) = oracle._partition(mesh, RS.NEAREST, *semicircle.effective_range())
+    i = np.flatnonzero(lo_p == float.fromhex("0x1.fccccccccccccp-1"))
+    assert hi_p[i].tolist() == [float.fromhex("0x1.fcccccccccccdp-1")]
+    assert targets[i, 0].tolist() == [1.04375]
+
+
+@pytest.mark.parametrize("scheme", DETERMINISTIC_SCHEMES)
+@pytest.mark.parametrize(
+    "grid,a,b",
+    [
+        (UniformMesh(0.05, 0.04375), -1.0, 1.0),
+        (UniformMesh(0.1, 0.033), -0.71, 1.3),
+        (FloatSystem(4, -6, 3), -3.3, 9.0),
+        (ExplicitSet(np.array([-2.0, -0.5, 0.25, 1.0, 2.5])), -1.7, 2.5),
+    ],
+)
+def test_partition_targets_match_round_value(scheme, grid, a, b):
+    lo_p, hi_p, (targets,) = oracle._partition(grid, scheme, a, b)
+    x = 0.5 * (lo_p + hi_p)
+    strict = (lo_p < x) & (x < hi_p)  # a one-ulp piece holds no double
+    assert strict.sum() > 0.9 * x.size
+    np.testing.assert_array_equal(targets[strict, 0], round_value(grid, scheme, x[strict]))
+
+
+def test_ungraded_cell_at_a_support_edge_within_its_estimate():
+    # Only the outermost sliver is graded, so the full cell [1.2351, 1.4264]
+    # ending 1.3e-3 before the square-root edge is integrated ungraded; the
+    # oracle's error estimate must still cover the error that leaves.
+    model = make_semicircle(1.538536927628753, -0.11084079188731866)
+    mesh = UniformMesh(0.0956616221297365, 0.08714204337053821)
+    de, _ = delta_e_and_v(model, mesh, RS.AWAY_FROM_ZERO)
+    want, _ = reference_quad(mesh, RS.AWAY_FROM_ZERO, model.density, *model.effective_range(), 200, 1)
+    assert abs(de.value - want) <= de.abs_error_estimate
