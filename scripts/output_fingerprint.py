@@ -9,18 +9,24 @@ change moved.  It prints:
 * the sha256 of ``verify --instances 200`` stdout for seeds 0-2, whole and
   split by check kind;
 * the sha256 of the four benchmark sweeps and of a toward-zero sweep, whole
-  and column by column;
+  and column by column, and of each one's ``--format json`` and
+  ``--format svg`` output;
 * the ``bound`` JSON of the tier-A mean and variance bounds and of the
-  centered-moment bound.
+  centered-moment bound;
+* ``gap_stats`` on each grid kind over ranges on either side of zero and
+  touching it, including all-negative and zero-ending explicit sets;
+* ``adaptive_quad`` on half-infinite and infinite ranges, with and without
+  breakpoints, and ``upper_incomplete_gamma`` on a small (s, x) table.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
-(about a minute on one core).
+(about 3 s on a 2-CPU host).
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -33,18 +39,22 @@ from roundmoments import (  # noqa: E402
     FloatSystem,
     RoundingScheme,
     UniformMesh,
+    gap_stats,
     make_exponential,
     make_normal,
     make_semicircle,
     make_uniform,
 )
 from roundmoments.cli import main as cli_main  # noqa: E402
+from roundmoments.errors import RoundMomentsError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
     centered_moment_of_rounded,
     delta_e_and_v,
     err_weighted_integral,
     rd_moment_integral,
 )
+from roundmoments.quadrature import adaptive_quad  # noqa: E402
+from roundmoments.special import upper_incomplete_gamma  # noqa: E402
 
 MODELS = {
     "semicircle": make_semicircle(1.0, 0.0),
@@ -68,6 +78,19 @@ SWEEPS = (
     ("normal:mu=0.3,sigma2=1.0", "0.1", "stochastic"),
     ("semicircle:r=1.0,mu=0.0", "0.1", "toward_zero"),
 )
+GAP_GRIDS = {
+    **GRIDS,
+    "float8-nosub": FloatSystem(8, -20, 5, subnormals=False),
+    "explicit-negative": ExplicitSet(-np.geomspace(3.0, 0.01, 40)),
+    "explicit-to-zero": ExplicitSet(np.array([-2.0, -0.7, -0.2, 0.0, 0.3, 1.1, 2.5])),
+}
+GAP_RANGES = ((-1.0, 1.0), (0.25, 2.0), (-2.0, -0.25), (-0.7, 0.0), (0.0, 3.0), (1e-3, 1e-2))
+INTEGRANDS = {
+    "gauss|x-0.3|": (lambda x: np.exp(-x * x) * np.abs(x - 0.3), (0.3,)),
+    "exponential": (MODELS["exponential"].density, (0.0,)),
+    "normal": (MODELS["normal"].density, (-1.0, 0.3, 2.0)),
+}
+QUAD_RANGES = ((-math.inf, 0.8), (-0.4, math.inf), (-math.inf, math.inf), (-0.4, 0.8))
 DISTS = (
     "semicircle:r=1,mu=0",
     "semicircle:r=1.5,mu=0.4",
@@ -131,6 +154,10 @@ def sweep_lines():
         rows = [line.split(",") for line in out.splitlines()]
         for i, name in enumerate(rows[0]):
             yield f"sweep {tag} column={name} sha256={sha(chr(10).join(r[i] for r in rows[1:]))}"
+        for fmt in ("json", "svg"):
+            argv = ["--format", fmt, "sweep", "--dist", dist, "--delta", delta, "--scheme", scheme, "--offsets", "64"]
+            rc, out = cli_stdout(argv)
+            yield f"sweep {tag} format={fmt} rc={rc} sha256={sha(out)}"
 
 
 def bound_lines():
@@ -147,8 +174,30 @@ def bound_lines():
                 yield f"bound {dist} centered k={k} {flag}={base} rc={rc} {text}"
 
 
+def gap_lines():
+    for gname, grid in GAP_GRIDS.items():
+        for lo, hi in GAP_RANGES:
+            try:
+                gs = gap_stats(grid, lo, hi)
+                text = f"{float.hex(float(gs.eps0))} {float.hex(float(gs.delta0))}"
+            except RoundMomentsError as exc:
+                text = type(exc).__name__
+            yield f"gap {gname} [{lo!r}, {hi!r}] {text}"
+
+
+def quad_lines():
+    for fname, (f, cuts) in INTEGRANDS.items():
+        for a, b in QUAD_RANGES:
+            for breakpoints in ((), cuts):
+                v, e = adaptive_quad(f, a, b, rtol=1e-12, breakpoints=breakpoints)
+                yield f"quad {fname} [{a!r}, {b!r}] breakpoints={breakpoints} {float.hex(v)} {float.hex(e)}"
+    for s in (0.5, 1.0, 1.5, 2.0, 3.5):
+        for x in (0.0, 0.25, 1.0, 2.5, 6.0):
+            yield f"gamma s={s!r} x={x!r} {float.hex(upper_incomplete_gamma(s, x))}"
+
+
 def main() -> int:
-    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines):
+    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, gap_lines, quad_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -13,7 +13,6 @@ from .grids import (
 )
 from .rounding import (
     RoundingScheme,
-    err_value,
     round_value,
     scheme_constants,
     scheme_eps_delta,
@@ -29,7 +28,6 @@ from .distributions import (
     make_semicircle,
     make_uniform,
     parse_dist_config,
-    symmetric_split,
 )
 from .bounds import (
     ADDITIVE,

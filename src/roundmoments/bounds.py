@@ -18,10 +18,10 @@ import numpy as np
 
 from .distributions import (
     DensityModel,
+    SymmetricSplit,
     best_mesh_center,
     envelope,
     scan_max,
-    symmetric_split,
 )
 from .errors import (
     BadOrderError,
@@ -50,8 +50,6 @@ class BoundTerm:
 
     @property
     def value(self) -> float:
-        if self.power == 0:
-            return self.coef
         return self.coef * self.base ** self.power
 
 
@@ -162,7 +160,7 @@ def mixed_moment_bound(
             raise SymmetryUnavailableError("symmetry form needs m + n odd")
         if mode == ADDITIVE and m % 2 == 0:
             raise SymmetryUnavailableError("additive symmetry form needs m odd")
-        split = symmetric_split(model, 0.0)
+        split = SymmetricSplit(model, 0.0)
         j = (n + m) if mode == MULTIPLICATIVE else m
         lo = model.support[0]
         correction = 0.0
@@ -383,7 +381,7 @@ def _h_region_sum(model: DensityModel, center: float) -> float:
     level-set interval, so h with several bumps (a decreasing density split
     about a positive center, say) pays once per bump.
     """
-    split = symmetric_split(model, center)
+    split = SymmetricSplit(model, center)
     lo, hi = model.effective_range()
     span_lo = min(lo, 2.0 * center - hi)
     span_hi = max(hi, 2.0 * center - lo)

@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -129,6 +129,13 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
     return max(float(ys[i]), float(f(np.asarray(x_best))))
 
 
+def _checked(model: DensityModel) -> DensityModel:
+    """The model, if its peak and variance are positive and finite and its mean is finite."""
+    if not (0.0 < model.peak < math.inf and 0.0 < model.variance < math.inf and math.isfinite(model.mean)):
+        raise ConfigError(f"{model.name} parameters {dict(model.params)} over- or underflow its peak, mean or variance")
+    return model
+
+
 def _catalan(j: int) -> int:
     return math.comb(2 * j, j) // (j + 1)
 
@@ -141,8 +148,8 @@ def _raw_from_central(k: int, mean: float, central: Callable[[int], float]) -> f
 
 def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
     """Semicircle law of radius r centered at mu."""
-    if not r > 0.0:
-        raise ConfigError("radius must be positive")
+    if not r > 0.0 or r * r == 0.0:  # the density divides by r^2
+        raise ConfigError(f"radius must be positive with a nonzero square, got {r!r}")
     coef = 2.0 / (math.pi * r * r)
 
     def pdf(x):
@@ -171,7 +178,7 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         j = k // 2
         return r ** k * _catalan(j) / 4.0 ** j
 
-    return DensityModel(
+    return _checked(DensityModel(
         name="semicircle",
         params=(("r", r), ("mu", mu)),
         support=(mu - r, mu + r),
@@ -183,7 +190,7 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=4.0 * r / (3.0 * math.pi),
-    )
+    ))
 
 
 def make_normal(mu: float, sigma2: float) -> DensityModel:
@@ -212,7 +219,7 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
             val *= i
         return val * sigma ** k
 
-    return DensityModel(
+    return _checked(DensityModel(
         name="normal",
         params=(("mu", mu), ("sigma2", sigma2)),
         support=(-math.inf, math.inf),
@@ -224,12 +231,12 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=sigma * math.sqrt(2.0 / math.pi),
-    )
+    ))
 
 
 def make_exponential(lam: float) -> DensityModel:
-    if not lam > 0.0:
-        raise ConfigError("rate must be positive")
+    if not lam > 0.0 or lam * lam == 0.0:  # the variance divides by lam^2
+        raise ConfigError(f"rate must be positive with a nonzero square, got {lam!r}")
 
     def pdf(x):
         xc = np.maximum(x, 0.0)
@@ -246,7 +253,7 @@ def make_exponential(lam: float) -> DensityModel:
             d = i * d + (-1) ** i
         return d / lam ** k
 
-    return DensityModel(
+    return _checked(DensityModel(
         name="exponential",
         params=(("lambda", lam),),
         support=(0.0, math.inf),
@@ -258,7 +265,7 @@ def make_exponential(lam: float) -> DensityModel:
         _raw_moment=lambda k: math.factorial(k) / lam ** k,
         _central_moment=central,
         _abs_central_first=2.0 / (math.e * lam),
-    )
+    ))
 
 
 def make_uniform(lo: float, hi: float) -> DensityModel:
@@ -284,7 +291,7 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
 
     # Flat densities expose the interval midpoint as their mode; any plateau
     # point yields the same radial envelope.
-    return DensityModel(
+    return _checked(DensityModel(
         name="uniform",
         params=(("lo", lo), ("hi", hi)),
         support=(lo, hi),
@@ -296,7 +303,7 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
         _raw_moment=raw,
         _central_moment=central,
         _abs_central_first=w / 4.0,
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -311,10 +318,6 @@ class Envelope:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def x_star(self) -> float:
-        return self.model.mode
-
-    @property
     def peak(self) -> float:
         return self.model.peak
 
@@ -324,30 +327,13 @@ class Envelope:
 
     def f_hat(self, x):
         x = np.abs(np.asarray(x, dtype=float))
-        return np.where(x < abs(self.x_star), self.peak, self._two_sided(x))
-
-    def f_hat_inv(self, u: float) -> float:
-        """Generalized inverse sup{|x| : f(x) > u} for 0 < u <= peak."""
-        if not 0.0 < u <= self.peak:
-            raise ConfigError("argument must lie in (0, peak]")
-        big = max(abs(v) for v in self.model.effective_range())
-        big = max(big, abs(self.x_star)) + 1.0
-        a, b = abs(self.x_star), big
-        if self._two_sided(np.asarray(b)) > u:
-            return b
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if self._two_sided(np.asarray(mid)) > u:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+        return np.where(x < abs(self.model.mode), self.peak, self._two_sided(x))
 
     def weighted_integral(self, k: int) -> float:
         """Integral of x^k f_hat(x) over x >= 0."""
         key = ("wi", k)
         if key not in self._cache:
-            ax = abs(self.x_star)
+            ax = abs(self.model.mode)
             head = self.peak * ax ** (k + 1) / (k + 1.0)
             lo, hi = self.model.support
             upper = math.inf if math.isinf(hi) or math.isinf(lo) else max(abs(lo), abs(hi))
@@ -363,7 +349,7 @@ class Envelope:
         return self._cache[key]
 
 
-def envelope(model: DensityModel, probe_points: int = 21) -> Envelope:
+def envelope(model: DensityModel) -> Envelope:
     """Build the radial envelope, probing the declared mode first.
 
     Raises NotUnimodal when a 21-point probe on either side of the mode
@@ -372,12 +358,12 @@ def envelope(model: DensityModel, probe_points: int = 21) -> Envelope:
     lo, hi = model.effective_range()
     slack = 1e-9 * max(model.peak, 1e-300)
     if model.mode > lo:
-        xs = np.linspace(lo, model.mode, probe_points)
+        xs = np.linspace(lo, model.mode, 21)
         ys = model.density(xs)
         if np.any(np.diff(ys) < -slack):
             raise NotUnimodalError("density decreases left of the declared mode")
     if hi > model.mode:
-        xs = np.linspace(model.mode, hi, probe_points)
+        xs = np.linspace(model.mode, hi, 21)
         ys = model.density(xs)
         if np.any(np.diff(ys) > slack):
             raise NotUnimodalError("density increases right of the declared mode")
@@ -410,10 +396,6 @@ class SymmetricSplit:
         cuts = [v for v in (s_lo, s_hi, 2.0 * self.center - s_lo, 2.0 * self.center - s_hi, self.center, 0.0) if not math.isinf(v)]
         val, _ = adaptive_quad(lambda x: x ** j * self.h(x), lo, hi, rtol=1e-12, breakpoints=cuts)
         return val
-
-
-def symmetric_split(model: DensityModel, center: float) -> SymmetricSplit:
-    return SymmetricSplit(model, center)
 
 
 def best_mesh_center(mesh: UniformMesh) -> float:

@@ -12,8 +12,8 @@ All query functions accept scalars or ndarrays and return matching shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -235,21 +235,6 @@ class GapStats:
 
     eps0: float
     delta0: float
-    lo: float
-    hi: float
-
-
-def _cell_stats(cells: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """(eps0, delta0) over explicit cells given as (floor, ceil) pairs."""
-    eps0 = 0.0
-    delta0 = 0.0
-    for p, q in cells:
-        delta0 = max(delta0, q - p)
-        if p <= 0.0 <= q:
-            eps0 = math.inf
-        else:
-            eps0 = max(eps0, (q - p) / min(abs(p), abs(q)))
-    return eps0, delta0
 
 
 def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
@@ -269,7 +254,7 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
             eps0 = step / g0
         else:
             eps0 = step / abs(g1)
-        return GapStats(eps0, step, lo, hi)
+        return GapStats(eps0, step)
 
     if isinstance(grid, FloatSystem):
         eps0 = 0.0
@@ -287,14 +272,19 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
             raise EmptyRangeError("no full cell in range")
         if lo < 0.0 < hi:
             eps0 = math.inf  # cells adjacent to zero are in range
-        return GapStats(eps0, delta0, lo, hi)
+        return GapStats(eps0, delta0)
 
     if isinstance(grid, ExplicitSet):
         pts = grid.points_in(lo, hi)
         if pts.size < 2:
             raise EmptyRangeError("no full cell in range")
-        eps0, delta0 = _cell_stats(zip(pts[:-1], pts[1:]))
-        return GapStats(eps0, delta0, lo, hi)
+        gaps = np.diff(pts)
+        # the cells tile [pts[0], pts[-1]], so one touches zero iff it does
+        if pts[0] <= 0.0 <= pts[-1]:
+            eps0 = math.inf
+        else:
+            eps0 = float(np.max(gaps / np.minimum(np.abs(pts[:-1]), np.abs(pts[1:]))))
+        return GapStats(eps0, float(np.max(gaps)))
 
     raise ConfigError(f"unknown grid type {type(grid)!r}")
 

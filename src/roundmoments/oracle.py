@@ -34,7 +34,7 @@ QUAD_BLOCK = 2048
 class OracleResult:
     value: float
     abs_error_estimate: float
-    method: str  # "per_cell_quadrature" | "monte_carlo" | "closed_form"
+    method: str  # "per_cell_quadrature" | "monte_carlo"
     details: dict = field(default_factory=dict)
 
 
@@ -128,7 +128,6 @@ def err_weighted_integral(
     b: float,
     k: int,
     signed: bool = False,
-    n_nodes: int | None = None,
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b].
 
@@ -136,7 +135,7 @@ def err_weighted_integral(
     realization.  The error estimate compares against a half-order rerun.
     """
     f = partial(err_power, k=k, signed=signed)
-    n = n_nodes or max(k + 8, 20)
+    n = max(k + 8, 20)
     return _per_cell_gauss(_weight_callable(model_or_weight), f, *_partition(grid, scheme, a, b), n)
 
 

@@ -23,10 +23,9 @@ def polyline_chart(
     x_label: str,
     y_label: str,
     log_y: bool = False,
-    width: int = _WIDTH,
-    height: int = _HEIGHT,
 ) -> str:
     """Render one chart as an SVG string."""
+    width, height = _WIDTH, _HEIGHT
     margin = 60
     floor = 1e-300
     if log_y:

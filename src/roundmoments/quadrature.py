@@ -8,6 +8,7 @@ tail integrals converge without the caller truncating them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable, Sequence
@@ -63,8 +64,6 @@ def adaptive_quad(
     a: float,
     b: float,
     rtol: float = 1e-12,
-    atol: float = 1e-300,
-    limit: int = 4000,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate ``f`` over [a, b], returning (value, error estimate).
@@ -76,7 +75,7 @@ def adaptive_quad(
     if a == b:
         return 0.0, 0.0
     if not math.isinf(a) and not math.isinf(b):
-        return _adaptive_finite(f, a, b, rtol, atol, limit, breakpoints)
+        return _adaptive_finite(f, a, b, rtol, breakpoints)
 
     total = 0.0
     err = 0.0
@@ -85,32 +84,26 @@ def adaptive_quad(
     lo_anchor = a if not math.isinf(a) else (inner[0] if inner else (min(b, 0.0) - 1.0 if not math.isinf(b) else -1.0))
     hi_anchor = b if not math.isinf(b) else (inner[-1] if inner else (max(a, 0.0) + 1.0 if not math.isinf(a) else 1.0))
     if math.isinf(a):
-        pieces.append(("left", lo_anchor))
+        pieces.append((-1.0, lo_anchor))
     if lo_anchor < hi_anchor:
-        v, e = _adaptive_finite(f, lo_anchor, hi_anchor, rtol, atol, limit, inner)
+        v, e = _adaptive_finite(f, lo_anchor, hi_anchor, rtol, inner)
         total += v
         err += e
     if math.isinf(b):
-        pieces.append(("right", hi_anchor))
-    for side, anchor in pieces:
+        pieces.append((1.0, hi_anchor))
+    for sign, anchor in pieces:
         # Map the tail onto t in (0, 1) via x = anchor +/- t/(1-t).
-        if side == "right":
-            def g(t, _anchor=anchor):
-                t = np.asarray(t, dtype=float)
-                x = _anchor + t / (1.0 - t)
-                return f(x) / (1.0 - t) ** 2
-        else:
-            def g(t, _anchor=anchor):
-                t = np.asarray(t, dtype=float)
-                x = _anchor - t / (1.0 - t)
-                return f(x) / (1.0 - t) ** 2
-        v, e = _adaptive_finite(g, 0.0, 1.0 - 1e-14, rtol, atol, limit)
+        def g(t, _sign=sign, _anchor=anchor):
+            t = np.asarray(t, dtype=float)
+            x = _anchor + _sign * (t / (1.0 - t))
+            return f(x) / (1.0 - t) ** 2
+        v, e = _adaptive_finite(g, 0.0, 1.0 - 1e-14, rtol)
         total += v
         err += e
     return total, err
 
 
-def _adaptive_finite(f, a, b, rtol, atol, limit, breakpoints=()) -> tuple[float, float]:
+def _adaptive_finite(f, a, b, rtol, breakpoints=()) -> tuple[float, float]:
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
     heap = []
     total = 0.0
@@ -123,7 +116,7 @@ def _adaptive_finite(f, a, b, rtol, atol, limit, breakpoints=()) -> tuple[float,
         heapq.heappush(heap, (-e, serial, lo, hi, v))
         serial += 1
     n_panels = len(heap)
-    while toterr > max(atol, rtol * abs(total)) and n_panels < limit:
+    while toterr > max(1e-300, rtol * abs(total)) and n_panels < 4000:
         neg_e, _, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -142,14 +135,7 @@ def _adaptive_finite(f, a, b, rtol, atol, limit, breakpoints=()) -> tuple[float,
     return total, toterr
 
 
+@functools.cache
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]; cached since the oracle reuses them."""
-    key = int(n)
-    cached = _GL_CACHE.get(key)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(key)
-        _GL_CACHE[key] = cached
-    return cached
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    return np.polynomial.legendre.leggauss(n)

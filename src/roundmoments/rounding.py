@@ -111,14 +111,6 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
     return float(out) if scalar else out
 
 
-def err_value(grid: Grid, scheme: RoundingScheme, x, u=None):
-    """Signed rounding error rd(x) - x."""
-    rd = round_value(grid, scheme, x, u)
-    if np.ndim(x) == 0:
-        return rd - float(x)
-    return rd - np.asarray(x, dtype=float)
-
-
 def scheme_eps_delta(scheme: RoundingScheme, eps0: float, delta0: float) -> tuple[float, float]:
     """Worst-case (eps, delta) error-model constants from grid gap stats.
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 
 
-def upper_incomplete_gamma(s: float, x: float, rtol: float = 1e-14) -> float:
+def upper_incomplete_gamma(s: float, x: float) -> float:
     """Unnormalized upper incomplete gamma integral for s > 0, x >= 0.
 
     Series evaluation of the lower integral below the x = s + 1 crossover,
-    modified Lentz continued fraction above it.
+    modified Lentz continued fraction above it, each to relative 1e-14.
     """
     if s <= 0.0:
         raise ValueError("shape parameter must be positive")
@@ -18,11 +18,11 @@ def upper_incomplete_gamma(s: float, x: float, rtol: float = 1e-14) -> float:
     if x == 0.0:
         return math.gamma(s)
     if x < s + 1.0:
-        return math.gamma(s) - _lower_series(s, x, rtol)
-    return _upper_cf(s, x, rtol)
+        return math.gamma(s) - _lower_series(s, x)
+    return _upper_cf(s, x)
 
 
-def _lower_series(s: float, x: float, rtol: float) -> float:
+def _lower_series(s: float, x: float) -> float:
     term = 1.0 / s
     total = term
     denom = s
@@ -30,12 +30,12 @@ def _lower_series(s: float, x: float, rtol: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < rtol * abs(total):
+        if abs(term) < 1e-14 * abs(total):
             break
     return total * math.exp(-x + s * math.log(x))
 
 
-def _upper_cf(s: float, x: float, rtol: float) -> float:
+def _upper_cf(s: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -53,6 +53,6 @@ def _upper_cf(s: float, x: float, rtol: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < rtol:
+        if abs(delta - 1.0) < 1e-14:
             break
     return math.exp(-x + s * math.log(x)) * h

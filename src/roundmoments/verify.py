@@ -25,6 +25,7 @@ from .rounding import CANCELLING_SCHEMES, RoundingScheme, int_power, scheme_eps_
 ALL_SCHEMES = tuple(RoundingScheme)
 
 QUAD_BUDGET = 1e-12
+SWEEP_BUDGET = 1e-9  # slack of the offset sweep's dominance checks
 # (label, base name) of each error model in check descriptions
 _MODE_TAGS = {B.ADDITIVE: ("additive", "delta"), B.MULTIPLICATIVE: ("mult", "eps")}
 
@@ -355,7 +356,7 @@ class SweepRow:
     bound_b_v: float | None
     bound_c_v: float | None
 
-    def violations(self, budget: float = 1e-9) -> list[str]:
+    def violations(self) -> list[str]:
         out = []
         ae = abs(self.delta_e)
         av = abs(self.delta_v)
@@ -365,14 +366,14 @@ class SweepRow:
             ("C_E", self.bound_c_e),
             ("D_E", self.bound_d_e),
         ):
-            if bound is not None and ae > bound + budget:
+            if bound is not None and ae > bound + SWEEP_BUDGET:
                 out.append(f"|Delta_E| = {ae:.3e} exceeds tier {name} bound {bound:.3e}")
         for name, bound in (
             ("A_V", self.bound_a_v),
             ("B_V", self.bound_b_v),
             ("C_V", self.bound_c_v),
         ):
-            if bound is not None and av > bound + budget:
+            if bound is not None and av > bound + SWEEP_BUDGET:
                 out.append(f"|Delta_V| = {av:.3e} exceeds tier {name} bound {bound:.3e}")
         return out
 
@@ -383,25 +384,23 @@ def offset_sweep(
     n_offsets: int,
     scheme: RoundingScheme = RoundingScheme.NEAREST,
     check: bool = True,
-    budget: float = 1e-9,
 ) -> list[SweepRow]:
     """Quadrature Delta_E / Delta_V against tier bounds over a full period
     of mesh offsets [0, 2*delta)."""
     if n_offsets < 2:
         raise PreconditionError("need at least 2 offsets")
     mesh0 = UniformMesh(delta, 0.0)
-    dlt = scheme_eps_delta(scheme, 0.0, mesh0.step)[1]
-    de_a, dv_a = B.mean_and_variance_diff_bounds(model, "A", mesh=mesh0, delta=dlt, scheme=scheme)
+    de_a, dv_a = B.mean_and_variance_diff_bounds(model, "A", mesh=mesh0, scheme=scheme)
     tiered = scheme in CANCELLING_SCHEMES
     if tiered:
-        de_b, dv_b = B.mean_and_variance_diff_bounds(model, "B", mesh=mesh0, delta=dlt, scheme=scheme)
-        de_c, dv_c = B.mean_and_variance_diff_bounds(model, "C", mesh=mesh0, delta=dlt, scheme=scheme)
+        de_b, dv_b = B.mean_and_variance_diff_bounds(model, "B", mesh=mesh0, scheme=scheme)
+        de_c, dv_c = B.mean_and_variance_diff_bounds(model, "C", mesh=mesh0, scheme=scheme)
     rows = []
     problems = []
     for a in np.linspace(0.0, mesh0.step, n_offsets, endpoint=False):
         mesh = UniformMesh(delta, float(a))
         if tiered:
-            de_d, _ = B.mean_and_variance_diff_bounds(model, "D", mesh=mesh, delta=dlt, scheme=scheme)
+            de_d, _ = B.mean_and_variance_diff_bounds(model, "D", mesh=mesh, scheme=scheme)
         de, dv = delta_e_and_v(model, mesh, scheme)
         row = SweepRow(
             offset=float(a),
@@ -416,7 +415,7 @@ def offset_sweep(
             bound_c_v=dv_c.value if tiered else None,
         )
         rows.append(row)
-        problems.extend(f"offset {a:.6g}: {v}" for v in row.violations(budget))
+        problems.extend(f"offset {a:.6g}: {v}" for v in row.violations())
     if check and problems:
         raise BoundViolationError("; ".join(problems))
     return rows

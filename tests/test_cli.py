@@ -91,6 +91,12 @@ def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     (["--dist", "semicircle:r=inf,mu=0"], None),
     (["--dist", "semicircle:r=1", "--grid", "float:m=3.5,k_min=-2,k_max=2"], None),
     ([], {"distribution": {"kind": "semicircle", "r": "abc"}}),
+    # finite parameters whose density or moments over- or underflow
+    (["--tier", "B", "--dist", "exponential:lambda=1e-320"], None),
+    (["--tier", "B", "--dist", "semicircle:r=1e-200"], None),
+    (["--tier", "B", "--dist", "semicircle:r=1e200,mu=0"], None),
+    (["--tier", "B", "--dist", "normal:mu=0,sigma2=1e308"], None),
+    (["--tier", "B", "--dist", "uniform:lo=-1e308,hi=1e308"], None),
 ])
 def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
     # every numeric config value must be a finite number, and an integer
@@ -104,6 +110,13 @@ def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+def test_bound_accepts_tiny_normal_variance(capsys):
+    # small, yet the density's peak and every moment stay finite and positive
+    code, out, _ = run_cli(capsys, "bound", "--dist", "normal:mu=0,sigma2=1e-300", "--tier", "B", "--delta", "0.1")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["value"])
 
 
 @pytest.mark.parametrize("flag,value", [

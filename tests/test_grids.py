@@ -187,6 +187,12 @@ def test_gap_stats_explicit_set():
     assert gs.eps0 == pytest.approx(2.5 / 2.0)  # widest cell, relative to its floor
     gs = gap_stats(ExplicitSet(np.array([-1.0, 0.5, 2.0])), -1.0, 2.0)
     assert math.isinf(gs.eps0)  # a cell straddles zero
+    gs = gap_stats(ExplicitSet(np.array([-4.5, -2.0, -1.0, -0.5])), -4.5, -0.5)
+    assert gs.delta0 == 2.5
+    assert gs.eps0 == pytest.approx(2.5 / 2.0)  # relative to |ceil| on the negative side
+    gs = gap_stats(ExplicitSet(np.array([-2.0, -1.0, 0.0])), -2.0, 0.0)
+    assert gs.delta0 == 1.0
+    assert math.isinf(gs.eps0)  # a cell ends exactly at zero
 
 
 def test_stretches_small_system():

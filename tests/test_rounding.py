@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roundmoments import (
     FloatSystem,
     UniformMesh,
-    err_value,
     gap_stats,
     round_value,
     scheme_constants,
@@ -22,7 +21,7 @@ INT_MESH = UniformMesh(0.5, 0.0)  # spacing 1: the integers
 
 def test_nearest_basic():
     assert round_value(INT_MESH, RoundingScheme.NEAREST, 0.3) == 0.0
-    assert err_value(INT_MESH, RoundingScheme.NEAREST, 0.3) == pytest.approx(-0.3)
+    assert round_value(INT_MESH, RoundingScheme.NEAREST, 0.3) - 0.3 == pytest.approx(-0.3)
 
 
 def test_toward_zero_negative():
@@ -30,7 +29,7 @@ def test_toward_zero_negative():
 
 
 def test_away_from_zero():
-    assert err_value(INT_MESH, RoundingScheme.AWAY_FROM_ZERO, 0.3) == pytest.approx(0.7)
+    assert round_value(INT_MESH, RoundingScheme.AWAY_FROM_ZERO, 0.3) - 0.3 == pytest.approx(0.7)
 
 
 def test_stochastic_threshold():
@@ -162,13 +161,13 @@ def test_error_model_compliance():
     gs = gap_stats(grid, 1.0 / 64.0, 256.0)
     for scheme in DETERMINISTIC_SCHEMES:
         eps, delta = scheme_eps_delta(scheme, gs.eps0, gs.delta0)
-        errs = err_value(grid, scheme, xs)
+        errs = round_value(grid, scheme, xs) - xs
         assert np.all(np.abs(errs) <= eps * np.abs(xs) * (1 + 1e-12))
         assert np.all(np.abs(errs) <= delta * (1 + 1e-12))
     # stochastic: both realizations stay inside the cell
     u = rng.random(xs.size)
     eps, delta = scheme_eps_delta(RoundingScheme.STOCHASTIC, gs.eps0, gs.delta0)
-    errs = err_value(grid, RoundingScheme.STOCHASTIC, xs, u)
+    errs = round_value(grid, RoundingScheme.STOCHASTIC, xs, u) - xs
     assert np.all(np.abs(errs) <= eps * np.abs(xs) * (1 + 1e-12))
 
 
@@ -177,7 +176,7 @@ def test_stochastic_mc_mean_error_unbiased():
     mesh = UniformMesh(0.25, 0.1)
     x = 0.4321
     u = rng.random(1_000_000)
-    errs = err_value(mesh, RoundingScheme.STOCHASTIC, np.full(u.shape, x), u)
+    errs = round_value(mesh, RoundingScheme.STOCHASTIC, np.full(u.shape, x), u) - x
     se = errs.std() / math.sqrt(errs.size)
     assert abs(errs.mean()) < 4.0 * se
 
