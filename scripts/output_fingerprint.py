@@ -11,8 +11,10 @@ change moved.  It prints:
 * the sha256 of the four benchmark sweeps and of a toward-zero sweep, whole
   and column by column, and of each one's ``--format json`` and
   ``--format svg`` output;
-* the ``bound`` JSON of the tier-A mean and variance bounds and of the
-  centered-moment bound;
+* the ``bound`` JSON of the tier-A mean and variance bounds, of the tier
+  B, C and D variance bounds and of the centered-moment bound;
+* the sha256 of ``json.dumps(rep.to_json())`` for one report of each
+  bound family (asserting that ``BoundReport.from_json`` reads each back);
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
   touching it, including all-negative and zero-ending explicit sets;
 * ``adaptive_quad`` on half-infinite and infinite ranges, with and without
@@ -45,6 +47,7 @@ from roundmoments import (  # noqa: E402
     make_semicircle,
     make_uniform,
 )
+from roundmoments import bounds as B  # noqa: E402
 from roundmoments.cli import main as cli_main  # noqa: E402
 from roundmoments.errors import RoundMomentsError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
@@ -172,6 +175,41 @@ def bound_lines():
                 rc, out = cli_stdout(argv)
                 text = json.dumps(json.loads(out), sort_keys=True) if rc == 0 else "-"
                 yield f"bound {dist} centered k={k} {flag}={base} rc={rc} {text}"
+        for tier in ("B", "C", "D"):
+            argv = ["bound", "--dist", dist, "--grid", "uniform:half_gap=0.1,offset=0.03", "--tier", tier,
+                    "--quantity", "variance"]
+            rc, out = cli_stdout(argv)
+            # key order kept: it is part of the printed JSON
+            text = json.dumps(json.loads(out)) if rc == 0 else "-"
+            yield f"bound {dist} tier={tier} variance rc={rc} {text}"
+
+
+def report_lines():
+    semi, normal = MODELS["semicircle"], MODELS["normal"]
+    shifted = make_semicircle(1.0, 2.0)
+    mesh = UniformMesh(0.1, 0.03)
+    add, mult = B.ADDITIVE, B.MULTIPLICATIVE
+    nearest = RoundingScheme.NEAREST
+    reports = {
+        "strong": B.strong_bound(normal, 2, mult, 0.01),
+        "mixed": B.mixed_moment_bound(normal, 0.3, 1, 2, add, 0.1),
+        "mixed-symmetric": B.mixed_moment_bound(semi, 0.0, 1, 2, add, 0.1, use_symmetry=True),
+        "centered": B.centered_moment_first_order(normal, 3, add, 0.1),
+        "interval-abs": B.interval_error_bound(-0.5, 1.25, 2, nearest, add, 0.1),
+        "interval-aligned": B.interval_error_bound(-0.4, 1.2, 1, nearest, add, 0.1, endpoints_on_grid=True, signed=True),
+        "unimodal": B.unimodal_moment_bound(shifted, 2, nearest, mult, 0.01),
+        "sheppard": B.sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.1, sup_weight=semi.peak),
+        "float": B.float_moment_bound(shifted, FloatSystem(6, -6, 6), 1, nearest, signed=True),
+        "normal-partial": B.normal_partial_moment_bound(0.3, 1.0, 2, 1, 2.0 ** -8),
+        "rounded-sum": B.rounded_sum_bound([0.5, 1.5], 2.0 ** -10),
+    }
+    for tier in "ABCD":
+        de, dv = B.mean_and_variance_diff_bounds(semi, tier, mesh=mesh)
+        reports[f"tier{tier}-mean"], reports[f"tier{tier}-variance"] = de, dv
+    for name, rep in reports.items():
+        blob = json.dumps(rep.to_json())
+        assert B.BoundReport.from_json(json.loads(blob)) == rep, name
+        yield f"report {name} notes={len(rep.notes)} sha256={sha(blob)}"
 
 
 def gap_lines():
@@ -197,7 +235,7 @@ def quad_lines():
 
 
 def main() -> int:
-    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, gap_lines, quad_lines):
+    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -40,8 +40,8 @@ def main() -> int:
         with path.open() as fh:
             # 17 significant digits round-trip every double; empty cells are None.
             rows = [SweepRow(*(float(v) if v else None for v in line)) for line in list(csv.reader(fh))[1:]]
-        worst_e = max(abs(r.delta_e) for r in rows)
-        worst_v = max(abs(r.delta_v) for r in rows)
+        worst_e = max(abs(r.delta_E) for r in rows)
+        worst_v = max(abs(r.delta_V) for r in rows)
         print(f"delta={delta}: wrote {path} (worst |dE| {worst_e:.3e}, worst |dV| {worst_v:.3e})")
         if delta == 0.1:
             (out / "sweep_semicircle_delta0.1.svg").write_text(sweep_svg(rows))

@@ -11,7 +11,7 @@ and D a known offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -61,54 +61,45 @@ class BoundReport:
     theorem: str
     tier: str | None
     mode: str
-    two_sided: tuple[float, float] | None = None
     notes: tuple[str, ...] = ()
+    two_sided: tuple[float, float] | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "value": self.value,
-            "leading": {"coef": self.leading.coef, "power": self.leading.power, "base": self.leading.base},
-            "higher_order": {
-                "coef": self.higher_order.coef,
-                "power": self.higher_order.power,
-                "base": self.higher_order.base,
-            },
-            "theorem": self.theorem,
-            "tier": self.tier,
-            "mode": self.mode,
-            "notes": list(self.notes),
-        }
-        if self.two_sided is not None:
+        out = asdict(self)
+        out["notes"] = list(self.notes)
+        # re-emitted last, and only when set, as {"center", "radius"}
+        if out.pop("two_sided") is not None:
             out["two_sided"] = {"center": self.two_sided[0], "radius": self.two_sided[1]}
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundReport":
-        lead = BoundTerm(**obj["leading"])
-        high = BoundTerm(**obj["higher_order"])
         ts = obj.get("two_sided")
-        return cls(
-            value=obj["value"],
-            leading=lead,
-            higher_order=high,
-            theorem=obj["theorem"],
-            tier=obj["tier"],
-            mode=obj["mode"],
-            two_sided=(ts["center"], ts["radius"]) if ts is not None else None,
-            notes=tuple(obj["notes"]),
-        )
+        return cls(**{
+            **obj,
+            "leading": BoundTerm(**obj["leading"]),
+            "higher_order": BoundTerm(**obj["higher_order"]),
+            "notes": tuple(obj["notes"]),
+            "two_sided": (ts["center"], ts["radius"]) if ts is not None else None,
+        })
 
 
 def _report(leading, higher, theorem, tier=None, mode=ADDITIVE, two_sided=None, notes=()):
+    try:
+        value = leading.value + higher.value
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{theorem} bound overflows a double at base {leading.base!r}")
     return BoundReport(
-        value=leading.value + higher.value,
+        value=value,
         leading=leading,
         higher_order=higher,
         theorem=theorem,
         tier=tier,
         mode=mode,
-        two_sided=two_sided,
         notes=tuple(notes),
+        two_sided=two_sided,
     )
 
 
@@ -386,7 +377,9 @@ def _h_region_sum(model: DensityModel, center: float) -> float:
     span_lo = min(lo, 2.0 * center - hi)
     span_hi = max(hi, 2.0 * center - lo)
     xs = np.linspace(span_lo, span_hi, 4001)
-    extras = np.asarray([lo, hi, 2.0 * center - lo, 2.0 * center - hi, center])
+    # the mode too: once the span is many supports wide, the even samples
+    # can all miss a density that is 0 at both ends (a semicircle)
+    extras = np.asarray([lo, hi, 2.0 * center - lo, 2.0 * center - hi, center, model.mode])
     xs = np.unique(np.concatenate([xs, extras[(extras >= span_lo) & (extras <= span_hi)]]))
     ys = np.asarray(split.h(xs), dtype=float)
     top = float(ys.max())
@@ -454,19 +447,19 @@ def mean_and_variance_diff_bounds(
 
     # 2|E[(X-mu) err]|: the weight (x-mu) f(x) changes sign at the mean, so
     # each signed region contributes d(1) * sup of its magnitude.
-    cov_coef = 2.0 * (2.0 * d1 * model.sup_centered_weight(mu))
+    cov_coef = 2.0 * (2.0 * d1 * model.sup_centered_weight())
     err2_lead = c2
     err2_high = 4.0 * c2 * env.peak
-    sq = de.value * de.value
     lead = BoundTerm(cov_coef + err2_lead, 2, dlt)
-    high_val = err2_high * dlt ** 3 + 2.0 * sq
-    high = BoundTerm(high_val / dlt ** 3 if dlt else 0.0, 3, dlt)
+    # 2 E[err]^2 <= 2 (de_coef dlt^2)^2 = (2 de_coef^2 dlt) dlt^3, built
+    # directly: dividing by dlt^3 would fail once it underflows
+    high = BoundTerm(err2_high + 2.0 * de_coef * de_coef * dlt, 3, dlt)
     dv = _report(lead, high, "variance_diff", tier="C" if tier == "D" else tier)
     return de, dv
 
 
-def _probe_block(model: DensityModel, lo: float, hi: float, n: int = 33):
-    xs = np.linspace(lo, hi, n)
+def _probe_block(model: DensityModel, lo: float, hi: float):
+    xs = np.linspace(lo, hi, 33)  # probe points per stretch
     ys = np.asarray(model.density(xs), dtype=float)
     sup = float(ys.max())
     inf = float(ys.min())

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple, fields
 
 from . import bounds as B
 from .distributions import make_uniform, parse_dist_config
@@ -22,9 +22,9 @@ from .grids import FloatSystem, UniformMesh, parse_grid_config
 from .oracle import simulated_sum
 from .plotting import polyline_chart, stacked_charts
 from .rounding import RoundingScheme, scheme_eps_delta
-from .verify import BoundViolationError, offset_sweep, run_suite, worst_margin
+from .verify import BoundViolationError, SweepRow, offset_sweep, run_suite, worst_margin
 
-CSV_HEADER = "offset,delta_E,delta_V,bound_A_E,bound_B_E,bound_C_E,bound_D_E,bound_A_V,bound_B_V,bound_C_V"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _g17(x) -> str:
@@ -152,52 +152,19 @@ def cmd_verify(args) -> int:
     return 1 if n_bad else 0
 
 
-def _series(rows, pairs):
-    out = []
-    for label, grab in pairs:
-        ys = [grab(r) for r in rows]
-        if all(v is not None for v in ys):
-            out.append((label, ys))
-    return out
-
-
 def sweep_svg(rows) -> str:
-    """Mean-shift and variance-shift panels of a sweep, one SVG document."""
+    """Mean-shift and variance-shift panels of a sweep, one SVG document:
+    each shift's magnitude and every tier bound on it that all rows carry."""
     xs = [r.offset for r in rows]
-    panel_e = polyline_chart(
-        xs,
-        _series(
-            rows,
-            [
-                ("|Delta_E|", lambda r: abs(r.delta_e)),
-                ("tier A", lambda r: r.bound_a_e),
-                ("tier B", lambda r: r.bound_b_e),
-                ("tier C", lambda r: r.bound_c_e),
-                ("tier D", lambda r: r.bound_d_e),
-            ],
-        ),
-        "mean shift vs. offset",
-        "mesh offset",
-        "|Delta_E|",
-        log_y=True,
-    )
-    panel_v = polyline_chart(
-        xs,
-        _series(
-            rows,
-            [
-                ("|Delta_V|", lambda r: abs(r.delta_v)),
-                ("tier A", lambda r: r.bound_a_v),
-                ("tier B", lambda r: r.bound_b_v),
-                ("tier C", lambda r: r.bound_c_v),
-            ],
-        ),
-        "variance shift vs. offset",
-        "mesh offset",
-        "|Delta_V|",
-        log_y=True,
-    )
-    return stacked_charts([panel_e, panel_v])
+    panels = []
+    for q, title in (("E", "mean shift vs. offset"), ("V", "variance shift vs. offset")):
+        series = [(f"|Delta_{q}|", [abs(getattr(r, f"delta_{q}")) for r in rows])]
+        for name in (f.name for f in fields(SweepRow) if f.name.startswith("bound_") and f.name.endswith(q)):
+            ys = [getattr(r, name) for r in rows]
+            if None not in ys:
+                series.append((f"tier {name[6]}", ys))
+        panels.append(polyline_chart(xs, series, title, "mesh offset", f"|Delta_{q}|"))
+    return stacked_charts(panels)
 
 
 def _sweep_csv(rows) -> str:
@@ -224,9 +191,7 @@ def cmd_sweep(args) -> int:
     if args.format == "svg":
         _emit(sweep_svg(rows), args.out)
     elif args.format == "json":
-        columns = CSV_HEADER.split(",")
-        payload = [dict(zip(columns, astuple(r))) for r in rows]
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps([asdict(r) for r in rows], indent=2), args.out)
     else:
         _emit(_sweep_csv(rows), args.out)
     return 0

@@ -89,15 +89,13 @@ class DensityModel:
             )
         return self._cache[key]
 
-    def sup_centered_weight(self, about: float | None = None) -> float:
-        """sup over x of |x - about| * f(x), by scan plus local refinement."""
-        if about is None:
-            about = self.mean
-        key = ("scw", about)
-        if key not in self._cache:
-            w = lambda x: np.abs(x - about) * self._pdf(x)
-            self._cache[key] = scan_max(w, *self.effective_range(), extra=(about,))
-        return self._cache[key]
+    def sup_centered_weight(self) -> float:
+        """sup over x of |x - mean| * f(x), by scan plus local refinement."""
+        if "scw" not in self._cache:
+            mu = self.mean
+            w = lambda x: np.abs(x - mu) * self._pdf(x)
+            self._cache["scw"] = scan_max(w, *self.effective_range(), extra=(mu,))
+        return self._cache["scw"]
 
 
 def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:

@@ -49,7 +49,7 @@ class BadOrderError(PreconditionError):
     """Signed error-power bound requested with an even power."""
 
 
-class TooManyCellsError(RoundMomentsError):
+class TooManyCellsError(ConfigError):
     """A cell enumeration would exceed the hard cell budget."""
 
 

@@ -41,9 +41,9 @@ class UniformMesh:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not self.half_gap > 0.0:
-            raise ConfigError("half_gap must be positive")
         step = 2.0 * self.half_gap
+        if not (0.0 < step < math.inf and math.isfinite(self.offset)):
+            raise ConfigError(f"need half_gap > 0 with a finite step and a finite offset, got {self!r}")
         a = math.fmod(self.offset, step)
         if a < 0.0:
             a += step

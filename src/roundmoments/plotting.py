@@ -22,16 +22,12 @@ def polyline_chart(
     title: str,
     x_label: str,
     y_label: str,
-    log_y: bool = False,
 ) -> str:
-    """Render one chart as an SVG string."""
+    """Render one chart as an SVG string; the y axis is log10 of |y|."""
     width, height = _WIDTH, _HEIGHT
     margin = 60
     floor = 1e-300
-    if log_y:
-        tx = lambda v: math.log10(max(abs(v), floor))
-    else:
-        tx = lambda v: v
+    tx = lambda v: math.log10(max(abs(v), floor))
     ys_all = [tx(v) for _, ys in series for v in ys]
     y_lo, y_hi = min(ys_all), max(ys_all)
     if y_lo == y_hi:
@@ -44,7 +40,7 @@ def polyline_chart(
         f'<text x="{width/2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<text x="{width/2:.0f}" y="{height-8:.0f}" text-anchor="middle">{x_label}</text>',
         f'<text x="14" y="{height/2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height/2:.0f})">{y_label}{" (log10)" if log_y else ""}</text>',
+        f'transform="rotate(-90 14 {height/2:.0f})">{y_label} (log10)</text>',
         f'<rect x="{margin}" y="{margin/2:.0f}" width="{width-2*margin}" '
         f'height="{height-margin-margin/2:.0f}" fill="none" stroke="#999"/>',
     ]

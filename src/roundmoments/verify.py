@@ -11,7 +11,7 @@ over the integration range.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -342,39 +342,29 @@ class BoundViolationError(RoundMomentsError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep offset; bounds for tiers a scheme cannot support are None
-    (directed rounding has no cancellation tiers) and serialize as empty."""
+    """One sweep offset; the field names are the CSV header and the JSON keys.
+    Bounds for tiers a scheme cannot support are None (directed rounding
+    has no cancellation tiers) and serialize as empty."""
 
     offset: float
-    delta_e: float
-    delta_v: float
-    bound_a_e: float
-    bound_b_e: float | None
-    bound_c_e: float | None
-    bound_d_e: float | None
-    bound_a_v: float
-    bound_b_v: float | None
-    bound_c_v: float | None
+    delta_E: float
+    delta_V: float
+    bound_A_E: float
+    bound_B_E: float | None
+    bound_C_E: float | None
+    bound_D_E: float | None
+    bound_A_V: float
+    bound_B_V: float | None
+    bound_C_V: float | None
 
     def violations(self) -> list[str]:
         out = []
-        ae = abs(self.delta_e)
-        av = abs(self.delta_v)
-        for name, bound in (
-            ("A_E", self.bound_a_e),
-            ("B_E", self.bound_b_e),
-            ("C_E", self.bound_c_e),
-            ("D_E", self.bound_d_e),
-        ):
-            if bound is not None and ae > bound + SWEEP_BUDGET:
-                out.append(f"|Delta_E| = {ae:.3e} exceeds tier {name} bound {bound:.3e}")
-        for name, bound in (
-            ("A_V", self.bound_a_v),
-            ("B_V", self.bound_b_v),
-            ("C_V", self.bound_c_v),
-        ):
-            if bound is not None and av > bound + SWEEP_BUDGET:
-                out.append(f"|Delta_V| = {av:.3e} exceeds tier {name} bound {bound:.3e}")
+        for name in (f.name for f in fields(self) if f.name.startswith("bound_")):
+            # bound_<tier>_<E|V> bounds the shift delta_<E|V>
+            bound, q = getattr(self, name), name[-1]
+            shift = abs(getattr(self, f"delta_{q}"))
+            if bound is not None and shift > bound + SWEEP_BUDGET:
+                out.append(f"|Delta_{q}| = {shift:.3e} exceeds tier {name[6:]} bound {bound:.3e}")
         return out
 
 
@@ -404,15 +394,15 @@ def offset_sweep(
         de, dv = delta_e_and_v(model, mesh, scheme)
         row = SweepRow(
             offset=float(a),
-            delta_e=de.value,
-            delta_v=dv.value,
-            bound_a_e=de_a.value,
-            bound_b_e=de_b.value if tiered else None,
-            bound_c_e=de_c.value if tiered else None,
-            bound_d_e=de_d.value if tiered else None,
-            bound_a_v=dv_a.value,
-            bound_b_v=dv_b.value if tiered else None,
-            bound_c_v=dv_c.value if tiered else None,
+            delta_E=de.value,
+            delta_V=dv.value,
+            bound_A_E=de_a.value,
+            bound_B_E=de_b.value if tiered else None,
+            bound_C_E=de_c.value if tiered else None,
+            bound_D_E=de_d.value if tiered else None,
+            bound_A_V=dv_a.value,
+            bound_B_V=dv_b.value if tiered else None,
+            bound_C_V=dv_c.value if tiered else None,
         )
         rows.append(row)
         problems.extend(f"offset {a:.6g}: {v}" for v in row.violations())

@@ -36,7 +36,7 @@ from roundmoments.errors import (
     PreconditionError,
     SymmetryUnavailableError,
 )
-from roundmoments.oracle import err_weighted_integral
+from roundmoments.oracle import delta_e_and_v, err_weighted_integral
 from roundmoments.quadrature import adaptive_quad
 from roundmoments.rounding import RoundingScheme as RS
 
@@ -204,6 +204,18 @@ def test_tier_monotonicity_on_semicircle_family():
             assert vals["B"][1] <= vals["A"][1]
             assert vals["C"][0] <= vals["B"][0] + 1e-12
             assert vals["D"][0] <= vals["C"][0] + 1e-12
+
+
+def test_cancellation_tiers_dominate_on_a_coarse_mesh(semicircle):
+    # the mesh is thousands of supports wide, so the remainder's even scan
+    # steps clean over the semicircle, which is 0 at both ends
+    mesh = UniformMesh(8000.0, 4000.0)
+    de, dv = delta_e_and_v(semicircle, mesh, RS.NEAREST)
+    assert abs(de.value) == pytest.approx(4000.0)
+    for tier in ("C", "D"):
+        de_b, dv_b = mean_and_variance_diff_bounds(semicircle, tier, mesh=mesh)
+        assert abs(de.value) <= de_b.value
+        assert abs(dv.value) <= dv_b.value
 
 
 def test_tier_b_order_is_exactly_two(semicircle):

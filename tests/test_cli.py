@@ -8,7 +8,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from roundmoments.bounds import BoundReport
-from roundmoments.cli import CSV_HEADER, main
+from roundmoments.cli import main
+
+# the sweep CSV header as the README states it
+SWEEP_HEADER = "offset,delta_E,delta_V,bound_A_E,bound_B_E,bound_C_E,bound_D_E,bound_A_V,bound_B_V,bound_C_V"
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +136,39 @@ def test_bound_rejects_bad_delta_or_eps(capsys, flag, value):
     assert flag in err
 
 
+def _finite_json(text: str):
+    def reject(token):
+        raise AssertionError(f"non-finite {token} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,want", [
+    # a mesh step that overflows a double
+    (["sweep", "--dist", "semicircle:r=1", "--delta", "1e308", "--offsets", "2"], 2),
+    (["bound", "--dist", "semicircle:r=1", "--grid", "uniform:half_gap=1e308", "--tier", "D"], 2),
+    # more mesh points than the cell budget
+    (["sweep", "--dist", "normal:mu=0,sigma2=1", "--delta", "1e-9", "--offsets", "2"], 2),
+    # delta^3 underflows to 0
+    (["bound", "--dist", "semicircle:r=1", "--grid", "uniform:half_gap=1e-300", "--tier", "D"], 0),
+    (["bound", "--dist", "semicircle:r=1", "--grid", "uniform:half_gap=1e-300", "--tier", "D",
+      "--quantity", "variance"], 0),
+    # bound terms that overflow a double
+    (["bound", "--dist", "semicircle:r=1", "--delta", "1e200"], 2),
+    (["--format", "json", "sweep", "--dist", "semicircle:r=1", "--delta", "1e100", "--no-check"], 2),
+], ids=["sweep-huge-step", "bound-huge-step", "sweep-cell-budget", "bound-mean-tiny-step",
+        "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow"])
+def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want, err
+    if want == 2:
+        assert out == ""
+        assert "config error" in err
+    else:
+        payload = _finite_json(out)
+        assert math.isfinite(payload["value"])
+
+
 def test_bound_precondition_exit_3(capsys):
     code, _, err = run_cli(
         capsys,
@@ -157,11 +193,29 @@ def test_sweep_csv_header_exact(capsys, tmp_path):
     )
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == SWEEP_HEADER
     assert len(lines) == 5
     first = lines[1].split(",")
     assert len(first) == 10
     assert float(first[0]) == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["nearest", "toward_zero"])
+def test_sweep_json_keys_and_values_match_csv(capsys, scheme):
+    argv = ["sweep", "--dist", "semicircle:r=1,mu=0", "--delta", "0.1", "--offsets", "4", "--scheme", scheme]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == SWEEP_HEADER
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == len(lines) - 1 == 4
+    for obj, line in zip(payload, lines[1:]):
+        assert list(obj) == SWEEP_HEADER.split(",")
+        # empty CSV cells (tiers directed rounding lacks) are JSON nulls
+        assert list(obj.values()) == [float(v) if v else None for v in line.split(",")]
+    assert (None in payload[0].values()) == (scheme == "toward_zero")
 
 
 def test_sweep_rejects_float_grid(capsys):

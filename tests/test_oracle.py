@@ -170,10 +170,10 @@ def test_offset_sweep_rows(semicircle):
     rows = offset_sweep(semicircle, 0.1, 16, RS.NEAREST, check=True)
     assert len(rows) == 16
     assert rows[0].offset == 0.0
-    assert abs(rows[0].delta_e) < 1e-14  # symmetric mesh
+    assert abs(rows[0].delta_E) < 1e-14  # symmetric mesh
     for row in rows:
-        assert abs(row.delta_e) <= row.bound_a_e + 1e-9
-        assert abs(row.delta_v) <= row.bound_a_v + 1e-9
+        assert abs(row.delta_E) <= row.bound_A_E + 1e-9
+        assert abs(row.delta_V) <= row.bound_A_V + 1e-9
 
 
 def test_offset_sweep_two_offsets_minimal(semicircle):

@@ -1,5 +1,5 @@
 from roundmoments.rounding import RoundingScheme
-from roundmoments.verify import run_suite, worst_margin
+from roundmoments.verify import SWEEP_BUDGET, SweepRow, run_suite, worst_margin
 
 
 def test_suite_passes_default_seed():
@@ -29,3 +29,22 @@ def test_worst_margin_is_minimum():
     results = run_suite(40, seed=2)
     w = worst_margin(results)
     assert w.margin == min(r.margin for r in results)
+
+
+def test_sweep_row_violations_name_each_exceeded_bound():
+    # positional fields: offset, delta_E, delta_V, bound_A_E, bound_B_E,
+    # bound_C_E, bound_D_E, bound_A_V, bound_B_V, bound_C_V
+    row = SweepRow(0.0, -0.5, 0.25, 0.4, None, None, None, 0.2, None, None)
+    assert row.violations() == [
+        "|Delta_E| = 5.000e-01 exceeds tier A_E bound 4.000e-01",
+        "|Delta_V| = 2.500e-01 exceeds tier A_V bound 2.000e-01",
+    ]
+    row = SweepRow(0.1, 0.5, -0.25, 1.0, 0.6, 0.5, 0.45, 1.0, 0.5, 0.125)
+    assert row.violations() == [
+        "|Delta_E| = 5.000e-01 exceeds tier D_E bound 4.500e-01",
+        "|Delta_V| = 2.500e-01 exceeds tier C_V bound 1.250e-01",
+    ]
+    # a shift over its bound by less than the budget passes
+    within = 0.5 * SWEEP_BUDGET
+    row = SweepRow(0.2, 0.5 + within, 0.25 + within, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25)
+    assert row.violations() == []
