@@ -18,7 +18,13 @@ change moved.  It prints:
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
   touching it, including all-negative and zero-ending explicit sets;
 * ``adaptive_quad`` on half-infinite and infinite ranges, with and without
-  breakpoints, and ``upper_incomplete_gamma`` on a small (s, x) table.
+  breakpoints;
+* ``float.hex`` of the value of the normal partial-moment bound for
+  m = 0-6 and n = 1, 3, of the symmetric mixed-moment bound on the normal
+  model (whose left tail is infinite) and on a uniform model straddling
+  zero, of the unimodal bound on every model for k = 1-3 in both modes, and
+  of the tier C and D mean bounds on the normal, exponential and uniform
+  models.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
 (about 3 s on a 2-CPU host).
@@ -49,7 +55,7 @@ from roundmoments import (  # noqa: E402
 )
 from roundmoments import bounds as B  # noqa: E402
 from roundmoments.cli import main as cli_main  # noqa: E402
-from roundmoments.errors import RoundMomentsError  # noqa: E402
+from roundmoments.errors import RoundMomentsError, SymmetryUnavailableError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
     centered_moment_of_rounded,
     delta_e_and_v,
@@ -57,7 +63,6 @@ from roundmoments.oracle import (  # noqa: E402
     rd_moment_integral,
 )
 from roundmoments.quadrature import adaptive_quad  # noqa: E402
-from roundmoments.special import upper_incomplete_gamma  # noqa: E402
 
 MODELS = {
     "semicircle": make_semicircle(1.0, 0.0),
@@ -229,13 +234,40 @@ def quad_lines():
             for breakpoints in ((), cuts):
                 v, e = adaptive_quad(f, a, b, rtol=1e-12, breakpoints=breakpoints)
                 yield f"quad {fname} [{a!r}, {b!r}] breakpoints={breakpoints} {float.hex(v)} {float.hex(e)}"
-    for s in (0.5, 1.0, 1.5, 2.0, 3.5):
-        for x in (0.0, 0.25, 1.0, 2.5, 6.0):
-            yield f"gamma s={s!r} x={x!r} {float.hex(upper_incomplete_gamma(s, x))}"
+
+
+def value_lines():
+    add, mult = B.ADDITIVE, B.MULTIPLICATIVE
+    nearest = RoundingScheme.NEAREST
+    for m in range(7):
+        for n in (1, 3):
+            rep = B.normal_partial_moment_bound(0.7, 0.6, m, n, 2.0 ** -8)
+            yield f"value normal-partial m={m} n={n} {float.hex(rep.value)}"
+    for mname in ("normal", "uniform"):
+        for mode, base in ((add, 0.1), (mult, 0.01)):
+            for m, n in ((1, 0), (0, 1), (1, 2), (2, 1), (3, 0)):
+                try:
+                    rep = B.mixed_moment_bound(MODELS[mname], 0.0, m, n, mode, base, use_symmetry=True)
+                    text = float.hex(rep.value)
+                except SymmetryUnavailableError:
+                    text = "-"
+                yield f"value mixed-symmetric {mname} {mode} m={m} n={n} {text}"
+    for mname, model in MODELS.items():
+        for mode, base in ((add, 0.1), (mult, 0.01)):
+            for k in (1, 2, 3):
+                for signed in (False, True) if k % 2 else (False,):
+                    rep = B.unimodal_moment_bound(model, k, nearest, mode, base, signed=signed)
+                    yield f"value unimodal {mname} {mode} k={k} signed={signed} {float.hex(rep.value)}"
+    mesh = UniformMesh(0.1, 0.03)
+    for mname in ("normal", "exponential", "uniform"):
+        for tier in "CD":
+            de, _ = B.mean_and_variance_diff_bounds(MODELS[mname], tier, mesh=mesh)
+            yield f"value tier{tier}-mean {mname} {float.hex(de.value)}"
 
 
 def main() -> int:
-    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines):
+    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines,
+                    value_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -34,7 +34,6 @@ from .errors import (
 from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
 from .rounding import CANCELLING_SCHEMES, RoundingScheme, scheme_constants, scheme_eps_delta
-from .special import upper_incomplete_gamma
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -84,7 +83,7 @@ class BoundReport:
         })
 
 
-def _report(leading, higher, theorem, tier=None, mode=ADDITIVE, two_sided=None, notes=()):
+def _report(leading, higher, theorem, tier=None, mode=ADDITIVE, notes=()):
     try:
         value = leading.value + higher.value
     except OverflowError:
@@ -99,7 +98,6 @@ def _report(leading, higher, theorem, tier=None, mode=ADDITIVE, two_sided=None, 
         tier=tier,
         mode=mode,
         notes=tuple(notes),
-        two_sided=two_sided,
     )
 
 
@@ -308,7 +306,7 @@ def unimodal_moment_bound(
             # reaches past the query point, unlike the absolute variant
             hcoef = (k + 1.0) * cs.d(k) * env.weighted_integral(k)
         else:
-            hcoef = cs.d(k) * env.peak
+            hcoef = cs.d(k) * model.peak
         return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_signed", tier="B", mode=mode)
 
     if mode == MULTIPLICATIVE:
@@ -316,7 +314,7 @@ def unimodal_moment_bound(
         hcoef = 4.0 * (k + 1.0) * cs.c(k) * env.weighted_integral(k) * cs.beta(base) ** (k + 1)
     else:
         leading = BoundTerm(cs.c(k), k, base)
-        hcoef = 4.0 * cs.c(k) * env.peak
+        hcoef = 4.0 * cs.c(k) * model.peak
     return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_abs", tier="B", mode=mode)
 
 
@@ -347,14 +345,9 @@ def sheppard_two_sided(
     radius_coef = 4.0 * sup_weight / (n + 1.0)
     leading = BoundTerm(center_coef, n, delta)
     higher = BoundTerm(radius_coef, n + 1, delta)
-    return _report(
-        leading,
-        higher,
-        "sheppard_two_sided",
-        tier="C",
-        mode=ADDITIVE,
-        two_sided=(leading.value, higher.value),
-    )
+    rep = _report(leading, higher, "sheppard_two_sided", tier="C", mode=ADDITIVE)
+    # from the checked report, so an overflowing term is a ConfigError
+    return replace(rep, two_sided=(rep.leading.value, rep.higher_order.value))
 
 
 def _tier_delta(scheme: RoundingScheme, mesh: UniformMesh | None, delta: float | None) -> float:
@@ -427,13 +420,13 @@ def mean_and_variance_diff_bounds(
         dv = centered_moment_first_order(model, 2, ADDITIVE, dlt)
         return replace(de, theorem="mean_diff"), replace(dv, theorem="variance_diff")
 
-    env = envelope(model)
+    envelope(model)  # only its unimodality check: raises NotUnimodalError
     cs = scheme_constants(scheme)
     d1 = cs.d(1)
     c2 = cs.c(2)
 
     if tier == "B":
-        de_coef = d1 * env.peak
+        de_coef = d1 * model.peak
     else:
         if tier == "C":
             # Unknown offset: mesh points and midpoints form a half_gap
@@ -449,7 +442,7 @@ def mean_and_variance_diff_bounds(
     # each signed region contributes d(1) * sup of its magnitude.
     cov_coef = 2.0 * (2.0 * d1 * model.sup_centered_weight())
     err2_lead = c2
-    err2_high = 4.0 * c2 * env.peak
+    err2_high = 4.0 * c2 * model.peak
     lead = BoundTerm(cov_coef + err2_lead, 2, dlt)
     # 2 E[err]^2 <= 2 (de_coef dlt^2)^2 = (2 de_coef^2 dlt) dlt^3, built
     # directly: dividing by dlt^3 would fail once it underflows
@@ -542,6 +535,20 @@ def float_moment_bound(
     return _report(leading, higher, "float_decomposition", tier="D", mode=MULTIPLICATIVE, notes=notes)
 
 
+def _gamma_tail(m: int) -> float:
+    """Gamma((m+1)/2, x) at x = m/2, integer m >= 0: from Gamma(1/2, x) =
+    sqrt(pi) erfc(sqrt(x)) (even m) or Gamma(1, x) = e^-x (odd m) up the
+    recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x (DLMF 8.8.2)."""
+    x = m / 2.0
+    even = m % 2 == 0
+    s = 0.5 if even else 1.0
+    g = math.sqrt(math.pi) * math.erfc(math.sqrt(x)) if even else math.exp(-x)
+    while s < (m + 1) / 2.0:
+        g = s * g + x ** s * math.exp(-x)
+        s += 1.0
+    return g
+
+
 def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: float) -> BoundReport:
     """Bound |E[(X-mu)^m err(X)^n]| for a normal X under nearest rounding.
 
@@ -551,8 +558,9 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
     """
     if n < 1 or n % 2 == 0:
         raise BadOrderError("n must be odd and positive")
-    if m < 0:
-        raise ConfigError("m must be non-negative")
+    if not (m >= 0 and float(m).is_integer()):
+        # the gamma tail's recurrence is exact only at integer m
+        raise ConfigError(f"m must be a non-negative integer, got {m!r}")
     if sigma2 <= 0.0:
         raise ConfigError("sigma2 must be positive")
     mu_abs = abs(mu)
@@ -561,7 +569,7 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
     f_xr = math.exp(-0.5 * m) / math.sqrt(2.0 * math.pi * sigma2)
     s_pow = 1.0 if m == 0 else s ** m
     term1 = 2.0 / (n + 1.0) * x_r ** (n + 1) * s_pow * f_xr
-    term2 = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * upper_incomplete_gamma((m + 1) / 2.0, m / 2.0)
+    term2 = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
     coef = term1 + term2
     leading = BoundTerm(0.0, n, eps)
     higher = BoundTerm(coef, n + 1, eps)
@@ -570,15 +578,24 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
 
 def rounded_chebyshev(variance: float, n: int, delta: float, t: float) -> float:
     """Concentration of the sample mean of rounded data around the true mean."""
-    if variance < 0.0:
-        raise ConfigError("variance must be non-negative")
+    # each check is written so that a NaN fails it
+    if not (0.0 <= variance < math.inf and 0.0 <= delta < math.inf and abs(t) < math.inf):
+        raise ConfigError("need a finite t and finite variance, delta >= 0")
     if n < 1:
         raise ConfigError("n must be a positive integer")
     if not t > delta:
         raise PreconditionError("needs t > delta: deviation must exceed the measurement error")
-    if delta == 0.0:
-        return variance / (n * t * t)  # classical concentration bound, exactly
-    return ((math.sqrt(variance) + delta) / (t - delta)) ** 2 / n
+    try:
+        if delta == 0.0:
+            # classical concentration bound, exactly; n t^2 may underflow to 0
+            bound = variance / (n * t * t) if n * t * t else math.inf
+        else:
+            bound = ((math.sqrt(variance) + delta) / (t - delta)) ** 2 / n
+    except OverflowError:
+        bound = math.inf
+    if not bound < math.inf:
+        raise ConfigError(f"probability bound at n = {n}, delta = {delta!r}, t = {t!r} is not a finite double")
+    return bound
 
 
 def plan_measurement(
@@ -591,8 +608,11 @@ def plan_measurement(
     the sample mean within c standard deviations with probability 1 - p
     (evaluated at ``n`` when given, else at n_min).
     """
-    if variance < 0.0 or c <= 0.0 or not 0.0 < p < 1.0:
-        raise ConfigError("need variance >= 0, c > 0, 0 < p < 1")
+    # each check is written so that a NaN fails it
+    if not (0.0 <= variance < math.inf and 0.0 < c < math.inf and 0.0 < p < 1.0):
+        raise ConfigError("need finite variance >= 0, finite c > 0, 0 < p < 1")
+    if p * c * c == 0.0 or 1.0 / (p * c * c) == math.inf:
+        raise ConfigError(f"p c^2 = {p * c * c!r} underflows: 1/(p c^2) is not a finite double")
     edge = 1.0 / (p * c * c)
     n_min = math.ceil(edge) + 1
     n_used = n_min if n is None else n
@@ -602,6 +622,8 @@ def plan_measurement(
         )
     root = math.sqrt(n_used * p)
     delta_max = (c * root - 1.0) / (root + 1.0) * math.sqrt(variance)
+    if not delta_max < math.inf:
+        raise ConfigError(f"delta_max at c = {c!r}, variance = {variance!r} overflows a double")
     return n_min, delta_max
 
 

@@ -128,9 +128,15 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
 
 
 def _checked(model: DensityModel) -> DensityModel:
-    """The model, if its peak and variance are positive and finite and its mean is finite."""
+    """The model, if its peak and variance are positive and finite and its
+    mean is a finite double fine enough to resolve its spread."""
     if not (0.0 < model.peak < math.inf and 0.0 < model.variance < math.inf and math.isfinite(model.mean)):
         raise ConfigError(f"{model.name} parameters {dict(model.params)} over- or underflow its peak, mean or variance")
+    # One ulp of error in x costs at most about 1e-12 relative at a smooth
+    # peak while ulp(mean) <= 2^-20 sd; coarser doubles make scans step over
+    # the peak (near 1e17 they are 16 apart).
+    if math.ulp(model.mean) > 2.0 ** -20 * math.sqrt(model.variance):
+        raise ConfigError(f"{model.name} mean {model.mean!r} is too coarse a double for its variance {model.variance!r}")
     return model
 
 
@@ -146,8 +152,8 @@ def _raw_from_central(k: int, mean: float, central: Callable[[int], float]) -> f
 
 def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
     """Semicircle law of radius r centered at mu."""
-    if not r > 0.0 or r * r == 0.0:  # the density divides by r^2
-        raise ConfigError(f"radius must be positive with a nonzero square, got {r!r}")
+    if not (r > 0.0 and 0.0 < r * r < math.inf):  # the density divides by r^2
+        raise ConfigError(f"radius must be positive with a finite nonzero square, got {r!r}")
     coef = 2.0 / (math.pi * r * r)
 
     def pdf(x):
@@ -315,29 +321,18 @@ class Envelope:
     model: DensityModel
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def peak(self) -> float:
-        return self.model.peak
-
-    def _two_sided(self, x):
-        f = self.model.density
-        return np.maximum(f(x), f(-x))
-
-    def f_hat(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
-        return np.where(x < abs(self.model.mode), self.peak, self._two_sided(x))
-
     def weighted_integral(self, k: int) -> float:
         """Integral of x^k f_hat(x) over x >= 0."""
         key = ("wi", k)
         if key not in self._cache:
+            f = self.model.density
             ax = abs(self.model.mode)
-            head = self.peak * ax ** (k + 1) / (k + 1.0)
+            head = self.model.peak * ax ** (k + 1) / (k + 1.0)
             lo, hi = self.model.support
             upper = math.inf if math.isinf(hi) or math.isinf(lo) else max(abs(lo), abs(hi))
             cuts = [abs(v) for v in (lo, hi) if not math.isinf(v)]
             tail, _ = adaptive_quad(
-                lambda x: x ** k * self._two_sided(x),
+                lambda x: x ** k * np.maximum(f(x), f(-x)),
                 ax,
                 upper,
                 rtol=1e-12,
@@ -373,20 +368,17 @@ class SymmetricSplit:
     """Decomposition f = g + h with g even about the center.
 
     g(x) = min{f(x), f(2c - x)} is the largest sub-density symmetric about
-    c; the remainder h is non-negative by construction.
+    c; the remainder h = f - g = max{f(x) - f(2c - x), 0} is non-negative by
+    construction.
     """
 
     model: DensityModel
     center: float
 
-    def g(self, x):
-        x = np.asarray(x, dtype=float)
-        f = self.model.density
-        return np.minimum(f(x), f(2.0 * self.center - x))
-
     def h(self, x):
         x = np.asarray(x, dtype=float)
-        return np.maximum(self.model.density(x) - self.g(x), 0.0)
+        f = self.model.density
+        return np.maximum(f(x) - f(2.0 * self.center - x), 0.0)
 
     def h_integral(self, j: int, lo: float, hi: float) -> float:
         """Integral of x^j h(x) over [lo, hi]."""
@@ -426,9 +418,3 @@ def parse_dist_config(obj: dict) -> DensityModel:
     except KeyError as exc:
         raise ConfigError(f"{kind} distribution config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown distribution kind {kind!r}")
-
-
-def dist_config(model: DensityModel) -> dict:
-    out = {"kind": model.name}
-    out.update({k: v for k, v in model.params})
-    return out

@@ -328,19 +328,3 @@ def parse_grid_config(obj: dict) -> Grid:
     except KeyError as exc:
         raise ConfigError(f"{kind} grid config needs the key {exc.args[0]!r}") from None
     raise ConfigError(f"unknown grid kind {kind!r}")
-
-
-def grid_config(grid: Grid) -> dict:
-    if isinstance(grid, UniformMesh):
-        return {"kind": "uniform", "half_gap": grid.half_gap, "offset": grid.offset}
-    if isinstance(grid, FloatSystem):
-        return {
-            "kind": "float",
-            "m": grid.mantissa_bits,
-            "k_min": grid.k_min,
-            "k_max": grid.k_max,
-            "subnormals": grid.subnormals,
-        }
-    if isinstance(grid, ExplicitSet):
-        return {"kind": "explicit", "points": list(map(float, grid.points))}
-    raise ConfigError(f"unknown grid type {type(grid)!r}")

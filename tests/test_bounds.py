@@ -17,6 +17,7 @@ from roundmoments.bounds import (
     ADDITIVE,
     MULTIPLICATIVE,
     BoundReport,
+    _gamma_tail,
     centered_moment_first_order,
     float_moment_bound,
     interval_error_bound,
@@ -32,6 +33,7 @@ from roundmoments.bounds import (
 )
 from roundmoments.errors import (
     BadOrderError,
+    ConfigError,
     InfeasibleBudgetError,
     PreconditionError,
     SymmetryUnavailableError,
@@ -169,6 +171,12 @@ def test_sheppard_two_sided_values(semicircle):
     assert radius == pytest.approx(8 * 0.001 / (3 * math.pi), rel=1e-12)
     rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.0, sup_weight=semicircle.peak)
     assert rep.two_sided == (0.0, 0.0)
+
+
+def test_sheppard_two_sided_overflow_is_a_config_error():
+    # delta^3 overflows: a ConfigError, as for every other report
+    with pytest.raises(ConfigError):
+        sheppard_two_sided(None, 0.0, 1.0, 2, 1e200)
 
 
 def test_sheppard_recovers_classical_variance_correction():
@@ -310,12 +318,25 @@ def test_normal_partial_constant():
         normal_partial_moment_bound(1.0, 1.0, 0, 2, 0.01)
 
 
+@pytest.mark.parametrize("m", [1.5, -1])
+def test_normal_partial_rejects_non_integer_or_negative_m(m):
+    # the gamma tail's recurrence is exact only at integer m >= 0
+    with pytest.raises(ConfigError):
+        normal_partial_moment_bound(1.0, 1.0, m, 1, 0.01)
+
+
+def test_gamma_tail_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for m in range(41):
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(mpmath.mpf(m + 1) / 2, mpmath.mpf(m) / 2)
+            assert abs((_gamma_tail(m) - want) / want) <= 4e-16, m
+
+
 def test_normal_partial_gamma_tail_identity():
     # the gamma tail term equals the integral it stands for (sigma = 1)
     m = 2
-    from roundmoments.special import upper_incomplete_gamma
-
-    tail = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * upper_incomplete_gamma((m + 1) / 2.0, m / 2.0)
+    tail = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
     want, _ = adaptive_quad(
         lambda x: 2.0 * x ** m * np.exp(-x * x / 2.0) / math.sqrt(2 * math.pi), math.sqrt(m), np.inf
     )

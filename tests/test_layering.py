@@ -13,7 +13,7 @@ PACKAGE = pathlib.Path(roundmoments.__file__).parent
 # share a layer, so neither may import the other.
 LAYERS = {"grids": 0, "rounding": 1, "distributions": 2, "bounds": 3, "oracle": 3, "verify": 4, "cli": 5}
 # Leaves may be imported from any layer and import only other leaves.
-LEAVES = {"errors", "quadrature", "special", "plotting"}
+LEAVES = {"errors", "quadrature", "plotting"}
 # The package entry points re-export the public names of every layer.
 ENTRY_POINTS = {"__init__", "__main__"}
 

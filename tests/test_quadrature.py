@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from roundmoments.quadrature import adaptive_quad, gauss_legendre_nodes
-from roundmoments.special import upper_incomplete_gamma
 
 
 def test_polynomial_exact():
@@ -43,28 +42,3 @@ def test_gauss_legendre_cached_and_exact():
     nodes, weights = n1
     # degree-23 polynomial integrated exactly on [-1, 1]
     assert float(weights @ nodes ** 22) == pytest.approx(2.0 / 23.0, rel=1e-13)
-
-
-def test_upper_gamma_at_zero_is_gamma():
-    assert upper_incomplete_gamma(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert upper_incomplete_gamma(4.0, 0.0) == pytest.approx(6.0, rel=1e-14)
-
-
-def test_upper_gamma_vs_quadrature():
-    # independent evaluation of the same tail integral
-    for s, x in ((1.5, 1.0), (0.5, 0.2), (2.5, 3.0), (3.0, 0.7), (1.0, 5.0)):
-        quad, _ = adaptive_quad(lambda t: t ** (s - 1) * np.exp(-t), x, np.inf)
-        assert upper_incomplete_gamma(s, x) == pytest.approx(quad, rel=1e-10), (s, x)
-
-
-def test_upper_gamma_exponential_special_case():
-    # s = 1: the tail of exp(-t) is exp(-x)
-    for x in (0.1, 1.0, 10.0):
-        assert upper_incomplete_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
-
-
-def test_upper_gamma_rejects_bad_args():
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(1.0, -1.0)
