@@ -24,7 +24,10 @@ change moved.  It prints:
   model (whose left tail is infinite) and on a uniform model straddling
   zero, of the unimodal bound on every model for k = 1-3 in both modes, and
   of the tier C and D mean bounds on the normal, exponential and uniform
-  models.
+  models;
+* the sha256 of each model's ``quantile`` on a fixed grid of u (edges
+  down to the smallest subnormal included), and of ``sum-demo`` stdout
+  under nearest and stochastic rounding.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
 (about 3 s on a 2-CPU host).
@@ -106,6 +109,9 @@ DISTS = (
     "exponential:lambda=1.5",
     "uniform:lo=-0.5,hi=1",
 )
+
+QUANTILE_US = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-16, 1e-8], np.linspace(0.0, 1.0, 100_001),
+                              [1.0 - 1e-8, 1.0 - 1e-16, 1.0]])
 
 
 def sha(text: str) -> str:
@@ -265,9 +271,18 @@ def value_lines():
             yield f"value tier{tier}-mean {mname} {float.hex(de.value)}"
 
 
+def quantile_lines():
+    for mname, model in MODELS.items():
+        xs = np.asarray(model.quantile(QUANTILE_US), dtype=float)
+        yield f"quantile {mname} sha256={hashlib.sha256(xs.tobytes()).hexdigest()}"
+    for scheme in ("nearest", "stochastic"):
+        rc, out = cli_stdout(["sum-demo", "--scheme", scheme])
+        yield f"sum-demo {scheme} rc={rc} sha256={sha(out)}"
+
+
 def main() -> int:
     for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines,
-                    value_lines):
+                    value_lines, quantile_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -11,6 +11,7 @@ and D a known offset.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -567,9 +568,12 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
     s = math.sqrt(m * sigma2)
     x_r = mu_abs + s
     f_xr = math.exp(-0.5 * m) / math.sqrt(2.0 * math.pi * sigma2)
-    s_pow = 1.0 if m == 0 else s ** m
-    term1 = 2.0 / (n + 1.0) * x_r ** (n + 1) * s_pow * f_xr
-    term2 = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
+    try:  # float ** raises where * and + give inf, which _report rejects
+        s_pow = 1.0 if m == 0 else s ** m
+        term1 = 2.0 / (n + 1.0) * x_r ** (n + 1) * s_pow * f_xr
+        term2 = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
+    except OverflowError:
+        raise ConfigError(f"normal_partial_moment constant overflows a double at m = {m}, n = {n}") from None
     coef = term1 + term2
     leading = BoundTerm(0.0, n, eps)
     higher = BoundTerm(coef, n + 1, eps)
@@ -581,8 +585,8 @@ def rounded_chebyshev(variance: float, n: int, delta: float, t: float) -> float:
     # each check is written so that a NaN fails it
     if not (0.0 <= variance < math.inf and 0.0 <= delta < math.inf and abs(t) < math.inf):
         raise ConfigError("need a finite t and finite variance, delta >= 0")
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
+    if not 1 <= n <= sys.float_info.max:  # n t^2 and / n convert n to a double
+        raise ConfigError("n must be a positive integer no larger than the largest double")
     if not t > delta:
         raise PreconditionError("needs t > delta: deviation must exceed the measurement error")
     try:
@@ -611,6 +615,8 @@ def plan_measurement(
     # each check is written so that a NaN fails it
     if not (0.0 <= variance < math.inf and 0.0 < c < math.inf and 0.0 < p < 1.0):
         raise ConfigError("need finite variance >= 0, finite c > 0, 0 < p < 1")
+    if n is not None and n > sys.float_info.max:  # n p converts n to a double
+        raise ConfigError("n must be no larger than the largest double")
     if p * c * c == 0.0 or 1.0 / (p * c * c) == math.inf:
         raise ConfigError(f"p c^2 = {p * c * c!r} underflows: 1/(p c^2) is not a finite double")
     edge = 1.0 / (p * c * c)

@@ -195,7 +195,8 @@ class ExplicitSet:
     def neighbors(self, x):
         x = np.asarray(x, dtype=float)
         i_lo = np.searchsorted(self.points, x, side="right") - 1
-        i_hi = np.searchsorted(self.points, x, side="left")
+        # the point at or below x is x itself exactly when x is on the set
+        i_hi = i_lo + (self.points[np.maximum(i_lo, 0)] != x)
         if np.any(i_lo < 0):
             raise BelowGridError("no grid point at or below query")
         if np.any(i_hi >= self.points.size):

@@ -325,6 +325,13 @@ def test_normal_partial_rejects_non_integer_or_negative_m(m):
         normal_partial_moment_bound(1.0, 1.0, m, 1, 0.01)
 
 
+@pytest.mark.parametrize("m", [300, 400, 2048])
+def test_normal_partial_overflow_is_a_config_error(m):
+    # s^m, 2^(m/2) and the gamma tail's x^s overflow a double here
+    with pytest.raises(ConfigError, match="overflows a double"):
+        normal_partial_moment_bound(0.7, 0.6, m, 1, 2.0 ** -8)
+
+
 def test_gamma_tail_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for m in range(41):
@@ -355,6 +362,15 @@ def test_chebyshev_reduces_classically():
     assert rounded_chebyshev(2.0, 50, 0.0, 0.5) == pytest.approx(2.0 / (50 * 0.25), rel=1e-14)
     with pytest.raises(PreconditionError):
         rounded_chebyshev(1.0, 10, 0.5, 0.4)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_planner_and_chebyshev_reject_n_beyond_a_double(delta):
+    # n p and n t^2 would convert n to a double and overflow
+    with pytest.raises(ConfigError):
+        plan_measurement(1.0, 1.0, 0.01, n=10 ** 400)
+    with pytest.raises(ConfigError):
+        rounded_chebyshev(1.0, 10 ** 400, delta, 1.0)
 
 
 def test_rounded_sum_values():

@@ -66,8 +66,11 @@ def test_bound_plan_n_min(capsys):
     ["--c", "1e300", "--variance", "1e308"],
     ["--n", "400", "--t", "inf"],
     ["--n", "400", "--t", "nan"],
+    # n beyond a double's range
+    ["--c", "1", "--n", "1" + "0" * 400],
+    ["--c", "1", "--n", "1" + "0" * 400, "--t", "1"],
 ], ids=["pc2-underflow", "nt2-underflow", "edge-overflow", "c-inf", "c-nan", "variance-nan", "variance-inf",
-        "delta-max-overflow", "t-inf", "t-nan"])
+        "delta-max-overflow", "t-inf", "t-nan", "n-overflow", "n-overflow-with-t"])
 def test_bound_plan_rejects_non_finite_inputs_and_results(capsys, argv):
     code, out, err = run_cli(capsys, "bound", "--plan", "--variance", "1", "--p", "0.01", *argv)
     assert code == 2

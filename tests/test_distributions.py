@@ -183,6 +183,87 @@ def test_quantile_round_trip_semicircle(semicircle):
         assert mass == pytest.approx(u, abs=1e-9)
 
 
+SEMICIRCLE_EDGE_US = (0.0, 5e-324, 1e-300, 1e-16, 1e-8, 0.3, 0.5, 1.0 - 1e-16, 1.0)
+
+
+def semicircle_quantile_mp(mpmath, u, mu, r):
+    """x with psi - sin(psi) = 2 pi min(u, 1 - u), psi = pi - 2|asin((x - mu)/r)|,
+    by Newton in enough digits that psi - sin(psi) does not cancel."""
+    w = min(u, 1.0 - u)
+    sign = -1 if u < 0.5 else 1
+    if w == 0.0:
+        return mpmath.mpf(mu) + sign * mpmath.mpf(r)
+    with mpmath.workdps(40 + int(-math.log10(w))):
+        z = 2 * mpmath.pi * mpmath.mpf(w)
+        # right of the root (psi <= 1.19 cbrt(6z)); g is convex, so Newton
+        # falls monotonically onto it
+        psi = min(mpmath.pi, 2 * mpmath.cbrt(6 * z))
+        for _ in range(60):
+            psi -= (psi - mpmath.sin(psi) - z) / (2 * mpmath.sin(psi / 2) ** 2)
+        return mpmath.mpf(mu) + sign * r * mpmath.cos(psi / 2)
+
+
+@pytest.mark.parametrize("r, mu", [(1.0, 0.0), (1.0, 0.3), (0.5, 2.0), (3.0, -1.0)])
+def test_semicircle_quantile_matches_mpmath(r, mu):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    us = np.concatenate([SEMICIRCLE_EDGE_US, rng.random(200), 10.0 ** rng.uniform(-320.0, -1.0, 50)])
+    xs = make_semicircle(r, mu).quantile(us)
+    tol = 4.0 * math.ulp(abs(mu) + r)
+    for u, x in zip(us, xs):
+        assert abs(mpmath.mpf(float(x)) - semicircle_quantile_mp(mpmath, float(u), mu, r)) <= tol, u
+
+
+def test_semicircle_quantile_endpoints_and_monotone(shifted_semicircle):
+    q = shifted_semicircle.quantile
+    assert float(q(0.0)) == 0.3 - 1.0
+    assert float(q(0.5)) == 0.3
+    assert float(q(1.0)) == 0.3 + 1.0
+    xs = q(np.linspace(0.0, 1.0, 100_001))
+    assert np.all(np.diff(xs) >= 0.0)
+
+
+def test_normal_quantile_matches_ndtri():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(11)
+    ps = np.concatenate([rng.random(200_000), 10.0 ** rng.uniform(-300.0, -1.0, 20_000),
+                         1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20_000)])
+    z = make_normal(0.0, 1.0).quantile(ps)
+    want = special.ndtri(ps)
+    far = np.abs(want) >= 1e-3
+    assert np.max(np.abs(z[far] - want[far]) / np.abs(want[far])) <= 2e-15
+
+
+def test_normal_quantile_matches_stdlib_inv_cdf():
+    from statistics import NormalDist
+
+    rng = np.random.default_rng(13)
+    ps = np.concatenate([[1e-300, 1.0 - 1e-16, 0.5, 0.075, 0.925], rng.random(20_000),
+                         10.0 ** rng.uniform(-300.0, -1.0, 2_000)])
+    model = make_normal(0.0, 1.0)
+    z = model.quantile(ps)
+    want = np.array([NormalDist().inv_cdf(p) for p in ps])
+    ulps = np.array([math.ulp(v) for v in want])
+    assert np.all(np.abs(z - want) <= 4.0 * ulps)
+    # u outside [1e-300, 1 - 1e-16] is clipped to those points
+    assert float(model.quantile(0.0)) == float(model.quantile(1e-300))
+    assert float(model.quantile(1.0)) == float(model.quantile(1.0 - 1e-16))
+
+
+@pytest.mark.parametrize("model, want", [
+    (make_normal(0.0, 1.0), ("-0x1.983bb8f833166p+3", "0x1.86b48528cea51p+3")),
+    (make_normal(0.3, 1.0), ("-0x1.8ea21f5e997ccp+3", "0x1.904e1ec2683ebp+3")),
+    (make_normal(-2.0, 0.25), ("-0x1.0c1ddc7c198b3p+3", "0x1.06b48528cea51p+2")),
+    (make_exponential(1.0), ("0x0.0p+0", "0x1.45e4f7b2737fap+5")),
+    (make_exponential(2.5), ("0x0.0p+0", "0x1.04b72c8ec2cc8p+4")),
+], ids=lambda v: v.name if hasattr(v, "name") else None)
+def test_effective_range_cached_and_unchanged(model, want):
+    # the window the per-sample stdlib inv_cdf gave, bit for bit
+    window = model.effective_range()
+    assert model.effective_range() is window
+    assert tuple(float.hex(v) for v in window) == want
+
+
 def test_best_mesh_center_branches():
     assert best_mesh_center(UniformMesh(0.5, 0.2)) == pytest.approx(0.2)
     assert best_mesh_center(UniformMesh(0.5, 0.6)) == pytest.approx(0.1)

@@ -15,7 +15,7 @@ from roundmoments import (
     gap_stats,
     parse_grid_config,
 )
-from roundmoments.errors import BelowGridError, ConfigError, EmptyRangeError, TooManyCellsError
+from roundmoments.errors import AboveGridError, BelowGridError, ConfigError, EmptyRangeError, TooManyCellsError
 
 from conftest import brute_ceil, brute_floor, enumerate_float_system
 
@@ -48,6 +48,36 @@ def test_explicit_below_grid_raises():
     es = ExplicitSet(np.array([0.0, 1.0]))
     with pytest.raises(BelowGridError):
         floor_to(es, -0.5)
+
+
+def two_search_neighbors(points, x):
+    """ExplicitSet.neighbors as one searchsorted per side."""
+    i_lo = np.searchsorted(points, x, side="right") - 1
+    i_hi = np.searchsorted(points, x, side="left")
+    if np.any(i_lo < 0):
+        raise BelowGridError("below")
+    if np.any(i_hi >= points.size):
+        raise AboveGridError("above")
+    return points[i_lo], points[i_hi]
+
+
+def test_explicit_neighbors_one_search_matches_two():
+    pts = np.linspace(-60.0, 60.0, 1201) ** 3 / 3600.0
+    es = ExplicitSet(pts)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    inside = np.concatenate([pts, mids, np.nextafter(pts[1:], -np.inf), np.nextafter(pts[:-1], np.inf), [-0.0]])
+    lo, hi = es.neighbors(inside)
+    want_lo, want_hi = two_search_neighbors(pts, inside)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    for x in (pts[0], pts[-1], mids[7], pts[600]):  # scalar queries, both endpoints among them
+        assert es.neighbors(x) == two_search_neighbors(pts, x)
+    below, above = np.nextafter(pts[0], -np.inf), np.nextafter(pts[-1], np.inf)
+    for query, err in ((below, BelowGridError), (above, AboveGridError), ([above, below], BelowGridError),
+                       ([pts[3], above], AboveGridError), (np.nan, AboveGridError)):
+        with pytest.raises(err):
+            two_search_neighbors(pts, np.asarray(query))
+        with pytest.raises(err):
+            es.neighbors(query)
 
 
 def test_float_system_saturates_flagged():
