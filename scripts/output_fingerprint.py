@@ -24,7 +24,9 @@ change moved.  It prints:
   model (whose left tail is infinite) and on a uniform model straddling
   zero, of the unimodal bound on every model for k = 1-3 in both modes, and
   of the tier C and D mean bounds on the normal, exponential and uniform
-  models;
+  models, and of the float bound on ``FloatSystem(7, -12, 6)`` for three
+  models, nearest and stochastic rounding, and k = 1 and 3 signed and
+  k = 2 absolute;
 * the sha256 of each model's ``quantile`` on a fixed grid of u (edges
   down to the smallest subnormal included), and of ``sum-demo`` stdout
   under nearest and stochastic rounding.
@@ -109,6 +111,12 @@ DISTS = (
     "exponential:lambda=1.5",
     "uniform:lo=-0.5,hi=1",
 )
+
+FLOAT_MODELS = {
+    "exponential(1.3)": make_exponential(1.3),
+    "semicircle(r=0.8,mu=1.5)": make_semicircle(0.8, 1.5),
+    "normal(1.0,0.5)": make_normal(1.0, 0.5),
+}
 
 QUANTILE_US = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-16, 1e-8], np.linspace(0.0, 1.0, 100_001),
                               [1.0 - 1e-8, 1.0 - 1e-16, 1.0]])
@@ -269,6 +277,12 @@ def value_lines():
         for tier in "CD":
             de, _ = B.mean_and_variance_diff_bounds(MODELS[mname], tier, mesh=mesh)
             yield f"value tier{tier}-mean {mname} {float.hex(de.value)}"
+    fs = FloatSystem(7, -12, 6)
+    for mname, model in FLOAT_MODELS.items():
+        for scheme in (nearest, RoundingScheme.STOCHASTIC):
+            for k, signed in ((1, True), (3, True), (2, False)):
+                rep = B.float_moment_bound(model, fs, k, scheme, signed=signed)
+                yield f"value float {mname} {scheme.value} k={k} signed={signed} {float.hex(rep.value)}"
 
 
 def quantile_lines():

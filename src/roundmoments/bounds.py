@@ -452,25 +452,6 @@ def mean_and_variance_diff_bounds(
     return de, dv
 
 
-def _probe_block(model: DensityModel, lo: float, hi: float):
-    xs = np.linspace(lo, hi, 33)  # probe points per stretch
-    ys = np.asarray(model.density(xs), dtype=float)
-    sup = float(ys.max())
-    inf = float(ys.min())
-    d = np.diff(ys)
-    tol = 1e-12 * max(sup, 1e-300)
-    signs = np.where(d > tol, 1, np.where(d < -tol, -1, 0))
-    signs = signs[signs != 0]
-    if signs.size == 0:
-        return sup, inf, 1, 0  # flat stretch: one plateau region
-    flips = int(np.sum(signs[1:] != signs[:-1]))
-    # Local-maxima regions: interior peaks (+ to - transitions) plus the
-    # endpoints when the stretch falls away from them.
-    peaks = int(np.sum((signs[:-1] == 1) & (signs[1:] == -1)))
-    n_max = peaks + (1 if signs[0] == -1 else 0) + (1 if signs[-1] == 1 else 0)
-    return sup, inf, max(n_max, 1), flips
-
-
 def float_moment_bound(
     model: DensityModel,
     fs: FloatSystem,
@@ -482,16 +463,20 @@ def float_moment_bound(
 
     Within each uniformly spaced stretch the grid-aligned cancellation
     applies to the density shifted by its infimum, leaving a
-    (sup - inf) * half_gap^(k+1) term per maxima region; a binade whose
-    probe shows more than one maxima region falls back to the worst-case
-    first-order term and is flagged.  The overflow remainder, the report's
-    higher-order term, integrates the saturated tail mass beyond
-    +/- 2^k_max; when it is negligible it is zero and a note says so.
+    (sup - inf) * half_gap^(k+1) term per maxima region.  The density must
+    be unimodal (``NotUnimodalError`` otherwise): it rises to its mode and
+    falls after it, so a stretch on one side of the mode is monotone and
+    one holding the mode peaks once, and every stretch has exactly one
+    maxima region.  Its sup and inf are taken from 33 even samples.  The
+    overflow remainder, the report's higher-order term, integrates the
+    saturated tail mass beyond +/- 2^k_max; when it is negligible it is
+    zero and a note says so.
     """
     if scheme not in CANCELLING_SCHEMES:
         raise SymmetryUnavailableError("per-binade cancellation needs nearest or stochastic rounding")
     if signed and k % 2 == 0:
         raise BadOrderError("signed error-power bound needs odd k")
+    envelope(model)  # only its unimodality check: raises NotUnimodalError
     cs = scheme_constants(scheme)
     eps = scheme_eps_delta(scheme, 2.0 ** (-fs.mantissa_bits), 0.0)[0]
     supp_lo, supp_hi = model.effective_range()
@@ -499,19 +484,14 @@ def float_moment_bound(
     total = 0.0
     for sign, anchor, step, a, b in fs.stretches(supp_lo, supp_hi):
         lo, hi = (a, b) if sign > 0 else (-b, -a)
-        sup, inf, n_max, flips = _probe_block(model, lo, hi)
+        ys = np.asarray(model.density(np.linspace(lo, hi, 33)), dtype=float)
+        sup, inf = float(ys.max()), float(ys.min())
         if sup == 0.0:
             continue
         # stochastic rounding sees the full gap as its additive error
         dlt = scheme_eps_delta(scheme, 0.0, step)[1]
-        if flips > 1:
-            # worst-case error-model term for this stretch, flagged
-            mass, _ = adaptive_quad(model.density, lo, hi, rtol=1e-10)
-            total += mass * dlt ** k
-            notes.append(f"binade [{lo:g},{hi:g}) fell back to the first-order bound")
-            continue
         if signed:
-            total += 2.0 * n_max * cs.d(k) * (sup - inf) * dlt ** (k + 1)
+            total += 2.0 * cs.d(k) * (sup - inf) * dlt ** (k + 1)
             # a stretch clipped off the grid (support edge inside a binade)
             # loses the aligned cancellation of its infimum part; an end is
             # on the grid when it is on the stretch's lattice anchor + j*step

@@ -102,32 +102,29 @@ class DensityModel:
 
 
 def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
-    """Maximum of a vectorized f over [lo, hi]: the best of n even points
-    (plus ``extra``), refined by golden-section search around it."""
+    """Largest sampled value of a vectorized f over [lo, hi].
+
+    Samples n even points (plus ``extra``), then rescans 33 even points
+    between the two samples around the best value so far.  It stops when
+    those two samples are adjacent doubles (or one point, as when lo == hi)
+    or when the bracket stops shrinking.  No shape of f is assumed, so a
+    peak on a kink is reached as surely as a smooth one.
+    """
     xs = np.linspace(lo, hi, n)
     if extra:
         xs = np.unique(np.concatenate([xs, np.asarray(extra, dtype=float)]))
         xs = xs[(xs >= lo) & (xs <= hi)]
-    ys = np.asarray(f(xs))
-    i = int(np.argmax(ys))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, xs.size - 1)]
-    # golden-section refinement inside the bracketing pair
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = float(f(np.asarray(c))), float(f(np.asarray(d)))
-    for _ in range(80):
-        # one probe carries over from the previous step with its value
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = float(f(np.asarray(c)))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = float(f(np.asarray(d)))
-    x_best = 0.5 * (a + b)
-    return max(float(ys[i]), float(f(np.asarray(x_best))))
+    best = -math.inf
+    width = math.inf
+    while True:
+        ys = np.asarray(f(xs))
+        i = int(np.argmax(ys))
+        best = max(best, float(ys[i]))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        if np.nextafter(a, b) >= b or not b - a < width:
+            return best
+        width = b - a
+        xs = np.linspace(a, b, 33)
 
 
 def _checked(model: DensityModel) -> DensityModel:

@@ -42,8 +42,9 @@ class UniformMesh:
 
     def __post_init__(self):
         step = 2.0 * self.half_gap
-        if not (0.0 < step < math.inf and math.isfinite(self.offset)):
-            raise ConfigError(f"need half_gap > 0 with a finite step and a finite offset, got {self!r}")
+        # points_in and neighbors divide by the step
+        if not (0.0 < step < math.inf and 1.0 / step < math.inf and math.isfinite(self.offset)):
+            raise ConfigError(f"need half_gap > 0 with a finite step and 1/step and a finite offset, got {self!r}")
         a = math.fmod(self.offset, step)
         if a < 0.0:
             a += step

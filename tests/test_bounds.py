@@ -35,10 +35,11 @@ from roundmoments.errors import (
     BadOrderError,
     ConfigError,
     InfeasibleBudgetError,
+    NotUnimodalError,
     PreconditionError,
     SymmetryUnavailableError,
 )
-from roundmoments.oracle import delta_e_and_v, err_weighted_integral
+from roundmoments.oracle import delta_e_and_v
 from roundmoments.quadrature import adaptive_quad
 from roundmoments.rounding import RoundingScheme as RS
 
@@ -295,18 +296,13 @@ def test_float_bound_negligible_tail_flag():
 
 @pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC])
 @pytest.mark.parametrize("k,signed", [(1, True), (3, True), (2, False)])
-def test_float_bound_two_bump_binade_falls_back(scheme, k, signed):
-    # two bumps inside the binade [1, 2]: the probe sees more than one maxima
-    # region, so the stretch takes the first-order term mass * delta^k
+def test_float_bound_two_bump_binade_is_not_unimodal(scheme, k, signed):
+    # two bumps inside the binade [1, 2]: the one-region-per-stretch argument
+    # needs a unimodal density, so the bound refuses this one
     pdf = lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
     model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, _cache={})
-    fs = FloatSystem(4, -4, 3)
-    rep = float_moment_bound(model, fs, k, scheme, signed=signed)
-    assert "binade [1,2) fell back to the first-order bound" in rep.notes
-    dlt = 1.0 / 32.0 if scheme is RS.NEAREST else 1.0 / 16.0
-    assert rep.value == pytest.approx(dlt ** k, rel=1e-9)
-    oracle = err_weighted_integral(fs, scheme, model, 1.0, 2.0, k, signed=signed)
-    assert abs(oracle.value) <= rep.value
+    with pytest.raises(NotUnimodalError):
+        float_moment_bound(model, FloatSystem(4, -4, 3), k, scheme, signed=signed)
 
 
 def test_normal_partial_constant():

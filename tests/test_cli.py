@@ -182,6 +182,9 @@ def _finite_json(text: str):
     # a mesh step that overflows a double
     (["sweep", "--dist", "semicircle:r=1", "--delta", "1e308", "--offsets", "2"], 2),
     (["bound", "--dist", "semicircle:r=1", "--grid", "uniform:half_gap=1e308", "--tier", "D"], 2),
+    # a subnormal mesh step, whose reciprocal overflows a double
+    (["sweep", "--dist", "semicircle:r=1,mu=0", "--delta", "1e-320", "--offsets", "2"], 2),
+    (["bound", "--dist", "semicircle:r=1,mu=0", "--grid", "uniform:half_gap=1e-320,offset=0", "--tier", "D"], 2),
     # more mesh points than the cell budget
     (["sweep", "--dist", "normal:mu=0,sigma2=1", "--delta", "1e-9", "--offsets", "2"], 2),
     # delta^3 underflows to 0
@@ -191,14 +194,14 @@ def _finite_json(text: str):
     # bound terms that overflow a double
     (["bound", "--dist", "semicircle:r=1", "--delta", "1e200"], 2),
     (["--format", "json", "sweep", "--dist", "semicircle:r=1", "--delta", "1e100", "--no-check"], 2),
-], ids=["sweep-huge-step", "bound-huge-step", "sweep-cell-budget", "bound-mean-tiny-step",
-        "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow"])
+], ids=["sweep-huge-step", "bound-huge-step", "sweep-subnormal-step", "bound-subnormal-step", "sweep-cell-budget",
+        "bound-mean-tiny-step", "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow"])
 def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == want, err
     if want == 2:
         assert out == ""
-        assert "config error" in err
+        assert err.startswith("config error:") and err.count("\n") == 1
     else:
         payload = _finite_json(out)
         assert math.isfinite(payload["value"])

@@ -312,6 +312,9 @@ def test_bad_configs_rejected():
         parse_grid_config({"kind": "nope"})
     with pytest.raises(ConfigError):
         UniformMesh(-1.0)
+    # a subnormal step: points_in's ceil of x / step overflowed
+    with pytest.raises(ConfigError):
+        UniformMesh(1e-320, 0.0)
     with pytest.raises(ConfigError):
         FloatSystem(0, -2, 2)
     with pytest.raises(ConfigError):
