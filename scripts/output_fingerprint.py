@@ -29,13 +29,18 @@ change moved.  It prints:
   k = 2 absolute;
 * the sha256 of each model's ``quantile`` on a fixed grid of u (edges
   down to the smallest subnormal included), and of ``sum-demo`` stdout
-  under nearest and stochastic rounding.
+  under nearest and stochastic rounding;
+* ``ok`` or the exception class for a fixed list of model constructions:
+  each ``make_*`` with in-range and malformed parameters, and
+  ``dataclasses.replace`` copies with a wrong interior mode, a two-bump
+  density, a zero density at the mode and an infinite variance.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
-(about 3 s on a 2-CPU host).
+(3-7 s on a 2-CPU host, by its load).
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -294,9 +299,53 @@ def quantile_lines():
         yield f"sum-demo {scheme} rc={rc} sha256={sha(out)}"
 
 
+def _two_bumps(x):
+    return np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
+
+
+CONSTRUCTIONS = {
+    "semicircle(1, 0)": lambda: make_semicircle(1.0, 0.0),
+    "semicircle(0.8, 1.5)": lambda: make_semicircle(0.8, 1.5),
+    "semicircle(0, 0)": lambda: make_semicircle(0.0, 0.0),
+    "semicircle(1e200, 0)": lambda: make_semicircle(1e200, 0.0),
+    "semicircle(1, 1e17)": lambda: make_semicircle(1.0, 1e17),
+    "semicircle(nan, 0)": lambda: make_semicircle(math.nan, 0.0),
+    "normal(0.3, 1)": lambda: make_normal(0.3, 1.0),
+    "normal(0, 1e-300)": lambda: make_normal(0.0, 1e-300),
+    "normal(0, -1)": lambda: make_normal(0.0, -1.0),
+    "normal(0, inf)": lambda: make_normal(0.0, math.inf),
+    "normal(1e17, 1)": lambda: make_normal(1e17, 1.0),
+    "normal(nan, 1)": lambda: make_normal(math.nan, 1.0),
+    "exponential(1.3)": lambda: make_exponential(1.3),
+    "exponential(1e150)": lambda: make_exponential(1e150),
+    "exponential(0)": lambda: make_exponential(0.0),
+    "exponential(1e-200)": lambda: make_exponential(1e-200),
+    "exponential(inf)": lambda: make_exponential(math.inf),
+    "uniform(-0.5, 1)": lambda: make_uniform(-0.5, 1.0),
+    "uniform(1, 1)": lambda: make_uniform(1.0, 1.0),
+    "uniform(-inf, 0)": lambda: make_uniform(-math.inf, 0.0),
+    "uniform(1e17, 1e17 + 32)": lambda: make_uniform(1e17, 1e17 + 32.0),
+    "replace semicircle mode=-0.5": lambda: dataclasses.replace(MODELS["semicircle"], mode=-0.5),
+    "replace uniform(1, 2) two bumps mode=1.25": lambda: dataclasses.replace(
+        make_uniform(1.0, 2.0), _pdf=_two_bumps, mode=1.25),
+    "replace semicircle mode=-1": lambda: dataclasses.replace(MODELS["semicircle"], mode=-1.0),
+    "replace normal variance=inf": lambda: dataclasses.replace(MODELS["normal"], variance=math.inf),
+}
+
+
+def construction_lines():
+    for label, make in CONSTRUCTIONS.items():
+        try:
+            make()
+            text = "ok"
+        except RoundMomentsError as exc:
+            text = type(exc).__name__
+        yield f"construct {label} {text}"
+
+
 def main() -> int:
     for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines,
-                    value_lines, quantile_lines):
+                    value_lines, quantile_lines, construction_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -22,7 +22,6 @@ from .distributions import (
     Envelope,
     SymmetricSplit,
     best_mesh_center,
-    envelope,
     make_exponential,
     make_normal,
     make_semicircle,

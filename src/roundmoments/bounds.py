@@ -17,13 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (
-    DensityModel,
-    SymmetricSplit,
-    best_mesh_center,
-    envelope,
-    scan_max,
-)
+from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_center, scan_max
 from .errors import (
     BadOrderError,
     ConfigError,
@@ -196,18 +190,23 @@ def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_d
     else:
         lead = 0.0
         high = 0.0
-        for i in range(1, k + 1):
-            for j in range(0, i + 1):
-                c = math.comb(k, i) * math.comb(i, j)
-                if j == 0:
-                    central = abs(model.central_moment(k - i)) if k - i != 1 else 0.0
-                    term = c * d ** i * central
-                else:
-                    term = c * d ** (i - j) * coef(k - i, j)
-                if i == 1:
-                    lead += term
-                else:
-                    high += term * base ** (i - 2)
+        # a product of binomials, or a central moment built from exact
+        # integers, raises once it passes the largest double
+        try:
+            for i in range(1, k + 1):
+                for j in range(0, i + 1):
+                    c = math.comb(k, i) * math.comb(i, j)
+                    if j == 0:
+                        central = abs(model.central_moment(k - i)) if k - i != 1 else 0.0
+                        term = c * d ** i * central
+                    else:
+                        term = c * d ** (i - j) * coef(k - i, j)
+                    if i == 1:
+                        lead += term
+                    else:
+                        high += term * base ** (i - 2)
+        except OverflowError:
+            raise ConfigError(f"centered_moment_first_order bound overflows a double at k = {k}") from None
     leading = BoundTerm(lead, 1, base)
     higher = BoundTerm(high, 2, base)
     return _report(leading, higher, "centered_moment_first_order", tier="A", mode=mode)
@@ -295,7 +294,7 @@ def unimodal_moment_bound(
         raise ConfigError("k must be a positive integer")
     if scheme not in CANCELLING_SCHEMES:
         raise SymmetryUnavailableError("envelope bound needs nearest or stochastic rounding")
-    env = envelope(model)
+    env = Envelope(model)
     cs = scheme_constants(scheme)
     base = eps_or_delta
     if signed:
@@ -421,7 +420,6 @@ def mean_and_variance_diff_bounds(
         dv = centered_moment_first_order(model, 2, ADDITIVE, dlt)
         return replace(de, theorem="mean_diff"), replace(dv, theorem="variance_diff")
 
-    envelope(model)  # only its unimodality check: raises NotUnimodalError
     cs = scheme_constants(scheme)
     d1 = cs.d(1)
     c2 = cs.c(2)
@@ -463,20 +461,19 @@ def float_moment_bound(
 
     Within each uniformly spaced stretch the grid-aligned cancellation
     applies to the density shifted by its infimum, leaving a
-    (sup - inf) * half_gap^(k+1) term per maxima region.  The density must
-    be unimodal (``NotUnimodalError`` otherwise): it rises to its mode and
-    falls after it, so a stretch on one side of the mode is monotone and
-    one holding the mode peaks once, and every stretch has exactly one
-    maxima region.  Its sup and inf are taken from 33 even samples.  The
-    overflow remainder, the report's higher-order term, integrates the
-    saturated tail mass beyond +/- 2^k_max; when it is negligible it is
-    zero and a note says so.
+    (sup - inf) * half_gap^(k+1) term per maxima region.  Every
+    ``DensityModel`` is checked to be unimodal when it is made: it rises to
+    its mode and falls after it, so a stretch on one side of the mode is
+    monotone and one holding the mode peaks once, and every stretch has
+    exactly one maxima region.  Its sup and inf are taken from 33 even
+    samples.  The overflow remainder, the report's higher-order term,
+    integrates the saturated tail mass beyond +/- 2^k_max; when it is
+    negligible it is zero and a note says so.
     """
     if scheme not in CANCELLING_SCHEMES:
         raise SymmetryUnavailableError("per-binade cancellation needs nearest or stochastic rounding")
     if signed and k % 2 == 0:
         raise BadOrderError("signed error-power bound needs odd k")
-    envelope(model)  # only its unimodality check: raises NotUnimodalError
     cs = scheme_constants(scheme)
     eps = scheme_eps_delta(scheme, 2.0 ** (-fs.mantissa_bits), 0.0)[0]
     supp_lo, supp_hi = model.effective_range()

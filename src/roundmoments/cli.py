@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
 def cmd_sum_demo(args) -> int:
     fs = FloatSystem(args.m, args.k_min, args.k_max)
     scheme = RoundingScheme.parse(args.scheme)
-    models = [make_uniform(0.0, 1.0) for _ in range(args.summands)]
+    models = [make_uniform(0.0, 1.0)] * args.summands  # one model, checked once
     est = simulated_sum(models, fs, scheme, args.samples, args.seed)
     eps0 = 2.0 ** (-args.m)
     eps = scheme_eps_delta(scheme, eps0, 0.0)[0]

@@ -1,10 +1,12 @@
 """Continuous distribution models feeding the bound engine.
 
-Each model carries a vectorized density, its support, a declared mode (the
-unimodality hypothesis is declared by constructors, not inferred), a
-quantile for inverse-transform sampling, and moment oracles.  Raw and
-central moments are analytic for the built-in families; absolute and mixed
-absolute moments fall back to adaptive quadrature split at their kinks.
+Each model carries a vectorized density, its support, a declared mode, a
+quantile for inverse-transform sampling, and moment oracles.  A model is
+checked once, when it is made (by a ``make_*`` constructor or by
+``dataclasses.replace``): its parameters must be resolvable and its density
+must be unimodal about the declared mode.  Raw and central moments are
+analytic for the built-in families; absolute and mixed absolute moments
+fall back to adaptive quadrature split at their kinks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,28 @@ class DensityModel:
     _raw_moment: Callable[[int], float]
     _central_moment: Callable[[int], float]
     _abs_central_first: float  # E|X - mean|
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # not an init field, so a dataclasses.replace copy starts empty
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Raise ConfigError unless the peak and variance are positive and
+        finite and the mean is a finite double fine enough to resolve the
+        spread; then NotUnimodalError if a 21-point probe on either side of
+        the mode finds the density rising where it should fall."""
+        peak = self.peak
+        if not (0.0 < peak < math.inf and 0.0 < self.variance < math.inf and math.isfinite(self.mean)):
+            raise ConfigError(f"{self.name} parameters {dict(self.params)} over- or underflow its peak, mean or variance")
+        # One ulp of error in x costs at most about 1e-12 relative at a smooth
+        # peak while ulp(mean) <= 2^-20 sd; coarser doubles make scans step over
+        # the peak (near 1e17 they are 16 apart).
+        if math.ulp(self.mean) > 2.0 ** -20 * math.sqrt(self.variance):
+            raise ConfigError(f"{self.name} mean {self.mean!r} is too coarse a double for its variance {self.variance!r}")
+        lo, hi = self.effective_range()
+        slack = 1e-9 * peak
+        if self.mode > lo and np.any(np.diff(self.density(np.linspace(lo, self.mode, 21))) < -slack):
+            raise NotUnimodalError("density decreases left of the declared mode")
+        if hi > self.mode and np.any(np.diff(self.density(np.linspace(self.mode, hi, 21))) > slack):
+            raise NotUnimodalError("density increases right of the declared mode")
 
     def density(self, x):
         return self._pdf(np.asarray(x, dtype=float))
@@ -127,19 +150,6 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
         xs = np.linspace(a, b, 33)
 
 
-def _checked(model: DensityModel) -> DensityModel:
-    """The model, if its peak and variance are positive and finite and its
-    mean is a finite double fine enough to resolve its spread."""
-    if not (0.0 < model.peak < math.inf and 0.0 < model.variance < math.inf and math.isfinite(model.mean)):
-        raise ConfigError(f"{model.name} parameters {dict(model.params)} over- or underflow its peak, mean or variance")
-    # One ulp of error in x costs at most about 1e-12 relative at a smooth
-    # peak while ulp(mean) <= 2^-20 sd; coarser doubles make scans step over
-    # the peak (near 1e17 they are 16 apart).
-    if math.ulp(model.mean) > 2.0 ** -20 * math.sqrt(model.variance):
-        raise ConfigError(f"{model.name} mean {model.mean!r} is too coarse a double for its variance {model.variance!r}")
-    return model
-
-
 def _catalan(j: int) -> int:
     return math.comb(2 * j, j) // (j + 1)
 
@@ -190,7 +200,7 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         j = k // 2
         return r ** k * _catalan(j) / 4.0 ** j
 
-    return _checked(DensityModel(
+    return DensityModel(
         name="semicircle",
         params=(("r", r), ("mu", mu)),
         support=(mu - r, mu + r),
@@ -202,7 +212,7 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=4.0 * r / (3.0 * math.pi),
-    ))
+    )
 
 
 # Wichura, AS 241 (Applied Statistics 37:477-484, 1988), PPND16: numerator
@@ -274,7 +284,7 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
             val *= i
         return val * sigma ** k
 
-    return _checked(DensityModel(
+    return DensityModel(
         name="normal",
         params=(("mu", mu), ("sigma2", sigma2)),
         support=(-math.inf, math.inf),
@@ -286,7 +296,7 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=sigma * math.sqrt(2.0 / math.pi),
-    ))
+    )
 
 
 def make_exponential(lam: float) -> DensityModel:
@@ -308,7 +318,7 @@ def make_exponential(lam: float) -> DensityModel:
             d = i * d + (-1) ** i
         return d / lam ** k
 
-    return _checked(DensityModel(
+    return DensityModel(
         name="exponential",
         params=(("lambda", lam),),
         support=(0.0, math.inf),
@@ -320,7 +330,7 @@ def make_exponential(lam: float) -> DensityModel:
         _raw_moment=lambda k: math.factorial(k) / lam ** k,
         _central_moment=central,
         _abs_central_first=2.0 / (math.e * lam),
-    ))
+    )
 
 
 def make_uniform(lo: float, hi: float) -> DensityModel:
@@ -346,7 +356,7 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
 
     # Flat densities expose the interval midpoint as their mode; any plateau
     # point yields the same radial envelope.
-    return _checked(DensityModel(
+    return DensityModel(
         name="uniform",
         params=(("lo", lo), ("hi", hi)),
         support=(lo, hi),
@@ -358,7 +368,7 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
         _raw_moment=raw,
         _central_moment=central,
         _abs_central_first=w / 4.0,
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -370,48 +380,23 @@ class Envelope:
     """
 
     model: DensityModel
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def weighted_integral(self, k: int) -> float:
         """Integral of x^k f_hat(x) over x >= 0."""
-        key = ("wi", k)
-        if key not in self._cache:
-            f = self.model.density
-            ax = abs(self.model.mode)
-            head = self.model.peak * ax ** (k + 1) / (k + 1.0)
-            lo, hi = self.model.support
-            upper = math.inf if math.isinf(hi) or math.isinf(lo) else max(abs(lo), abs(hi))
-            cuts = [abs(v) for v in (lo, hi) if not math.isinf(v)]
-            tail, _ = adaptive_quad(
-                lambda x: x ** k * np.maximum(f(x), f(-x)),
-                ax,
-                upper,
-                rtol=1e-12,
-                breakpoints=cuts,
-            )
-            self._cache[key] = head + tail
-        return self._cache[key]
-
-
-def envelope(model: DensityModel) -> Envelope:
-    """Build the radial envelope, probing the declared mode first.
-
-    Raises NotUnimodal when a 21-point probe on either side of the mode
-    finds the density rising where it should fall.
-    """
-    lo, hi = model.effective_range()
-    slack = 1e-9 * max(model.peak, 1e-300)
-    if model.mode > lo:
-        xs = np.linspace(lo, model.mode, 21)
-        ys = model.density(xs)
-        if np.any(np.diff(ys) < -slack):
-            raise NotUnimodalError("density decreases left of the declared mode")
-    if hi > model.mode:
-        xs = np.linspace(model.mode, hi, 21)
-        ys = model.density(xs)
-        if np.any(np.diff(ys) > slack):
-            raise NotUnimodalError("density increases right of the declared mode")
-    return Envelope(model)
+        f = self.model.density
+        ax = abs(self.model.mode)
+        head = self.model.peak * ax ** (k + 1) / (k + 1.0)
+        lo, hi = self.model.support
+        upper = math.inf if math.isinf(hi) or math.isinf(lo) else max(abs(lo), abs(hi))
+        cuts = [abs(v) for v in (lo, hi) if not math.isinf(v)]
+        tail, _ = adaptive_quad(
+            lambda x: x ** k * np.maximum(f(x), f(-x)),
+            ax,
+            upper,
+            rtol=1e-12,
+            breakpoints=cuts,
+        )
+        return head + tail
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,8 @@ def simulated_sum(
     n = len(models)
     if n == 0:
         raise PreconditionError("need at least one summand")
+    if n_samples < 1:
+        raise PreconditionError("need at least one sample")
     xs = np.empty((n, n_samples))
     for i, m in enumerate(models):
         xs[i] = np.asarray(m.quantile(_philox_stream(seed, i).random(n_samples)), dtype=float)

@@ -144,9 +144,9 @@ def test_interval_error_signed_requires_odd_k():
 
 def test_unimodal_signed_mult_constant(semicircle):
     # (k+1) d(k) * envelope moment * eps^(k+1), with no endpoint inflation
-    from roundmoments import envelope
+    from roundmoments import Envelope
 
-    env = envelope(semicircle)
+    env = Envelope(semicircle)
     rep = unimodal_moment_bound(semicircle, 1, RS.NEAREST, MULTIPLICATIVE, 0.01, signed=True)
     want = 2.0 * 0.5 * env.weighted_integral(1) * 0.01 ** 2
     assert rep.value == pytest.approx(want, rel=1e-12)
@@ -298,10 +298,11 @@ def test_float_bound_negligible_tail_flag():
 @pytest.mark.parametrize("k,signed", [(1, True), (3, True), (2, False)])
 def test_float_bound_two_bump_binade_is_not_unimodal(scheme, k, signed):
     # two bumps inside the binade [1, 2]: the one-region-per-stretch argument
-    # needs a unimodal density, so the bound refuses this one
+    # needs a unimodal density, so no such model can be made, let alone
+    # reach the bound (declared at 1.25, the top of the first bump)
     pdf = lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
-    model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, _cache={})
     with pytest.raises(NotUnimodalError):
+        model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, mode=1.25)
         float_moment_bound(model, FloatSystem(4, -4, 3), k, scheme, signed=signed)
 
 

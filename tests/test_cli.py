@@ -194,8 +194,14 @@ def _finite_json(text: str):
     # bound terms that overflow a double
     (["bound", "--dist", "semicircle:r=1", "--delta", "1e200"], 2),
     (["--format", "json", "sweep", "--dist", "semicircle:r=1", "--delta", "1e100", "--no-check"], 2),
+    # high-order centered bounds: binomial products and the exponential's
+    # exact central moment pass the largest double
+    (["bound", "--dist", "semicircle:r=1,mu=0", "--quantity", "centered", "--k", "700", "--delta", "0.1"], 2),
+    (["bound", "--dist", "uniform:lo=0,hi=1", "--quantity", "centered", "--k", "1200", "--delta", "0.1"], 2),
+    (["bound", "--dist", "exponential:lambda=1", "--quantity", "centered", "--k", "200", "--delta", "0.1"], 2),
 ], ids=["sweep-huge-step", "bound-huge-step", "sweep-subnormal-step", "bound-subnormal-step", "sweep-cell-budget",
-        "bound-mean-tiny-step", "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow"])
+        "bound-mean-tiny-step", "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow",
+        "centered-semicircle-k700", "centered-uniform-k1200", "centered-exponential-k200"])
 def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == want, err
@@ -330,6 +336,14 @@ def test_sum_demo_dominated(capsys):
     payload = json.loads(out)
     assert payload["dominated"] is True
     assert payload["estimate"] <= payload["bound"]
+
+
+@pytest.mark.parametrize("flag,count", [("--summands", "0"), ("--samples", "0"), ("--samples", "-5")])
+def test_sum_demo_needs_a_summand_and_a_sample(capsys, flag, count):
+    code, out, err = run_cli(capsys, "sum-demo", flag, count)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("hypothesis violated:") and err.count("\n") == 1
 
 
 def test_config_file_grid_and_distribution(capsys, tmp_path):

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundmoments import (
+    Envelope,
     SymmetricSplit,
     UniformMesh,
     best_mesh_center,
-    envelope,
     make_exponential,
     make_normal,
     make_semicircle,
@@ -16,7 +18,7 @@ from roundmoments import (
     parse_dist_config,
 )
 from roundmoments.distributions import scan_max
-from roundmoments.errors import NotUnimodalError
+from roundmoments.errors import ConfigError, NotUnimodalError
 from roundmoments.quadrature import adaptive_quad
 
 
@@ -82,13 +84,13 @@ def test_abs_moments_match_quadrature(all_models):
 
 
 def test_envelope_semicircle_mass(semicircle):
-    env = envelope(semicircle)
+    env = Envelope(semicircle)
     assert env.weighted_integral(0) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_envelope_shifted_semicircle_max_scan():
     model = make_semicircle(1.0, 2.0)
-    env = envelope(model)
+    env = Envelope(model)
     # dense numerical max-scan oracle over |x|
     xs = np.linspace(0.0, 3.0, 20_001)
     fhat_oracle = np.maximum(model.density(xs), model.density(-xs))
@@ -101,7 +103,7 @@ def test_envelope_shifted_semicircle_max_scan():
 
 
 def test_envelope_exponential_first_moment(unit_exponential):
-    env = envelope(unit_exponential)
+    env = Envelope(unit_exponential)
     assert env.weighted_integral(1) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -110,16 +112,61 @@ def test_envelope_dominates_density(all_models):
     # half of E|X|^k (equal for a density symmetric about 0, up to the
     # quadratures' relative 1e-12)
     for model in all_models:
-        env = envelope(model)
+        env = Envelope(model)
         for k in range(4):
             assert env.weighted_integral(k) >= 0.5 * model.abs_mixed_moment(0, k, 0.0) * (1.0 - 1e-12), (model.name, k)
 
 
 def test_not_unimodal_rejected(semicircle):
-    # declaring the mode at the support edge breaks the right-side probe
-    broken = replace(semicircle, mode=-1.0, _cache={})
+    # a mode declared halfway to the support edge breaks the right-side probe
     with pytest.raises(NotUnimodalError):
-        envelope(broken)
+        replace(semicircle, mode=-0.5)
+
+
+@pytest.mark.parametrize("changes", [
+    {"mode": -1.0},  # the support edge: peak 0
+    {"variance": math.inf},
+    {"mean": math.nan},
+    {"mean": 1e17},  # doubles 16 apart, sd 1/2
+], ids=["zero-peak", "infinite-variance", "nan-mean", "coarse-mean"])
+def test_replace_is_checked_like_a_constructor(semicircle, changes):
+    with pytest.raises(ConfigError):
+        replace(semicircle, **changes)
+
+
+def test_replace_starts_with_an_empty_cache():
+    m = make_semicircle(1.0, 0.0)
+    assert m.effective_range() == (-1.0, 1.0)
+    wide = replace(m, support=(-2.0, 2.0), variance=1.0, _pdf=lambda x: m.density(x / 2) / 2)
+    assert wide.effective_range() == (-2.0, 2.0)
+    # the cache is no init field, so a copy cannot be handed one
+    with pytest.raises(ValueError):
+        replace(m, _cache={})
+
+
+# r, sigma, lambda and widths over 400 decades, past where their squares or
+# reciprocals leave the doubles; means and ends up to 2^40 spreads from
+# zero, past the ulp rule's 2^32 or so
+_SCALE = st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
+_SHIFT = st.builds(lambda u, k: u * 2.0 ** k, st.floats(-1.0, 1.0), st.integers(-60, 40))
+_CONSTRUCTIONS = {
+    "semicircle": st.builds(lambda r, t: make_semicircle(r, t * r), _SCALE, _SHIFT),
+    "normal": st.builds(lambda s, t: make_normal(t * s, s * s), _SCALE, _SHIFT),
+    "exponential": st.builds(make_exponential, _SCALE),
+    "uniform": st.builds(lambda w, t: make_uniform(t * w - w / 2.0, t * w + w / 2.0), _SCALE, _SHIFT),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CONSTRUCTIONS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_constructor_makes_unimodal_models(family, data):
+    # a constructor's own model always passes the mode probe: it is made,
+    # or its parameters are refused as a config error
+    try:
+        data.draw(_CONSTRUCTIONS[family])
+    except ConfigError:
+        pass
 
 
 def test_split_reconstruction(all_models):
