@@ -5,7 +5,10 @@ Run it on two commits and diff the outputs to see which printed numbers a
 change moved.  It prints:
 
 * every oracle integral over four models x five grids x four schemes:
-  ``float.hex`` of its value and error estimate, and its ``details``;
+  ``float.hex`` of its value and error estimate, and its ``details``; and
+  the same for the four integrals of perfbench's ``float_oracle`` workload
+  (normal(0.5, 1) on ``FloatSystem(12, -40, 6)``, 0.4-1.1M pieces each,
+  so their partitions span many chunks);
 * the sha256 of ``verify --instances 200`` stdout for seeds 0-2, whole and
   split by check kind;
 * the sha256 of the four benchmark sweeps and of a toward-zero sweep, whole
@@ -36,7 +39,7 @@ change moved.  It prints:
   density, a zero density at the mode and an infinite variance.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
-(3-7 s on a 2-CPU host, by its load).
+(5-10 s on a 2-CPU host, by its load).
 """
 
 import contextlib
@@ -158,6 +161,12 @@ def oracle_lines():
                 yield oracle_line(f"{tag} delta_e", de)
                 yield oracle_line(f"{tag} delta_v", dv)
                 yield oracle_line(f"{tag} centered k=3", centered_moment_of_rounded(model, grid, scheme, 3))
+    model, grid = make_normal(0.5, 1.0), FloatSystem(12, -40, 6)
+    a, b = model.effective_range()
+    for scheme in (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC):
+        for k, signed in ((1, True), (2, False)):
+            res = err_weighted_integral(grid, scheme, model, a, b, k, signed=signed)
+            yield oracle_line(f"normal(0.5,1) float12 {scheme.value} err k={k} signed={signed}", res)
 
 
 def verify_lines():

@@ -21,7 +21,6 @@ from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_cen
 from .errors import (
     BadOrderError,
     ConfigError,
-    DivergentMomentError,
     InfeasibleBudgetError,
     PreconditionError,
     SymmetryUnavailableError,
@@ -102,8 +101,10 @@ def _check_mode(mode: str):
 
 
 def _finite(x: float, what: str) -> float:
+    # every model's moments are finite (quadrature cannot see a divergent
+    # one), so a moment that is not is one past a double's range
     if not math.isfinite(x):
-        raise DivergentMomentError(f"{what} is not finite")
+        raise ConfigError(f"{what} overflows a double")
     return x
 
 

@@ -108,11 +108,29 @@ class DensityModel:
             return self._abs_central_first
         key = ("amm", m, n, about)
         if key not in self._cache:
-            # |x|^0 has no kink at 0
-            self._cache[key] = self._quad(
-                lambda x: np.abs(x - about) ** m * np.abs(x) ** n * self._pdf(x),
-                breakpoints=(0.0, about) if n else (about,),
-            )
+
+            def product(x, in_logs=False):
+                pdf = self._pdf(x)
+                dx, ax = np.abs(x - about), np.abs(x)
+                out = dx ** m * ax ** n * pdf
+                if in_logs:
+                    # where a power overflows and the density is tiny (or 0)
+                    big = ~np.isfinite(out)
+                    logs = np.log(pdf[big])
+                    for p, v in ((m, dx), (n, ax)):
+                        if p:
+                            logs += p * np.log(v[big])
+                    out[big] = np.exp(logs)
+                return out
+
+            breakpoints = (0.0, about) if n else (about,)  # |x|^0 has no kink at 0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = self._quad(product, breakpoints)
+                if not math.isfinite(value):
+                    # a power overflowed: again with the product in logs where
+                    # it did, so only a moment past a double's range stays inf
+                    value = self._quad(lambda x: product(x, in_logs=True), breakpoints)
+            self._cache[key] = value
         return self._cache[key]
 
     def sup_centered_weight(self) -> float:
@@ -300,8 +318,8 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
 
 
 def make_exponential(lam: float) -> DensityModel:
-    if not lam > 0.0 or lam * lam == 0.0:  # the variance divides by lam^2
-        raise ConfigError(f"rate must be positive with a nonzero square, got {lam!r}")
+    if not 0.0 < lam < math.inf or lam * lam == 0.0:  # the variance divides by lam^2
+        raise ConfigError(f"rate must be positive and finite with a nonzero square, got {lam!r}")
 
     def pdf(x):
         xc = np.maximum(x, 0.0)

@@ -41,10 +41,6 @@ class SymmetryUnavailableError(PreconditionError):
     """Symmetry-refined bound requested but its hypotheses fail."""
 
 
-class DivergentMomentError(PreconditionError):
-    """A required moment is infinite or overflowed."""
-
-
 class BadOrderError(PreconditionError):
     """Signed error-power bound requested with an even power."""
 

@@ -69,14 +69,27 @@ class UniformMesh:
         hi = np.where(lo == x, lo, self.offset + (z + 1.0) * step)
         return lo, hi
 
-    def points_in(self, lo: float, hi: float) -> np.ndarray:
-        step = self.step
-        z0 = math.ceil((lo - self.offset) / step - 1e-12)
-        z1 = math.floor((hi - self.offset) / step + 1e-12)
+    def _index_range(self, lo: float, hi: float) -> tuple[int, int]:
+        """Indices z0..z1 of the points ``offset + z*step`` of [lo, hi], give
+        or take one at either end; more than CELL_BUDGET of them raise
+        TooManyCellsError."""
+        z0 = math.ceil((lo - self.offset) / self.step - 1e-12)
+        z1 = math.floor((hi - self.offset) / self.step + 1e-12)
         if z1 - z0 + 1 > CELL_BUDGET:
             raise TooManyCellsError(f"{z1 - z0 + 1} mesh points in range")
-        pts = self.offset + step * np.arange(z0, z1 + 1, dtype=float)
+        return z0, z1
+
+    def points_in(self, lo: float, hi: float) -> np.ndarray:
+        z0, z1 = self._index_range(lo, hi)
+        pts = self.offset + self.step * np.arange(z0, z1 + 1, dtype=float)
         return pts[(pts >= lo) & (pts <= hi)]
+
+    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
+        """Grid points inside (lo, hi), in order, that cut it into chunks of
+        at most ``cells`` cells: every ``cells``-th point of its index range."""
+        z0, z1 = self._index_range(lo, hi)
+        ends = (self.offset + self.step * z for z in range(z0 - 1 + cells, z1 + 1, cells))
+        return [p for p in ends if lo < p < hi]
 
 
 @dataclass(frozen=True)
@@ -163,20 +176,57 @@ class FloatSystem:
         # stretch; that point is one of the range's ends clipped to the top.
         ends = np.clip([lo, hi], -self.top, self.top)
         chunks = [ends[self.neighbors(ends)[0] == ends]]
-        count = 0
-        for sign, anchor, step, a, b in self.stretches(lo, hi):
-            j0 = math.ceil((a - anchor) / step - 1e-12)
-            j1 = math.floor((b - anchor) / step + 1e-12)
-            n = max(0, j1 - j0 + 1)
-            count += n
-            if count > CELL_BUDGET:
-                raise TooManyCellsError("float lattice exceeds cell budget")
-            if n:
-                chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
+        for sign, anchor, step, j0, j1 in self._lattice_runs(lo, hi):
+            chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
         pts = np.unique(np.concatenate(chunks))
         # Both sides hold 0, so which signed zero survives np.unique depends
         # on the sort; adding 0.0 always returns +0.0.
         return pts[(pts >= lo) & (pts <= hi)] + 0.0
+
+    def _lattice_runs(self, lo: float, hi: float) -> list:
+        """``(sign, anchor, step, j0, j1)`` for each stretch of [lo, hi]
+        holding lattice points, in stretch order: its points are ``sign *
+        (anchor + j*step)`` for j in j0..j1.  More than CELL_BUDGET points
+        in all raise TooManyCellsError before any run is returned."""
+        runs = []
+        count = 0
+        for sign, anchor, step, a, b in self.stretches(lo, hi):
+            j0 = math.ceil((a - anchor) / step - 1e-12)
+            j1 = math.floor((b - anchor) / step + 1e-12)
+            count += max(0, j1 - j0 + 1)
+            if count > CELL_BUDGET:
+                raise TooManyCellsError("float lattice exceeds cell budget")
+            if j0 <= j1:
+                runs.append((sign, anchor, step, j0, j1))
+        return runs
+
+    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
+        """Grid points inside (lo, hi), in order, that cut it into chunks of
+        at most ``cells`` cells.
+
+        One walk over the stretches in increasing x (the negative side's
+        reversed) counts the points each one adds, a binade's end being the
+        next one's anchor, and takes every ``cells``-th point; consecutive
+        binades share a chunk until it is full.
+        """
+        # each side holds 2^m points a binade and in [0, 2^k_min), plus its top,
+        # so the whole real line holds at most 2^(m+1) (k_max - k_min + 1) + 2 cells
+        if 2 ** (self.mantissa_bits + 1) * (self.k_max - self.k_min + 1) + 2 <= cells:
+            return []
+        runs = self._lattice_runs(lo, hi)
+        neg = [r for r in runs if r[0] < 0.0]
+        ends = []
+        filled = 0  # cells closed since the last end
+        last = None  # the last point walked
+        for sign, anchor, step, j0, j1 in neg[::-1] + runs[len(neg):]:
+            js = range(j0, j1 + 1) if sign > 0.0 else range(j1, j0 - 1, -1)
+            if sign * (anchor + step * js[0]) == last:
+                js = js[1:]  # the previous stretch's end
+            ends += [sign * (anchor + step * j) for j in js[cells - 1 - filled :: cells]]
+            filled = (filled + len(js)) % cells
+            last = sign * (anchor + step * (j1 if sign > 0.0 else j0))
+        # +0.0 turns a -0.0 into the 0.0 that points_in returns
+        return [p + 0.0 for p in ends if lo < p < hi]
 
 
 @dataclass(frozen=True)
@@ -208,6 +258,13 @@ class ExplicitSet:
         i0 = np.searchsorted(self.points, lo, side="left")
         i1 = np.searchsorted(self.points, hi, side="right")
         return self.points[i0:i1]
+
+    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
+        """Every ``cells``-th point inside (lo, hi), sliced from the view of
+        the set: consecutive ends are at most ``cells`` cells apart."""
+        i0 = np.searchsorted(self.points, lo, side="right")
+        i1 = np.searchsorted(self.points, hi, side="left")
+        return self.points[i0:i1][cells - 1 :: cells].tolist()
 
 
 Grid = Union[UniformMesh, FloatSystem, ExplicitSet]

@@ -26,8 +26,13 @@ from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_e
 # Pieces per block of the per-cell kernel.  A block's 20-node float64 node
 # matrix is 320 KiB, so it and the few temporaries the integrand builds from
 # it stay in L2 cache (1,024-2,048 was fastest with 2 MB of L2 per core;
-# 16,384 was 30% slower).  Oracle memory then grows with pieces, not with pieces x nodes.
+# 16,384 was 30% slower).
 QUAD_BLOCK = 2048
+# Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
+# most two per cell, plus the grading at either end) and one block's node
+# matrix at a time, so its memory does not grow with the grid; a chunk of 16
+# blocks makes its one points_in and one neighbors call cheap per piece.
+CHUNK_CELLS = 16 * QUAD_BLOCK
 
 
 @dataclass(frozen=True)
@@ -45,25 +50,42 @@ def _weight_callable(model_or_weight) -> Callable:
 
 
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """Pieces [lo, hi] of [a, b] with each piece's rounding data, as columns:
-    both cell ends under stochastic rounding, else the rounding target.
+    """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded one
+    chunk at a time as columns (lo, hi, rd_data): rd_data holds both cell
+    ends under stochastic rounding, else the rounding target.
 
-    Pieces are cut at grid points and, under a deterministic scheme, at each
-    cell's switch point (its midpoint under nearest rounding, 0 under
-    directed rounding), so the error is one linear branch on each piece.
-    The outermost pieces are graded geometrically toward a and b: densities
-    often lose smoothness exactly at their support edges (square root
-    onsets, jumps), and grading keeps fixed-order Gauss panels at full
-    accuracy there.
+    The chunks are cut at grid points (``grid.chunk_ends``), CHUNK_CELLS
+    cells at most each, so no chunk enumerates the whole grid; the grid's
+    CELL_BUDGET is checked on all of [a, b] before the first chunk.  Pieces
+    are cut at grid points and, under a deterministic scheme, at each cell's
+    switch point (its midpoint under nearest rounding, 0 under directed
+    rounding), so the error is one linear branch on each piece.  The
+    outermost pieces, in the first and last chunk, are graded geometrically
+    toward a and b: densities often lose smoothness exactly at their support
+    edges (square root onsets, jumps), and grading keeps fixed-order Gauss
+    panels at full accuracy there.
     """
     if not a < b:
         raise PreconditionError("need a < b")
-    pts = grid.points_in(a, b)
-    edges = np.concatenate([[a], pts[(pts > a) & (pts < b)], [b]])
-    w_lo, w_hi = edges[1] - edges[0], edges[-1] - edges[-2]
-    grading = [a + w_lo * 3.0 ** (-j) for j in range(1, 14)]
-    grading += [b - w_hi * 3.0 ** (-j) for j in range(1, 14)]
-    edges = np.unique(np.concatenate([edges, grading]))
+    ends = [a, *grid.chunk_ends(a, b, CHUNK_CELLS), b]
+    for i in range(len(ends) - 1):
+        lo, hi = ends[i], ends[i + 1]
+        pts = grid.points_in(lo, hi)
+        edges = np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]])
+        grading = []
+        if i == 0:
+            w_lo = edges[1] - edges[0]
+            grading += [a + w_lo * 3.0 ** (-j) for j in range(1, 14)]
+        if i == len(ends) - 2:
+            w_hi = edges[-1] - edges[-2]
+            grading += [b - w_hi * 3.0 ** (-j) for j in range(1, 14)]
+        if grading:
+            edges = np.unique(np.concatenate([edges, grading]))
+        yield _pieces(grid, scheme, edges)
+
+
+def _pieces(grid: Grid, scheme: RoundingScheme, edges: np.ndarray):
+    """The pieces between sorted edges, each with its rounding data."""
     lo_p, hi_p = edges[:-1], edges[1:]
     c_lo, c_hi = grid.neighbors(0.5 * (lo_p + hi_p))
     if scheme is RoundingScheme.STOCHASTIC:
@@ -74,7 +96,7 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     # takes the upper cell end below it
     below, above = (c_hi, c_lo) if scheme is RoundingScheme.TOWARD_ZERO else (c_lo, c_hi)
     # a piece the switch point cuts keeps its lower part in place and its
-    # upper part is appended after all the others
+    # upper part is appended after all the others of its chunk
     inside = (switch > lo_p) & (switch < hi_p)
     cut, upper = switch[inside], hi_p[inside]
     hi_p = np.where(inside, switch, hi_p)
@@ -84,35 +106,43 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets[:, None],)
 
 
-def _per_cell_gauss(w, f, lo_p, hi_p, rd_data, n: int) -> OracleResult:
+def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) E[f(rd(x), x)] over the pieces.
 
     ``f`` maps rounded values and a block's node matrix X (pieces x nodes)
-    to integrand factors; ``w`` must act pointwise.  ``rd_data`` is the
-    per-piece rounding data from :func:`_partition`: one target, or the two
-    cell ends whose stochastic expectation is taken.  Pieces are taken
-    QUAD_BLOCK at a time, so memory is O(QUAD_BLOCK x nodes) however many
-    pieces there are.  Each block is integrated at n nodes and at the
-    half-order rerun whose difference is the error estimate.
+    to integrand factors; ``w`` must act pointwise.  ``chunks`` are the
+    pieces with their rounding data, chunk by chunk, from
+    :func:`_partition`: one target, or the two cell ends whose stochastic
+    expectation is taken.  Each chunk's pieces are taken QUAD_BLOCK at a
+    time and the block sums kept in the order they come, so memory is one
+    chunk plus O(QUAD_BLOCK x nodes) however many pieces there are.  Each
+    block is integrated at n nodes and at the half-order rerun whose
+    difference is the error estimate.  ``details["chunks"]`` counts the
+    blocks.
     """
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
     sums: tuple[list, list] = ([], [])
-    for start in range(0, lo_p.size, QUAD_BLOCK):
-        blk = slice(start, start + QUAD_BLOCK)
-        lo, hi = lo_p[blk], hi_p[blk]
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)
-        rd_blk = [r[blk] for r in rd_data]
-        for (nodes, weights), out in zip(rules, sums):
-            X = mid + half[:, None] * nodes[None, :]
-            if len(rd_blk) == 1:
-                vals = f(rd_blk[0], X)
-            else:
-                c_lo, c_hi = rd_blk
-                vals = stoch_expectation(X, c_lo, c_hi, f(c_lo, X), f(c_hi, X))
-            out.append(np.sum(half * ((np.asarray(w(X)) * vals) @ weights)))
+    pieces = 0
+    for lo_p, hi_p, rd_data in chunks:
+        pieces += lo_p.size
+        for start in range(0, lo_p.size, QUAD_BLOCK):
+            blk = slice(start, start + QUAD_BLOCK)
+            lo, hi = lo_p[blk], hi_p[blk]
+            mid = 0.5 * (lo + hi)[:, None]
+            half = 0.5 * (hi - lo)
+            rd_blk = [r[blk] for r in rd_data]
+            for (nodes, weights), out in zip(rules, sums):
+                X = mid + half[:, None] * nodes[None, :]
+                if len(rd_blk) == 1:
+                    vals = f(rd_blk[0], X)
+                else:
+                    c_lo, c_hi = rd_blk
+                    vals = stoch_expectation(X, c_lo, c_hi, f(c_lo, X), f(c_hi, X))
+                out.append(np.sum(half * ((np.asarray(w(X)) * vals) @ weights)))
+        # every chunk has a piece; drop its views before the next is built
+        del lo_p, hi_p, rd_data, lo, hi, rd_blk
     value, coarse = (float(np.sum(s)) for s in sums)
-    details = {"pieces": int(lo_p.size), "nodes": n, "chunks": len(sums[0])}
+    details = {"pieces": pieces, "nodes": n, "chunks": len(sums[0])}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
 
 
@@ -136,7 +166,7 @@ def err_weighted_integral(
     """
     f = partial(err_power, k=k, signed=signed)
     n = max(k + 8, 20)
-    return _per_cell_gauss(_weight_callable(model_or_weight), f, *_partition(grid, scheme, a, b), n)
+    return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), n)
 
 
 def rd_moment_integral(
@@ -150,7 +180,7 @@ def rd_moment_integral(
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx."""
     f = partial(_shifted_power, j=j, shift=shift)
-    return _per_cell_gauss(_weight_callable(model_or_weight), f, *_partition(grid, scheme, a, b), 20)
+    return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:

@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -199,9 +200,12 @@ def _finite_json(text: str):
     (["bound", "--dist", "semicircle:r=1,mu=0", "--quantity", "centered", "--k", "700", "--delta", "0.1"], 2),
     (["bound", "--dist", "uniform:lo=0,hi=1", "--quantity", "centered", "--k", "1200", "--delta", "0.1"], 2),
     (["bound", "--dist", "exponential:lambda=1", "--quantity", "centered", "--k", "200", "--delta", "0.1"], 2),
+    # E|X - mu|^199 of the normal is 4.7e185, though |x|^199 overflows
+    # where the density is still positive
+    (["bound", "--dist", "normal:mu=0,sigma2=1", "--quantity", "centered", "--k", "200", "--delta", "0.1"], 0),
 ], ids=["sweep-huge-step", "bound-huge-step", "sweep-subnormal-step", "bound-subnormal-step", "sweep-cell-budget",
         "bound-mean-tiny-step", "bound-variance-tiny-step", "bound-term-overflow", "sweep-value-overflow",
-        "centered-semicircle-k700", "centered-uniform-k1200", "centered-exponential-k200"])
+        "centered-semicircle-k700", "centered-uniform-k1200", "centered-exponential-k200", "centered-normal-k200"])
 def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == want, err
@@ -211,6 +215,17 @@ def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
     else:
         payload = _finite_json(out)
         assert math.isfinite(payload["value"])
+
+
+def test_moment_past_a_double_is_one_config_error(capsys):
+    # E|X - mu|^699 of the normal is finite but past a double's range: one
+    # config error line, and no warning from its quadrature
+    argv = ["bound", "--dist", "normal:mu=0,sigma2=1", "--quantity", "centered", "--k", "700", "--delta", "0.1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "config error: E[|X-mu0|^699 |X|^0] overflows a double\n"
 
 
 def test_bound_precondition_exit_3(capsys):

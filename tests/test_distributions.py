@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,15 @@ def test_not_unimodal_rejected(semicircle):
 def test_replace_is_checked_like_a_constructor(semicircle, changes):
     with pytest.raises(ConfigError):
         replace(semicircle, **changes)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_non_finite_rate_is_refused_before_its_density_is_evaluated(lam):
+    # an infinite rate once reached the model check, whose pdf warned on inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            make_exponential(lam)
 
 
 def test_replace_starts_with_an_empty_cache():

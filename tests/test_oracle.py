@@ -244,6 +244,12 @@ def test_too_many_cells_guard(semicircle):
 # --- the blocked per-cell kernel against a single-matrix reference -----------
 
 
+def whole_partition(grid, scheme, a, b):
+    """The pieces of every chunk of ``oracle._partition``, concatenated."""
+    lo_p, hi_p, rd_data = zip(*oracle._partition(grid, scheme, a, b))
+    return np.concatenate(lo_p), np.concatenate(hi_p), tuple(np.concatenate(r) for r in zip(*rd_data))
+
+
 def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
     """Single-matrix per-cell Gauss quadrature with plain ``**`` powers.
 
@@ -251,7 +257,7 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
     shift is given) at n nodes over every piece at once, as the oracle did
     before it was blocked.  Returns the value and the per-piece terms.
     """
-    lo_p, hi_p, rd_data = oracle._partition(grid, scheme, a, b)
+    lo_p, hi_p, rd_data = whole_partition(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
     X = 0.5 * (lo_p + hi_p)[:, None] + 0.5 * (hi_p - lo_p)[:, None] * nodes[None, :]
     if scheme is RS.STOCHASTIC:
@@ -308,7 +314,7 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
     # or one block and a single leftover piece
     mesh = UniformMesh(0.05, 0.013)
     a, b = -1.9, 2.3
-    pieces = oracle._partition(mesh, scheme, a, b)[0].size
+    pieces = whole_partition(mesh, scheme, a, b)[0].size
     monkeypatch.setattr(oracle, "QUAD_BLOCK", pieces - extra)
     for k, signed in ((1, True), (2, False), (3, True), (4, False)):
         got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
@@ -343,10 +349,94 @@ def test_float_integral_memory_is_bounded_by_pieces():
         tracemalloc.stop()
     pieces, nodes = got.details["pieces"], got.details["nodes"]
     assert pieces > 150_000
-    assert got.details["chunks"] == math.ceil(pieces / oracle.QUAD_BLOCK)
+    # blocks are cut chunk by chunk: each partition chunk ends its last block
+    chunks = [lo.size for lo, _, _ in oracle._partition(fs, RS.NEAREST, a, b)]
+    assert sum(chunks) == pieces
+    assert got.details["chunks"] == sum(math.ceil(size / oracle.QUAD_BLOCK) for size in chunks)
     assert peak < pieces * nodes * 8
     want, terms = reference_quad(fs, RS.NEAREST, model.density, a, b, nodes, 1)
     assert_matches_reference(got, want, terms)
+
+
+def test_float_oracle_memory_does_not_grow_with_the_grid():
+    # 183k and 730k pieces: the walk holds one partition chunk and one block
+    # at a time, so quadrupling the grid leaves the peak where it was
+    model = make_normal(0.5, 1.0)
+    a, b = model.effective_range()
+    # first-call allocations (node tables, numpy internals) are not the walk's
+    err_weighted_integral(FloatSystem(6, -40, 6), RS.NEAREST, model, a, b, 1, signed=True)
+    peaks = {}
+    for m in (10, 12):
+        tracemalloc.start()
+        try:
+            got = err_weighted_integral(FloatSystem(m, -40, 6), RS.NEAREST, model, a, b, 1, signed=True)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.details["pieces"] > (700_000 if m == 12 else 180_000)
+    assert peaks[12] < 1.25 * peaks[10], peaks
+    assert peaks[12] < 10e6, peaks
+
+
+MULTI_CHUNK_CASES = [
+    (UniformMesh(0.05, 0.013), -1.9, 2.3),
+    # nine binades and the subnormal stretch a side, and a saturated tail
+    (FloatSystem(4, -6, 3), -3.3, 9.0),
+    (ExplicitSet(np.linspace(-60.0, 60.0, 1201) ** 3 / 3600.0), -2.7, 3.1),
+]
+
+
+def sorted_pieces(lo_p, hi_p, rd_data):
+    order = np.argsort(lo_p, kind="stable")
+    return lo_p[order], hi_p[order], [r[order] for r in rd_data]
+
+
+@pytest.mark.parametrize("scheme", list(RS))
+@pytest.mark.parametrize("cells", [3, 40])
+@pytest.mark.parametrize("grid,a,b", MULTI_CHUNK_CASES)
+def test_multi_chunk_walk(monkeypatch, grid, a, b, cells, scheme):
+    single = sorted_pieces(*whole_partition(grid, scheme, a, b))
+    assert len(list(oracle._partition(grid, scheme, a, b))) == 1
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+    chunks = list(oracle._partition(grid, scheme, a, b))
+    assert len(chunks) > 1
+    # each chunk tiles its own sub-range, whose inner ends are grid points;
+    # together they tile [a, b], and every chunk but the last holds exactly
+    # CHUNK_CELLS grid cells (a is no grid point)
+    start, counts = a, []
+    for lo_p, hi_p, _ in chunks:
+        lo_s, hi_s = np.sort(lo_p), np.sort(hi_p)
+        assert lo_s[0] == start and np.all(lo_s[1:] == hi_s[:-1]) and np.all(hi_s > lo_s)
+        end = hi_s[-1]
+        assert end == b or grid.neighbors(end)[0] == end
+        pts = grid.points_in(start, end)
+        counts.append(int(np.sum((pts > start) & (pts < end))) + 1)
+        start = end
+    assert start == b
+    assert counts[:-1] == [cells] * (len(counts) - 1) and counts[-1] <= cells, counts
+    # the same pieces, with the same rounding data, as the single-chunk walk
+    streamed = sorted_pieces(*whole_partition(grid, scheme, a, b))
+    np.testing.assert_array_equal(streamed[0], single[0])
+    np.testing.assert_array_equal(streamed[1], single[1])
+    for got, want in zip(streamed[2], single[2]):
+        np.testing.assert_array_equal(got, want)
+    # rounding data that round_value agrees with
+    lo_p, hi_p, rd_data = streamed
+    x = 0.5 * (lo_p + hi_p)
+    strict = (lo_p < x) & (x < hi_p)
+    assert strict.sum() > 0.9 * x.size
+    if scheme is RS.STOCHASTIC:
+        directed = [round_value(grid, s, x[strict]) for s in (RS.TOWARD_ZERO, RS.AWAY_FROM_ZERO)]
+        np.testing.assert_array_equal(rd_data[0][strict, 0], np.minimum(*directed))
+        np.testing.assert_array_equal(rd_data[1][strict, 0], np.maximum(*directed))
+    else:
+        np.testing.assert_array_equal(rd_data[0][strict, 0], round_value(grid, scheme, x[strict]))
+    # and the streamed integral is the per-piece reference's
+    for k, signed in ((1, True), (2, False)):
+        got = err_weighted_integral(grid, scheme, cubic_weight, a, b, k, signed=signed)
+        want, terms = reference_quad(grid, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
+        assert got.details["pieces"] == terms.size
+        assert_matches_reference(got, want, terms)
 
 
 def test_mc_moment_orders_share_samples(semicircle):
@@ -367,7 +457,7 @@ def test_one_ulp_piece_above_the_switch_point_rounds_up(semicircle):
     # [0.94375, 1.04375]; the midpoint of that one-ulp piece rounds down onto
     # the switch point, yet the whole piece lies above it.
     mesh = UniformMesh(0.05, np.linspace(0.0, 0.1, 64, endpoint=False)[28])
-    lo_p, hi_p, (targets,) = oracle._partition(mesh, RS.NEAREST, *semicircle.effective_range())
+    lo_p, hi_p, (targets,) = whole_partition(mesh, RS.NEAREST, *semicircle.effective_range())
     i = np.flatnonzero(lo_p == float.fromhex("0x1.fccccccccccccp-1"))
     assert hi_p[i].tolist() == [float.fromhex("0x1.fcccccccccccdp-1")]
     assert targets[i, 0].tolist() == [1.04375]
@@ -384,7 +474,7 @@ def test_one_ulp_piece_above_the_switch_point_rounds_up(semicircle):
     ],
 )
 def test_partition_targets_match_round_value(scheme, grid, a, b):
-    lo_p, hi_p, (targets,) = oracle._partition(grid, scheme, a, b)
+    lo_p, hi_p, (targets,) = whole_partition(grid, scheme, a, b)
     x = 0.5 * (lo_p + hi_p)
     strict = (lo_p < x) & (x < hi_p)  # a one-ulp piece holds no double
     assert strict.sum() > 0.9 * x.size
