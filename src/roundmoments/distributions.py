@@ -109,27 +109,23 @@ class DensityModel:
         key = ("amm", m, n, about)
         if key not in self._cache:
 
-            def product(x, in_logs=False):
+            def product(x):
                 pdf = self._pdf(x)
                 dx, ax = np.abs(x - about), np.abs(x)
                 out = dx ** m * ax ** n * pdf
-                if in_logs:
-                    # where a power overflows and the density is tiny (or 0)
-                    big = ~np.isfinite(out)
-                    logs = np.log(pdf[big])
-                    for p, v in ((m, dx), (n, ax)):
-                        if p:
-                            logs += p * np.log(v[big])
-                    out[big] = np.exp(logs)
+                # where a power overflows and the density is tiny (or 0), the
+                # product in logs, so only a moment past a double's range is inf
+                big = ~np.isfinite(out)
+                logs = np.log(pdf[big])
+                for p, v in ((m, dx), (n, ax)):
+                    if p:
+                        logs += p * np.log(v[big])
+                out[big] = np.exp(logs)
                 return out
 
             breakpoints = (0.0, about) if n else (about,)  # |x|^0 has no kink at 0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 value = self._quad(product, breakpoints)
-                if not math.isfinite(value):
-                    # a power overflowed: again with the product in logs where
-                    # it did, so only a moment past a double's range stays inf
-                    value = self._quad(lambda x: product(x, in_logs=True), breakpoints)
             self._cache[key] = value
         return self._cache[key]
 

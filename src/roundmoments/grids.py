@@ -176,57 +176,55 @@ class FloatSystem:
         # stretch; that point is one of the range's ends clipped to the top.
         ends = np.clip([lo, hi], -self.top, self.top)
         chunks = [ends[self.neighbors(ends)[0] == ends]]
-        for sign, anchor, step, j0, j1 in self._lattice_runs(lo, hi):
-            chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
+        count = 0
+        for sign, anchor, step, a, b in self.stretches(lo, hi):
+            j0 = math.ceil((a - anchor) / step - 1e-12)
+            j1 = math.floor((b - anchor) / step + 1e-12)
+            n = max(0, j1 - j0 + 1)
+            count += n
+            if count > CELL_BUDGET:
+                raise TooManyCellsError("float lattice exceeds cell budget")
+            if n:
+                chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
         pts = np.unique(np.concatenate(chunks))
         # Both sides hold 0, so which signed zero survives np.unique depends
         # on the sort; adding 0.0 always returns +0.0.
         return pts[(pts >= lo) & (pts <= hi)] + 0.0
 
-    def _lattice_runs(self, lo: float, hi: float) -> list:
-        """``(sign, anchor, step, j0, j1)`` for each stretch of [lo, hi]
-        holding lattice points, in stretch order: its points are ``sign *
-        (anchor + j*step)`` for j in j0..j1.  More than CELL_BUDGET points
-        in all raise TooManyCellsError before any run is returned."""
-        runs = []
-        count = 0
-        for sign, anchor, step, a, b in self.stretches(lo, hi):
-            j0 = math.ceil((a - anchor) / step - 1e-12)
-            j1 = math.floor((b - anchor) / step + 1e-12)
-            count += max(0, j1 - j0 + 1)
-            if count > CELL_BUDGET:
-                raise TooManyCellsError("float lattice exceeds cell budget")
-            if j0 <= j1:
-                runs.append((sign, anchor, step, j0, j1))
-        return runs
+    def _rank(self, x: float) -> int:
+        """The index of grid point x among the grid's points, 0 at 0: the
+        points below 2^k_min, then 2^m per binade, negated below 0."""
+        ax = abs(x)
+        per_binade = 1 << self.mantissa_bits
+        if ax < self.tiny:
+            r = int(ax / self._sub_step())
+        else:
+            i = math.frexp(ax)[1] - 1  # ax lies in the binade [2^i, 2^(i+1))
+            below_tiny = int(self.tiny / self._sub_step())
+            r = below_tiny + (i - self.k_min - 1) * per_binade + int(math.ldexp(ax, self.mantissa_bits - i))
+        return -r if x < 0.0 else r
+
+    def _point(self, r: int) -> float:
+        """The grid point of index r, the inverse of :meth:`_rank`."""
+        below_tiny = int(self.tiny / self._sub_step())
+        if abs(r) < below_tiny:
+            p = abs(r) * self._sub_step()
+        else:
+            binade, j = divmod(abs(r) - below_tiny, 1 << self.mantissa_bits)
+            p = math.ldexp((1 << self.mantissa_bits) + j, self.k_min + binade - self.mantissa_bits)
+        return -p if r < 0 else p
 
     def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
         """Grid points inside (lo, hi), in order, that cut it into chunks of
-        at most ``cells`` cells.
-
-        One walk over the stretches in increasing x (the negative side's
-        reversed) counts the points each one adds, a binade's end being the
-        next one's anchor, and takes every ``cells``-th point; consecutive
-        binades share a chunk until it is full.
-        """
-        # each side holds 2^m points a binade and in [0, 2^k_min), plus its top,
-        # so the whole real line holds at most 2^(m+1) (k_max - k_min + 1) + 2 cells
-        if 2 ** (self.mantissa_bits + 1) * (self.k_max - self.k_min + 1) + 2 <= cells:
-            return []
-        runs = self._lattice_runs(lo, hi)
-        neg = [r for r in runs if r[0] < 0.0]
-        ends = []
-        filled = 0  # cells closed since the last end
-        last = None  # the last point walked
-        for sign, anchor, step, j0, j1 in neg[::-1] + runs[len(neg):]:
-            js = range(j0, j1 + 1) if sign > 0.0 else range(j1, j0 - 1, -1)
-            if sign * (anchor + step * js[0]) == last:
-                js = js[1:]  # the previous stretch's end
-            ends += [sign * (anchor + step * j) for j in js[cells - 1 - filled :: cells]]
-            filled = (filled + len(js)) % cells
-            last = sign * (anchor + step * (j1 if sign > 0.0 else j0))
-        # +0.0 turns a -0.0 into the 0.0 that points_in returns
-        return [p + 0.0 for p in ends if lo < p < hi]
+        at most ``cells`` cells: every ``cells``-th point from the first one
+        in [lo, hi], found from the points' indices (:meth:`_rank`) without
+        walking the binades."""
+        below, above = self.neighbors([lo, hi])
+        r0, r1 = self._rank(above[0]), self._rank(below[1])
+        if r1 - r0 + 1 > CELL_BUDGET:
+            raise TooManyCellsError("float lattice exceeds cell budget")
+        ends = (self._point(r) for r in range(r0 + cells - 1, r1 + 1, cells))
+        return [p for p in ends if lo < p < hi]
 
 
 @dataclass(frozen=True)

@@ -68,24 +68,26 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     if not a < b:
         raise PreconditionError("need a < b")
     ends = [a, *grid.chunk_ends(a, b, CHUNK_CELLS), b]
-    for i in range(len(ends) - 1):
-        lo, hi = ends[i], ends[i + 1]
-        pts = grid.points_in(lo, hi)
-        edges = np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]])
-        grading = []
-        if i == 0:
-            w_lo = edges[1] - edges[0]
-            grading += [a + w_lo * 3.0 ** (-j) for j in range(1, 14)]
-        if i == len(ends) - 2:
-            w_hi = edges[-1] - edges[-2]
-            grading += [b - w_hi * 3.0 ** (-j) for j in range(1, 14)]
-        if grading:
-            edges = np.unique(np.concatenate([edges, grading]))
-        yield _pieces(grid, scheme, edges)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        yield _pieces(grid, scheme, lo, hi, lo == a, hi == b)
 
 
-def _pieces(grid: Grid, scheme: RoundingScheme, edges: np.ndarray):
-    """The pieces between sorted edges, each with its rounding data."""
+def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: bool, grade_hi: bool):
+    """The pieces of one chunk [lo, hi], each with its rounding data, graded
+    toward lo and hi as asked.  Its temporaries die when it returns, so the
+    generator holds none of them while its chunk is integrated: the freed
+    memory is reused there, where it would otherwise be faulted in anew."""
+    pts = grid.points_in(lo, hi)
+    edges = np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]])
+    grading = []
+    if grade_lo:
+        w_lo = edges[1] - edges[0]
+        grading += [lo + w_lo * 3.0 ** (-j) for j in range(1, 14)]
+    if grade_hi:
+        w_hi = edges[-1] - edges[-2]
+        grading += [hi - w_hi * 3.0 ** (-j) for j in range(1, 14)]
+    if grading:
+        edges = np.unique(np.concatenate([edges, grading]))
     lo_p, hi_p = edges[:-1], edges[1:]
     c_lo, c_hi = grid.neighbors(0.5 * (lo_p + hi_p))
     if scheme is RoundingScheme.STOCHASTIC:

@@ -15,6 +15,7 @@ from roundmoments import (
     gap_stats,
     parse_grid_config,
 )
+from roundmoments import grids
 from roundmoments.errors import AboveGridError, BelowGridError, ConfigError, EmptyRangeError, TooManyCellsError
 
 from conftest import brute_ceil, brute_floor, enumerate_float_system
@@ -273,6 +274,34 @@ def test_float_points_in_matches_enumeration(params):
         np.testing.assert_array_equal(fs.points_in(lo, hi), want, err_msg=f"[{lo}, {hi}]")
 
 
+@pytest.mark.parametrize("params", [(3, -4, 2, True), (2, -3, 1, False), (1, 0, 3, True)])
+def test_float_chunk_ends_take_every_cells_th_point(params):
+    fs = FloatSystem(*params)
+    pts = enumerate_float_system(*params)
+    # numbering the points in order, 0 at 0, and mapping a number back is exact
+    assert [fs._rank(p) for p in pts] == list(range(-(pts.size // 2), pts.size // 2 + 1))
+    assert [fs._point(fs._rank(p)) for p in pts] == list(pts)
+    rng = np.random.default_rng(6)
+    ranges = [(-9.0, 9.0), (-fs.top, fs.top), (-0.0, 1.0), (-1.0, 0.0), (fs.top, 9.0)]
+    for _ in range(300):
+        ends = [float(rng.choice(pts)) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0) for _ in range(2)]
+        ranges.append((min(ends), max(ends)))
+    for lo, hi in ranges:
+        inside = pts[(pts >= lo) & (pts <= hi)]
+        for cells in (1, 2, 3, 7):
+            want = [p for p in inside[cells - 1 :: cells] if lo < p < hi]
+            assert fs.chunk_ends(lo, hi, cells) == want, (lo, hi, cells)
+
+
+def test_float_chunk_ends_budget_counts_the_points_of_the_range(monkeypatch):
+    fs = FloatSystem(3, -4, 2)
+    pts = enumerate_float_system(3, -4, 2)
+    monkeypatch.setattr(grids, "CELL_BUDGET", 10)
+    fs.chunk_ends(pts[20], pts[29], 4)  # ten points
+    with pytest.raises(TooManyCellsError):
+        fs.chunk_ends(pts[20], pts[30], 4)
+
+
 def test_uniform_offset_normalization():
     assert UniformMesh(0.5, 1.7).offset == pytest.approx(0.7)
     assert UniformMesh(0.5, -0.3).offset == pytest.approx(0.7)
@@ -287,6 +316,8 @@ def test_points_in_budget_guard():
     try:
         with pytest.raises(TooManyCellsError):
             FloatSystem(30, 0, 2).points_in(1.0, 2.0)
+        with pytest.raises(TooManyCellsError):
+            FloatSystem(30, 0, 2).chunk_ends(1.0, 2.0, 32768)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
