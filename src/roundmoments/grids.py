@@ -159,12 +159,22 @@ class FloatSystem:
         first.  Anchors are always grid points, so lattice enumeration
         within a clipped query range stays on the true grid.
         """
-        blocks = [(0.0, self._sub_step(), self.tiny)]  # (anchor, step, end)
-        for i in range(self.k_min, self.k_max):
+        # (sign, a, b) of each side that meets the query
+        sides = [(sign, a, b) for sign, a, b in ((-1.0, max(-hi, 0.0), min(-lo, self.top)),
+                                                 (1.0, max(lo, 0.0), min(hi, self.top))) if a < b]
+        if not sides:
+            return
+        a_min, b_max = min(a for _, a, _ in sides), max(b for _, _, b in sides)
+        # (anchor, step, end) of the subnormal interval and of the binades
+        # [2^i, 2^(i+1)] that can meet [a_min, b_max]: x lies in
+        # [2^(e-1), 2^e) for e = frexp(x)[1], so those from a_min's to b_max's
+        if a_min < self.tiny:
+            blocks, i0 = [(0.0, self._sub_step(), self.tiny)], self.k_min
+        else:
+            blocks, i0 = [], math.frexp(a_min)[1] - 1
+        for i in range(i0, min(self.k_max, math.frexp(b_max)[1])):
             blocks.append((math.ldexp(1.0, i), math.ldexp(1.0, i - self.mantissa_bits), math.ldexp(1.0, i + 1)))
-        for sign in (-1.0, 1.0):
-            a = max(lo, 0.0) if sign > 0 else max(-hi, 0.0)
-            b = min(hi, self.top) if sign > 0 else min(-lo, self.top)
+        for sign, a, b in sides:
             for anchor, step, end in blocks:
                 c_lo, c_hi = max(a, anchor), min(b, end)
                 if c_lo < c_hi:
