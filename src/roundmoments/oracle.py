@@ -119,14 +119,15 @@ def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
     time and the block sums kept in the order they come, so memory is one
     chunk plus O(QUAD_BLOCK x nodes) however many pieces there are.  Each
     block is integrated at n nodes and at the half-order rerun whose
-    difference is the error estimate.  ``details["chunks"]`` counts the
-    blocks.
+    difference is the error estimate.  ``details`` counts the pieces, the
+    partition ``chunks`` and the QUAD_BLOCK ``blocks`` they were cut into.
     """
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
     sums: tuple[list, list] = ([], [])
-    pieces = 0
+    pieces = n_chunks = 0
     for lo_p, hi_p, rd_data in chunks:
         pieces += lo_p.size
+        n_chunks += 1
         for start in range(0, lo_p.size, QUAD_BLOCK):
             blk = slice(start, start + QUAD_BLOCK)
             lo, hi = lo_p[blk], hi_p[blk]
@@ -144,7 +145,7 @@ def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
         # every chunk has a piece; drop its views before the next is built
         del lo_p, hi_p, rd_data, lo, hi, rd_blk
     value, coarse = (float(np.sum(s)) for s in sums)
-    details = {"pieces": pieces, "nodes": n, "chunks": len(sums[0])}
+    details = {"pieces": pieces, "nodes": n, "blocks": len(sums[0]), "chunks": n_chunks}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import pathlib
@@ -333,6 +334,28 @@ def test_verify_pass_and_self_test(capsys):
 def test_verify_stochastic_scheme(capsys):
     code, out, _ = run_cli(capsys, "verify", "--instances", "24", "--scheme", "stochastic")
     assert code == 0
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_verify_reuses_its_heap(capsys):
+    # a 45-instance suite faulted in about 20,000 fresh pages (about 450 per
+    # instance) while glibc returned the heap top after every quadrature
+    # block; once the first suite has grown the heap, a second reuses it
+    resource = pytest.importorskip("resource")
+    argv = ("--seed", "0", "verify", "--instances", "45")
+    assert run_cli(capsys, *argv)[0] == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run_cli(capsys, *argv)[0] == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 2_000
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -320,11 +320,11 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
         got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
         want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
         assert_matches_reference(got, want, terms)
-        assert got.details == {"pieces": pieces, "nodes": max(k + 8, 20), "chunks": 2 if extra == 1 else 1}
+        assert got.details == {"pieces": pieces, "nodes": max(k + 8, 20), "blocks": 2 if extra == 1 else 1, "chunks": 1}
     got = rd_moment_integral(mesh, scheme, cubic_weight, a, b, 2, shift=-0.1)
     want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 2, shift=-0.1)
     assert_matches_reference(got, want, terms)
-    assert got.details["chunks"] == (2 if extra == 1 else 1)
+    assert (got.details["blocks"], got.details["chunks"]) == (2 if extra == 1 else 1, 1)
 
 
 def test_single_block_is_bit_identical_to_reference():
@@ -332,7 +332,7 @@ def test_single_block_is_bit_identical_to_reference():
     mesh = UniformMesh(0.05, 0.013)
     for scheme in RS:
         got = err_weighted_integral(mesh, scheme, cubic_weight, -1.0, 1.5, 2, signed=False)
-        assert got.details["chunks"] == 1
+        assert (got.details["blocks"], got.details["chunks"]) == (1, 1)
         assert got.value == reference_quad(mesh, scheme, cubic_weight, -1.0, 1.5, 20, 2, signed=False)[0]
 
 
@@ -352,7 +352,8 @@ def test_float_integral_memory_is_bounded_by_pieces():
     # blocks are cut chunk by chunk: each partition chunk ends its last block
     chunks = [lo.size for lo, _, _ in oracle._partition(fs, RS.NEAREST, a, b)]
     assert sum(chunks) == pieces
-    assert got.details["chunks"] == sum(math.ceil(size / oracle.QUAD_BLOCK) for size in chunks)
+    assert got.details["blocks"] == sum(math.ceil(size / oracle.QUAD_BLOCK) for size in chunks)
+    assert got.details["chunks"] == len(chunks) > 1
     assert peak < pieces * nodes * 8
     want, terms = reference_quad(fs, RS.NEAREST, model.density, a, b, nodes, 1)
     assert_matches_reference(got, want, terms)
