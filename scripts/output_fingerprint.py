@@ -33,6 +33,10 @@ change moved.  It prints:
 * the sha256 of each model's ``quantile`` on a fixed grid of u (edges
   down to the smallest subnormal included), and of ``sum-demo`` stdout
   under nearest and stochastic rounding;
+* ``float.hex`` of every value and error estimate of ``mc_rounded_moments``
+  on perfbench's four ``montecarlo`` cases at 49,169 samples (three whole
+  16,384-sample blocks and part of a fourth), and the JSON of a stochastic
+  ``sum-demo`` of 40 summands and 40,000 samples;
 * ``ok`` or the exception class for a fixed list of model constructions:
   each ``make_*`` with in-range and malformed parameters, and
   ``dataclasses.replace`` copies with a wrong interior mode, a two-bump
@@ -73,6 +77,7 @@ from roundmoments.oracle import (  # noqa: E402
     centered_moment_of_rounded,
     delta_e_and_v,
     err_weighted_integral,
+    mc_rounded_moments,
     rd_moment_integral,
 )
 from roundmoments.quadrature import adaptive_quad  # noqa: E402
@@ -125,6 +130,16 @@ FLOAT_MODELS = {
     "semicircle(r=0.8,mu=1.5)": make_semicircle(0.8, 1.5),
     "normal(1.0,0.5)": make_normal(1.0, 0.5),
 }
+
+# perfbench's montecarlo cases: (label, model, grid, scheme)
+MC_CASES = (
+    ("semicircle-uniform-nearest", make_semicircle(1.0, 0.3), UniformMesh(0.05, 0.01), RoundingScheme.NEAREST),
+    ("normal-float23-stochastic", make_normal(0.3, 1.0), FloatSystem(23, -126, 128), RoundingScheme.STOCHASTIC),
+    ("exponential-uniform-stochastic", make_exponential(1.0), UniformMesh(0.05), RoundingScheme.STOCHASTIC),
+    ("uniform-explicit-nearest", make_uniform(0.0, 1.0), ExplicitSet(np.linspace(0.0, 1.0, 100_001) ** 2),
+     RoundingScheme.NEAREST),
+)
+MC_SAMPLES = 3 * 16_384 + 17
 
 QUANTILE_US = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-16, 1e-8], np.linspace(0.0, 1.0, 100_001),
                               [1.0 - 1e-8, 1.0 - 1e-16, 1.0]])
@@ -308,6 +323,17 @@ def quantile_lines():
         yield f"sum-demo {scheme} rc={rc} sha256={sha(out)}"
 
 
+def mc_lines():
+    for label, model, grid, scheme in MC_CASES:
+        mc = mc_rounded_moments(model, grid, scheme, 4, MC_SAMPLES, 0)
+        named = [(f"raw k={k}", r) for k, r in enumerate(mc.raw, start=1)]
+        named += [(f"central k={k}", r) for k, r in enumerate(mc.central, start=2)]
+        for name, res in named + [("delta_e", mc.delta_e), ("delta_v", mc.delta_v)]:
+            yield f"mc {label} {name} {float.hex(res.value)} {float.hex(res.abs_error_estimate)}"
+    rc, out = cli_stdout(["sum-demo", "--scheme", "stochastic", "--summands", "40", "--samples", "40000"])
+    yield f"sum-demo stochastic summands=40 samples=40000 rc={rc} {json.dumps(json.loads(out), sort_keys=True)}"
+
+
 def _two_bumps(x):
     return np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
 
@@ -354,7 +380,7 @@ def construction_lines():
 
 def main() -> int:
     for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines,
-                    value_lines, quantile_lines, construction_lines):
+                    value_lines, quantile_lines, mc_lines, construction_lines):
         for line in section():
             print(line, flush=True)
     return 0

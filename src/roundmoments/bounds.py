@@ -612,8 +612,14 @@ def plan_measurement(
 
 
 def rounded_sum_bound(abs_means: Sequence[float], eps: float) -> BoundReport:
-    """First-order bound on E|S_n - rounded S_n| for a sequential sum."""
+    """First-order bound on E|S_n - rounded S_n| for a sequential sum.
+
+    The first-order analysis needs (n - 1) * eps < 1 (Higham's
+    gamma_{n-1}); past it the bound is not one, and PreconditionError says
+    so."""
     n = len(abs_means)
+    if (n - 1) * eps >= 1.0:
+        raise PreconditionError(f"a rounded sum of {n} terms needs (n - 1) * eps < 1, got {(n - 1) * eps!r}")
     for v in abs_means:
         _finite(v, "E|X_i|")
     coef = 0.0 if n <= 1 else (n - 1) * float(sum(abs_means))

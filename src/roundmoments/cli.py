@@ -212,10 +212,11 @@ def cmd_sum_demo(args) -> int:
     fs = FloatSystem(args.m, args.k_min, args.k_max)
     scheme = RoundingScheme.parse(args.scheme)
     models = [make_uniform(0.0, 1.0)] * args.summands  # one model, checked once
-    est = simulated_sum(models, fs, scheme, args.samples, args.seed)
     eps0 = 2.0 ** (-args.m)
     eps = scheme_eps_delta(scheme, eps0, 0.0)[0]
+    # before sampling: a sum too long for its bound exits without the wait
     bound = B.rounded_sum_bound([m.abs_mixed_moment(0, 1, 0.0) for m in models], eps)
+    est = simulated_sum(models, fs, scheme, args.samples, args.seed)
     payload = {
         "estimate": est.value,
         "standard_error": est.abs_error_estimate,

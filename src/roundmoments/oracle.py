@@ -33,6 +33,12 @@ QUAD_BLOCK = 2048
 # matrix at a time, so its memory does not grow with the grid; a chunk of 16
 # blocks makes its one points_in and one neighbors call cheap per piece.
 CHUNK_CELLS = 16 * QUAD_BLOCK
+# Samples per Monte Carlo block.  A block's float64 array is 128 KiB, so the
+# ten or so temporaries that drawing, transforming and rounding one block
+# builds fit a 2 MB L2 cache together (16,384 beat 4,096 and 65,536).  Only
+# the per-sample results are kept whole, so memory is O(MC_BLOCK) plus a few
+# arrays of n_samples doubles, however many summands a sum has.
+MC_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,15 @@ def _philox_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sample_blocks(n_samples: int):
+    """(slice, size) of each MC_BLOCK block of n_samples, in order.  A
+    stream's draws taken block by block concatenate to its whole draw, so
+    sample i keeps element i of each of its streams."""
+    for start in range(0, n_samples, MC_BLOCK):
+        size = min(MC_BLOCK, n_samples - start)
+        yield slice(start, start + size), size
+
+
 def mc_rounded_moments(
     model: DensityModel,
     grid: Grid,
@@ -240,32 +255,44 @@ def mc_rounded_moments(
     Sample uniforms come from the counter-based stream (seed, 0); the
     stochastic-rounding variate for sample i is element i of stream
     (seed, 1), so results are reproducible regardless of scheduling.
+    Samples are drawn, transformed and rounded MC_BLOCK at a time; only the
+    rounded values are kept whole.
     """
+    if k_max < 1:
+        raise PreconditionError("need k_max >= 1")
     if n_samples < 1000:
         raise PreconditionError("need at least 1000 samples")
-    u = _philox_stream(seed, 0).random(n_samples)
-    x = np.asarray(model.quantile(u), dtype=float)
-    if scheme is RoundingScheme.STOCHASTIC:
-        ur = _philox_stream(seed, 1).random(n_samples)
-    else:
-        ur = None
-    rd = round_value(grid, scheme, x, ur)
+    draws = _philox_stream(seed, 0)
+    variates = _philox_stream(seed, 1) if scheme is RoundingScheme.STOCHASTIC else None
+    rd = np.empty(n_samples)
+    for blk, size in _sample_blocks(n_samples):
+        x = np.asarray(model.quantile(draws.random(size)), dtype=float)
+        rd[blk] = round_value(grid, scheme, x, None if variates is None else variates.random(size))
     root_n = math.sqrt(n_samples)
     info = {"samples": n_samples, "seed": seed}
 
-    def res(vals: np.ndarray, value: float) -> OracleResult:
-        return OracleResult(value, 4.0 * float(np.std(vals)) / root_n, "monte_carlo", dict(info))
+    def spread(vals: np.ndarray) -> tuple[float, float]:
+        # the mean and the sum of squared deviations from it, each as
+        # np.mean and np.std compute them
+        mean = np.mean(vals)
+        dev = vals - mean
+        dev *= dev
+        return float(mean), float(np.sum(dev))
 
-    def moment(vals: np.ndarray) -> OracleResult:
-        return res(vals, float(np.mean(vals)))
+    def res(value: float, squares: float) -> OracleResult:
+        # 4 * np.std(vals) / sqrt(n)
+        return OracleResult(value, 4.0 * math.sqrt(squares / n_samples) / root_n, "monte_carlo", dict(info))
 
-    raw = tuple(moment(int_power(rd, k)) for k in range(1, k_max + 1))
-    rbar = float(np.mean(rd))
-    centered = rd - rbar
+    raws = [spread(int_power(rd, k)) for k in range(1, k_max + 1)]
+    raw = tuple(res(*r) for r in raws)
+    rbar, rd_squares = raws[0]
+    centered = rd  # rd itself is not read again
+    centered -= rbar
     # The second central moment is always needed: its spread is Delta_V's.
-    central = tuple(moment(int_power(centered, k)) for k in range(2, max(k_max, 2) + 1))
-    delta_e = res(rd, rbar - model.mean)
-    v_rd = float(np.var(rd, ddof=1))
+    central = tuple(res(*spread(int_power(centered, k))) for k in range(2, max(k_max, 2) + 1))
+    delta_e = OracleResult(rbar - model.mean, raw[0].abs_error_estimate, "monte_carlo", dict(info))
+    # np.var(rd, ddof=1)
+    v_rd = rd_squares / (n_samples - 1)
     delta_v = OracleResult(v_rd - model.variance, central[0].abs_error_estimate, "monte_carlo", dict(info))
     return MCMoments(raw=raw, central=central[: k_max - 1], delta_e=delta_e, delta_v=delta_v)
 
@@ -331,28 +358,31 @@ def simulated_sum(
 
     Summand i draws from stream (seed, i); rounding variates for addition
     step k come from stream (seed, 2^32 + k).  Partial sums that saturate
-    the float system are counted, not fatal.
+    the float system are counted, not fatal.  Samples are summed MC_BLOCK
+    at a time; only |S_n - rounded S_n| is kept whole.
     """
     n = len(models)
     if n == 0:
         raise PreconditionError("need at least one summand")
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
-    xs = np.empty((n, n_samples))
-    for i, m in enumerate(models):
-        xs[i] = np.asarray(m.quantile(_philox_stream(seed, i).random(n_samples)), dtype=float)
-    exact = xs.sum(axis=0)
-    rounded = xs[0].copy()
+    # one generator per stream, each drawn block by block
+    draws = [_philox_stream(seed, i) for i in range(n)]
+    stochastic = scheme is RoundingScheme.STOCHASTIC
+    steps = [_philox_stream(seed, (1 << 32) + k) if stochastic else None for k in range(1, n)]
+    diff = np.empty(n_samples)
     overflow = 0
-    for step in range(1, n):
-        s = rounded + xs[step]
-        overflow += int(np.sum(fs.saturates(s)))
-        if scheme is RoundingScheme.STOCHASTIC:
-            u = _philox_stream(seed, (1 << 32) + step).random(n_samples)
-        else:
-            u = None
-        rounded = round_value(fs, scheme, s, u)
-    diff = np.abs(exact - rounded)
+    for blk, size in _sample_blocks(n_samples):
+        xs = (np.asarray(m.quantile(g.random(size)), dtype=float) for m, g in zip(models, draws))
+        rounded = next(xs)
+        exact = rounded.copy()
+        for x, variates in zip(xs, steps):
+            # the exact sum adds the summands in order, as the rounded one does
+            exact += x
+            s = rounded + x
+            overflow += int(np.sum(fs.saturates(s)))
+            rounded = round_value(fs, scheme, s, None if variates is None else variates.random(size))
+        diff[blk] = np.abs(exact - rounded)
     value = float(np.mean(diff))
     se = 4.0 * float(np.std(diff)) / math.sqrt(n_samples)
     return OracleResult(

@@ -378,6 +378,14 @@ def test_rounded_sum_values():
     assert rep.notes  # unquantified remainder is flagged, not folded in
 
 
+def test_rounded_sum_needs_n_minus_one_eps_below_one():
+    assert rounded_sum_bound([1.0] * 3, 0.5 - 2.0 ** -53).value == pytest.approx(2.0 * 3.0 * 0.5)
+    assert rounded_sum_bound([1.0], 1.0).value == 0.0
+    for abs_means, eps in (([1.0] * 3, 0.5), ([1.0] * 200, 2.0 ** -5)):
+        with pytest.raises(PreconditionError):
+            rounded_sum_bound(abs_means, eps)
+
+
 def test_report_json_round_trip(semicircle):
     reports = [
         strong_bound(semicircle, 2, ADDITIVE, 0.1),

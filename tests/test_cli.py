@@ -384,6 +384,16 @@ def test_sum_demo_needs_a_summand_and_a_sample(capsys, flag, count):
     assert err.startswith("hypothesis violated:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("samples", [[], ["--samples", "0"]])
+def test_sum_demo_refuses_a_sum_too_long_for_its_bound(capsys, samples):
+    # (n - 1) * u = 199/32 >= 1: the first-order bound does not hold.  It is
+    # checked before sampling, so it is what a bad sample count meets first.
+    code, out, err = run_cli(capsys, "sum-demo", "--summands", "200", "--m", "4", *samples)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("hypothesis violated:") and "(n - 1) * eps < 1" in err
+
+
 def test_config_file_grid_and_distribution(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

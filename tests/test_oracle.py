@@ -13,7 +13,7 @@ from roundmoments import (
     make_uniform,
     oracle,
 )
-from roundmoments.errors import DegenerateFitError, TooManyCellsError
+from roundmoments.errors import DegenerateFitError, PreconditionError, TooManyCellsError
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
     centered_moment_of_rounded,
@@ -24,7 +24,7 @@ from roundmoments.oracle import (
     rd_moment_integral,
     simulated_sum,
 )
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS, round_value
+from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS, int_power, round_value
 from roundmoments.verify import offset_sweep
 
 ONE = np.ones_like
@@ -448,6 +448,126 @@ def test_mc_moment_orders_share_samples(semicircle):
     assert low.raw[0] == high.raw[0]
     assert low.delta_v == high.delta_v
     assert high.delta_v.abs_error_estimate == high.central[0].abs_error_estimate
+
+
+def test_mc_needs_a_moment(semicircle):
+    with pytest.raises(PreconditionError):
+        mc_rounded_moments(semicircle, UniformMesh(0.1, 0.0), RS.NEAREST, 0, 1000, seed=0)
+
+
+# --- Monte Carlo blocks -------------------------------------------------------
+
+
+def whole_sample_moments(model, grid, scheme, k_max, n, seed):
+    """mc_rounded_moments drawn and reduced as whole n-sample arrays:
+    (value, estimate) of each raw and central moment, Delta_E and Delta_V."""
+    u = oracle._philox_stream(seed, 0).random(n)
+    ur = oracle._philox_stream(seed, 1).random(n) if scheme is RS.STOCHASTIC else None
+    rd = round_value(grid, scheme, np.asarray(model.quantile(u), dtype=float), ur)
+
+    def est(vals):
+        return 4.0 * float(np.std(vals)) / math.sqrt(n)
+
+    raw = [(float(np.mean(v)), est(v)) for v in (int_power(rd, k) for k in range(1, k_max + 1))]
+    rbar = float(np.mean(rd))
+    central = [(float(np.mean(v)), est(v)) for v in (int_power(rd - rbar, k) for k in range(2, max(k_max, 2) + 1))]
+    delta_e = (rbar - model.mean, est(rd))
+    delta_v = (float(np.var(rd, ddof=1)) - model.variance, central[0][1])
+    return raw, central[: k_max - 1], delta_e, delta_v
+
+
+MC_GRIDS = {
+    "uniform": UniformMesh(0.05, 0.01),
+    "float": FloatSystem(6, -8, 4),
+    "explicit": ExplicitSet(np.linspace(-1.5, 1.5, 10_001) ** 3),
+}
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC])
+@pytest.mark.parametrize("grid", MC_GRIDS.values(), ids=MC_GRIDS.keys())
+@pytest.mark.parametrize("n", [1000, oracle.MC_BLOCK, 3 * oracle.MC_BLOCK + 17])
+def test_mc_blocks_are_bit_identical_to_whole_arrays(shifted_semicircle, scheme, grid, n):
+    mc = mc_rounded_moments(shifted_semicircle, grid, scheme, 4, n, seed=13)
+    raw, central, delta_e, delta_v = whole_sample_moments(shifted_semicircle, grid, scheme, 4, n, 13)
+
+    def pair(res):
+        return res.value, res.abs_error_estimate
+
+    assert [pair(r) for r in mc.raw] == raw
+    assert [pair(r) for r in mc.central] == central
+    assert pair(mc.delta_e) == delta_e
+    assert pair(mc.delta_v) == delta_v
+
+
+def whole_sample_sum(models, fs, scheme, n, seed):
+    """simulated_sum over an (n_summands, n) matrix: value, estimate and
+    overflow count."""
+    xs = np.array([m.quantile(oracle._philox_stream(seed, i).random(n)) for i, m in enumerate(models)])
+    exact = xs.sum(axis=0)
+    rounded = xs[0].copy()
+    overflow = 0
+    for step in range(1, len(models)):
+        s = rounded + xs[step]
+        overflow += int(np.sum(fs.saturates(s)))
+        rounded = round_value(fs, scheme, s, oracle._philox_stream(seed, (1 << 32) + step).random(n))
+    diff = np.abs(exact - rounded)
+    return float(np.mean(diff)), 4.0 * float(np.std(diff)) / math.sqrt(n), overflow
+
+
+@pytest.mark.parametrize("summands", [1, 5])
+def test_simulated_sum_blocks_are_bit_identical_to_whole_arrays(summands):
+    models = [make_uniform(0.0, 1.0), make_normal(0.3, 1.0)] * 3
+    fs = FloatSystem(6, -8, 2)  # top 4: five summands overflow now and then
+    n = 2 * oracle.MC_BLOCK + 5
+    res = simulated_sum(models[:summands], fs, RS.STOCHASTIC, n, seed=21)
+    want = whole_sample_sum(models[:summands], fs, RS.STOCHASTIC, n, 21)
+    assert (res.value, res.abs_error_estimate, res.details["overflow_events"]) == want
+    assert (want[0] > 0.0 and want[2] > 0) == (summands > 1)
+
+
+def test_simulated_sum_single_sample_adds_in_order():
+    # a sample's exact sum adds its summands in order at every sample count;
+    # one (40, 1) summand matrix summed down its column was summed pairwise
+    models = [make_uniform(0.0, 1.0)] * 40
+    fs = FloatSystem(8, -8, 8)
+    xs = [float(m.quantile(oracle._philox_stream(0, i).random(1))[0]) for i, m in enumerate(models)]
+    exact = rounded = xs[0]
+    for x in xs[1:]:
+        exact += x
+        rounded = round_value(fs, RS.NEAREST, rounded + x)
+    assert simulated_sum(models, fs, RS.NEAREST, 1, seed=0).value == abs(exact - rounded)
+
+
+def test_mc_memory_is_a_few_doubles_per_sample(semicircle):
+    n = 400_000
+    grid = FloatSystem(23, -126, 128)
+    # first-call allocations (numpy internals) are not the sampler's
+    mc_rounded_moments(semicircle, grid, RS.STOCHASTIC, 4, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        mc_rounded_moments(semicircle, grid, RS.STOCHASTIC, 4, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rounded values, a power of them and its squared deviations, plus
+    # O(MC_BLOCK) for the block in hand; whole-array sampling took 75-93
+    assert peak <= 48 * n, peak / n
+
+
+def test_simulated_sum_memory_does_not_grow_with_the_summands():
+    fs = FloatSystem(8, -8, 8)
+    n = 50_000
+    simulated_sum([make_uniform(0.0, 1.0)] * 2, fs, RS.STOCHASTIC, 1000, seed=0)
+    peaks = {}
+    for summands in (4, 64):
+        tracemalloc.start()
+        try:
+            simulated_sum([make_uniform(0.0, 1.0)] * summands, fs, RS.STOCHASTIC, n, seed=0)
+            peaks[summands] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one block per summand at a time: a summand matrix would take 16x more
+    assert peaks[64] <= 1.25 * peaks[4], peaks
 
 
 # --- the partition's rounding targets -----------------------------------------
