@@ -9,6 +9,10 @@ change moved.  It prints:
   the same for the four integrals of perfbench's ``float_oracle`` workload
   (normal(0.5, 1) on ``FloatSystem(12, -40, 6)``, 0.4-1.1M pieces each,
   so their partitions span many chunks);
+* the sha256 of ``oracle._partition``'s chunks (each chunk's first and
+  last edge and its piece count) under each scheme on each grid kind,
+  ranges of more than ``CHUNK_CELLS`` cells included: a float range across
+  zero, and explicit ranges starting on and off a set point;
 * the sha256 of ``verify --instances 200`` stdout for seeds 0-2, whole and
   split by check kind;
 * the sha256 of the four benchmark sweeps and of a toward-zero sweep, whole
@@ -74,6 +78,8 @@ from roundmoments import bounds as B  # noqa: E402
 from roundmoments.cli import main as cli_main  # noqa: E402
 from roundmoments.errors import RoundMomentsError, SymmetryUnavailableError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
+    CHUNK_CELLS,
+    _partition,
     centered_moment_of_rounded,
     delta_e_and_v,
     err_weighted_integral,
@@ -141,6 +147,22 @@ MC_CASES = (
 )
 MC_SAMPLES = 3 * 16_384 + 17
 
+SQUARES = ExplicitSet(np.linspace(0.0, 1.0, 100_001) ** 2)
+# (label, grid, a, b) of the partitions whose chunks are fingerprinted
+PARTITIONS = (
+    ("mesh0.05+0.013 [-1.9, 2.3]", UniformMesh(0.05, 0.013), -1.9, 2.3),
+    ("mesh1e-5+3e-6 [-0.37, 0.41]", UniformMesh(1e-5, 3e-6), -0.37, 0.41),
+    ("mesh1e-5 [0, 0.7]", UniformMesh(1e-5), 0.0, 0.7),
+    ("float12 [-3.1, 4.7]", FloatSystem(12, -40, 6), -3.1, 4.7),
+    ("float12 [-2, 3]", FloatSystem(12, -40, 6), -2.0, 3.0),
+    ("float10-nosub [-0.3, 40]", FloatSystem(10, -20, 5, subnormals=False), -0.3, 40.0),
+    ("float4 [-3.3, 9]", FloatSystem(4, -6, 3), -3.3, 9.0),
+    ("squares from a set point", SQUARES, float(SQUARES.points[12_345]), 0.9),
+    ("squares from a set point to one", SQUARES, float(SQUARES.points[2]), float(SQUARES.points[-3])),
+    ("squares off the set", SQUARES, 1e-9, 0.95),
+    ("explicit [-2.7, 3.1]", GRIDS["explicit"], -2.7, 3.1),
+)
+
 QUANTILE_US = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-16, 1e-8], np.linspace(0.0, 1.0, 100_001),
                               [1.0 - 1e-8, 1.0 - 1e-16, 1.0]])
 
@@ -182,6 +204,15 @@ def oracle_lines():
         for k, signed in ((1, True), (2, False)):
             res = err_weighted_integral(grid, scheme, model, a, b, k, signed=signed)
             yield oracle_line(f"normal(0.5,1) float12 {scheme.value} err k={k} signed={signed}", res)
+
+
+def partition_lines():
+    for label, grid, a, b in PARTITIONS:
+        for scheme in RoundingScheme:
+            chunks = [f"{float.hex(lo_p.min())} {float.hex(hi_p.max())} {lo_p.size}"
+                      for lo_p, hi_p, _ in _partition(grid, scheme, a, b)]
+            yield f"partition {label} {scheme.value} chunks={len(chunks)} sha256={sha(chr(10).join(chunks))}"
+    yield f"partition CHUNK_CELLS={CHUNK_CELLS}"
 
 
 def verify_lines():
@@ -379,8 +410,8 @@ def construction_lines():
 
 
 def main() -> int:
-    for section in (oracle_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines, quad_lines,
-                    value_lines, quantile_lines, mc_lines, construction_lines):
+    for section in (oracle_lines, partition_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines,
+                    quad_lines, value_lines, quantile_lines, mc_lines, construction_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -68,9 +68,12 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _resolve_dist(args, cfg):

@@ -12,6 +12,7 @@ All query functions accept scalars or ndarrays and return matching shapes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,6 +27,22 @@ from .errors import (
 )
 
 CELL_BUDGET = 100_000_000
+
+
+# Each grid kind numbers its points in order and offers two primitives on
+# the numbering: index_range(lo, hi), the first and last index of the points
+# of [lo, hi], and points_at(i), the points of an integer index array.
+def _budget(i0: int, i1: int) -> tuple[int, int]:
+    """(i0, i1), unless the range holds more than CELL_BUDGET points."""
+    if i1 - i0 + 1 > CELL_BUDGET:
+        raise TooManyCellsError(f"{i1 - i0 + 1} grid points in range, more than {CELL_BUDGET}")
+    return i0, i1
+
+
+def _points_in(grid, lo: float, hi: float) -> np.ndarray:
+    """The grid points of [lo, hi], in order: each grid kind's points_in."""
+    i0, i1 = grid.index_range(lo, hi)
+    return grid.points_at(np.arange(i0, i1 + 1))
 
 
 @dataclass(frozen=True)
@@ -69,27 +86,20 @@ class UniformMesh:
         hi = np.where(lo == x, lo, self.offset + (z + 1.0) * step)
         return lo, hi
 
-    def _index_range(self, lo: float, hi: float) -> tuple[int, int]:
-        """Indices z0..z1 of the points ``offset + z*step`` of [lo, hi], give
-        or take one at either end; more than CELL_BUDGET of them raise
-        TooManyCellsError."""
-        z0 = math.ceil((lo - self.offset) / self.step - 1e-12)
-        z1 = math.floor((hi - self.offset) / self.step + 1e-12)
-        if z1 - z0 + 1 > CELL_BUDGET:
-            raise TooManyCellsError(f"{z1 - z0 + 1} mesh points in range")
-        return z0, z1
+    def index_range(self, lo: float, hi: float) -> tuple[int, int]:
+        """Indices z0..z1 of the points ``offset + z*step`` of [lo, hi]."""
+        at = self.points_at
+        z0 = math.ceil((lo - self.offset) / self.step)
+        z1 = math.floor((hi - self.offset) / self.step)
+        # the divisions may round past a point: step each end onto [lo, hi]
+        z0 += int(at(z0) < lo) - int(at(z0 - 1) >= lo)
+        z1 += int(at(z1 + 1) <= hi) - int(at(z1) > hi)
+        return _budget(z0, z1)
 
-    def points_in(self, lo: float, hi: float) -> np.ndarray:
-        z0, z1 = self._index_range(lo, hi)
-        pts = self.offset + self.step * np.arange(z0, z1 + 1, dtype=float)
-        return pts[(pts >= lo) & (pts <= hi)]
+    def points_at(self, z: np.ndarray) -> np.ndarray:
+        return self.offset + self.step * z
 
-    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
-        """Grid points inside (lo, hi), in order, that cut it into chunks of
-        at most ``cells`` cells: every ``cells``-th point of its index range."""
-        z0, z1 = self._index_range(lo, hi)
-        ends = (self.offset + self.step * z for z in range(z0 - 1 + cells, z1 + 1, cells))
-        return [p for p in ends if lo < p < hi]
+    points_in = _points_in
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,8 @@ class FloatSystem:
     subnormals: bool = True
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.mantissa_bits, self.k_min, self.k_max)):
+            raise ConfigError(f"mantissa_bits, k_min and k_max must be integers, got {self!r}")
         if not 1 <= self.mantissa_bits <= 52:
             # a wider mantissa puts grid points between adjacent doubles
             raise ConfigError("mantissa_bits must lie in [1, 52]")
@@ -115,6 +127,9 @@ class FloatSystem:
             raise ConfigError("k_min must be < k_max")
         if self.k_min - self.mantissa_bits < -1000 or self.k_max > 1000:
             raise ConfigError("exponent range exceeds double-exact arithmetic")
+        # the scale 2^(k_min - m + b) of binade b, for points_at
+        scales = np.ldexp(1.0, np.arange(self.k_min - self.mantissa_bits, self.k_max - self.mantissa_bits + 1))
+        object.__setattr__(self, "_scales", scales)
 
     @property
     def top(self) -> float:
@@ -123,11 +138,6 @@ class FloatSystem:
     @property
     def tiny(self) -> float:
         return math.ldexp(1.0, self.k_min)
-
-    def _sub_step(self) -> float:
-        if self.subnormals:
-            return math.ldexp(1.0, self.k_min - self.mantissa_bits)
-        return self.tiny
 
     def saturates(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -169,7 +179,8 @@ class FloatSystem:
         # [2^i, 2^(i+1)] that can meet [a_min, b_max]: x lies in
         # [2^(e-1), 2^e) for e = frexp(x)[1], so those from a_min's to b_max's
         if a_min < self.tiny:
-            blocks, i0 = [(0.0, self._sub_step(), self.tiny)], self.k_min
+            sub_step = math.ldexp(1.0, self.k_min - self.mantissa_bits) if self.subnormals else self.tiny
+            blocks, i0 = [(0.0, sub_step, self.tiny)], self.k_min
         else:
             blocks, i0 = [], math.frexp(a_min)[1] - 1
         for i in range(i0, min(self.k_max, math.frexp(b_max)[1])):
@@ -180,61 +191,35 @@ class FloatSystem:
                 if c_lo < c_hi:
                     yield sign, anchor, step, c_lo, c_hi
 
-    def points_in(self, lo: float, hi: float) -> np.ndarray:
-        # A side of the range that meets the lattice in one point (lo == hi,
-        # or a range that ends at 0 or is clipped to +/- top) holds no
-        # stretch; that point is one of the range's ends clipped to the top.
-        ends = np.clip([lo, hi], -self.top, self.top)
-        chunks = [ends[self.neighbors(ends)[0] == ends]]
-        count = 0
-        for sign, anchor, step, a, b in self.stretches(lo, hi):
-            j0 = math.ceil((a - anchor) / step - 1e-12)
-            j1 = math.floor((b - anchor) / step + 1e-12)
-            n = max(0, j1 - j0 + 1)
-            count += n
-            if count > CELL_BUDGET:
-                raise TooManyCellsError("float lattice exceeds cell budget")
-            if n:
-                chunks.append(sign * (anchor + step * np.arange(j0, j1 + 1, dtype=float)))
-        pts = np.unique(np.concatenate(chunks))
-        # Both sides hold 0, so which signed zero survives np.unique depends
-        # on the sort; adding 0.0 always returns +0.0.
-        return pts[(pts >= lo) & (pts <= hi)] + 0.0
-
     def _rank(self, x: float) -> int:
         """The index of grid point x among the grid's points, 0 at 0: the
         points below 2^k_min, then 2^m per binade, negated below 0."""
-        ax = abs(x)
-        per_binade = 1 << self.mantissa_bits
-        if ax < self.tiny:
-            r = int(ax / self._sub_step())
-        else:
-            i = math.frexp(ax)[1] - 1  # ax lies in the binade [2^i, 2^(i+1))
-            below_tiny = int(self.tiny / self._sub_step())
-            r = below_tiny + (i - self.k_min - 1) * per_binade + int(math.ldexp(ax, self.mantissa_bits - i))
+        m, ax = self.mantissa_bits, abs(x)
+        i = math.frexp(max(ax, self.tiny))[1] - 1  # ax lies in [2^i, 2^(i+1)), or below 2^k_min = 2^i
+        r = ((i - self.k_min) << m) + int(math.ldexp(ax, m - i))
+        if r and not self.subnormals:
+            r -= (1 << m) - 1  # counted as if the 2^m - 1 subnormal points were there
         return -r if x < 0.0 else r
 
-    def _point(self, r: int) -> float:
-        """The grid point of index r, the inverse of :meth:`_rank`."""
-        below_tiny = int(self.tiny / self._sub_step())
-        if abs(r) < below_tiny:
-            p = abs(r) * self._sub_step()
-        else:
-            binade, j = divmod(abs(r) - below_tiny, 1 << self.mantissa_bits)
-            p = math.ldexp((1 << self.mantissa_bits) + j, self.k_min + binade - self.mantissa_bits)
-        return -p if r < 0 else p
-
-    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
-        """Grid points inside (lo, hi), in order, that cut it into chunks of
-        at most ``cells`` cells: every ``cells``-th point from the first one
-        in [lo, hi], found from the points' indices (:meth:`_rank`) without
-        walking the binades."""
+    def index_range(self, lo: float, hi: float) -> tuple[int, int]:
+        """Indices (:meth:`_rank`) of the first and last point of [lo, hi];
+        the neighbors saturate at +/- top, past which no point lies."""
         below, above = self.neighbors([lo, hi])
-        r0, r1 = self._rank(above[0]), self._rank(below[1])
-        if r1 - r0 + 1 > CELL_BUDGET:
-            raise TooManyCellsError("float lattice exceeds cell budget")
-        ends = (self._point(r) for r in range(r0 + cells - 1, r1 + 1, cells))
-        return [p for p in ends if lo < p < hi]
+        return _budget(self._rank(above[0]) + (lo > self.top), self._rank(below[1]) - (hi < -self.top))
+
+    def points_at(self, r: np.ndarray) -> np.ndarray:
+        """The grid points of indices r, the inverse of :meth:`_rank`."""
+        m = self.mantissa_bits
+        a = np.abs(r)
+        if not self.subnormals:
+            a = np.where(a > 0, a + ((1 << m) - 1), 0)  # as in _rank
+        # the subnormal points and binade 0 are a * 2^(k_min - m); binade b
+        # is its 2^m points a - b*2^m scaled by 2^(k_min - m + b)
+        b = np.maximum((a >> m) - 1, 0)
+        p = (a - (b << m)) * self._scales[b]
+        return np.where(r < 0, -p, p)
+
+    points_in = _points_in
 
 
 @dataclass(frozen=True)
@@ -244,9 +229,12 @@ class ExplicitSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.asarray(self.points, dtype=float) + 0.0  # a -0.0 point is +0.0
         if pts.ndim != 1 or pts.size < 2:
             raise ConfigError("explicit grid needs at least 2 points")
+        if not np.all(np.isfinite(pts)):
+            # an infinite point would bound a cell of infinite width
+            raise ConfigError("explicit grid points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise ConfigError("explicit grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -262,17 +250,14 @@ class ExplicitSet:
             raise AboveGridError("no grid point at or above query")
         return self.points[i_lo], self.points[i_hi]
 
-    def points_in(self, lo: float, hi: float) -> np.ndarray:
-        i0 = np.searchsorted(self.points, lo, side="left")
-        i1 = np.searchsorted(self.points, hi, side="right")
-        return self.points[i0:i1]
+    def index_range(self, lo: float, hi: float) -> tuple[int, int]:
+        return _budget(int(np.searchsorted(self.points, lo, side="left")),
+                       int(np.searchsorted(self.points, hi, side="right")) - 1)
 
-    def chunk_ends(self, lo: float, hi: float, cells: int) -> list:
-        """Every ``cells``-th point inside (lo, hi), sliced from the view of
-        the set: consecutive ends are at most ``cells`` cells apart."""
-        i0 = np.searchsorted(self.points, lo, side="right")
-        i1 = np.searchsorted(self.points, hi, side="left")
-        return self.points[i0:i1][cells - 1 :: cells].tolist()
+    def points_at(self, i: np.ndarray) -> np.ndarray:
+        return self.points[i]
+
+    points_in = _points_in
 
 
 Grid = Union[UniformMesh, FloatSystem, ExplicitSet]
@@ -381,11 +366,14 @@ def parse_grid_config(obj: dict) -> Grid:
                 offset=config_number(obj.get("offset", 0.0), "offset"),
             )
         if kind == "float":
+            subnormals = obj.get("subnormals", True)
+            if not isinstance(subnormals, bool):
+                raise ConfigError(f"subnormals must be true or false, got {subnormals!r}")
             return FloatSystem(
                 mantissa_bits=config_number(obj["m"], "m", integer=True),
                 k_min=config_number(obj["k_min"], "k_min", integer=True),
                 k_max=config_number(obj["k_max"], "k_max", integer=True),
-                subnormals=bool(obj.get("subnormals", True)),
+                subnormals=subnormals,
             )
         if kind == "explicit":
             points = obj["points"]

@@ -60,8 +60,9 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     chunk at a time as columns (lo, hi, rd_data): rd_data holds both cell
     ends under stochastic rounding, else the rounding target.
 
-    The chunks are cut at grid points (``grid.chunk_ends``), CHUNK_CELLS
-    cells at most each, so no chunk enumerates the whole grid; the grid's
+    The chunks are cut at every CHUNK_CELLS-th grid point of [a, b], taken
+    from the grid's numbering of its points, so no chunk holds more than
+    CHUNK_CELLS cells and none enumerates the whole grid; the grid's
     CELL_BUDGET is checked on all of [a, b] before the first chunk.  Pieces
     are cut at grid points and, under a deterministic scheme, at each cell's
     switch point (its midpoint under nearest rounding, 0 under directed
@@ -73,7 +74,9 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     """
     if not a < b:
         raise PreconditionError("need a < b")
-    ends = [a, *grid.chunk_ends(a, b, CHUNK_CELLS), b]
+    i0, i1 = grid.index_range(a, b)
+    cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
+    ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
     for lo, hi in zip(ends[:-1], ends[1:]):
         yield _pieces(grid, scheme, lo, hi, lo == a, hi == b)
 

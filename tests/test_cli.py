@@ -135,6 +135,11 @@ def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     (["--tier", "C", "--quantity", "variance", "--dist", "semicircle:r=1,mu=1e16",
       "--grid", "uniform:half_gap=0.1"], None),
     (["--tier", "B", "--dist", "normal:mu=1e308,sigma2=1"], None),
+    # a config file whose top level is no JSON object (given as its text)
+    ([], "null"),
+    ([], "5"),
+    ([], '"x"'),
+    ([], "[]"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
@@ -143,7 +148,7 @@ def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
     head = []
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         head = ["--config", str(cfg)]
     code, out, err = run_cli(capsys, *head, "bound", *argv, "--delta", "0.1")
     assert code == 2

@@ -274,32 +274,58 @@ def test_float_points_in_matches_enumeration(params):
         np.testing.assert_array_equal(fs.points_in(lo, hi), want, err_msg=f"[{lo}, {hi}]")
 
 
-@pytest.mark.parametrize("params", [(3, -4, 2, True), (2, -3, 1, False), (1, 0, 3, True)])
-def test_float_chunk_ends_take_every_cells_th_point(params):
+@pytest.mark.parametrize("params", [(3, -4, 2, True), (2, -3, 1, False), (1, 0, 3, True), (1, 0, 3, False)])
+def test_points_at_inverts_rank(params):
     fs = FloatSystem(*params)
     pts = enumerate_float_system(*params)
-    # numbering the points in order, 0 at 0, and mapping a number back is exact
-    assert [fs._rank(p) for p in pts] == list(range(-(pts.size // 2), pts.size // 2 + 1))
-    assert [fs._point(fs._rank(p)) for p in pts] == list(pts)
-    rng = np.random.default_rng(6)
-    ranges = [(-9.0, 9.0), (-fs.top, fs.top), (-0.0, 1.0), (-1.0, 0.0), (fs.top, 9.0)]
+    # the points numbered in order, 0 at 0, on both signs; the map back is
+    # exact on every point, from -top to top
+    ranks = np.arange(-(pts.size // 2), pts.size // 2 + 1)
+    assert [fs._rank(p) for p in pts] == list(ranks)
+    got = fs.points_at(ranks)
+    np.testing.assert_array_equal(got, pts)
+    assert not np.signbit(got[ranks == 0]).any()
+    assert fs.index_range(-fs.top, fs.top) == (ranks[0], ranks[-1])
+
+
+MESH_CASES = [UniformMesh(0.05, 0.013), UniformMesh(0.1, 0.0), UniformMesh(0.0037, 0.001), UniformMesh(1.5, -0.0)]
+
+
+@pytest.mark.parametrize("mesh", MESH_CASES)
+def test_uniform_points_in_matches_enumeration(mesh):
+    rng = np.random.default_rng(8)
+    # near zero and far out, where (x - offset) / step rounds past an index
+    for z in [*range(-30, 30), *rng.integers(-10 ** 7, 10 ** 7, 300)]:
+        z = int(z)
+        pts = mesh.offset + mesh.step * np.arange(z - 12, z + 13)
+        p = float(pts[12])
+        ranges = [(p, p), (p, float(pts[17])), (float(pts[3]), p)]
+        ranges += [tuple(sorted(rng.uniform(pts[1], pts[-2], 2))) for _ in range(3)]
+        for lo, hi in ranges:
+            want = pts[(pts >= lo) & (pts <= hi)]
+            np.testing.assert_array_equal(mesh.points_in(lo, hi), want, err_msg=f"{mesh} [{lo}, {hi}]")
+
+
+def test_explicit_points_in_matches_enumeration():
+    rng = np.random.default_rng(9)
+    es = ExplicitSet(np.cumsum(rng.uniform(0.01, 1.0, 200)) - 50.0)
+    pts = es.points
+    ranges = [(p, p) for p in pts] + [(-99.0, 99.0), (-99.0, pts[0]), (pts[-1], 99.0), (99.0, 100.0)]
     for _ in range(300):
-        ends = [float(rng.choice(pts)) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0) for _ in range(2)]
+        ends = [float(rng.choice(pts)) if rng.random() < 0.5 else rng.uniform(-60.0, 160.0) for _ in range(2)]
         ranges.append((min(ends), max(ends)))
     for lo, hi in ranges:
-        inside = pts[(pts >= lo) & (pts <= hi)]
-        for cells in (1, 2, 3, 7):
-            want = [p for p in inside[cells - 1 :: cells] if lo < p < hi]
-            assert fs.chunk_ends(lo, hi, cells) == want, (lo, hi, cells)
+        np.testing.assert_array_equal(es.points_in(lo, hi), pts[(pts >= lo) & (pts <= hi)], err_msg=f"[{lo}, {hi}]")
 
 
-def test_float_chunk_ends_budget_counts_the_points_of_the_range(monkeypatch):
-    fs = FloatSystem(3, -4, 2)
-    pts = enumerate_float_system(3, -4, 2)
-    monkeypatch.setattr(grids, "CELL_BUDGET", 10)
-    fs.chunk_ends(pts[20], pts[29], 4)  # ten points
-    with pytest.raises(TooManyCellsError):
-        fs.chunk_ends(pts[20], pts[30], 4)
+@pytest.mark.parametrize("grid", [
+    UniformMesh(0.25, 0.0), UniformMesh(0.25, -0.0), FloatSystem(3, -4, 2), FloatSystem(2, -3, 1, subnormals=False),
+    ExplicitSet(np.array([-1.0, -0.0, 2.0])),
+], ids=["mesh", "mesh-offset-negative-zero", "float", "float-nosub", "explicit-negative-zero"])
+def test_points_in_never_returns_negative_zero(grid):
+    for lo, hi in ((-0.0, 0.0), (-0.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (-2.0, 2.0)):
+        pts = grid.points_in(lo, hi)
+        assert 0.0 in pts and not np.signbit(pts[pts == 0.0]).any(), (lo, hi)
 
 
 def test_uniform_offset_normalization():
@@ -317,7 +343,7 @@ def test_points_in_budget_guard():
         with pytest.raises(TooManyCellsError):
             FloatSystem(30, 0, 2).points_in(1.0, 2.0)
         with pytest.raises(TooManyCellsError):
-            FloatSystem(30, 0, 2).chunk_ends(1.0, 2.0, 32768)
+            FloatSystem(30, 0, 2).index_range(1.0, 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,6 +376,18 @@ def test_bad_configs_rejected():
         FloatSystem(0, -2, 2)
     with pytest.raises(ConfigError):
         ExplicitSet(np.array([1.0, 1.0]))
+    # an infinite point bounds a cell of infinite width
+    for bad in ([-math.inf, 0.0, 1.0], [0.0, 1.0, math.inf], [0.0, math.nan, 1.0]):
+        with pytest.raises(ConfigError):
+            ExplicitSet(np.array(bad))
+    # a float system counts points by integer exponents and mantissa bits
+    for args in ((5.5, -3, 3), (5, -3.5, 3), (5, -3, 3.0), ("5", -3, 3)):
+        with pytest.raises(ConfigError):
+            FloatSystem(*args)
+    # subnormals takes a JSON boolean only: bool("false") is True
+    for flag in ("false", "true", 0, 1, 0.5, None):
+        with pytest.raises(ConfigError):
+            parse_grid_config({"kind": "float", "m": 3, "k_min": -2, "k_max": 2, "subnormals": flag})
 
 
 def test_float_system_mantissa_fits_a_double():

@@ -13,6 +13,7 @@ from roundmoments import (
     make_uniform,
     oracle,
 )
+from roundmoments import grids
 from roundmoments.errors import DegenerateFitError, PreconditionError, TooManyCellsError
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
@@ -26,6 +27,8 @@ from roundmoments.oracle import (
 )
 from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS, int_power, round_value
 from roundmoments.verify import offset_sweep
+
+from conftest import enumerate_float_system
 
 ONE = np.ones_like
 INT_MESH = UniformMesh(0.5, 0.0)
@@ -438,6 +441,56 @@ def test_multi_chunk_walk(monkeypatch, grid, a, b, cells, scheme):
         want, terms = reference_quad(grid, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
         assert got.details["pieces"] == terms.size
         assert_matches_reference(got, want, terms)
+
+
+# small grids of each kind, with their points listed independently of the
+# grids' numbering
+SMALL_GRIDS = [
+    (UniformMesh(0.25, 0.1), 0.1 + 0.5 * np.arange(-40, 41)),
+    (FloatSystem(3, -4, 2), enumerate_float_system(3, -4, 2)),
+    (FloatSystem(2, -3, 1, subnormals=False), enumerate_float_system(2, -3, 1, subnormals=False)),
+    (ExplicitSet(np.linspace(-3.0, 3.0, 61) ** 3), np.linspace(-3.0, 3.0, 61) ** 3),
+]
+SMALL_GRID_IDS = ["mesh", "float", "float-nosub", "explicit"]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 7])
+@pytest.mark.parametrize("grid,pts", SMALL_GRIDS, ids=SMALL_GRID_IDS)
+def test_partition_cuts_every_cells_th_point(monkeypatch, grid, pts, cells):
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+    # a float system saturates past its top, so its ranges may reach beyond
+    reach = 1.0 if isinstance(grid, FloatSystem) else 0.0
+    rng = np.random.default_rng(6)
+    ranges = [(pts[0] - reach, pts[-1] + reach), (pts[0], pts[-1]), (pts[3], pts[9]),
+              (pts[3], 0.5 * (pts[9] + pts[10]))]
+    while len(ranges) < 40:
+        ends = [float(rng.choice(pts)) if rng.random() < 0.5 else rng.uniform(pts[0] - reach, pts[-1] + reach)
+                for _ in range(2)]
+        if ends[0] != ends[1]:
+            ranges.append((min(ends), max(ends)))
+    for a, b in ranges:
+        inside = pts[(pts >= a) & (pts <= b)]
+        # every cells-th point of the range, counted from its first one
+        cuts = [float(p) for p in inside[cells - 1 :: cells] if a < p < b]
+        ends = [float(hi_p.max()) for _, hi_p, _ in oracle._partition(grid, RS.NEAREST, a, b)]
+        assert ends == cuts + [b], (a, b)
+        for start, end in zip([a, *cuts], cuts + [b]):
+            # a chunk's cells are its inner points plus one
+            assert np.sum((pts > start) & (pts < end)) + 1 <= cells, (a, b, start, end)
+
+
+@pytest.mark.parametrize("grid,pts", SMALL_GRIDS, ids=SMALL_GRID_IDS)
+def test_partition_checks_the_budget_on_the_whole_range(monkeypatch, grid, pts):
+    monkeypatch.setattr(grids, "CELL_BUDGET", 10)
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", 4)
+    # ten points pass, in chunks of 3, 4 and 2 cells
+    assert len(list(oracle._partition(grid, RS.NEAREST, pts[20], pts[29]))) == 3
+    # eleven are refused when the first chunk is asked for
+    chunks = oracle._partition(grid, RS.NEAREST, pts[20], pts[30])
+    with pytest.raises(TooManyCellsError):
+        next(chunks)
+    with pytest.raises(TooManyCellsError):
+        grid.points_in(pts[20], pts[30])
 
 
 def test_mc_moment_orders_share_samples(semicircle):
