@@ -23,7 +23,8 @@ change moved.  It prints:
 * the sha256 of ``json.dumps(rep.to_json())`` for one report of each
   bound family (asserting that ``BoundReport.from_json`` reads each back);
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
-  touching it, including all-negative and zero-ending explicit sets;
+  touching it, including all-negative and zero-ending explicit sets (or
+  the exception's class and message);
 * ``adaptive_quad`` on half-infinite and infinite ranges, with and without
   breakpoints;
 * ``float.hex`` of the value of the normal partial-moment bound for
@@ -41,9 +42,9 @@ change moved.  It prints:
   on perfbench's four ``montecarlo`` cases at 49,169 samples (three whole
   16,384-sample blocks and part of a fourth), and the JSON of a stochastic
   ``sum-demo`` of 40 summands and 40,000 samples;
-* ``ok`` or the exception class for a fixed list of model constructions:
-  each ``make_*`` with in-range and malformed parameters, and
-  ``dataclasses.replace`` copies with a wrong interior mode, a two-bump
+* ``ok`` or the exception's class and message for a fixed list of model
+  constructions: each ``make_*`` with in-range and malformed parameters,
+  and ``dataclasses.replace`` copies with a wrong interior mode, a two-bump
   density, a zero density at the mode and an infinite variance.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
@@ -76,7 +77,7 @@ from roundmoments import (  # noqa: E402
 )
 from roundmoments import bounds as B  # noqa: E402
 from roundmoments.cli import main as cli_main  # noqa: E402
-from roundmoments.errors import RoundMomentsError, SymmetryUnavailableError  # noqa: E402
+from roundmoments.errors import PreconditionError, RoundMomentsError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
     CHUNK_CELLS,
     _partition,
@@ -298,7 +299,7 @@ def gap_lines():
                 gs = gap_stats(grid, lo, hi)
                 text = f"{float.hex(float(gs.eps0))} {float.hex(float(gs.delta0))}"
             except RoundMomentsError as exc:
-                text = type(exc).__name__
+                text = f"{type(exc).__name__}: {exc}"
             yield f"gap {gname} [{lo!r}, {hi!r}] {text}"
 
 
@@ -323,7 +324,7 @@ def value_lines():
                 try:
                     rep = B.mixed_moment_bound(MODELS[mname], 0.0, m, n, mode, base, use_symmetry=True)
                     text = float.hex(rep.value)
-                except SymmetryUnavailableError:
+                except PreconditionError:
                     text = "-"
                 yield f"value mixed-symmetric {mname} {mode} m={m} n={n} {text}"
     for mname, model in MODELS.items():
@@ -405,7 +406,7 @@ def construction_lines():
             make()
             text = "ok"
         except RoundMomentsError as exc:
-            text = type(exc).__name__
+            text = f"{type(exc).__name__}: {exc}"
         yield f"construct {label} {text}"
 
 

@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_center, scan_max
-from .errors import (
-    BadOrderError,
-    ConfigError,
-    InfeasibleBudgetError,
-    PreconditionError,
-    SymmetryUnavailableError,
-)
+from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
 from .rounding import CANCELLING_SCHEMES, RoundingScheme, scheme_constants, scheme_eps_delta
@@ -142,9 +136,9 @@ def mixed_moment_bound(
     notes = ()
     if use_symmetry:
         if (m + n) % 2 == 0:
-            raise SymmetryUnavailableError("symmetry form needs m + n odd")
+            raise PreconditionError("symmetry form needs m + n odd")
         if mode == ADDITIVE and m % 2 == 0:
-            raise SymmetryUnavailableError("additive symmetry form needs m odd")
+            raise PreconditionError("additive symmetry form needs m odd")
         split = SymmetricSplit(model, 0.0)
         j = (n + m) if mode == MULTIPLICATIVE else m
         lo = model.support[0]
@@ -248,9 +242,9 @@ def interval_error_bound(
     notes = ()
     if signed:
         if k % 2 == 0:
-            raise BadOrderError("signed error-power bound needs odd k")
+            raise PreconditionError("signed error-power bound needs odd k")
         if scheme not in CANCELLING_SCHEMES:
-            raise SymmetryUnavailableError("signed cancellation needs nearest or stochastic rounding")
+            raise PreconditionError("signed cancellation needs nearest or stochastic rounding")
         leading = BoundTerm(0.0, k, base)
         exact_zero = endpoints_on_grid and scheme is RoundingScheme.NEAREST
         if exact_zero:
@@ -294,13 +288,13 @@ def unimodal_moment_bound(
     if k < 1:
         raise ConfigError("k must be a positive integer")
     if scheme not in CANCELLING_SCHEMES:
-        raise SymmetryUnavailableError("envelope bound needs nearest or stochastic rounding")
+        raise PreconditionError("envelope bound needs nearest or stochastic rounding")
     env = Envelope(model)
     cs = scheme_constants(scheme)
     base = eps_or_delta
     if signed:
         if k % 2 == 0:
-            raise BadOrderError("signed error-power bound needs odd k")
+            raise PreconditionError("signed error-power bound needs odd k")
         leading = BoundTerm(0.0, k, base)
         if mode == MULTIPLICATIVE:
             # no endpoint inflation here: the signed endpoint term never
@@ -472,9 +466,9 @@ def float_moment_bound(
     negligible it is zero and a note says so.
     """
     if scheme not in CANCELLING_SCHEMES:
-        raise SymmetryUnavailableError("per-binade cancellation needs nearest or stochastic rounding")
+        raise PreconditionError("per-binade cancellation needs nearest or stochastic rounding")
     if signed and k % 2 == 0:
-        raise BadOrderError("signed error-power bound needs odd k")
+        raise PreconditionError("signed error-power bound needs odd k")
     cs = scheme_constants(scheme)
     eps = scheme_eps_delta(scheme, 2.0 ** (-fs.mantissa_bits), 0.0)[0]
     supp_lo, supp_hi = model.effective_range()
@@ -536,7 +530,7 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
     incomplete gamma tail (0^0 = 1 convention at m = 0).
     """
     if n < 1 or n % 2 == 0:
-        raise BadOrderError("n must be odd and positive")
+        raise PreconditionError("n must be odd and positive")
     if not (m >= 0 and float(m).is_integer()):
         # the gamma tail's recurrence is exact only at integer m
         raise ConfigError(f"m must be a non-negative integer, got {m!r}")
@@ -601,7 +595,7 @@ def plan_measurement(
     n_min = math.ceil(edge) + 1
     n_used = n_min if n is None else n
     if n_used <= edge:
-        raise InfeasibleBudgetError(
+        raise PreconditionError(
             f"n = {n_used} is within the infeasible budget n <= 1/(p c^2) = {edge:g}"
         )
     root = math.sqrt(n_used * p)

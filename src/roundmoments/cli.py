@@ -94,8 +94,11 @@ def _resolve_grid(args, cfg):
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -249,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--quantity", default="mean", choices=("mean", "variance", "strong", "centered", "err-moment"))
     pb.add_argument("--k", type=int, default=1)
     pb.add_argument("--signed", action="store_true")
-    pb.add_argument("--delta", type=float)
-    pb.add_argument("--eps", type=float)
+    pb.add_argument("--delta", type=float, help="additive error bound delta, |rd(x) - x| <= delta")
+    pb.add_argument("--eps", type=float, help="relative error bound eps, |rd(x) - x| <= eps |x|")
     pb.add_argument("--plan", action="store_true", help="run the measurement planner instead")
     pb.add_argument("--variance", type=float, default=1.0)
     pb.add_argument("--c", type=float, default=1.0)
@@ -268,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="offset sweep: oracle values vs tier bounds")
     ps.add_argument("--dist", help="inline distribution")
     ps.add_argument("--grid", help="inline grid (must be uniform)")
-    ps.add_argument("--delta", type=float)
+    ps.add_argument("--delta", type=float,
+                    help="half gap of the swept mesh: the error bound under nearest rounding; "
+                         "under stochastic rounding it is the full step 2 delta")
     ps.add_argument("--offsets", type=int, default=64)
     ps.add_argument("--scheme", default="nearest")
     ps.add_argument("--no-check", action="store_true")

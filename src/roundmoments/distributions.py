@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NotUnimodalError
+from .errors import ConfigError, PreconditionError
 from .grids import UniformMesh, config_number
 from .quadrature import adaptive_quad
 
@@ -43,7 +43,7 @@ class DensityModel:
     def __post_init__(self):
         """Raise ConfigError unless the peak and variance are positive and
         finite and the mean is a finite double fine enough to resolve the
-        spread; then NotUnimodalError if a 21-point probe on either side of
+        spread; then PreconditionError if a 21-point probe on either side of
         the mode finds the density rising where it should fall."""
         peak = self.peak
         if not (0.0 < peak < math.inf and 0.0 < self.variance < math.inf and math.isfinite(self.mean)):
@@ -56,9 +56,9 @@ class DensityModel:
         lo, hi = self.effective_range()
         slack = 1e-9 * peak
         if self.mode > lo and np.any(np.diff(self.density(np.linspace(lo, self.mode, 21))) < -slack):
-            raise NotUnimodalError("density decreases left of the declared mode")
+            raise PreconditionError("density decreases left of the declared mode")
         if hi > self.mode and np.any(np.diff(self.density(np.linspace(self.mode, hi, 21))) > slack):
-            raise NotUnimodalError("density increases right of the declared mode")
+            raise PreconditionError("density increases right of the declared mode")
 
     def density(self, x):
         return self._pdf(np.asarray(x, dtype=float))

@@ -18,13 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    AboveGridError,
-    BelowGridError,
-    ConfigError,
-    EmptyRangeError,
-    TooManyCellsError,
-)
+from .errors import ConfigError, PreconditionError
 
 CELL_BUDGET = 100_000_000
 
@@ -35,7 +29,7 @@ CELL_BUDGET = 100_000_000
 def _budget(i0: int, i1: int) -> tuple[int, int]:
     """(i0, i1), unless the range holds more than CELL_BUDGET points."""
     if i1 - i0 + 1 > CELL_BUDGET:
-        raise TooManyCellsError(f"{i1 - i0 + 1} grid points in range, more than {CELL_BUDGET}")
+        raise ConfigError(f"{i1 - i0 + 1} grid points in range, more than {CELL_BUDGET}")
     return i0, i1
 
 
@@ -245,9 +239,9 @@ class ExplicitSet:
         # the point at or below x is x itself exactly when x is on the set
         i_hi = i_lo + (self.points[np.maximum(i_lo, 0)] != x)
         if np.any(i_lo < 0):
-            raise BelowGridError("no grid point at or below query")
+            raise PreconditionError("no grid point at or below query")
         if np.any(i_hi >= self.points.size):
-            raise AboveGridError("no grid point at or above query")
+            raise PreconditionError("no grid point at or above query")
         return self.points[i_lo], self.points[i_hi]
 
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
@@ -299,7 +293,7 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
         g0 = float(ceil_to(grid, lo))
         g1 = float(floor_to(grid, hi))
         if g1 - g0 < step * (1.0 - 1e-12):
-            raise EmptyRangeError("no full cell in range")
+            raise PreconditionError("no full cell in range")
         if g0 <= 0.0 <= g1:
             eps0 = math.inf
         elif g0 > 0.0:
@@ -321,7 +315,7 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
             delta0 = max(delta0, step)
             eps0 = math.inf if p0 == 0.0 else max(eps0, step / p0)
         if not found:
-            raise EmptyRangeError("no full cell in range")
+            raise PreconditionError("no full cell in range")
         if lo < 0.0 < hi:
             eps0 = math.inf  # cells adjacent to zero are in range
         return GapStats(eps0, delta0)
@@ -329,7 +323,7 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
     if isinstance(grid, ExplicitSet):
         pts = grid.points_in(lo, hi)
         if pts.size < 2:
-            raise EmptyRangeError("no full cell in range")
+            raise PreconditionError("no full cell in range")
         gaps = np.diff(pts)
         # the cells tile [pts[0], pts[-1]], so one touches zero iff it does
         if pts[0] <= 0.0 <= pts[-1]:

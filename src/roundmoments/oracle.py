@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DensityModel
-from .errors import DegenerateFitError, PreconditionError
+from .errors import PreconditionError
 from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
 from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_expectation
@@ -345,7 +345,7 @@ def convergence_slope(
     if not xs:
         return SlopeFit(math.inf, tuple(deltas), tuple(worst), excluded, all_underflow=True)
     if len(xs) < 2:
-        raise DegenerateFitError("fewer than 2 usable points after underflow exclusion")
+        raise PreconditionError("fewer than 2 usable points after underflow exclusion")
     slope = float(np.polyfit(xs, ys, 1)[0])
     return SlopeFit(slope, tuple(deltas), tuple(worst), excluded)
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, MissingVariateError
+from .errors import ConfigError, PreconditionError
 from .grids import Grid
 
 
@@ -98,7 +98,7 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
         out = np.where(tie & (np.abs(lo) > np.abs(hi)), lo, out)
     elif scheme is RoundingScheme.STOCHASTIC:
         if u is None:
-            raise MissingVariateError("stochastic rounding needs a uniform variate")
+            raise PreconditionError("stochastic rounding needs a uniform variate")
         u = np.asarray(u, dtype=float)
         p_up, _ = cell_fraction(x, lo, hi)
         out = np.where(u < p_up, hi, lo)
@@ -158,6 +158,9 @@ def _beta_one(eps: float) -> float:
 
 
 def _beta_shrink(eps: float) -> float:
+    if not eps < 1.0:
+        # |rd(x) - x| <= eps |x| gives |x| <= |rd(x)| / (1 - eps) only below 1
+        raise PreconditionError(f"endpoint inflation 1/(1 - eps) needs eps < 1, got {eps!r}")
     return 1.0 / (1.0 - eps)
 
 

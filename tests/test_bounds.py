@@ -31,14 +31,7 @@ from roundmoments.bounds import (
     strong_bound,
     unimodal_moment_bound,
 )
-from roundmoments.errors import (
-    BadOrderError,
-    ConfigError,
-    InfeasibleBudgetError,
-    NotUnimodalError,
-    PreconditionError,
-    SymmetryUnavailableError,
-)
+from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.oracle import delta_e_and_v
 from roundmoments.quadrature import adaptive_quad
 from roundmoments.rounding import RoundingScheme as RS
@@ -68,9 +61,9 @@ def test_mixed_moment_symmetry_reduces_to_raw_moment():
 
 
 def test_mixed_moment_symmetry_requires_odd_sum(semicircle):
-    with pytest.raises(SymmetryUnavailableError):
+    with pytest.raises(PreconditionError, match=r"symmetry form needs m \+ n odd"):
         mixed_moment_bound(semicircle, 0.0, 1, 1, MULTIPLICATIVE, 0.01, use_symmetry=True)
-    with pytest.raises(SymmetryUnavailableError):
+    with pytest.raises(PreconditionError, match="additive symmetry form needs m odd"):
         mixed_moment_bound(semicircle, 0.0, 2, 1, ADDITIVE, 0.01, use_symmetry=True)
 
 
@@ -136,10 +129,22 @@ def test_interval_error_directed_zero_straddle_keeps_slack():
 
 
 def test_interval_error_signed_requires_odd_k():
-    with pytest.raises(BadOrderError):
+    with pytest.raises(PreconditionError, match="signed error-power bound needs odd k"):
         interval_error_bound(0.0, 1.0, 2, RS.NEAREST, ADDITIVE, 0.5, signed=True)
-    with pytest.raises(SymmetryUnavailableError):
+    with pytest.raises(PreconditionError, match="signed cancellation needs nearest or stochastic rounding"):
         interval_error_bound(0.0, 1.0, 1, RS.TOWARD_ZERO, ADDITIVE, 0.5, signed=True)
+
+
+@pytest.mark.parametrize("scheme", [RS.TOWARD_ZERO, RS.NEAREST])
+def test_endpoint_inflation_needs_eps_below_one(scheme):
+    # beta(eps) = 1/(1 - eps) would divide by zero at eps = 1 and turn
+    # negative past it
+    for eps in (1.0, 1.5):
+        with pytest.raises(PreconditionError, match="needs eps < 1"):
+            interval_error_bound(1.0, 2.0, 1, scheme, MULTIPLICATIVE, eps)
+    # below 1 nothing moves
+    assert interval_error_bound(1.0, 2.0, 1, scheme, MULTIPLICATIVE, 0.9).value == 405.67500000000024
+    assert interval_error_bound(1.0, 2.0, 2, scheme, MULTIPLICATIVE, 0.9).value == 4374.630000000004
 
 
 def test_unimodal_signed_mult_constant(semicircle):
@@ -288,6 +293,18 @@ def test_float_bound_clipped_stretch_keeps_infimum_term():
         assert rep.value == 1.0 / (1.5 - 1.05) * 0.5 * (1.0 / 16.0) ** 2
 
 
+def test_float_bound_overflow_remainder_below_minus_top():
+    # a support wholly below -top keeps only the lower remainder, the mirror
+    # of the upper one: the integral of f(x) (-top - x)^2 over [-5.5, -4]
+    fs, below = FloatSystem(4, -4, 2), make_semicircle(1.0, -4.5)
+    low = float_moment_bound(below, fs, 2, RS.NEAREST, signed=False)
+    high = float_moment_bound(make_semicircle(1.0, 4.5), fs, 2, RS.NEAREST, signed=False)
+    want, _ = adaptive_quad(lambda x: below.density(x) * (-4.0 - x) ** 2, -5.5, -4.0)
+    assert low.higher_order.coef == pytest.approx(want, rel=1e-10) and want > 0.0
+    assert low.higher_order.coef == pytest.approx(high.higher_order.coef, rel=1e-12)
+    assert low.value == pytest.approx(high.value, rel=1e-12)
+
+
 def test_float_bound_negligible_tail_flag():
     model = make_semicircle(1.0, 0.0)
     rep = float_moment_bound(model, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True)
@@ -301,7 +318,7 @@ def test_float_bound_two_bump_binade_is_not_unimodal(scheme, k, signed):
     # needs a unimodal density, so no such model can be made, let alone
     # reach the bound (declared at 1.25, the top of the first bump)
     pdf = lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
-    with pytest.raises(NotUnimodalError):
+    with pytest.raises(PreconditionError, match="density increases right of the declared mode"):
         model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, mode=1.25)
         float_moment_bound(model, FloatSystem(4, -4, 3), k, scheme, signed=signed)
 
@@ -311,7 +328,7 @@ def test_normal_partial_constant():
     want = (1 / math.sqrt(2 * math.pi) + 1.0) * 0.01 ** 2
     assert rep.value == pytest.approx(want, rel=1e-12)
     assert normal_partial_moment_bound(1.0, 1.0, 2, 1, 0.0).value == 0.0
-    with pytest.raises(BadOrderError):
+    with pytest.raises(PreconditionError, match="n must be odd and positive"):
         normal_partial_moment_bound(1.0, 1.0, 0, 2, 0.01)
 
 
@@ -351,7 +368,7 @@ def test_planner_closed_form():
     n_min, dmax = plan_measurement(1.0, 1.0, 0.01, n=400)
     assert n_min == 101
     assert dmax == pytest.approx(1.0 / 3.0, rel=1e-14)
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(PreconditionError, match="within the infeasible budget"):
         plan_measurement(1.0, 1.0, 0.01, n=100)
 
 

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import math
 import pathlib
@@ -9,8 +10,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from roundmoments import bounds as B
 from roundmoments.bounds import BoundReport
-from roundmoments.cli import main
+from roundmoments.cli import _parse_inline, main
 
 # the sweep CSV header as the README states it
 SWEEP_HEADER = "offset,delta_E,delta_V,bound_A_E,bound_B_E,bound_C_E,bound_D_E,bound_A_V,bound_B_V,bound_C_V"
@@ -51,6 +53,16 @@ def test_bound_plan_n_min(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n_min"] == math.ceil(1 / (0.05 * 1.5 ** 2)) + 1
+
+
+def test_bound_plan_probability_bound_with_measurement_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "bound", "--plan", "--variance", "1", "--c", "1", "--p", "0.01", "--n", "400", "--t", "0.5",
+        "--delta", "0.1",
+    )
+    assert code == 0
+    # ((sigma + delta) / (t - delta))^2 / n
+    assert json.loads(out)["probability_bound"] == pytest.approx((1.1 / 0.4) ** 2 / 400, rel=1e-14)
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,6 +261,42 @@ def test_bound_precondition_exit_3(capsys):
     assert "hypothesis" in err
 
 
+@pytest.mark.parametrize("eps", ["1", "1.5"])
+def test_bound_eps_from_one_up_is_a_hypothesis_violation(capsys, eps):
+    # toward-zero and nearest rounding inflate endpoints by 1/(1 - eps)
+    argv = ["bound", "--dist", "uniform:lo=1,hi=2", "--quantity", "err-moment", "--k", "2", "--eps", eps]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"hypothesis violated: endpoint inflation 1/(1 - eps) needs eps < 1, got {float(eps)!r}\n"
+
+
+def test_bound_eps_below_one_keeps_its_value(capsys):
+    argv = ["bound", "--dist", "uniform:lo=1,hi=2", "--quantity", "err-moment", "--k", "2", "--eps", "0.9"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["value"] == 7777.890000000005
+
+
+@pytest.mark.parametrize("flag,value,mode,want", [
+    ("--eps", "0.01", "multiplicative", 7.0 / 3.0 * 1e-4),  # E[X^2] eps^2
+    ("--delta", "0.1", "additive", 0.01),  # delta^2
+])
+def test_bound_strong_in_either_error_mode(capsys, flag, value, mode, want):
+    code, out, _ = run_cli(
+        capsys, "bound", "--dist", "uniform:lo=1,hi=2", "--quantity", "strong", "--k", "2", flag, value
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theorem"] == "strong_convergence" and payload["mode"] == mode
+    assert payload["value"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("value,want", [("false", False), ("TRUE", True), (" False ", False), ("0", 0.0)])
+def test_inline_true_and_false_are_booleans(value, want):
+    got = _parse_inline(f"float:m=4,subnormals={value}")["subnormals"]
+    assert got == want and type(got) is type(want)
+
+
 def test_sweep_csv_header_exact(capsys, tmp_path):
     out_file = tmp_path / "rows.csv"
     code, _, _ = run_cli(
@@ -289,6 +337,32 @@ def test_sweep_rejects_float_grid(capsys):
     )
     assert code == 2
     assert "uniform mesh" in err
+
+
+def test_sweep_dominance_violation_exits_1(capsys, monkeypatch):
+    # every tier bound shrunk to 0: the sweep's dominance check must fail
+    real = B.mean_and_variance_diff_bounds
+    monkeypatch.setattr(B, "mean_and_variance_diff_bounds",
+                        lambda *a, **kw: tuple(dataclasses.replace(r, value=0.0) for r in real(*a, **kw)))
+    argv = ["sweep", "--dist", "semicircle:r=1,mu=0", "--delta", "0.1", "--offsets", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dominance violation: offset 0: |Delta_V| = ") and err.count("\n") == 1
+    assert "exceeds tier A_V bound 0.000e+00" in err
+    code, out, _ = run_cli(capsys, *argv, "--no-check")
+    assert code == 0 and out.splitlines()[0] == SWEEP_HEADER and len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--dist", "semicircle:r=1,mu=0", "--delta", "0.1"],
+    ["sweep", "--dist", "semicircle:r=1,mu=0", "--delta", "0.1", "--offsets", "4"],
+], ids=["bound", "sweep"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "--out", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: cannot write output {path}: ") and err.count("\n") == 1
 
 
 def test_sweep_svg(capsys, tmp_path):

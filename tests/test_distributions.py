@@ -19,7 +19,7 @@ from roundmoments import (
     parse_dist_config,
 )
 from roundmoments.distributions import scan_max
-from roundmoments.errors import ConfigError, NotUnimodalError
+from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.quadrature import adaptive_quad
 
 
@@ -120,7 +120,7 @@ def test_envelope_dominates_density(all_models):
 
 def test_not_unimodal_rejected(semicircle):
     # a mode declared halfway to the support edge breaks the right-side probe
-    with pytest.raises(NotUnimodalError):
+    with pytest.raises(PreconditionError, match="density increases right of the declared mode"):
         replace(semicircle, mode=-0.5)
 
 

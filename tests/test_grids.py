@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from roundmoments import (
     ExplicitSet,
     FloatSystem,
+    GapStats,
     UniformMesh,
     ceil_to,
     floor_to,
@@ -16,7 +17,7 @@ from roundmoments import (
     parse_grid_config,
 )
 from roundmoments import grids
-from roundmoments.errors import AboveGridError, BelowGridError, ConfigError, EmptyRangeError, TooManyCellsError
+from roundmoments.errors import ConfigError, PreconditionError
 
 from conftest import brute_ceil, brute_floor, enumerate_float_system
 
@@ -47,7 +48,7 @@ def test_float_system_representable_point_idempotent():
 
 def test_explicit_below_grid_raises():
     es = ExplicitSet(np.array([0.0, 1.0]))
-    with pytest.raises(BelowGridError):
+    with pytest.raises(PreconditionError, match="no grid point at or below query"):
         floor_to(es, -0.5)
 
 
@@ -56,9 +57,9 @@ def two_search_neighbors(points, x):
     i_lo = np.searchsorted(points, x, side="right") - 1
     i_hi = np.searchsorted(points, x, side="left")
     if np.any(i_lo < 0):
-        raise BelowGridError("below")
+        raise PreconditionError("no grid point at or below query")
     if np.any(i_hi >= points.size):
-        raise AboveGridError("above")
+        raise PreconditionError("no grid point at or above query")
     return points[i_lo], points[i_hi]
 
 
@@ -73,11 +74,11 @@ def test_explicit_neighbors_one_search_matches_two():
     for x in (pts[0], pts[-1], mids[7], pts[600]):  # scalar queries, both endpoints among them
         assert es.neighbors(x) == two_search_neighbors(pts, x)
     below, above = np.nextafter(pts[0], -np.inf), np.nextafter(pts[-1], np.inf)
-    for query, err in ((below, BelowGridError), (above, AboveGridError), ([above, below], BelowGridError),
-                       ([pts[3], above], AboveGridError), (np.nan, AboveGridError)):
-        with pytest.raises(err):
+    for query, side in ((below, "below"), (above, "above"), ([above, below], "below"), ([pts[3], above], "above"),
+                        (np.nan, "above")):
+        with pytest.raises(PreconditionError, match=f"no grid point at or {side} query"):
             two_search_neighbors(pts, np.asarray(query))
-        with pytest.raises(err):
+        with pytest.raises(PreconditionError, match=f"no grid point at or {side} query"):
             es.neighbors(query)
 
 
@@ -206,8 +207,26 @@ def test_gap_stats_zero_straddle_is_infinite():
 
 
 def test_gap_stats_empty_range():
-    with pytest.raises(EmptyRangeError):
-        gap_stats(UniformMesh(0.5, 0.0), 1.1, 1.3)
+    for grid, lo, hi in ((UniformMesh(0.5, 0.0), 1.1, 1.3), (FloatSystem(2, -2, 2), 1.1, 1.2),
+                         (ExplicitSet(np.array([0.0, 1.0, 2.0])), 0.5, 1.5)):
+        with pytest.raises(PreconditionError, match="no full cell in range"):
+            gap_stats(grid, lo, hi)
+
+
+def test_gap_stats_negative_mesh_range():
+    # the smallest magnitude of the range's cells is at its right end
+    assert gap_stats(UniformMesh(0.5, 0.0), -3.0, -1.0) == GapStats(1.0, 1.0)
+
+
+def test_gap_stats_float_counts_only_full_cells():
+    fs = FloatSystem(2, -2, 2)  # steps 1/16 below 1/4, then 1/16, 1/8, 1/4, 1/2 per binade
+    # [2, 2.3] of binade [2, 4] holds no full cell, so its step 1/2 is not a gap of the range
+    assert gap_stats(fs, 1.1, 2.3) == GapStats(0.25 / 1.25, 0.25)
+    assert gap_stats(fs, 1.1, 2.6) == GapStats(0.5 / 2.0, 0.5)
+    # across zero: the cell from 0 is in range on one side or both
+    for lo, hi in ((-1.0, 1.0), (-0.05, 0.3), (-0.3, 0.05)):
+        assert math.isinf(gap_stats(fs, lo, hi).eps0)
+    assert gap_stats(fs, -1.0, 1.0).delta0 == 0.125
 
 
 def test_gap_stats_explicit_set():
@@ -335,14 +354,14 @@ def test_uniform_offset_normalization():
 
 
 def test_points_in_budget_guard():
-    with pytest.raises(TooManyCellsError):
+    with pytest.raises(ConfigError, match="grid points in range, more than"):
         UniformMesh(1e-9, 0.0).points_in(0.0, 1.0)
     # 2^30 points in one binade: refused before any of them is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(TooManyCellsError):
+        with pytest.raises(ConfigError, match="grid points in range, more than"):
             FloatSystem(30, 0, 2).points_in(1.0, 2.0)
-        with pytest.raises(TooManyCellsError):
+        with pytest.raises(ConfigError, match="grid points in range, more than"):
             FloatSystem(30, 0, 2).index_range(1.0, 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:

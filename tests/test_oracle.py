@@ -14,7 +14,7 @@ from roundmoments import (
     oracle,
 )
 from roundmoments import grids
-from roundmoments.errors import DegenerateFitError, PreconditionError, TooManyCellsError
+from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
     centered_moment_of_rounded,
@@ -194,6 +194,13 @@ def test_convergence_slope_orders(shifted_semicircle):
     assert 0.9 <= fit.slope <= 1.1
 
 
+def test_convergence_slope_needs_two_points_above_underflow():
+    # the normal's Delta_E under nearest rounding falls like exp(-2 pi^2 / step^2):
+    # only the coarsest mesh stays above 1e-15
+    with pytest.raises(PreconditionError, match="fewer than 2 usable points"):
+        convergence_slope(make_normal(0.0, 1.0), RS.NEAREST, "delta_e", [1.0, 0.1, 0.08, 0.06], n_probe=4)
+
+
 def test_convergence_slope_underflow_reports_infinite(shifted_semicircle):
     # stochastic rounding is unbiased pointwise: Delta_E is identically zero
     deltas = [2.0 ** -e for e in range(3, 7)]
@@ -240,7 +247,7 @@ def test_simulated_sum_counts_overflow():
 
 
 def test_too_many_cells_guard(semicircle):
-    with pytest.raises(TooManyCellsError):
+    with pytest.raises(ConfigError, match="grid points in range, more than"):
         err_weighted_integral(UniformMesh(1e-10, 0.0), RS.NEAREST, ONE, 0.0, 1.0, 1)
 
 
@@ -487,9 +494,9 @@ def test_partition_checks_the_budget_on_the_whole_range(monkeypatch, grid, pts):
     assert len(list(oracle._partition(grid, RS.NEAREST, pts[20], pts[29]))) == 3
     # eleven are refused when the first chunk is asked for
     chunks = oracle._partition(grid, RS.NEAREST, pts[20], pts[30])
-    with pytest.raises(TooManyCellsError):
+    with pytest.raises(ConfigError, match="11 grid points in range, more than 10"):
         next(chunks)
-    with pytest.raises(TooManyCellsError):
+    with pytest.raises(ConfigError, match="11 grid points in range, more than 10"):
         grid.points_in(pts[20], pts[30])
 
 

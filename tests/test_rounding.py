@@ -13,7 +13,7 @@ from roundmoments import (
     scheme_constants,
     scheme_eps_delta,
 )
-from roundmoments.errors import ConfigError, MissingVariateError
+from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme, err_power, int_power, stoch_expectation
 
 INT_MESH = UniformMesh(0.5, 0.0)  # spacing 1: the integers
@@ -38,7 +38,7 @@ def test_stochastic_threshold():
 
 
 def test_stochastic_needs_variate():
-    with pytest.raises(MissingVariateError):
+    with pytest.raises(PreconditionError, match="stochastic rounding needs a uniform variate"):
         round_value(INT_MESH, RoundingScheme.STOCHASTIC, 0.25)
 
 
