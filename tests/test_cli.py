@@ -486,3 +486,43 @@ def test_config_file_grid_and_distribution(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--config", str(cfg), "bound", "--tier", "B", "--quantity", "mean")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.01 / math.pi, rel=1e-12)
+
+
+_DIST = ["--dist", "semicircle:r=1"]
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["bound", *_DIST, "--delta", "0.1", "--quantity", "centered", "--k", "1"], 2, "config error: k must be >= 2"),
+    (["bound", *_DIST, "--delta", "0.1", "--quantity", "err-moment", "--k", "0"], 2,
+     "config error: k must be a positive integer"),
+    (["bound", *_DIST, "--delta", "0.1", "--quantity", "err-moment", "--signed", "--k", "2"], 3,
+     "hypothesis violated: signed error-power bound needs odd k"),
+    (["bound", *_DIST, "--delta", "0.1", "--quantity", "strong", "--k", "0"], 2,
+     "config error: n must be a positive integer"),
+    (["bound", *_DIST, "--delta", "0.1", "--scheme", "bogus"], 2, "config error: unknown rounding scheme"),
+    (["bound", "--dist", "uniform:lo=1,hi=0", "--delta", "0.1"], 2, "config error: need lo < hi"),
+    (["bound", "--dist", "semicircle:r", "--delta", "0.1"], 2, "config error: cannot parse parameter"),
+    (["bound", "--delta", "0.1"], 2, "config error: no distribution given"),
+    (["bound", *_DIST], 2, "config error: need --delta, --eps, or a uniform mesh grid"),
+    (["--config", "no-such-config.json", "bound", *_DIST, "--delta", "0.1"], 2, "config error: cannot read config"),
+    (["sweep", *_DIST], 2, "config error: need --delta or a uniform mesh grid"),
+    (["sweep", *_DIST, "--delta", "0.1", "--offsets", "1"], 3, "hypothesis violated: need at least 2 offsets"),
+    (["sum-demo", "--k-min", "3", "--k-max", "3"], 2, "config error: k_min must be < k_max"),
+    (["sum-demo", "--k-min", "-2000"], 2, "config error: exponent range exceeds double-exact arithmetic"),
+], ids=["centered-k1", "err-moment-k0", "signed-even-k", "strong-k0", "bogus-scheme", "uniform-empty",
+        "parameter-without-value", "no-dist", "no-delta-eps-or-mesh", "missing-config", "sweep-no-delta",
+        "sweep-one-offset", "sum-demo-empty-exponents", "sum-demo-exponent-range"])
+def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    got, out, stderr = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert stderr.startswith(err) and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["toward_zero", "away_from_zero"])
+def test_verify_directed_scheme(capsys, scheme):
+    # the generators that need a cancelling scheme skip under directed rounding
+    code, out, _ = run_cli(capsys, "verify", "--instances", "12", "--scheme", scheme)
+    assert code == 0
+    assert out.splitlines()[-1] == "12 checks, 0 violations"
+    assert f" {scheme} " in out
