@@ -9,7 +9,6 @@ from .grids import (
     ceil_to,
     floor_to,
     gap_stats,
-    parse_grid_config,
 )
 from .rounding import (
     RoundingScheme,
@@ -26,7 +25,6 @@ from .distributions import (
     make_normal,
     make_semicircle,
     make_uniform,
-    parse_dist_config,
 )
 from .bounds import (
     ADDITIVE,
@@ -58,5 +56,6 @@ from .oracle import (
     simulated_sum,
 )
 from .verify import CheckResult, SweepRow, offset_sweep, run_suite, worst_margin
+from .cli import parse_dist_config, parse_grid_config
 
 __version__ = "0.1.0"

@@ -1,4 +1,6 @@
-"""Command line front end.
+"""Command line front end, and the package's one input/output boundary:
+only this module reads grid and distribution configs (inline or JSON),
+writes output and decides an exit code.
 
 Subcommands: ``bound`` (evaluate a bound; ``bound --plan`` runs the
 measurement planner), ``verify`` (randomized dominance suite), ``sweep``
@@ -16,14 +18,16 @@ import math
 import sys
 from dataclasses import asdict, astuple, fields
 
+import numpy as np
+
 from . import bounds as B
-from .distributions import make_uniform, parse_dist_config
+from .distributions import DensityModel, make_exponential, make_normal, make_semicircle, make_uniform
 from .errors import ConfigError, PreconditionError
-from .grids import FloatSystem, UniformMesh, parse_grid_config
+from .grids import ExplicitSet, FloatSystem, Grid, UniformMesh
 from .oracle import simulated_sum
 from .plotting import polyline_chart, stacked_charts
 from .rounding import RoundingScheme, scheme_eps_delta
-from .verify import BoundViolationError, SweepRow, offset_sweep, run_suite, worst_margin
+from .verify import SweepRow, offset_sweep, run_suite, worst_margin
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
@@ -43,7 +47,8 @@ def _g17(x) -> str:
 
 
 def _parse_inline(spec: str) -> dict:
-    """'semicircle:r=1,mu=0' -> {'kind': 'semicircle', 'r': 1.0, 'mu': 0.0}"""
+    """'semicircle:r=1,mu=0' -> {'kind': 'semicircle', 'r': '1', 'mu': '0'};
+    true and false become booleans, and the config reader converts the rest."""
     name, _, rest = spec.partition(":")
     out: dict = {"kind": name.strip()}
     if rest:
@@ -51,16 +56,84 @@ def _parse_inline(spec: str) -> dict:
             key, _, val = item.partition("=")
             if not _ or not key:
                 raise ConfigError(f"cannot parse parameter {item!r} in {spec!r}")
-            key = key.strip()
             val = val.strip()
-            if val.lower() in ("true", "false"):
-                out[key] = val.lower() == "true"
-            else:
-                try:
-                    out[key] = float(val)
-                except ValueError:
-                    raise ConfigError(f"cannot parse value {val!r} in {spec!r}")
+            out[key.strip()] = val.lower() == "true" if val.lower() in ("true", "false") else val
     return out
+
+
+def _number(value, name: str, integer: bool = False):
+    """The config value ``value`` of parameter ``name`` as a finite float, or
+    as an int when ``integer``; anything else is a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    return int(x) if integer else x
+
+
+def _integer(value, name: str) -> int:
+    return _number(value, name, integer=True)
+
+
+def _flag(value, name: str) -> bool:
+    # a JSON boolean only: bool("false") is True
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _points(value, name: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError("explicit grid points must be a list")
+    return np.array([_number(p, "point") for p in value], dtype=float)
+
+
+# what -> kind -> (constructor, its arguments in order as (key, reader) or
+# (key, reader, default)); a key without a default is required
+_CONFIG_KINDS = {
+    "grid": {
+        "uniform": (UniformMesh, (("half_gap", _number), ("offset", _number, 0.0))),
+        "float": (FloatSystem, (("m", _integer), ("k_min", _integer), ("k_max", _integer),
+                                ("subnormals", _flag, True))),
+        "explicit": (ExplicitSet, (("points", _points),)),
+    },
+    "distribution": {
+        "semicircle": (make_semicircle, (("r", _number), ("mu", _number, 0.0))),
+        "normal": (make_normal, (("mu", _number), ("sigma2", _number))),
+        "exponential": (make_exponential, (("lambda", _number),)),
+        "uniform": (make_uniform, (("lo", _number), ("hi", _number))),
+    },
+}
+
+
+def _read_config(what: str, obj):
+    """Build the grid or distribution (``what``) of a JSON-style object."""
+    try:
+        kind = obj["kind"]
+    except (TypeError, KeyError):
+        raise ConfigError(f"{what} config must be an object with a 'kind' field") from None
+    try:
+        make, params = _CONFIG_KINDS[what][kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ConfigError(f"unknown {what} kind {kind!r}") from None
+    args = []
+    for key, read, *default in params:
+        if key not in obj and not default:
+            raise ConfigError(f"{kind} {what} config needs the key {key!r}")
+        args.append(read(obj[key], key) if key in obj else default[0])
+    return make(*args)
+
+
+def parse_grid_config(obj: dict) -> Grid:
+    """Build a grid from its JSON-style description."""
+    return _read_config("grid", obj)
+
+
+def parse_dist_config(obj: dict) -> DensityModel:
+    """Build a distribution model from its JSON-style description."""
+    return _read_config("distribution", obj)
 
 
 def _load_config(path: str | None) -> dict:
@@ -76,20 +149,18 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve_dist(args, cfg):
-    if getattr(args, "dist", None):
-        return parse_dist_config(_parse_inline(args.dist))
-    if "distribution" in cfg:
-        return parse_dist_config(cfg["distribution"])
-    raise ConfigError("no distribution given (use --dist or a config file)")
+def _model_and_grid(args, cfg: dict) -> tuple[DensityModel, Grid | None]:
+    """The distribution and grid of the inline flags, else of the config
+    file; a grid may be absent, a distribution may not."""
+    def read(what, spec):
+        if spec:
+            return _read_config(what, _parse_inline(spec))
+        return _read_config(what, cfg[what]) if what in cfg else None
 
-
-def _resolve_grid(args, cfg):
-    if getattr(args, "grid", None):
-        return parse_grid_config(_parse_inline(args.grid))
-    if "grid" in cfg:
-        return parse_grid_config(cfg["grid"])
-    return None
+    model = read("distribution", args.dist)
+    if model is None:
+        raise ConfigError("no distribution given (use --dist or a config file)")
+    return model, read("grid", args.grid)
 
 
 def _emit(text: str, out_path: str | None):
@@ -122,8 +193,7 @@ def cmd_bound(args) -> int:
     cfg = _load_config(args.config)
     if args.plan:
         return _cmd_plan(args)
-    model = _resolve_dist(args, cfg)
-    grid = _resolve_grid(args, cfg)
+    model, grid = _model_and_grid(args, cfg)
     scheme = RoundingScheme.parse(args.scheme)
     delta = args.delta
     mesh = grid if isinstance(grid, UniformMesh) else None
@@ -146,10 +216,8 @@ def cmd_bound(args) -> int:
         report = B.strong_bound(model, args.k, mode, base)
     elif args.quantity == "centered":
         report = B.centered_moment_first_order(model, args.k, mode, base)
-    elif args.quantity == "err-moment":
+    else:  # err-moment, the last of the parser's choices
         report = B.unimodal_moment_bound(model, args.k, scheme, mode, base, signed=args.signed)
-    else:
-        raise ConfigError(f"unknown quantity {args.quantity!r}")
     _emit(json.dumps(report.to_json(), indent=2), args.out)
     return 0
 
@@ -158,14 +226,13 @@ def cmd_verify(args) -> int:
     scheme = RoundingScheme.parse(args.scheme) if args.scheme else None
     scale = 0.5 if args.self_test else 1.0
     results = run_suite(args.instances, seed=args.seed, scheme=scheme, bound_scale=scale)
-    n_bad = 0
-    for r in results:
-        status = "ok  " if r.ok else "FAIL"
-        n_bad += not r.ok
-        print(f"{status} [{r.kind:>14s}] margin {_g17(r.margin):>24s}  {r.description}")
+    lines = [f"{'ok  ' if r.ok else 'FAIL'} [{r.kind:>14s}] margin {_g17(r.margin):>24s}  {r.description}"
+             for r in results]
+    n_bad = sum(not r.ok for r in results)
     w = worst_margin(results)
-    print(f"worst margin {_g17(w.margin)} on: {w.description}")
-    print(f"{len(results)} checks, {n_bad} violations" + (" (self-test mode)" if args.self_test else ""))
+    lines.append(f"worst margin {_g17(w.margin)} on: {w.description}")
+    lines.append(f"{len(results)} checks, {n_bad} violations" + (" (self-test mode)" if args.self_test else ""))
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if n_bad else 0
 
 
@@ -192,18 +259,17 @@ def _sweep_csv(rows) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    model = _resolve_dist(args, cfg)
-    grid = _resolve_grid(args, cfg)
+    model, grid = _model_and_grid(args, cfg)
     if grid is not None and not isinstance(grid, UniformMesh):
         raise ConfigError("sweep requires a uniform mesh grid (offsets of a float system are not well defined)")
     delta = args.delta if args.delta is not None else (grid.half_gap if grid else None)
     if delta is None:
         raise ConfigError("need --delta or a uniform mesh grid")
     scheme = RoundingScheme.parse(args.scheme)
-    try:
-        rows = offset_sweep(model, delta, args.offsets, scheme=scheme, check=not args.no_check)
-    except BoundViolationError as exc:
-        print(f"dominance violation: {exc}", file=sys.stderr)
+    rows = offset_sweep(model, delta, args.offsets, scheme=scheme)
+    problems = [f"offset {r.offset:.6g}: {v}" for r in rows for v in r.violations()]
+    if problems and not args.no_check:
+        print(f"dominance violation: {'; '.join(problems)}", file=sys.stderr)
         return 1
     if args.format == "svg":
         _emit(sweep_svg(rows), args.out)
@@ -240,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="roundmoments", description=__doc__)
     p.add_argument("--config", help="JSON config file with grid/distribution objects")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=("csv", "json", "svg"),
+                   help="sweep: csv (default), json or svg; bound and sum-demo: json; verify: none")
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -260,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--p", type=float, default=0.05)
     pb.add_argument("--n", type=int)
     pb.add_argument("--t", type=float)
-    pb.set_defaults(func=cmd_bound)
+    pb.set_defaults(func=cmd_bound, formats=("json",))
 
     pv = sub.add_parser("verify", help="run the randomized dominance suite")
     pv.add_argument("--instances", type=int, default=200)
     pv.add_argument("--scheme")
     pv.add_argument("--self-test", action="store_true", help="scale bounds by 0.5; must report violations")
-    pv.set_defaults(func=cmd_verify)
+    pv.set_defaults(func=cmd_verify, formats=())
 
     ps = sub.add_parser("sweep", help="offset sweep: oracle values vs tier bounds")
     ps.add_argument("--dist", help="inline distribution")
@@ -277,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--offsets", type=int, default=64)
     ps.add_argument("--scheme", default="nearest")
     ps.add_argument("--no-check", action="store_true")
-    ps.set_defaults(func=cmd_sweep)
+    ps.set_defaults(func=cmd_sweep, formats=("csv", "json", "svg"))
 
     pd = sub.add_parser("sum-demo", help="rounded-sum simulation against its bound")
     pd.add_argument("--summands", type=int, default=10)
@@ -286,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--k-max", type=int, default=8)
     pd.add_argument("--scheme", default="nearest")
     pd.add_argument("--samples", type=int, default=100_000)
-    pd.set_defaults(func=cmd_sum_demo)
+    pd.set_defaults(func=cmd_sum_demo, formats=("json",))
     return p
 
 
@@ -313,6 +380,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format not in (None, *args.formats):
+            writes = " or ".join(args.formats) or "a text report"
+            raise ConfigError(f"{args.command} writes {writes}, not --format {args.format}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .grids import UniformMesh, config_number
+from .grids import UniformMesh
 from .quadrature import adaptive_quad
 
 _MASS_TOL = 1e-18
@@ -450,21 +450,3 @@ def best_mesh_center(mesh: UniformMesh) -> float:
     c = mesh.offset - d * round(mesh.offset / d)
     return 0.0 if c == 0.0 else c
 
-
-def parse_dist_config(obj: dict) -> DensityModel:
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("distribution config must be an object with a 'kind' field")
-    try:
-        if kind == "semicircle":
-            return make_semicircle(config_number(obj["r"], "r"), config_number(obj.get("mu", 0.0), "mu"))
-        if kind == "normal":
-            return make_normal(config_number(obj["mu"], "mu"), config_number(obj["sigma2"], "sigma2"))
-        if kind == "exponential":
-            return make_exponential(config_number(obj["lambda"], "lambda"))
-        if kind == "uniform":
-            return make_uniform(config_number(obj["lo"], "lo"), config_number(obj["hi"], "hi"))
-    except KeyError as exc:
-        raise ConfigError(f"{kind} distribution config needs the key {exc.args[0]!r}") from None
-    raise ConfigError(f"unknown distribution kind {kind!r}")

@@ -2,8 +2,8 @@
 
 Every failure is a ``ConfigError``, a malformed configuration (CLI exit
 code 2), or a ``PreconditionError``, a violated theorem hypothesis (exit
-code 3).  The one other error, a checked sweep's dominance violation, is
-``verify.BoundViolationError`` (exit code 1).
+code 3).  A bound that its oracle beats is no exception: the command line
+judges the results of ``verify``, ``sweep`` and ``sum-demo`` and exits 1.
 """
 
 

@@ -290,9 +290,9 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
 
     if isinstance(grid, UniformMesh):
         step = grid.step
-        g0 = float(ceil_to(grid, lo))
-        g1 = float(floor_to(grid, hi))
-        if g1 - g0 < step * (1.0 - 1e-12):
+        g0 = ceil_to(grid, lo)
+        g1 = floor_to(grid, hi)
+        if not g0 < g1:  # two grid points in range bound a full cell
             raise PreconditionError("no full cell in range")
         if g0 <= 0.0 <= g1:
             eps0 = math.inf
@@ -306,18 +306,17 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
         eps0 = 0.0
         delta0 = 0.0
         found = False
-        for _, anchor, step, c_lo, c_hi in grid.stretches(lo, hi):
-            j0 = math.ceil((c_lo - anchor) / step - 1e-12)
-            p0 = anchor + j0 * step
-            if p0 + step > c_hi * (1.0 + 1e-15):
+        for _, _, step, c_lo, c_hi in grid.stretches(lo, hi):
+            # the lattice is symmetric: the first point of magnitude >= c_lo
+            # starts the stretch's first cell, full if it ends by c_hi
+            p0 = ceil_to(grid, c_lo)
+            if p0 + step > c_hi:
                 continue
             found = True
             delta0 = max(delta0, step)
             eps0 = math.inf if p0 == 0.0 else max(eps0, step / p0)
         if not found:
             raise PreconditionError("no full cell in range")
-        if lo < 0.0 < hi:
-            eps0 = math.inf  # cells adjacent to zero are in range
         return GapStats(eps0, delta0)
 
     if isinstance(grid, ExplicitSet):
@@ -334,46 +333,3 @@ def gap_stats(grid: Grid, lo: float, hi: float) -> GapStats:
 
     raise ConfigError(f"unknown grid type {type(grid)!r}")
 
-
-def config_number(value, name: str, integer: bool = False):
-    """The config value ``value`` of parameter ``name`` as a finite float, or
-    as an int when ``integer``; anything else is a ConfigError."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(x) or (integer and not x.is_integer()):
-        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
-    return int(x) if integer else x
-
-
-def parse_grid_config(obj: dict) -> Grid:
-    """Build a grid from its JSON-style description."""
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError("grid config must be an object with a 'kind' field")
-    try:
-        if kind == "uniform":
-            return UniformMesh(
-                half_gap=config_number(obj["half_gap"], "half_gap"),
-                offset=config_number(obj.get("offset", 0.0), "offset"),
-            )
-        if kind == "float":
-            subnormals = obj.get("subnormals", True)
-            if not isinstance(subnormals, bool):
-                raise ConfigError(f"subnormals must be true or false, got {subnormals!r}")
-            return FloatSystem(
-                mantissa_bits=config_number(obj["m"], "m", integer=True),
-                k_min=config_number(obj["k_min"], "k_min", integer=True),
-                k_max=config_number(obj["k_max"], "k_max", integer=True),
-                subnormals=subnormals,
-            )
-        if kind == "explicit":
-            points = obj["points"]
-            if not isinstance(points, list):
-                raise ConfigError("explicit grid points must be a list")
-            return ExplicitSet(points=np.array([config_number(p, "point") for p in points], dtype=float))
-    except KeyError as exc:
-        raise ConfigError(f"{kind} grid config needs the key {exc.args[0]!r}") from None
-    raise ConfigError(f"unknown grid kind {kind!r}")

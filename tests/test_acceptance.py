@@ -90,7 +90,7 @@ def test_criterion_03_sweep_dominance():
     clock = _Clock(60.0)
     model = make_semicircle(1.0, 0.0)
     for delta in (0.05, 0.1, 0.2):
-        rows = offset_sweep(model, delta, 64, RS.NEAREST, check=True)
+        rows = offset_sweep(model, delta, 64, RS.NEAREST)
         assert len(rows) == 64
         for row in rows:
             assert not row.violations()

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -11,8 +12,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from roundmoments import bounds as B
+from roundmoments import parse_dist_config, parse_grid_config
 from roundmoments.bounds import BoundReport
 from roundmoments.cli import _parse_inline, main
+from roundmoments.errors import ConfigError
 
 # the sweep CSV header as the README states it
 SWEEP_HEADER = "offset,delta_E,delta_V,bound_A_E,bound_B_E,bound_C_E,bound_D_E,bound_A_V,bound_B_V,bound_C_V"
@@ -293,8 +296,27 @@ def test_bound_strong_in_either_error_mode(capsys, flag, value, mode, want):
 
 @pytest.mark.parametrize("value,want", [("false", False), ("TRUE", True), (" False ", False), ("0", 0.0)])
 def test_inline_true_and_false_are_booleans(value, want):
-    got = _parse_inline(f"float:m=4,subnormals={value}")["subnormals"]
-    assert got == want and type(got) is type(want)
+    spec = _parse_inline(f"float:m=4,k_min=-2,k_max=2,subnormals={value}")
+    if isinstance(want, bool):
+        assert parse_grid_config(spec).subnormals is want
+    else:  # a number is no boolean: the grid refuses it as a flag
+        with pytest.raises(ConfigError, match=f"^subnormals must be true or false, got '{value}'$"):
+            parse_grid_config(spec)
+
+
+@pytest.mark.parametrize("what,kind", [("grid", ["uniform"]), ("distribution", {"semicircle": 1}),
+                                       ("grid", None), ("distribution", 1.0)])
+def test_unknown_kind_is_a_config_error(what, kind):
+    read = parse_grid_config if what == "grid" else parse_dist_config
+    with pytest.raises(ConfigError, match=rf"^unknown {what} kind {re.escape(repr(kind))}$"):
+        read({"kind": kind})
+
+
+def test_inline_numbers_reach_the_model_unchanged():
+    # the inline parser leaves numbers as text; the reader converts each once
+    assert _parse_inline("normal:mu=1e-3,sigma2=2") == {"kind": "normal", "mu": "1e-3", "sigma2": "2"}
+    model = parse_dist_config(_parse_inline("normal:mu=1e-3,sigma2=2"))
+    assert (model.mean, model.variance) == (1e-3, 2.0)
 
 
 def test_sweep_csv_header_exact(capsys, tmp_path):
@@ -526,3 +548,35 @@ def test_verify_directed_scheme(capsys, scheme):
     assert code == 0
     assert out.splitlines()[-1] == "12 checks, 0 violations"
     assert f" {scheme} " in out
+
+
+def test_verify_writes_to_out(capsys, tmp_path):
+    path = tmp_path / "v.txt"
+    code, out, err = run_cli(capsys, "--out", str(path), "verify", "--instances", "3")
+    assert code == 0 and out == "" and err == ""
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 5 and all(line.endswith("\n") for line in lines)
+    assert lines[-1] == "3 checks, 0 violations\n"
+    assert run_cli(capsys, "verify", "--instances", "3")[1] == path.read_text()
+
+
+@pytest.mark.parametrize("fmt,argv,err", [
+    ("svg", ["bound", *_DIST, "--delta", "0.1"], "bound writes json, not --format svg"),
+    ("csv", ["bound", "--plan"], "bound writes json, not --format csv"),
+    ("csv", ["sum-demo", "--samples", "10"], "sum-demo writes json, not --format csv"),
+    ("json", ["verify", "--instances", "3"], "verify writes a text report, not --format json"),
+])
+def test_format_a_subcommand_does_not_write_is_a_config_error(capsys, fmt, argv, err):
+    code, out, stderr = run_cli(capsys, "--format", fmt, *argv)
+    assert code == 2 and out == ""
+    assert stderr == f"config error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", *_DIST, "--delta", "0.1"],
+    ["sum-demo", "--summands", "3", "--samples", "100"],
+], ids=["bound", "sum-demo"])
+def test_format_json_is_what_bound_and_sum_demo_write(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, "--format", "json", *argv) == (0, out, "")

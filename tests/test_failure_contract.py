@@ -1,7 +1,7 @@
 """Every failure of the package is a malformed configuration (ConfigError,
-exit 2) or a violated theorem hypothesis (PreconditionError, exit 3); the
-one other exception is a sweep's BoundViolationError (exit 1).  The command
-line maps exactly these, so no other class may be defined or raised."""
+exit 2) or a violated theorem hypothesis (PreconditionError, exit 3).  The
+command line maps exactly these, so no other class may be defined or raised;
+a dominance violation is a result, which the command line turns into exit 1."""
 
 import ast
 import builtins
@@ -11,8 +11,8 @@ import roundmoments
 
 PACKAGE = pathlib.Path(roundmoments.__file__).parent
 
-CLASSES = {"RoundMomentsError", "ConfigError", "PreconditionError", "BoundViolationError"}
-RAISED = {"ConfigError", "PreconditionError", "BoundViolationError"}
+CLASSES = {"RoundMomentsError", "ConfigError", "PreconditionError"}
+RAISED = {"ConfigError", "PreconditionError"}
 
 
 def _nodes(kind):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roundmoments import (
@@ -244,6 +244,35 @@ def test_gap_stats_explicit_set():
     assert math.isinf(gs.eps0)  # a cell ends exactly at zero
 
 
+def _gap_stats_or_refusal(grid, lo, hi):
+    try:
+        return gap_stats(grid, lo, hi)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# the same points k/16 on [1, 2] and their mirror: FloatSystem(4, -4, 4)'s
+# binade, a mesh of step 1/16 and an explicit set
+_SAME_POINTS = (FloatSystem(4, -4, 4), UniformMesh(1.0 / 32.0),
+                ExplicitSet(np.concatenate([-np.arange(32, 15, -1), np.arange(16, 33)]) / 16.0))
+
+
+@given(st.floats(1.0, 2.0), st.floats(1.0, 2.0), st.booleans())
+@example(1.0, 1.0625 - 2.0 ** -50, False)  # no full cell: [1, 1.0625] ends just past hi
+@example(1.0 + 2.0 ** -52, 2.0, False)  # the first full cell is [1.0625, 1.125]: 1 is below lo
+@example(1.0 + 2.0 ** -52, 2.0, True)
+@example(1.0, 1.0625, False)
+@settings(max_examples=300, deadline=None)
+def test_gap_stats_same_on_the_same_points(a, b, negative):
+    lo, hi = sorted((a, b))
+    if negative:
+        lo, hi = -hi, -lo
+    if not lo < hi:
+        return
+    got = [_gap_stats_or_refusal(grid, lo, hi) for grid in _SAME_POINTS]
+    assert got[0] == got[1] == got[2], (lo, hi, got)
+
+
 def test_stretches_small_system():
     fs = FloatSystem(2, 0, 2)
     got = list(fs.stretches(-4.0, 4.0))
@@ -420,7 +449,7 @@ def test_float_system_mantissa_fits_a_double():
 
 
 def test_grid_config_integral_floats_accepted():
-    # the inline parser reads every number as a float
+    # a count may be given as an integral float
     fs = parse_grid_config({"kind": "float", "m": 3.0, "k_min": -2.0, "k_max": 2})
     assert (fs.mantissa_bits, fs.k_min, fs.k_max) == (3, -2, 2)
     assert isinstance(fs.mantissa_bits, int)

@@ -170,11 +170,12 @@ def test_mc_quadrature_agreement(semicircle):
 
 
 def test_offset_sweep_rows(semicircle):
-    rows = offset_sweep(semicircle, 0.1, 16, RS.NEAREST, check=True)
+    rows = offset_sweep(semicircle, 0.1, 16, RS.NEAREST)
     assert len(rows) == 16
     assert rows[0].offset == 0.0
     assert abs(rows[0].delta_E) < 1e-14  # symmetric mesh
     for row in rows:
+        assert not row.violations()
         assert abs(row.delta_E) <= row.bound_A_E + 1e-9
         assert abs(row.delta_V) <= row.bound_A_V + 1e-9
 
