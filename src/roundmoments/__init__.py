@@ -10,12 +10,7 @@ from .grids import (
     floor_to,
     gap_stats,
 )
-from .rounding import (
-    RoundingScheme,
-    round_value,
-    scheme_constants,
-    scheme_eps_delta,
-)
+from .rounding import RoundingScheme, round_value
 from .distributions import (
     DensityModel,
     Envelope,

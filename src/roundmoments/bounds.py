@@ -21,7 +21,7 @@ from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_cen
 from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
-from .rounding import CANCELLING_SCHEMES, RoundingScheme, scheme_constants, scheme_eps_delta
+from .rounding import RoundingScheme
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -49,25 +49,19 @@ class BoundReport:
     tier: str | None
     mode: str
     notes: tuple[str, ...] = ()
-    two_sided: tuple[float, float] | None = None
 
     def to_json(self) -> dict:
         out = asdict(self)
         out["notes"] = list(self.notes)
-        # re-emitted last, and only when set, as {"center", "radius"}
-        if out.pop("two_sided") is not None:
-            out["two_sided"] = {"center": self.two_sided[0], "radius": self.two_sided[1]}
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundReport":
-        ts = obj.get("two_sided")
         return cls(**{
             **obj,
             "leading": BoundTerm(**obj["leading"]),
             "higher_order": BoundTerm(**obj["higher_order"]),
             "notes": tuple(obj["notes"]),
-            "two_sided": (ts["center"], ts["radius"]) if ts is not None else None,
         })
 
 
@@ -237,13 +231,12 @@ def interval_error_bound(
         raise ConfigError("need a < b")
     if k < 1:
         raise ConfigError("k must be a positive integer")
-    cs = scheme_constants(scheme)
     base = eps_or_delta
     notes = ()
     if signed:
         if k % 2 == 0:
             raise PreconditionError("signed error-power bound needs odd k")
-        if scheme not in CANCELLING_SCHEMES:
+        if not scheme.cancels:
             raise PreconditionError("signed cancellation needs nearest or stochastic rounding")
         leading = BoundTerm(0.0, k, base)
         exact_zero = endpoints_on_grid and scheme is RoundingScheme.NEAREST
@@ -251,17 +244,17 @@ def interval_error_bound(
             higher = BoundTerm(0.0, k + 1, base)
             notes = ("grid-aligned endpoints: integral is exactly zero",)
         elif mode == MULTIPLICATIVE:
-            higher = BoundTerm(cs.d(k) * max(abs(a), abs(b)) ** (k + 1), k + 1, base)
+            higher = BoundTerm(scheme.d(k) * max(abs(a), abs(b)) ** (k + 1), k + 1, base)
         else:
-            higher = BoundTerm(cs.d(k), k + 1, base)
+            higher = BoundTerm(scheme.d(k), k + 1, base)
         return _report(leading, higher, "interval_error_signed", tier="B", mode=mode, notes=notes)
 
     if mode == MULTIPLICATIVE:
-        leading = BoundTerm(cs.c(k) * _abs_power_integral(a, b, k), k, base)
-        hcoef = 2.0 * cs.c(k) * (abs(a) ** (k + 1) + abs(b) ** (k + 1)) * cs.beta(base) ** (k + 1)
+        leading = BoundTerm(scheme.c(k) * _abs_power_integral(a, b, k), k, base)
+        hcoef = 2.0 * scheme.c(k) * (abs(a) ** (k + 1) + abs(b) ** (k + 1)) * scheme.beta(base) ** (k + 1)
     else:
-        leading = BoundTerm(cs.c(k) * (b - a), k, base)
-        hcoef = 4.0 * cs.c(k)
+        leading = BoundTerm(scheme.c(k) * (b - a), k, base)
+        hcoef = 4.0 * scheme.c(k)
     if endpoints_on_grid and scheme is not RoundingScheme.STOCHASTIC:
         if scheme is RoundingScheme.NEAREST or not a < 0.0 < b:
             hcoef = 0.0
@@ -270,7 +263,7 @@ def interval_error_bound(
         else:
             # directed rounding jumps at zero, not at a grid point: a cell
             # straddling zero exceeds the per-cell equality by <= c(k) d^(k+1)
-            hcoef = cs.c(k)
+            hcoef = scheme.c(k)
     higher = BoundTerm(hcoef, k + 1, base)
     return _report(leading, higher, "interval_error_abs", tier="B", mode=mode, notes=notes)
 
@@ -287,10 +280,9 @@ def unimodal_moment_bound(
     _check_mode(mode)
     if k < 1:
         raise ConfigError("k must be a positive integer")
-    if scheme not in CANCELLING_SCHEMES:
+    if not scheme.cancels:
         raise PreconditionError("envelope bound needs nearest or stochastic rounding")
     env = Envelope(model)
-    cs = scheme_constants(scheme)
     base = eps_or_delta
     if signed:
         if k % 2 == 0:
@@ -299,17 +291,17 @@ def unimodal_moment_bound(
         if mode == MULTIPLICATIVE:
             # no endpoint inflation here: the signed endpoint term never
             # reaches past the query point, unlike the absolute variant
-            hcoef = (k + 1.0) * cs.d(k) * env.weighted_integral(k)
+            hcoef = (k + 1.0) * scheme.d(k) * env.weighted_integral(k)
         else:
-            hcoef = cs.d(k) * model.peak
+            hcoef = scheme.d(k) * model.peak
         return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_signed", tier="B", mode=mode)
 
     if mode == MULTIPLICATIVE:
         leading = BoundTerm(_finite(model.abs_mixed_moment(0, k, 0.0), "E|X|^k"), k, base)
-        hcoef = 4.0 * (k + 1.0) * cs.c(k) * env.weighted_integral(k) * cs.beta(base) ** (k + 1)
+        hcoef = 4.0 * (k + 1.0) * scheme.c(k) * env.weighted_integral(k) * scheme.beta(base) ** (k + 1)
     else:
-        leading = BoundTerm(cs.c(k), k, base)
-        hcoef = 4.0 * cs.c(k) * model.peak
+        leading = BoundTerm(scheme.c(k), k, base)
+        hcoef = 4.0 * scheme.c(k) * model.peak
     return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_abs", tier="B", mode=mode)
 
 
@@ -323,8 +315,9 @@ def sheppard_two_sided(
 ) -> BoundReport:
     """Two-sided bound for the |err|^n integral on a uniform mesh (nearest).
 
-    Centered at weight_integral * delta^n / (n + 1) with radius
-    4 * sup_weight * delta^(n+1) / (n + 1).  Pass ``weight_integral=None``
+    Centered at the report's leading term, weight_integral * delta^n /
+    (n + 1), with its higher-order term, 4 * sup_weight * delta^(n+1) /
+    (n + 1), as radius.  Pass ``weight_integral=None``
     for the unweighted integral over [a, b]; for an f-weighted integral pass
     its mass and supremum.  Recovers the classical variance correction:
     with full-gap spacing delta0 = 2*delta the center at n = 2 is
@@ -340,9 +333,7 @@ def sheppard_two_sided(
     radius_coef = 4.0 * sup_weight / (n + 1.0)
     leading = BoundTerm(center_coef, n, delta)
     higher = BoundTerm(radius_coef, n + 1, delta)
-    rep = _report(leading, higher, "sheppard_two_sided", tier="C", mode=ADDITIVE)
-    # from the checked report, so an overflowing term is a ConfigError
-    return replace(rep, two_sided=(rep.leading.value, rep.higher_order.value))
+    return _report(leading, higher, "sheppard_two_sided", tier="C", mode=ADDITIVE)
 
 
 def _tier_delta(scheme: RoundingScheme, mesh: UniformMesh | None, delta: float | None) -> float:
@@ -350,7 +341,7 @@ def _tier_delta(scheme: RoundingScheme, mesh: UniformMesh | None, delta: float |
         return delta
     if mesh is None:
         raise ConfigError("need an explicit delta or a mesh to derive it from")
-    return scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+    return scheme.delta(mesh.step)
 
 
 def _h_region_sum(model: DensityModel, center: float) -> float:
@@ -406,7 +397,7 @@ def mean_and_variance_diff_bounds(
     dlt = _tier_delta(scheme, mesh, delta)
     if tier in ("C", "D") and mesh is None:
         raise PreconditionError(f"tier {tier} requires a uniform mesh")
-    if tier != "A" and scheme not in CANCELLING_SCHEMES:
+    if tier != "A" and not scheme.cancels:
         raise PreconditionError("tiers beyond A need nearest or stochastic rounding")
 
     mu = model.mean
@@ -415,9 +406,8 @@ def mean_and_variance_diff_bounds(
         dv = centered_moment_first_order(model, 2, ADDITIVE, dlt)
         return replace(de, theorem="mean_diff"), replace(dv, theorem="variance_diff")
 
-    cs = scheme_constants(scheme)
-    d1 = cs.d(1)
-    c2 = cs.c(2)
+    d1 = scheme.d(1)
+    c2 = scheme.c(2)
 
     if tier == "B":
         de_coef = d1 * model.peak
@@ -465,12 +455,11 @@ def float_moment_bound(
     integrates the saturated tail mass beyond +/- 2^k_max; when it is
     negligible it is zero and a note says so.
     """
-    if scheme not in CANCELLING_SCHEMES:
+    if not scheme.cancels:
         raise PreconditionError("per-binade cancellation needs nearest or stochastic rounding")
     if signed and k % 2 == 0:
         raise PreconditionError("signed error-power bound needs odd k")
-    cs = scheme_constants(scheme)
-    eps = scheme_eps_delta(scheme, 2.0 ** (-fs.mantissa_bits), 0.0)[0]
+    eps = scheme.eps(2.0 ** (-fs.mantissa_bits))
     supp_lo, supp_hi = model.effective_range()
     notes = []
     total = 0.0
@@ -481,17 +470,17 @@ def float_moment_bound(
         if sup == 0.0:
             continue
         # stochastic rounding sees the full gap as its additive error
-        dlt = scheme_eps_delta(scheme, 0.0, step)[1]
+        dlt = scheme.delta(step)
         if signed:
-            total += 2.0 * cs.d(k) * (sup - inf) * dlt ** (k + 1)
+            total += 2.0 * scheme.d(k) * (sup - inf) * dlt ** (k + 1)
             # a stretch clipped off the grid (support edge inside a binade)
             # loses the aligned cancellation of its infimum part; an end is
             # on the grid when it is on the stretch's lattice anchor + j*step
             # (binade ends, 0 and +/- top always are; both sides are exact)
             if (a - anchor) % step or (b - anchor) % step:
-                total += inf * cs.d(k) * dlt ** (k + 1)
+                total += inf * scheme.d(k) * dlt ** (k + 1)
         else:
-            total += sup * (cs.c(k) * (b - a) * dlt ** k + 4.0 * cs.c(k) * dlt ** (k + 1))
+            total += sup * (scheme.c(k) * (b - a) * dlt ** k + 4.0 * scheme.c(k) * dlt ** (k + 1))
     # overflow remainder: mass rounded onto +/- top keeps an O(1) error
     r_val = 0.0
     if supp_hi > fs.top:

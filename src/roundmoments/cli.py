@@ -26,7 +26,7 @@ from .errors import ConfigError, PreconditionError
 from .grids import ExplicitSet, FloatSystem, Grid, UniformMesh
 from .oracle import simulated_sum
 from .plotting import polyline_chart, stacked_charts
-from .rounding import RoundingScheme, scheme_eps_delta
+from .rounding import RoundingScheme
 from .verify import SweepRow, offset_sweep, run_suite, worst_margin
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
@@ -118,6 +118,9 @@ def _read_config(what: str, obj):
         make, params = _CONFIG_KINDS[what][kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ConfigError(f"unknown {what} kind {kind!r}") from None
+    for key in obj:
+        if key != "kind" and key not in (p[0] for p in params):
+            raise ConfigError(f"{kind} {what} config has unknown key {key!r}")
     args = []
     for key, read, *default in params:
         if key not in obj and not default:
@@ -146,6 +149,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in ("distribution", "grid"):
+            raise ConfigError(f"config {path} has unknown key {key!r}")
     return cfg
 
 
@@ -164,6 +170,8 @@ def _model_and_grid(args, cfg: dict) -> tuple[DensityModel, Grid | None]:
 
 
 def _emit(text: str, out_path: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -171,7 +179,7 @@ def _emit(text: str, out_path: str | None):
         except OSError as exc:
             raise ConfigError(f"cannot write output {out_path}: {exc}") from None
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_plan(args):
@@ -198,7 +206,7 @@ def cmd_bound(args) -> int:
     delta = args.delta
     mesh = grid if isinstance(grid, UniformMesh) else None
     if delta is None and mesh is not None:
-        delta = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+        delta = scheme.delta(mesh.step)
     if delta is None and args.eps is None:
         raise ConfigError("need --delta, --eps, or a uniform mesh grid")
 
@@ -238,7 +246,8 @@ def cmd_verify(args) -> int:
 
 def sweep_svg(rows) -> str:
     """Mean-shift and variance-shift panels of a sweep, one SVG document:
-    each shift's magnitude and every tier bound on it that all rows carry."""
+    each shift's magnitude and every tier bound on it that all rows carry,
+    ending in a newline like every file the command line writes."""
     xs = [r.offset for r in rows]
     panels = []
     for q, title in (("E", "mean shift vs. offset"), ("V", "variance shift vs. offset")):
@@ -248,7 +257,7 @@ def sweep_svg(rows) -> str:
             if None not in ys:
                 series.append((f"tier {name[6]}", ys))
         panels.append(polyline_chart(xs, series, title, "mesh offset", f"|Delta_{q}|"))
-    return stacked_charts(panels)
+    return stacked_charts(panels) + "\n"
 
 
 def _sweep_csv(rows) -> str:
@@ -284,8 +293,7 @@ def cmd_sum_demo(args) -> int:
     fs = FloatSystem(args.m, args.k_min, args.k_max)
     scheme = RoundingScheme.parse(args.scheme)
     models = [make_uniform(0.0, 1.0)] * args.summands  # one model, checked once
-    eps0 = 2.0 ** (-args.m)
-    eps = scheme_eps_delta(scheme, eps0, 0.0)[0]
+    eps = scheme.eps(2.0 ** (-args.m))
     # before sampling: a sum too long for its bound exits without the wait
     bound = B.rounded_sum_bound([m.abs_mixed_moment(0, 1, 0.0) for m in models], eps)
     est = simulated_sum(models, fs, scheme, args.samples, args.seed)

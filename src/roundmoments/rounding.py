@@ -1,4 +1,4 @@
-"""Rounding schemes, their error functions, and scheme-level constants.
+"""Rounding schemes, their error models and constants, and error functions.
 
 Four schemes are supported: toward zero, away from zero, nearest (ties away
 from zero, which preserves odd symmetry on sign-symmetric grids), and
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,6 +30,45 @@ class RoundingScheme(str, enum.Enum):
             return cls(name)
         except ValueError:
             raise ConfigError(f"unknown rounding scheme {name!r}")
+
+    # The error model: |rd(x) - x| <= eps |x| and |rd(x) - x| <= delta on a
+    # grid whose relative and absolute gaps are at most eps0 and delta0.
+
+    def eps(self, eps0: float) -> float:
+        if self is RoundingScheme.TOWARD_ZERO:
+            return eps0 / (1.0 + eps0)
+        if self is RoundingScheme.NEAREST:
+            return eps0 / 2.0
+        return eps0
+
+    def delta(self, delta0: float) -> float:
+        return delta0 / 2.0 if self is RoundingScheme.NEAREST else delta0
+
+    @property
+    def cancels(self) -> bool:
+        """Whether the signed error cancels over a cell (the tier B-D bounds)."""
+        return self in (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
+
+    # Error-integral constants: leading c(k), signed-cancellation d(k), and
+    # the endpoint inflation beta(eps) with |x| <= beta |rd(x)|.
+
+    def c(self, k: int) -> float:
+        if self is RoundingScheme.STOCHASTIC:
+            return 2.0 / (k * k + 3.0 * k + 2.0)
+        return 1.0 / (k + 1.0)
+
+    def d(self, k: int) -> float:
+        if self is RoundingScheme.STOCHASTIC:
+            return (1.0 - (k + 3.0) * 2.0 ** (-(k + 1.0))) / (k * k + 3.0 * k + 2.0)
+        return self.c(k)
+
+    def beta(self, eps: float) -> float:
+        if self not in (RoundingScheme.TOWARD_ZERO, RoundingScheme.NEAREST):
+            return 1.0
+        if not eps < 1.0:
+            # |rd(x) - x| <= eps |x| gives |x| <= |rd(x)| / (1 - eps) only below 1
+            raise PreconditionError(f"endpoint inflation 1/(1 - eps) needs eps < 1, got {eps!r}")
+        return 1.0 / (1.0 - eps)
 
 
 def int_power(x, k: int):
@@ -61,15 +98,6 @@ def int_power(x, k: int):
         if not k:
             return result
         x = x * x
-
-
-DETERMINISTIC_SCHEMES = (
-    RoundingScheme.TOWARD_ZERO,
-    RoundingScheme.AWAY_FROM_ZERO,
-    RoundingScheme.NEAREST,
-)
-# schemes whose signed error cancels over a cell (the tier B-D bounds)
-CANCELLING_SCHEMES = (RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC)
 
 
 def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
@@ -109,71 +137,6 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
     # the clamped neighbor (lo == hi == +/- top of a float system).
     out = np.where(on_grid, lo, out)
     return float(out) if scalar else out
-
-
-def scheme_eps_delta(scheme: RoundingScheme, eps0: float, delta0: float) -> tuple[float, float]:
-    """Worst-case (eps, delta) error-model constants from grid gap stats.
-
-    eps0/delta0 are the relative/absolute gap bounds of the grid itself;
-    the returned pair bounds |rd(x) - x| <= eps|x| and |rd(x) - x| <= delta
-    for the given scheme.
-    """
-    if eps0 < 0.0 or delta0 < 0.0:
-        raise ConfigError("gap statistics must be non-negative")
-    if scheme is RoundingScheme.TOWARD_ZERO:
-        return eps0 / (1.0 + eps0), delta0
-    if scheme is RoundingScheme.AWAY_FROM_ZERO:
-        return eps0, delta0
-    if scheme is RoundingScheme.NEAREST:
-        return eps0 / 2.0, delta0 / 2.0
-    if scheme is RoundingScheme.STOCHASTIC:
-        return eps0, delta0
-    raise ConfigError(f"unknown scheme {scheme!r}")
-
-
-@dataclass(frozen=True)
-class SchemeConstants:
-    """Error-integral constants: leading c(k), signed-cancellation d(k),
-    and endpoint inflation beta(eps)."""
-
-    c: Callable[[int], float]
-    d: Callable[[int], float]
-    beta: Callable[[float], float]
-
-
-def _c_det(k: int) -> float:
-    return 1.0 / (k + 1.0)
-
-
-def _c_stoch(k: int) -> float:
-    return 2.0 / (k * k + 3.0 * k + 2.0)
-
-
-def _d_stoch(k: int) -> float:
-    return (1.0 - (k + 3.0) * 2.0 ** (-(k + 1.0))) / (k * k + 3.0 * k + 2.0)
-
-
-def _beta_one(eps: float) -> float:
-    return 1.0
-
-
-def _beta_shrink(eps: float) -> float:
-    if not eps < 1.0:
-        # |rd(x) - x| <= eps |x| gives |x| <= |rd(x)| / (1 - eps) only below 1
-        raise PreconditionError(f"endpoint inflation 1/(1 - eps) needs eps < 1, got {eps!r}")
-    return 1.0 / (1.0 - eps)
-
-
-_CONSTANTS = {
-    RoundingScheme.TOWARD_ZERO: SchemeConstants(_c_det, _c_det, _beta_shrink),
-    RoundingScheme.AWAY_FROM_ZERO: SchemeConstants(_c_det, _c_det, _beta_one),
-    RoundingScheme.NEAREST: SchemeConstants(_c_det, _c_det, _beta_shrink),
-    RoundingScheme.STOCHASTIC: SchemeConstants(_c_stoch, _d_stoch, _beta_one),
-}
-
-
-def scheme_constants(scheme: RoundingScheme) -> SchemeConstants:
-    return _CONSTANTS[scheme]
 
 
 def cell_fraction(x, lo, hi):

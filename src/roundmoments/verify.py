@@ -20,9 +20,7 @@ from .distributions import DensityModel, make_exponential, make_normal, make_sem
 from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh, ceil_to, floor_to, gap_stats
 from .oracle import centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
-from .rounding import CANCELLING_SCHEMES, RoundingScheme, int_power, scheme_eps_delta
-
-ALL_SCHEMES = tuple(RoundingScheme)
+from .rounding import RoundingScheme, int_power
 
 QUAD_BUDGET = 1e-12
 SWEEP_BUDGET = 1e-9  # slack of the offset sweep's dominance checks
@@ -74,7 +72,7 @@ def _mesh(rng: random.Random, lo=0.02, hi=0.12) -> UniformMesh:
 def _mult_eps(mesh: UniformMesh, scheme: RoundingScheme, supp: tuple[float, float]) -> float:
     pad = mesh.step
     gs = gap_stats(mesh, supp[0] - pad, supp[1] + pad)
-    return scheme_eps_delta(scheme, gs.eps0, gs.delta0)[0]
+    return scheme.eps(gs.eps0)
 
 
 def _error_model(rng: random.Random, scheme: RoundingScheme):
@@ -84,19 +82,20 @@ def _error_model(rng: random.Random, scheme: RoundingScheme):
     if rng.random() < 0.5:
         model = _any_model(rng)
         mesh = _mesh(rng)
-        return model, mesh, B.ADDITIVE, scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+        return model, mesh, B.ADDITIVE, scheme.delta(mesh.step)
     model = _positive_model(rng)
     mesh = _mesh(rng, 0.01, 0.05)
     return model, mesh, B.MULTIPLICATIVE, _mult_eps(mesh, scheme, model.support)
 
 
-def _pick(rng, pool, allowed):
-    options = [s for s in pool if s in allowed]
+def _pick(rng, pool, cancelling=False):
+    # in the pool's (enum) order, so a seed always draws the same instances
+    options = [s for s in pool if s.cancels or not cancelling]
     return rng.choice(options) if options else None
 
 
 def _gen_strong(rng, pool):
-    scheme = _pick(rng, pool, ALL_SCHEMES)
+    scheme = _pick(rng, pool)
     n = rng.randint(1, 3)
     model, mesh, mode, base = _error_model(rng, scheme)
     rep = B.strong_bound(model, n, mode, base)
@@ -108,7 +107,7 @@ def _gen_strong(rng, pool):
 
 
 def _gen_mixed(rng, pool):
-    scheme = _pick(rng, pool, ALL_SCHEMES)
+    scheme = _pick(rng, pool)
     m = rng.randint(0, 2)
     n = rng.randint(1, 2)
     use_sym = rng.random() < 0.35
@@ -132,7 +131,7 @@ def _gen_mixed(rng, pool):
                 m += 1
             if (m + n) % 2 == 0:
                 n += 1
-            base = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+            base = scheme.delta(mesh.step)
         rep = B.mixed_moment_bound(model, 0.0, m, n, mode, base, use_symmetry=True)
         mu0 = 0.0
         desc = f"mixed symmetric {model.name} {scheme.value} m={m} n={n} {mode}"
@@ -148,11 +147,11 @@ def _gen_mixed(rng, pool):
 
 
 def _gen_centered(rng, pool):
-    scheme = _pick(rng, pool, ALL_SCHEMES)
+    scheme = _pick(rng, pool)
     k = rng.randint(2, 4)
     model = _any_model(rng)
     mesh = _mesh(rng)
-    dlt = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+    dlt = scheme.delta(mesh.step)
     rep = B.centered_moment_first_order(model, k, B.ADDITIVE, dlt)
     mk = centered_moment_of_rounded(model, mesh, scheme, k)
     orc = mk.value - model.central_moment(k)
@@ -162,7 +161,7 @@ def _gen_centered(rng, pool):
 
 def _gen_interval(rng, pool):
     signed = rng.random() < 0.5
-    scheme = _pick(rng, pool, CANCELLING_SCHEMES if signed else ALL_SCHEMES)
+    scheme = _pick(rng, pool, cancelling=signed)
     if scheme is None:
         return None
     k = rng.choice((1, 3)) if signed else rng.randint(1, 4)
@@ -175,7 +174,7 @@ def _gen_interval(rng, pool):
         if aligned:
             a = ceil_to(mesh, a)
             b = floor_to(mesh, b)
-        dlt = scheme_eps_delta(scheme, 0.0, mesh.step)[1]
+        dlt = scheme.delta(mesh.step)
         rep = B.interval_error_bound(a, b, k, scheme, B.ADDITIVE, dlt, endpoints_on_grid=aligned, signed=signed)
         desc = f"interval additive {scheme.value} k={k} aligned={aligned} signed={signed}"
     else:
@@ -189,7 +188,7 @@ def _gen_interval(rng, pool):
 
 
 def _gen_unimodal(rng, pool):
-    scheme = _pick(rng, pool, CANCELLING_SCHEMES)
+    scheme = _pick(rng, pool, cancelling=True)
     if scheme is None:
         return None
     signed = rng.random() < 0.5
@@ -220,14 +219,13 @@ def _gen_sheppard(rng, pool):
         rep = B.sheppard_two_sided(1.0, a, b, n, dlt, sup_weight=model.peak)
         orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, model, a, b, n, signed=False)
         desc = f"sheppard weighted {model.name} n={n} delta={dlt:.3g}"
-    center, radius = rep.two_sided
-    return [_result("sheppard", desc, orc.value - center, radius)]
+    # the report is centered at its leading term, with its higher-order term as radius
+    return [_result("sheppard", desc, orc.value - rep.leading.value, rep.higher_order.value)]
 
 
 def _gen_tiers(rng, pool):
     tier = rng.choice(("A", "B", "C", "D"))
-    allowed = ALL_SCHEMES if tier == "A" else CANCELLING_SCHEMES
-    scheme = _pick(rng, pool, allowed)
+    scheme = _pick(rng, pool, cancelling=tier != "A")
     if scheme is None:
         return None
     model = _any_model(rng)
@@ -242,7 +240,7 @@ def _gen_tiers(rng, pool):
 
 
 def _gen_float(rng, pool):
-    scheme = _pick(rng, pool, CANCELLING_SCHEMES)
+    scheme = _pick(rng, pool, cancelling=True)
     if scheme is None:
         return None
     signed = rng.random() < 0.6
@@ -271,7 +269,7 @@ def _gen_normal_partial(rng, pool):
     m = rng.randint(0, 3)
     n = rng.choice((1, 3))
     fs = FloatSystem(7, -40, 6)
-    eps = scheme_eps_delta(RoundingScheme.NEAREST, 2.0 ** -7, 0.0)[0]
+    eps = RoundingScheme.NEAREST.eps(2.0 ** -7)
     rep = B.normal_partial_moment_bound(mu, sigma2, m, n, eps)
     model = make_normal(mu, sigma2)
     a, b = model.effective_range()
@@ -368,7 +366,7 @@ def offset_sweep(
         raise PreconditionError("need at least 2 offsets")
     mesh0 = UniformMesh(delta, 0.0)
     de_a, dv_a = B.mean_and_variance_diff_bounds(model, "A", mesh=mesh0, scheme=scheme)
-    tiered = scheme in CANCELLING_SCHEMES
+    tiered = scheme.cancels
     if tiered:
         de_b, dv_b = B.mean_and_variance_diff_bounds(model, "B", mesh=mesh0, scheme=scheme)
         de_c, dv_c = B.mean_and_variance_diff_bounds(model, "C", mesh=mesh0, scheme=scheme)

@@ -20,8 +20,6 @@ from roundmoments import (
     make_semicircle,
     make_uniform,
     make_exponential,
-    scheme_constants,
-    scheme_eps_delta,
 )
 from roundmoments.bounds import (
     float_moment_bound,
@@ -37,10 +35,11 @@ from roundmoments.oracle import (
     mc_rounded_moments,
     simulated_sum,
 )
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS
+from roundmoments.rounding import RoundingScheme as RS
 from roundmoments.verify import offset_sweep
 
 ONE = np.ones_like
+DETERMINISTIC_SCHEMES = (RS.TOWARD_ZERO, RS.AWAY_FROM_ZERO, RS.NEAREST)
 
 
 class _Clock:
@@ -56,7 +55,7 @@ class _Clock:
 
 def test_criterion_01_aligned_cell_equalities():
     clock = _Clock(1.0)
-    c = scheme_constants(RS.NEAREST).c
+    c = RS.NEAREST.c
     for mesh, lo_z, n_cells in ((UniformMesh(0.25, 0.13), 1, 6), (UniformMesh(0.25, 0.13), -4, 7)):
         a = mesh.offset + lo_z * mesh.step
         b = a + n_cells * mesh.step
@@ -78,7 +77,7 @@ def test_criterion_02_sheppard_recovery():
         radius = 8.0 * delta ** 3 / (3.0 * math.pi)
         center = delta ** 2 / 3.0
         rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, delta, sup_weight=model.peak)
-        assert rep.two_sided == (pytest.approx(center), pytest.approx(radius))
+        assert (rep.leading.value, rep.higher_order.value) == (pytest.approx(center), pytest.approx(radius))
         for a in np.linspace(0.0, 2.0 * delta, 64, endpoint=False):
             mesh = UniformMesh(delta, float(a))
             got = err_weighted_integral(mesh, RS.NEAREST, model, -1.0, 1.0, 2, signed=False)
@@ -122,7 +121,7 @@ def test_criterion_04_convergence_orders():
 
 def test_criterion_05_stochastic_constants():
     clock = _Clock(30.0)
-    cs = scheme_constants(RS.STOCHASTIC)
+    cs = RS.STOCHASTIC
     assert cs.d(1) == 0.0
     mesh = UniformMesh(0.5, 0.0)  # unit spacing: [0, 1] is one cell
     got = err_weighted_integral(mesh, RS.STOCHASTIC, ONE, 0.0, 1.0, 2, signed=False)
@@ -138,11 +137,11 @@ def test_criterion_06_ieee_single_parameters():
     clock = _Clock(1.0)
     fs = FloatSystem(23, -126, 128)
     gs = gap_stats(fs, 2.0 ** -126, 2.0 ** 128)
-    eps = scheme_eps_delta(RS.NEAREST, gs.eps0, gs.delta0)[0]
+    eps = RS.NEAREST.eps(gs.eps0)
     assert eps == 2.0 ** -24
     assert abs(eps - 6e-8) / 6e-8 < 0.05
     sub = gap_stats(fs, 0.0, 2.0 ** -126)
-    delta = scheme_eps_delta(RS.NEAREST, 0.0, sub.delta0)[1]
+    delta = RS.NEAREST.delta(sub.delta0)
     assert delta == 2.0 ** -150
     assert abs(delta - 7e-46) / 7e-46 < 0.05
     clock.done("6 IEEE single parameters")
@@ -184,7 +183,7 @@ def test_criterion_09_rounded_sum():
     fs = FloatSystem(8, -8, 8)
     eps0 = gap_stats(fs, 2.0 ** -8, 2.0 ** 8).eps0
     for scheme in DETERMINISTIC_SCHEMES:
-        eps = scheme_eps_delta(scheme, eps0, 0.0)[0]
+        eps = scheme.eps(eps0)
         bound = rounded_sum_bound([m.abs_mixed_moment(0, 1, 0.0) for m in models], eps)
         est = simulated_sum(models, fs, scheme, 100_000, seed=9)
         assert est.value <= bound.value, (scheme, est.value, bound.value)

@@ -168,15 +168,15 @@ def test_unimodal_bounds_semicircle(semicircle):
 
 def test_sheppard_two_sided_values(semicircle):
     rep = sheppard_two_sided(None, 0.0, 1.0, 2, 0.1)
-    center, radius = rep.two_sided
+    center, radius = rep.leading.value, rep.higher_order.value
     assert center == pytest.approx(0.01 / 3, rel=1e-14)
     assert radius == pytest.approx(4 / 3 * 0.001, rel=1e-14)
     rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.1, sup_weight=semicircle.peak)
-    center, radius = rep.two_sided
+    center, radius = rep.leading.value, rep.higher_order.value
     assert center == pytest.approx(0.01 / 3, rel=1e-14)
     assert radius == pytest.approx(8 * 0.001 / (3 * math.pi), rel=1e-12)
     rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.0, sup_weight=semicircle.peak)
-    assert rep.two_sided == (0.0, 0.0)
+    assert (rep.leading.value, rep.higher_order.value) == (0.0, 0.0)
 
 
 def test_sheppard_two_sided_overflow_is_a_config_error():
@@ -189,7 +189,7 @@ def test_sheppard_recovers_classical_variance_correction():
     # full-gap spacing delta0: the n = 2 center is delta0^2 / 12
     delta0 = 0.3
     rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, delta0 / 2)
-    assert rep.two_sided[0] == pytest.approx(delta0 ** 2 / 12.0, rel=1e-14)
+    assert rep.leading.value == pytest.approx(delta0 ** 2 / 12.0, rel=1e-14)
 
 
 def test_tier_values_semicircle(semicircle):

@@ -125,6 +125,10 @@ def test_bound_config_error_exit_2(capsys):
     ("--dist", "semicircle:mu=0", "'r'"),
     ("--grid", "uniform:offset=0", "'half_gap'"),
     ("--grid", "float:m=3", "'k_min'"),
+    # a misspelled or unknown key, which would otherwise silently take a default
+    ("--grid", "uniform:half_gap=0.1,ofset=0.05", "uniform grid config has unknown key 'ofset'"),
+    ("--dist", "semicircle:r=1,m=0.5", "semicircle distribution config has unknown key 'm'"),
+    ("--grid", "float:m=3,k_min=-2,k_max=2,subnormal=false", "float grid config has unknown key 'subnormal'"),
 ])
 def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     args = {"--dist": "semicircle:r=1", "--delta": "0.1", flag: spec}
@@ -155,6 +159,9 @@ def test_bound_missing_config_key_exit_2(capsys, flag, spec, key):
     ([], "5"),
     ([], '"x"'),
     ([], "[]"),
+    # a key that no kind or config file knows
+    ([], {"distribution": {"kind": "normal", "mu": 0, "sigma2": 1, "sigma": 5}}),
+    ([], {"distribution": {"kind": "semicircle", "r": 1}, "grids": {"kind": "uniform", "half_gap": 0.1}}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bound_rejects_bad_config_values(capsys, tmp_path, argv, config):
@@ -558,6 +565,19 @@ def test_verify_writes_to_out(capsys, tmp_path):
     assert len(lines) == 5 and all(line.endswith("\n") for line in lines)
     assert lines[-1] == "3 checks, 0 violations\n"
     assert run_cli(capsys, "verify", "--instances", "3")[1] == path.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", *_DIST, "--delta", "0.1"],
+    ["sum-demo", "--summands", "3", "--samples", "100"],
+    ["--format", "json", "sweep", *_DIST, "--delta", "0.1", "--offsets", "4"],
+    ["--format", "svg", "sweep", *_DIST, "--delta", "0.1", "--offsets", "4"],
+], ids=["bound", "sum-demo", "sweep-json", "sweep-svg"])
+def test_out_file_is_byte_equal_to_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    assert run_cli(capsys, "--out", str(path), *argv) == (0, "", "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("fmt,argv,err", [

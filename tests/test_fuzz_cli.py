@@ -1,16 +1,19 @@
-"""Fuzz the command line's one config reader through ``bound``: whatever
-the --config JSON or the inline --dist/--grid specs hold, ``main`` returns
-0, 2 or 3, says why in at most one stderr line, and prints JSON with no
-NaN or Infinity."""
+"""Fuzz the command line through ``bound``, ``sweep`` and ``sum-demo``:
+whatever the --config JSON, the inline --dist/--grid specs or the numeric
+options hold, no exception escapes ``main``; a refusal (exit 2 or 3) or a
+dominance violation (exit 1) says why in one stderr line, and every JSON
+it prints parses with no NaN or Infinity."""
 
 import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from roundmoments import grids
 from roundmoments.cli import main
 
 GRID_KEYS = {"uniform": ("half_gap", "offset"), "float": ("m", "k_min", "k_max", "subnormals"),
@@ -68,42 +71,140 @@ def inline_specs(draw, keys):
 
 
 @st.composite
-def bound_argv(draw, tmp_path):
+def model_argv(draw, tmp_path, command, grid_keys=GRID_KEYS):
+    """``command`` with a --config file, inline --dist/--grid specs or both."""
     argv = []
     if draw(st.booleans()):
         cfg = {"distribution": draw(config_objects(DIST_KEYS))} if not _sometimes(draw, 1) else {}
         if draw(st.booleans()):
-            cfg["grid"] = draw(config_objects(GRID_KEYS))
+            cfg["grid"] = draw(config_objects(grid_keys))
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(cfg if not _sometimes(draw, 1) else draw(values)))
         argv += ["--config", str(path)]
-    argv.append("bound")
+    argv.append(command)
     if "--config" not in argv or draw(st.booleans()):
         argv.append("--dist=" + draw(inline_specs(DIST_KEYS)))
     if draw(st.booleans()):
-        argv.append("--grid=" + draw(inline_specs(GRID_KEYS)))
+        argv.append("--grid=" + draw(inline_specs(grid_keys)))
+    return argv
+
+
+@st.composite
+def bound_argv(draw, tmp_path):
+    argv = draw(model_argv(tmp_path, "bound"))
     argv += ["--tier", draw(st.sampled_from("ABCD")), "--quantity", draw(st.sampled_from(("mean", "variance")))]
     if not _sometimes(draw, 3):
         argv.append(f"--delta={draw(st.sampled_from(('0.1', '1e-3', '0', '1e300')))}")
     return argv
 
 
+def _mostly(draw, plausible, wild):
+    return draw(plausible if not _sometimes(draw, 2) else wild)
+
+
+deltas = st.sampled_from(("0.1", "0.05", "0.013", "1", "1e-3"))
+wild_deltas = st.sampled_from(("0", "-0.1", "nan", "inf", "5e-324", "1e-300", "1e300"))
+schemes = st.sampled_from(("nearest", "stochastic", "toward_zero", "away_from_zero"))
+wild_ints = st.integers(-10 ** 30, 10 ** 30)
+
+
+def _with_format(draw, argv, formats):
+    return ["--format", draw(st.sampled_from(formats)), *argv] if draw(st.booleans()) else argv
+
+
+@st.composite
+def sweep_argv(draw, tmp_path):
+    # a grid, if any, is uniform but now and then
+    grid_keys = {"uniform": GRID_KEYS["uniform"]} if not _sometimes(draw, 2) else GRID_KEYS
+    argv = draw(model_argv(tmp_path, "sweep", grid_keys))
+    if not _sometimes(draw, 4):
+        argv.append("--delta=" + _mostly(draw, deltas, wild_deltas))
+    argv += ["--offsets", str(draw(st.integers(2, 3))), "--scheme", _mostly(draw, schemes, names)]
+    if _sometimes(draw, 4):
+        argv.append("--no-check")
+    return _with_format(draw, argv, ("csv", "json", "svg"))
+
+
+@st.composite
+def sum_demo_argv(draw):
+    # each summand has its own Philox stream: many summands cost time, but
+    # are no malformed input, so they stay few
+    argv = ["sum-demo", "--summands", str(draw(st.integers(-2, 60))), "--samples", str(draw(st.integers(-2, 5000))),
+            "--scheme", _mostly(draw, schemes, names)]
+    for flag, plausible in (("--m", st.integers(1, 24)), ("--k-min", st.integers(-16, -1)),
+                            ("--k-max", st.integers(1, 16))):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={_mostly(draw, plausible, wild_ints)}")
+    if draw(st.booleans()):
+        argv = ["--seed", str(draw(st.integers(-2 ** 70, 2 ** 70))), *argv]
+    return _with_format(draw, argv, ("json",) if not _sometimes(draw, 2) else ("csv", "svg"))
+
+
 def _reject(token):
     raise AssertionError(f"non-finite {token} in output")
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # any finer grid is refused at once, so no example integrates for long
+    with mock.patch.object(grids, "CELL_BUDGET", 20_000), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refusal(code, out, err):
+    assert code in (2, 3) and out == ""
+    prefix = "config error:" if code == 2 else "hypothesis violated:"
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 @given(data=st.data())
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@FUZZ
 def test_bound_survives_any_config(tmp_path, data):
     argv = data.draw(bound_argv(tmp_path))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run(argv)
     assert code in (0, 2, 3), (argv, err)
     if code == 0:
         assert err == ""
         assert math.isfinite(json.loads(out, parse_constant=_reject)["value"])
     else:
-        assert out == ""
-        assert err.startswith(("config error:", "hypothesis violated:")) and err.count("\n") == 1, err
+        _assert_refusal(code, out, err)
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=200)
+def test_sweep_survives_any_config(tmp_path, data):
+    argv = data.draw(sweep_argv(tmp_path))
+    code, out, err = _run(argv)
+    if code == 0:
+        assert err == ""
+        fmt = argv[1] if argv[0] == "--format" else "csv"
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=_reject)
+            assert rows and all(math.isfinite(r["delta_V"]) for r in rows)
+        elif fmt == "svg":
+            assert out.startswith("<svg") and out.endswith("</svg>\n")
+        else:
+            cells = [c for line in out.splitlines()[1:] for c in line.split(",") if c]
+            assert cells and all(math.isfinite(float(c)) for c in cells)
+    elif code == 1:
+        # a false violation is a known open defect, so it is allowed here
+        assert out == "" and err.startswith("dominance violation:") and err.count("\n") == 1, err
+    else:
+        _assert_refusal(code, out, err)
+
+
+@given(argv=sum_demo_argv())
+@settings(FUZZ, max_examples=300)
+def test_sum_demo_survives_any_arguments(argv):
+    code, out, err = _run(argv)
+    if code in (0, 1):
+        assert err == ""
+        payload = json.loads(out, parse_constant=_reject)
+        assert payload["dominated"] is (code == 0)
+    else:
+        _assert_refusal(code, out, err)

@@ -25,13 +25,14 @@ from roundmoments.oracle import (
     rd_moment_integral,
     simulated_sum,
 )
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme as RS, int_power, round_value
+from roundmoments.rounding import RoundingScheme as RS, int_power, round_value
 from roundmoments.verify import offset_sweep
 
 from conftest import enumerate_float_system
 
 ONE = np.ones_like
 INT_MESH = UniformMesh(0.5, 0.0)
+DETERMINISTIC_SCHEMES = (RS.TOWARD_ZERO, RS.AWAY_FROM_ZERO, RS.NEAREST)
 
 
 def test_signed_integral_vanishes_on_aligned_cells():
@@ -120,6 +121,16 @@ def test_delta_v_identity_cross_check(semicircle):
     cov = err_weighted_integral(mesh, RS.NEAREST, w, a, b, 1, signed=True).value
     err2 = err_weighted_integral(mesh, RS.NEAREST, semicircle, a, b, 2, signed=False).value
     assert dv.value == pytest.approx(2 * cov + err2 - de.value ** 2, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="Delta_V = m2 - m1^2 - V[X] cancels far from zero (ROADMAP item 12)")
+def test_delta_v_far_from_zero_is_sheppards_correction():
+    # a spread ten steps wide: Delta_V is step^2 / 12 at every offset; at
+    # mu = 1e7 one ulp of m2 is 0.016, twenty times that, and Delta_V reads 0
+    model = make_normal(1e7, 1.0)
+    for offset in (0.0, 0.05):
+        _, dv = delta_e_and_v(model, UniformMesh(0.05, offset), RS.NEAREST)
+        assert dv.value == pytest.approx(0.1 ** 2 / 12.0, rel=0.01)
 
 
 def test_stochastic_delta_e_identically_zero(semicircle):

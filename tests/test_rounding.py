@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roundmoments import (
-    FloatSystem,
-    UniformMesh,
-    gap_stats,
-    round_value,
-    scheme_constants,
-    scheme_eps_delta,
-)
+from roundmoments import FloatSystem, UniformMesh, gap_stats, round_value
 from roundmoments.errors import ConfigError, PreconditionError
-from roundmoments.rounding import DETERMINISTIC_SCHEMES, RoundingScheme, err_power, int_power, stoch_expectation
+from roundmoments.rounding import RoundingScheme, err_power, int_power, stoch_expectation
+
+DETERMINISTIC_SCHEMES = (RoundingScheme.TOWARD_ZERO, RoundingScheme.AWAY_FROM_ZERO, RoundingScheme.NEAREST)
 
 INT_MESH = UniformMesh(0.5, 0.0)  # spacing 1: the integers
 
@@ -56,27 +51,31 @@ def test_nearest_tie_goes_away_from_zero():
 
 
 def test_table_eps_delta():
-    assert scheme_eps_delta(RoundingScheme.NEAREST, 0.01, 0.001) == (0.005, 0.0005)
-    tz = scheme_eps_delta(RoundingScheme.TOWARD_ZERO, 0.01, 0.001)
-    assert tz[0] == pytest.approx(0.01 / 1.01)
-    assert tz[1] == 0.001
-    assert scheme_eps_delta(RoundingScheme.AWAY_FROM_ZERO, 0.01, 0.001) == (0.01, 0.001)
-    assert scheme_eps_delta(RoundingScheme.STOCHASTIC, 0.01, 0.001) == (0.01, 0.001)
+    nearest = RoundingScheme.NEAREST
+    assert (nearest.eps(0.01), nearest.delta(0.001)) == (0.005, 0.0005)
+    tz = RoundingScheme.TOWARD_ZERO
+    assert tz.eps(0.01) == pytest.approx(0.01 / 1.01)
+    assert tz.delta(0.001) == 0.001
+    for scheme in (RoundingScheme.AWAY_FROM_ZERO, RoundingScheme.STOCHASTIC):
+        assert (scheme.eps(0.01), scheme.delta(0.001)) == (0.01, 0.001)
     for scheme in RoundingScheme:
-        assert scheme_eps_delta(scheme, 0.0, 0.0) == (0.0, 0.0)
+        assert (scheme.eps(0.0), scheme.delta(0.0)) == (0.0, 0.0)
+    assert [s for s in RoundingScheme if s.cancels] == [RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC]
 
 
 def test_constant_table():
     for scheme in DETERMINISTIC_SCHEMES:
-        cs = scheme_constants(scheme)
         for k in range(1, 6):
-            assert cs.c(k) == pytest.approx(1.0 / (k + 1))
-            assert cs.d(k) == pytest.approx(1.0 / (k + 1))
-    cs = scheme_constants(RoundingScheme.NEAREST)
-    assert cs.c(2) == pytest.approx(1.0 / 3.0)
-    assert cs.beta(0.25) == pytest.approx(1.0 / 0.75)
-    assert scheme_constants(RoundingScheme.AWAY_FROM_ZERO).beta(0.25) == 1.0
-    st_ = scheme_constants(RoundingScheme.STOCHASTIC)
+            assert scheme.c(k) == pytest.approx(1.0 / (k + 1))
+            assert scheme.d(k) == pytest.approx(1.0 / (k + 1))
+    nearest = RoundingScheme.NEAREST
+    assert nearest.c(2) == pytest.approx(1.0 / 3.0)
+    assert nearest.beta(0.25) == pytest.approx(1.0 / 0.75)
+    assert RoundingScheme.TOWARD_ZERO.beta(0.25) == pytest.approx(1.0 / 0.75)
+    assert RoundingScheme.AWAY_FROM_ZERO.beta(0.25) == 1.0
+    with pytest.raises(PreconditionError, match="eps < 1"):
+        nearest.beta(1.0)
+    st_ = RoundingScheme.STOCHASTIC
     assert st_.d(1) == 0.0
     assert st_.c(2) == pytest.approx(1.0 / 6.0)
     assert st_.c(1) == pytest.approx(1.0 / 3.0)
@@ -160,13 +159,13 @@ def test_error_model_compliance():
     xs = rng.uniform(1.0 / 64.0, 255.0, 50_000) * rng.choice([-1.0, 1.0], 50_000)
     gs = gap_stats(grid, 1.0 / 64.0, 256.0)
     for scheme in DETERMINISTIC_SCHEMES:
-        eps, delta = scheme_eps_delta(scheme, gs.eps0, gs.delta0)
+        eps, delta = scheme.eps(gs.eps0), scheme.delta(gs.delta0)
         errs = round_value(grid, scheme, xs) - xs
         assert np.all(np.abs(errs) <= eps * np.abs(xs) * (1 + 1e-12))
         assert np.all(np.abs(errs) <= delta * (1 + 1e-12))
     # stochastic: both realizations stay inside the cell
     u = rng.random(xs.size)
-    eps, delta = scheme_eps_delta(RoundingScheme.STOCHASTIC, gs.eps0, gs.delta0)
+    eps = RoundingScheme.STOCHASTIC.eps(gs.eps0)
     errs = round_value(grid, RoundingScheme.STOCHASTIC, xs, u) - xs
     assert np.all(np.abs(errs) <= eps * np.abs(xs) * (1 + 1e-12))
 
