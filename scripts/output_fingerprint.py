@@ -19,7 +19,8 @@ change moved.  It prints:
   and column by column, and of each one's ``--format json`` and
   ``--format svg`` output;
 * the ``bound`` JSON of the tier-A mean and variance bounds, of the tier
-  B, C and D variance bounds and of the centered-moment bound;
+  B, C and D variance bounds and of the centered-moment bound, and of
+  ``bound --plan`` with and without ``--n``/``--t`` (and ``--delta``);
 * the sha256 of ``json.dumps(rep.to_json())`` for one report of each
   bound family (asserting that ``BoundReport.from_json`` reads each back);
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
@@ -45,7 +46,10 @@ change moved.  It prints:
 * ``ok`` or the exception's class and message for a fixed list of model
   constructions: each ``make_*`` with in-range and malformed parameters,
   and ``dataclasses.replace`` copies with a wrong interior mode, a two-bump
-  density, a zero density at the mode and an infinite variance.
+  density, a zero density at the mode and an infinite variance;
+* ``float.hex`` of the slope and worst values of ``convergence_slope`` on
+  the semicircle at four mesh sizes and four probed offsets, for each of
+  its three quantities under nearest and toward-zero rounding.
 
 Usage: python scripts/output_fingerprint.py > fingerprint.txt
 (5-10 s on a 2-CPU host, by its load).
@@ -82,6 +86,7 @@ from roundmoments.oracle import (  # noqa: E402
     CHUNK_CELLS,
     _partition,
     centered_moment_of_rounded,
+    convergence_slope,
     delta_e_and_v,
     err_weighted_integral,
     mc_rounded_moments,
@@ -262,6 +267,9 @@ def bound_lines():
             # key order kept: it is part of the printed JSON
             text = json.dumps(json.loads(out)) if rc == 0 else "-"
             yield f"bound {dist} tier={tier} variance rc={rc} {text}"
+    for extra in ((), ("--n", "400"), ("--n", "400", "--t", "0.5"), ("--n", "400", "--t", "0.5", "--delta", "0.1")):
+        rc, out = cli_stdout(["bound", "--plan", "--variance", "2", "--c", "1.5", "--p", "0.05", *extra])
+        yield f"bound plan {' '.join(extra)} rc={rc} {json.dumps(json.loads(out))}"
 
 
 def report_lines():
@@ -278,7 +286,7 @@ def report_lines():
         "interval-abs": B.interval_error_bound(-0.5, 1.25, 2, nearest, add, 0.1),
         "interval-aligned": B.interval_error_bound(-0.4, 1.2, 1, nearest, add, 0.1, endpoints_on_grid=True, signed=True),
         "unimodal": B.unimodal_moment_bound(shifted, 2, nearest, mult, 0.01),
-        "sheppard": B.sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.1, sup_weight=semi.peak),
+        "sheppard": B.sheppard_two_sided(1.0, semi.peak, 2, 0.1),
         "float": B.float_moment_bound(shifted, FloatSystem(6, -6, 6), 1, nearest, signed=True),
         "normal-partial": B.normal_partial_moment_bound(0.3, 1.0, 2, 1, 2.0 ** -8),
         "rounded-sum": B.rounded_sum_bound([0.5, 1.5], 2.0 ** -10),
@@ -410,9 +418,18 @@ def construction_lines():
         yield f"construct {label} {text}"
 
 
+def convergence_lines():
+    for scheme in (RoundingScheme.NEAREST, RoundingScheme.TOWARD_ZERO):
+        for quantity in ("delta_e", "delta_v", "abs_err_mean"):
+            fit = convergence_slope(MODELS["semicircle"], scheme, quantity, (0.2, 0.1, 0.05, 0.025), n_probe=4)
+            worst = " ".join(float.hex(v) for v in fit.values)
+            yield (f"convergence {scheme.value} {quantity} slope={float.hex(fit.slope)} values={worst} "
+                   f"excluded={fit.excluded} all_underflow={fit.all_underflow}")
+
+
 def main() -> int:
     for section in (oracle_lines, partition_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines,
-                    quad_lines, value_lines, quantile_lines, mc_lines, construction_lines):
+                    quad_lines, value_lines, quantile_lines, mc_lines, construction_lines, convergence_lines):
         for line in section():
             print(line, flush=True)
     return 0

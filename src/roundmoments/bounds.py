@@ -65,13 +65,17 @@ class BoundReport:
         })
 
 
-def _report(leading, higher, theorem, tier=None, mode=ADDITIVE, notes=()):
+def _report(base, power, lead, high, theorem, tier=None, mode=ADDITIVE, notes=(), high_power=None):
+    """The report lead * base^power + high * base^high_power; the
+    higher-order term sits one power above the leading one by default."""
+    leading = BoundTerm(lead, power, base)
+    higher = BoundTerm(high, power + 1 if high_power is None else high_power, base)
     try:
         value = leading.value + higher.value
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"{theorem} bound overflows a double at base {leading.base!r}")
+        raise ConfigError(f"{theorem} bound overflows a double at base {base!r}")
     return BoundReport(
         value=value,
         leading=leading,
@@ -148,8 +152,7 @@ def mixed_moment_bound(
         j = n if mode == MULTIPLICATIVE else 0
         coef = _finite(model.abs_mixed_moment(m, j, mu0), f"E[|X-mu0|^{m} |X|^{j}]")
         theorem = "mixed_moment"
-    leading = BoundTerm(coef, n, eps_or_delta)
-    return _report(leading, BoundTerm(0.0, n + 1, eps_or_delta), theorem, tier="A", mode=mode, notes=notes)
+    return _report(eps_or_delta, n, coef, 0.0, theorem, tier="A", mode=mode, notes=notes)
 
 
 def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_delta: float) -> BoundReport:
@@ -196,9 +199,7 @@ def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_d
                         high += term * base ** (i - 2)
         except OverflowError:
             raise ConfigError(f"centered_moment_first_order bound overflows a double at k = {k}") from None
-    leading = BoundTerm(lead, 1, base)
-    higher = BoundTerm(high, 2, base)
-    return _report(leading, higher, "centered_moment_first_order", tier="A", mode=mode)
+    return _report(base, 1, lead, high, "centered_moment_first_order", tier="A", mode=mode)
 
 
 def _abs_power_integral(a: float, b: float, k: int) -> float:
@@ -238,22 +239,20 @@ def interval_error_bound(
             raise PreconditionError("signed error-power bound needs odd k")
         if not scheme.cancels:
             raise PreconditionError("signed cancellation needs nearest or stochastic rounding")
-        leading = BoundTerm(0.0, k, base)
-        exact_zero = endpoints_on_grid and scheme is RoundingScheme.NEAREST
-        if exact_zero:
-            higher = BoundTerm(0.0, k + 1, base)
+        if endpoints_on_grid and scheme is RoundingScheme.NEAREST:
+            hcoef = 0.0
             notes = ("grid-aligned endpoints: integral is exactly zero",)
         elif mode == MULTIPLICATIVE:
-            higher = BoundTerm(scheme.d(k) * max(abs(a), abs(b)) ** (k + 1), k + 1, base)
+            hcoef = scheme.d(k) * max(abs(a), abs(b)) ** (k + 1)
         else:
-            higher = BoundTerm(scheme.d(k), k + 1, base)
-        return _report(leading, higher, "interval_error_signed", tier="B", mode=mode, notes=notes)
+            hcoef = scheme.d(k)
+        return _report(base, k, 0.0, hcoef, "interval_error_signed", tier="B", mode=mode, notes=notes)
 
     if mode == MULTIPLICATIVE:
-        leading = BoundTerm(scheme.c(k) * _abs_power_integral(a, b, k), k, base)
+        lead = scheme.c(k) * _abs_power_integral(a, b, k)
         hcoef = 2.0 * scheme.c(k) * (abs(a) ** (k + 1) + abs(b) ** (k + 1)) * scheme.beta(base) ** (k + 1)
     else:
-        leading = BoundTerm(scheme.c(k) * (b - a), k, base)
+        lead = scheme.c(k) * (b - a)
         hcoef = 4.0 * scheme.c(k)
     if endpoints_on_grid and scheme is not RoundingScheme.STOCHASTIC:
         if scheme is RoundingScheme.NEAREST or not a < 0.0 < b:
@@ -264,8 +263,7 @@ def interval_error_bound(
             # directed rounding jumps at zero, not at a grid point: a cell
             # straddling zero exceeds the per-cell equality by <= c(k) d^(k+1)
             hcoef = scheme.c(k)
-    higher = BoundTerm(hcoef, k + 1, base)
-    return _report(leading, higher, "interval_error_abs", tier="B", mode=mode, notes=notes)
+    return _report(base, k, lead, hcoef, "interval_error_abs", tier="B", mode=mode, notes=notes)
 
 
 def unimodal_moment_bound(
@@ -287,61 +285,39 @@ def unimodal_moment_bound(
     if signed:
         if k % 2 == 0:
             raise PreconditionError("signed error-power bound needs odd k")
-        leading = BoundTerm(0.0, k, base)
         if mode == MULTIPLICATIVE:
             # no endpoint inflation here: the signed endpoint term never
             # reaches past the query point, unlike the absolute variant
             hcoef = (k + 1.0) * scheme.d(k) * env.weighted_integral(k)
         else:
             hcoef = scheme.d(k) * model.peak
-        return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_signed", tier="B", mode=mode)
+        return _report(base, k, 0.0, hcoef, "unimodal_signed", tier="B", mode=mode)
 
     if mode == MULTIPLICATIVE:
-        leading = BoundTerm(_finite(model.abs_mixed_moment(0, k, 0.0), "E|X|^k"), k, base)
+        lead = _finite(model.abs_mixed_moment(0, k, 0.0), "E|X|^k")
         hcoef = 4.0 * (k + 1.0) * scheme.c(k) * env.weighted_integral(k) * scheme.beta(base) ** (k + 1)
     else:
-        leading = BoundTerm(scheme.c(k), k, base)
+        lead = scheme.c(k)
         hcoef = 4.0 * scheme.c(k) * model.peak
-    return _report(leading, BoundTerm(hcoef, k + 1, base), "unimodal_abs", tier="B", mode=mode)
+    return _report(base, k, lead, hcoef, "unimodal_abs", tier="B", mode=mode)
 
 
-def sheppard_two_sided(
-    weight_integral: float | None,
-    a: float,
-    b: float,
-    n: int,
-    delta: float,
-    sup_weight: float = 1.0,
-) -> BoundReport:
-    """Two-sided bound for the |err|^n integral on a uniform mesh (nearest).
+def sheppard_two_sided(weight_integral: float, sup_weight: float, n: int, delta: float) -> BoundReport:
+    """Two-sided bound for a weighted |err|^n integral on a uniform mesh
+    (nearest), given the weight's mass and supremum: b - a and 1 for the
+    unweighted integral over [a, b], 1 and the peak for a density.
 
     Centered at the report's leading term, weight_integral * delta^n /
     (n + 1), with its higher-order term, 4 * sup_weight * delta^(n+1) /
-    (n + 1), as radius.  Pass ``weight_integral=None``
-    for the unweighted integral over [a, b]; for an f-weighted integral pass
-    its mass and supremum.  Recovers the classical variance correction:
+    (n + 1), as radius.  Recovers the classical variance correction:
     with full-gap spacing delta0 = 2*delta the center at n = 2 is
     delta0^2 / 12.
     """
     if n < 1:
         raise ConfigError("n must be a positive integer")
-    if weight_integral is None:
-        if not a < b:
-            raise ConfigError("need a < b")
-        weight_integral = b - a
-    center_coef = weight_integral / (n + 1.0)
-    radius_coef = 4.0 * sup_weight / (n + 1.0)
-    leading = BoundTerm(center_coef, n, delta)
-    higher = BoundTerm(radius_coef, n + 1, delta)
-    return _report(leading, higher, "sheppard_two_sided", tier="C", mode=ADDITIVE)
-
-
-def _tier_delta(scheme: RoundingScheme, mesh: UniformMesh | None, delta: float | None) -> float:
-    if delta is not None:
-        return delta
-    if mesh is None:
-        raise ConfigError("need an explicit delta or a mesh to derive it from")
-    return scheme.delta(mesh.step)
+    if not weight_integral > 0.0:
+        raise ConfigError(f"weight integral must be positive, got {weight_integral!r}")
+    return _report(delta, n, weight_integral / (n + 1.0), 4.0 * sup_weight / (n + 1.0), "sheppard_two_sided", tier="C")
 
 
 def _h_region_sum(model: DensityModel, center: float) -> float:
@@ -389,12 +365,15 @@ def mean_and_variance_diff_bounds(
     The variance bound assembles the three-term split
     2|E[(X-mean) err]| + E[err^2] + 2 E[err]^2, each term bounded at the
     requested tier.  Tier D's known offset only sharpens the mean term, so
-    the variance report is tagged C at tiers C and D.
+    the variance report is tagged C at tiers C and D.  The error bound
+    delta is given, or derived from the mesh; not both.
     """
     tier = tier.upper()
     if tier not in ("A", "B", "C", "D"):
         raise ConfigError("tier must be one of A, B, C, D")
-    dlt = _tier_delta(scheme, mesh, delta)
+    if (mesh is None) == (delta is None):
+        raise ConfigError("need exactly one of delta and a mesh to derive it from")
+    dlt = delta if mesh is None else scheme.delta(mesh.step)
     if tier in ("C", "D") and mesh is None:
         raise PreconditionError(f"tier {tier} requires a uniform mesh")
     if tier != "A" and not scheme.cancels:
@@ -420,18 +399,17 @@ def mean_and_variance_diff_bounds(
         else:
             h_sum = _h_region_sum(model, best_mesh_center(mesh))
         de_coef = d1 * h_sum
-    de = _report(BoundTerm(de_coef, 2, dlt), BoundTerm(0.0, 3, dlt), "mean_diff", tier=tier)
+    de = _report(dlt, 2, de_coef, 0.0, "mean_diff", tier=tier)
 
     # 2|E[(X-mu) err]|: the weight (x-mu) f(x) changes sign at the mean, so
     # each signed region contributes d(1) * sup of its magnitude.
     cov_coef = 2.0 * (2.0 * d1 * model.sup_centered_weight())
     err2_lead = c2
     err2_high = 4.0 * c2 * model.peak
-    lead = BoundTerm(cov_coef + err2_lead, 2, dlt)
     # 2 E[err]^2 <= 2 (de_coef dlt^2)^2 = (2 de_coef^2 dlt) dlt^3, built
     # directly: dividing by dlt^3 would fail once it underflows
-    high = BoundTerm(err2_high + 2.0 * de_coef * de_coef * dlt, 3, dlt)
-    dv = _report(lead, high, "variance_diff", tier="C" if tier == "D" else tier)
+    high = err2_high + 2.0 * de_coef * de_coef * dlt
+    dv = _report(dlt, 2, cov_coef + err2_lead, high, "variance_diff", tier="C" if tier == "D" else tier)
     return de, dv
 
 
@@ -492,9 +470,8 @@ def float_moment_bound(
     if r_val < 1e-300:
         r_val = 0.0
         notes.append("overflow remainder negligible; reported as zero")
-    leading = BoundTerm(total / eps ** (k + 1), k + 1, eps)
-    higher = BoundTerm(r_val, 0, eps)
-    return _report(leading, higher, "float_decomposition", tier="D", mode=MULTIPLICATIVE, notes=notes)
+    return _report(eps, k + 1, total / eps ** (k + 1), r_val, "float_decomposition", tier="D", mode=MULTIPLICATIVE,
+                   notes=notes, high_power=0)
 
 
 def _gamma_tail(m: int) -> float:
@@ -535,10 +512,7 @@ def normal_partial_moment_bound(mu: float, sigma2: float, m: int, n: int, eps: f
         term2 = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
     except OverflowError:
         raise ConfigError(f"normal_partial_moment constant overflows a double at m = {m}, n = {n}") from None
-    coef = term1 + term2
-    leading = BoundTerm(0.0, n, eps)
-    higher = BoundTerm(coef, n + 1, eps)
-    return _report(leading, higher, "normal_partial_moment", tier="B", mode=MULTIPLICATIVE)
+    return _report(eps, n, 0.0, term1 + term2, "normal_partial_moment", tier="B", mode=MULTIPLICATIVE)
 
 
 def rounded_chebyshev(variance: float, n: int, delta: float, t: float) -> float:
@@ -606,13 +580,5 @@ def rounded_sum_bound(abs_means: Sequence[float], eps: float) -> BoundReport:
     for v in abs_means:
         _finite(v, "E|X_i|")
     coef = 0.0 if n <= 1 else (n - 1) * float(sum(abs_means))
-    leading = BoundTerm(coef, 1, eps)
-    higher = BoundTerm(0.0, 2, eps)
-    return _report(
-        leading,
-        higher,
-        "rounded_sum",
-        tier="A",
-        mode=MULTIPLICATIVE,
-        notes=("second-order remainder unquantified; not folded into the value",),
-    )
+    return _report(eps, 1, coef, 0.0, "rounded_sum", tier="A", mode=MULTIPLICATIVE,
+                   notes=("second-order remainder unquantified; not folded into the value",))

@@ -203,10 +203,10 @@ def cmd_bound(args) -> int:
         return _cmd_plan(args)
     model, grid = _model_and_grid(args, cfg)
     scheme = RoundingScheme.parse(args.scheme)
-    delta = args.delta
     mesh = grid if isinstance(grid, UniformMesh) else None
-    if delta is None and mesh is not None:
-        delta = scheme.delta(mesh.step)
+    if mesh is not None and args.delta is not None:
+        raise ConfigError("give --delta or a uniform mesh grid, not both")
+    delta = args.delta if mesh is None else scheme.delta(mesh.step)
     if delta is None and args.eps is None:
         raise ConfigError("need --delta, --eps, or a uniform mesh grid")
 
@@ -216,9 +216,7 @@ def cmd_bound(args) -> int:
         mode, base = B.ADDITIVE, delta
 
     if args.quantity in ("mean", "variance"):
-        de, dv = B.mean_and_variance_diff_bounds(
-            model, args.tier, mesh=mesh, delta=delta, scheme=scheme
-        )
+        de, dv = B.mean_and_variance_diff_bounds(model, args.tier, mesh=mesh, delta=args.delta, scheme=scheme)
         report = de if args.quantity == "mean" else dv
     elif args.quantity == "strong":
         report = B.strong_bound(model, args.k, mode, base)
@@ -271,7 +269,9 @@ def cmd_sweep(args) -> int:
     model, grid = _model_and_grid(args, cfg)
     if grid is not None and not isinstance(grid, UniformMesh):
         raise ConfigError("sweep requires a uniform mesh grid (offsets of a float system are not well defined)")
-    delta = args.delta if args.delta is not None else (grid.half_gap if grid else None)
+    if grid is not None and args.delta is not None:
+        raise ConfigError("give --delta or a uniform mesh grid, not both")
+    delta = args.delta if grid is None else grid.half_gap
     if delta is None:
         raise ConfigError("need --delta or a uniform mesh grid")
     scheme = RoundingScheme.parse(args.scheme)
@@ -297,6 +297,8 @@ def cmd_sum_demo(args) -> int:
     # before sampling: a sum too long for its bound exits without the wait
     bound = B.rounded_sum_bound([m.abs_mixed_moment(0, 1, 0.0) for m in models], eps)
     est = simulated_sum(models, fs, scheme, args.samples, args.seed)
+    if est.details["overflow_events"]:
+        raise PreconditionError(f"{est.details['overflow_events']} partial sums overflow the float system")
     payload = {
         "estimate": est.value,
         "standard_error": est.abs_error_estimate,

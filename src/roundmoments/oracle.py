@@ -326,17 +326,16 @@ def convergence_slope(
         raise PreconditionError("need at least 4 mesh sizes")
     if quantity not in ("delta_e", "delta_v", "abs_err_mean"):
         raise PreconditionError(f"unknown quantity {quantity!r}")
+    lo, hi = model.effective_range()
     worst = []
     for d in deltas:
         best = 0.0
         for a in np.linspace(0.0, 2.0 * d, n_probe, endpoint=False):
             mesh = UniformMesh(float(d), float(a))
-            if quantity == "abs_err_mean":
-                lo, hi = model.effective_range()
-                q = err_weighted_integral(mesh, scheme, model, lo, hi, 1, signed=False).value
-            else:
-                de, dv = delta_e_and_v(model, mesh, scheme)
-                q = de.value if quantity == "delta_e" else dv.value
+            if quantity == "delta_v":
+                q = delta_e_and_v(model, mesh, scheme)[1].value
+            else:  # Delta_E is the signed error integral, as in delta_e_and_v
+                q = err_weighted_integral(mesh, scheme, model, lo, hi, 1, signed=quantity == "delta_e").value
             best = max(best, abs(q))
         worst.append(best)
     excluded = tuple(v < 1e-15 for v in worst)

@@ -210,13 +210,13 @@ def _gen_sheppard(rng, pool):
     if rng.random() < 0.5:
         a = rng.uniform(-2.0, 0.5)
         b = a + rng.uniform(4.0 * mesh.step, 2.5)
-        rep = B.sheppard_two_sided(None, a, b, n, dlt)
+        rep = B.sheppard_two_sided(b - a, 1.0, n, dlt)
         orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, np.ones_like, a, b, n, signed=False)
         desc = f"sheppard unweighted n={n} delta={dlt:.3g}"
     else:
         model = _any_model(rng)
         a, b = model.effective_range()
-        rep = B.sheppard_two_sided(1.0, a, b, n, dlt, sup_weight=model.peak)
+        rep = B.sheppard_two_sided(1.0, model.peak, n, dlt)
         orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, model, a, b, n, signed=False)
         desc = f"sheppard weighted {model.name} n={n} delta={dlt:.3g}"
     # the report is centered at its leading term, with its higher-order term as radius

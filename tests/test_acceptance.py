@@ -76,7 +76,7 @@ def test_criterion_02_sheppard_recovery():
     for delta in (0.05, 0.1, 0.2):
         radius = 8.0 * delta ** 3 / (3.0 * math.pi)
         center = delta ** 2 / 3.0
-        rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, delta, sup_weight=model.peak)
+        rep = sheppard_two_sided(1.0, model.peak, 2, delta)
         assert (rep.leading.value, rep.higher_order.value) == (pytest.approx(center), pytest.approx(radius))
         for a in np.linspace(0.0, 2.0 * delta, 64, endpoint=False):
             mesh = UniformMesh(delta, float(a))

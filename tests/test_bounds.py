@@ -167,28 +167,34 @@ def test_unimodal_bounds_semicircle(semicircle):
 
 
 def test_sheppard_two_sided_values(semicircle):
-    rep = sheppard_two_sided(None, 0.0, 1.0, 2, 0.1)
+    rep = sheppard_two_sided(1.0, 1.0, 2, 0.1)
     center, radius = rep.leading.value, rep.higher_order.value
     assert center == pytest.approx(0.01 / 3, rel=1e-14)
     assert radius == pytest.approx(4 / 3 * 0.001, rel=1e-14)
-    rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.1, sup_weight=semicircle.peak)
+    rep = sheppard_two_sided(1.0, semicircle.peak, 2, 0.1)
     center, radius = rep.leading.value, rep.higher_order.value
     assert center == pytest.approx(0.01 / 3, rel=1e-14)
     assert radius == pytest.approx(8 * 0.001 / (3 * math.pi), rel=1e-12)
-    rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, 0.0, sup_weight=semicircle.peak)
+    rep = sheppard_two_sided(1.0, semicircle.peak, 2, 0.0)
     assert (rep.leading.value, rep.higher_order.value) == (0.0, 0.0)
 
 
 def test_sheppard_two_sided_overflow_is_a_config_error():
     # delta^3 overflows: a ConfigError, as for every other report
     with pytest.raises(ConfigError):
-        sheppard_two_sided(None, 0.0, 1.0, 2, 1e200)
+        sheppard_two_sided(1.0, 1.0, 2, 1e200)
+
+
+@pytest.mark.parametrize("weight_integral", [0.0, -1.0, math.nan])
+def test_sheppard_two_sided_needs_a_positive_weight_integral(weight_integral):
+    with pytest.raises(ConfigError, match="weight integral must be positive"):
+        sheppard_two_sided(weight_integral, 1.0, 2, 0.1)
 
 
 def test_sheppard_recovers_classical_variance_correction():
     # full-gap spacing delta0: the n = 2 center is delta0^2 / 12
     delta0 = 0.3
-    rep = sheppard_two_sided(1.0, -1.0, 1.0, 2, delta0 / 2)
+    rep = sheppard_two_sided(1.0, 1.0, 2, delta0 / 2)
     assert rep.leading.value == pytest.approx(delta0 ** 2 / 12.0, rel=1e-14)
 
 
@@ -247,6 +253,14 @@ def test_tier_preconditions():
         mean_and_variance_diff_bounds(model, "C", delta=0.1)  # no mesh
     with pytest.raises(PreconditionError):
         mean_and_variance_diff_bounds(model, "B", delta=0.1, scheme=RS.TOWARD_ZERO)
+
+
+@pytest.mark.parametrize("kw", [{}, {"mesh": UniformMesh(0.1, 0.03), "delta": 0.01}], ids=["neither", "both"])
+def test_tier_bounds_take_a_mesh_or_a_delta(semicircle, kw):
+    # an explicit delta beside a mesh would scale the mesh's tier-D center
+    # by the wrong delta
+    with pytest.raises(ConfigError, match="exactly one of delta and a mesh"):
+        mean_and_variance_diff_bounds(semicircle, "D", **kw)
 
 
 def test_float_bound_exponential_terms():
@@ -407,7 +421,7 @@ def test_report_json_round_trip(semicircle):
     reports = [
         strong_bound(semicircle, 2, ADDITIVE, 0.1),
         unimodal_moment_bound(semicircle, 1, RS.NEAREST, ADDITIVE, 0.1, signed=True),
-        sheppard_two_sided(None, 0.0, 1.0, 2, 0.1),
+        sheppard_two_sided(1.0, 1.0, 2, 0.1),
         rounded_sum_bound([0.5, 1.5], 2.0 ** -10),
         float_moment_bound(semicircle, FloatSystem(6, -6, 6), 1, RS.NEAREST, signed=True),
     ]

@@ -536,11 +536,18 @@ _DIST = ["--dist", "semicircle:r=1"]
     (["--config", "no-such-config.json", "bound", *_DIST, "--delta", "0.1"], 2, "config error: cannot read config"),
     (["sweep", *_DIST], 2, "config error: need --delta or a uniform mesh grid"),
     (["sweep", *_DIST, "--delta", "0.1", "--offsets", "1"], 3, "hypothesis violated: need at least 2 offsets"),
+    (["bound", *_DIST, "--grid", "uniform:half_gap=0.1,offset=0.03", "--tier", "D", "--delta", "0.01"], 2,
+     "config error: give --delta or a uniform mesh grid, not both"),
+    (["sweep", *_DIST, "--grid", "uniform:half_gap=0.1", "--delta", "0.05", "--offsets", "2"], 2,
+     "config error: give --delta or a uniform mesh grid, not both"),
+    (["--seed", "82358283", "sum-demo", "--summands", "44", "--samples", "462", "--k-max", "3"], 3,
+     "hypothesis violated: 13086 partial sums overflow the float system"),
     (["sum-demo", "--k-min", "3", "--k-max", "3"], 2, "config error: k_min must be < k_max"),
     (["sum-demo", "--k-min", "-2000"], 2, "config error: exponent range exceeds double-exact arithmetic"),
 ], ids=["centered-k1", "err-moment-k0", "signed-even-k", "strong-k0", "bogus-scheme", "uniform-empty",
         "parameter-without-value", "no-dist", "no-delta-eps-or-mesh", "missing-config", "sweep-no-delta",
-        "sweep-one-offset", "sum-demo-empty-exponents", "sum-demo-exponent-range"])
+        "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "sum-demo-overflow",
+        "sum-demo-empty-exponents", "sum-demo-exponent-range"])
 def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)
     got, out, stderr = run_cli(capsys, *argv)

@@ -1,8 +1,8 @@
-"""Fuzz the command line through ``bound``, ``sweep`` and ``sum-demo``:
-whatever the --config JSON, the inline --dist/--grid specs or the numeric
-options hold, no exception escapes ``main``; a refusal (exit 2 or 3) or a
-dominance violation (exit 1) says why in one stderr line, and every JSON
-it prints parses with no NaN or Infinity."""
+"""Fuzz the command line through ``bound``, ``sweep``, ``sum-demo`` and
+``verify``: whatever the --config JSON, the inline --dist/--grid specs or
+the numeric options hold, no exception escapes ``main``; a refusal (exit 2
+or 3) or a dominance violation (exit 1) says why in one stderr line, and
+every JSON it prints parses with no NaN or Infinity."""
 
 import contextlib
 import io
@@ -140,6 +140,19 @@ def sum_demo_argv(draw):
     return _with_format(draw, argv, ("json",) if not _sometimes(draw, 2) else ("csv", "svg"))
 
 
+@st.composite
+def verify_argv(draw):
+    argv = ["verify", f"--instances={draw(st.integers(-3, 4))}"]
+    if draw(st.booleans()):
+        argv.append("--scheme=" + draw(st.one_of(schemes, names, st.text(max_size=8))))
+    if _sometimes(draw, 4):
+        argv.append("--self-test")
+    argv = ["--seed", str(draw(st.integers(-2 ** 70, 2 ** 70))), *argv]
+    if _sometimes(draw, 4):  # verify writes only its text report
+        argv = ["--format", draw(st.sampled_from(("csv", "json", "svg"))), *argv]
+    return argv
+
+
 def _reject(token):
     raise AssertionError(f"non-finite {token} in output")
 
@@ -208,3 +221,21 @@ def test_sum_demo_survives_any_arguments(argv):
         assert payload["dominated"] is (code == 0)
     else:
         _assert_refusal(code, out, err)
+
+
+@given(argv=verify_argv())
+@settings(FUZZ, max_examples=300)
+def test_verify_survives_any_arguments(argv):
+    code, out, err = _run(argv)
+    self_test = "--self-test" in argv
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        _assert_refusal(code, out, err)
+        return
+    # a violation is reported only when the self-test halves every bound
+    assert err == "" and (code == 0 or self_test), (argv, out)
+    instances = int(next(a for a in argv if a.startswith("--instances="))[len("--instances="):])
+    lines = out.splitlines()
+    n_bad = sum(line.startswith("FAIL") for line in lines)
+    assert len(lines) == instances + 2 and (n_bad > 0) is (code == 1)
+    assert lines[-1] == f"{instances} checks, {n_bad} violations" + (" (self-test mode)" if self_test else "")
