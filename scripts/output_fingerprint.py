@@ -8,7 +8,9 @@ change moved.  It prints:
   ``float.hex`` of its value and error estimate, and its ``details``; and
   the same for the four integrals of perfbench's ``float_oracle`` workload
   (normal(0.5, 1) on ``FloatSystem(12, -40, 6)``, 0.4-1.1M pieces each,
-  so their partitions span many chunks);
+  so their partitions span many chunks); and the stochastic error
+  integrals for k = 1-4, signed and absolute, of normal(0.5, 1) on
+  ``FloatSystem(7, -12, 6)`` and on the explicit grid;
 * the sha256 of ``oracle._partition``'s chunks (each chunk's first and
   last edge and its piece count) under each scheme on each grid kind,
   ranges of more than ``CHUNK_CELLS`` cells included: a float range across
@@ -210,6 +212,11 @@ def oracle_lines():
         for k, signed in ((1, True), (2, False)):
             res = err_weighted_integral(grid, scheme, model, a, b, k, signed=signed)
             yield oracle_line(f"normal(0.5,1) float12 {scheme.value} err k={k} signed={signed}", res)
+    for gname, grid in (("float7", FloatSystem(7, -12, 6)), ("explicit", GRIDS["explicit"])):
+        for k in range(1, 5):
+            for signed in (True, False):
+                res = err_weighted_integral(grid, RoundingScheme.STOCHASTIC, model, a, b, k, signed=signed)
+                yield oracle_line(f"normal(0.5,1) {gname} stochastic err k={k} signed={signed}", res)
 
 
 def partition_lines():

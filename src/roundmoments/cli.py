@@ -204,16 +204,15 @@ def cmd_bound(args) -> int:
     model, grid = _model_and_grid(args, cfg)
     scheme = RoundingScheme.parse(args.scheme)
     mesh = grid if isinstance(grid, UniformMesh) else None
-    if mesh is not None and args.delta is not None:
-        raise ConfigError("give --delta or a uniform mesh grid, not both")
+    # each error source is used alone, so a second one would be dropped
+    sources = [f"--{flag}" for flag in ("eps", "delta") if getattr(args, flag) is not None]
+    sources += [] if grid is None else ["a uniform mesh grid" if mesh is not None else "a grid"]
+    if len(sources) > 1:
+        raise ConfigError(f"give {sources[0]} or {sources[1]}, not both")
     delta = args.delta if mesh is None else scheme.delta(mesh.step)
     if delta is None and args.eps is None:
         raise ConfigError("need --delta, --eps, or a uniform mesh grid")
-
-    if args.eps is not None:
-        mode, base = B.MULTIPLICATIVE, args.eps
-    else:
-        mode, base = B.ADDITIVE, delta
+    mode, base = (B.MULTIPLICATIVE, args.eps) if args.eps is not None else (B.ADDITIVE, delta)
 
     if args.quantity in ("mean", "variance"):
         de, dv = B.mean_and_variance_diff_bounds(model, args.tier, mesh=mesh, delta=args.delta, scheme=scheme)

@@ -5,7 +5,7 @@ cut at grid points and at the error function's breakpoints (the cell
 midpoint under nearest rounding, zero for the directed schemes), where the
 error is linear, so fixed-order Gauss panels integrate it essentially
 exactly.  Stochastic rounding replaces the error powers by their per-point
-expectations.  Nothing in this module calls the bound engine.
+expectations, in closed form.  Nothing in this module calls the bound engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .distributions import DensityModel
 from .errors import PreconditionError
 from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
-from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_expectation
+from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_err_power, stoch_expectation
 
 # Pieces per block of the per-cell kernel.  A block's 20-node float64 node
 # matrix is 320 KiB, so it and the few temporaries the integrand builds from
@@ -118,18 +118,18 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
 
 
 def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
-    """Per-cell Gauss quadrature of w(x) E[f(rd(x), x)] over the pieces.
+    """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces.
 
-    ``f`` maps rounded values and a block's node matrix X (pieces x nodes)
-    to integrand factors; ``w`` must act pointwise.  ``chunks`` are the
-    pieces with their rounding data, chunk by chunk, from
-    :func:`_partition`: one target, or the two cell ends whose stochastic
-    expectation is taken.  Each chunk's pieces are taken QUAD_BLOCK at a
-    time and the block sums kept in the order they come, so memory is one
-    chunk plus O(QUAD_BLOCK x nodes) however many pieces there are.  Each
-    block is integrated at n nodes and at the half-order rerun whose
-    difference is the error estimate.  ``details`` counts the pieces, the
-    partition ``chunks`` and the QUAD_BLOCK ``blocks`` they were cut into.
+    ``f`` maps a block's node matrix X (pieces x nodes) and its pieces'
+    rounding data to integrand factors; ``w`` must act pointwise.  ``chunks``
+    are the pieces with their rounding data, chunk by chunk, from
+    :func:`_partition`: one target, or the two cell ends of a stochastic
+    expectation.  Each chunk's pieces are taken QUAD_BLOCK at a time and the
+    block sums kept in the order they come, so memory is one chunk plus
+    O(QUAD_BLOCK x nodes) however many pieces there are.  Each block is
+    integrated at n nodes and at the half-order rerun whose difference is
+    the error estimate.  ``details`` counts the pieces, the partition
+    ``chunks`` and the QUAD_BLOCK ``blocks`` they were cut into.
     """
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
     sums: tuple[list, list] = ([], [])
@@ -145,21 +145,13 @@ def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
             rd_blk = [r[blk] for r in rd_data]
             for (nodes, weights), out in zip(rules, sums):
                 X = mid + half[:, None] * nodes[None, :]
-                if len(rd_blk) == 1:
-                    vals = f(rd_blk[0], X)
-                else:
-                    c_lo, c_hi = rd_blk
-                    vals = stoch_expectation(X, c_lo, c_hi, f(c_lo, X), f(c_hi, X))
+                vals = f(X, *rd_blk)
                 out.append(np.sum(half * ((np.asarray(w(X)) * vals) @ weights)))
         # every chunk has a piece; drop its views before the next is built
         del lo_p, hi_p, rd_data, lo, hi, rd_blk
     value, coarse = (float(np.sum(s)) for s in sums)
     details = {"pieces": pieces, "nodes": n, "blocks": len(sums[0]), "chunks": n_chunks}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
-
-
-def _shifted_power(rd, x, j: int, shift: float):
-    return int_power(rd - shift, j)
 
 
 def err_weighted_integral(
@@ -176,7 +168,8 @@ def err_weighted_integral(
     Stochastic rounding integrates the expected error powers instead of a
     realization.  The error estimate compares against a half-order rerun.
     """
-    f = partial(err_power, k=k, signed=signed)
+    stochastic = scheme is RoundingScheme.STOCHASTIC
+    f = partial(stoch_err_power, k=k, signed=signed) if stochastic else lambda X, rd: err_power(rd, X, k, signed)
     n = max(k + 8, 20)
     return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), n)
 
@@ -191,7 +184,11 @@ def rd_moment_integral(
     shift: float = 0.0,
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx."""
-    f = partial(_shifted_power, j=j, shift=shift)
+    def f(X, *rd):
+        # the powers at the target or the two cell ends are constants per piece
+        powers = [int_power(r - shift, j) for r in rd]
+        return stoch_expectation(X, *rd, *powers) if scheme is RoundingScheme.STOCHASTIC else powers[0]
+
     return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), 20)
 
 

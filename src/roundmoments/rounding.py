@@ -171,3 +171,27 @@ def err_power(rd, x, k: int, signed: bool):
     # even powers need no abs
     return int_power(np.abs(err) if k % 2 and not signed else err, k)
 
+
+def stoch_err_power(x, lo, hi, k: int, signed: bool):
+    """E[err^k] (``signed``) or E|err|^k under stochastic rounding of x in its
+    cell [lo, hi], in closed form, and the clamp error on a degenerate cell.
+
+    With a = x - lo, b = hi - x and w = hi - lo, E[err^k] = (b (-a)^k + a b^k) / w
+    = a b (b^(k-1) - (-a)^(k-1)) / w and E|err|^k = a b (b^(k-1) + a^(k-1)) / w.
+    No 1 - p, whose digits are lost near hi, is formed: signed k = 1 is
+    exactly 0, k = 2 is a b, and every power keeps its relative accuracy.
+    """
+    width = hi - lo
+    degenerate = width <= 0.0
+    if k == 0 or (k == 1 and signed):
+        vals = np.full(np.broadcast(x, width).shape, 1.0 if k == 0 else 0.0)
+    elif k == 2:
+        vals = (x - lo) * (hi - x)
+    else:
+        a, b = x - lo, hi - x
+        a_pow, b_pow = int_power(a, k - 1), int_power(b, k - 1)
+        vals = a * b * (b_pow - a_pow if signed and k % 2 else b_pow + a_pow) / np.where(degenerate, 1.0, width)
+    if np.any(degenerate):
+        vals = np.where(degenerate, err_power(lo, x, k, signed), vals)
+    return vals
+

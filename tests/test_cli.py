@@ -540,13 +540,25 @@ _DIST = ["--dist", "semicircle:r=1"]
      "config error: give --delta or a uniform mesh grid, not both"),
     (["sweep", *_DIST, "--grid", "uniform:half_gap=0.1", "--delta", "0.05", "--offsets", "2"], 2,
      "config error: give --delta or a uniform mesh grid, not both"),
+    (["bound", *_DIST, "--eps", "0.01", "--delta", "0.1", "--quantity", "strong"], 2,
+     "config error: give --eps or --delta, not both"),
+    (["bound", *_DIST, "--eps", "0.01", "--delta", "0.1", "--quantity", "mean", "--tier", "B"], 2,
+     "config error: give --eps or --delta, not both"),
+    (["bound", *_DIST, "--grid", "float:m=3,k_min=-12,k_max=6", "--eps", "0.01", "--quantity", "strong"], 2,
+     "config error: give --eps or a grid, not both"),
+    (["bound", *_DIST, "--grid", "float:m=3,k_min=-12,k_max=6", "--delta", "0.1"], 2,
+     "config error: give --delta or a grid, not both"),
+    (["bound", *_DIST, "--grid", "uniform:half_gap=0.1", "--eps", "0.01", "--quantity", "strong"], 2,
+     "config error: give --eps or a uniform mesh grid, not both"),
     (["--seed", "82358283", "sum-demo", "--summands", "44", "--samples", "462", "--k-max", "3"], 3,
      "hypothesis violated: 13086 partial sums overflow the float system"),
     (["sum-demo", "--k-min", "3", "--k-max", "3"], 2, "config error: k_min must be < k_max"),
     (["sum-demo", "--k-min", "-2000"], 2, "config error: exponent range exceeds double-exact arithmetic"),
 ], ids=["centered-k1", "err-moment-k0", "signed-even-k", "strong-k0", "bogus-scheme", "uniform-empty",
         "parameter-without-value", "no-dist", "no-delta-eps-or-mesh", "missing-config", "sweep-no-delta",
-        "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "sum-demo-overflow",
+        "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "bound-eps-and-delta-strong",
+        "bound-eps-and-delta-mean", "bound-eps-and-float-grid", "bound-delta-and-float-grid", "bound-eps-and-mesh",
+        "sum-demo-overflow",
         "sum-demo-empty-exponents", "sum-demo-exponent-range"])
 def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)

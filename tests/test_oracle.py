@@ -134,8 +134,19 @@ def test_delta_v_far_from_zero_is_sheppards_correction():
 
 
 def test_stochastic_delta_e_identically_zero(semicircle):
+    # the expected error is 0 at every node, so no roundoff is summed
     de, _ = delta_e_and_v(semicircle, UniformMesh(0.1, 0.033), RS.STOCHASTIC)
-    assert abs(de.value) < 1e-15
+    assert (de.value, de.abs_error_estimate) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("model,grid", [
+    (make_normal(0.5, 1.0), FloatSystem(7, -12, 6)),
+    (make_semicircle(1.0, 0.3), ExplicitSet(np.linspace(-60.0, 60.0, 1201) ** 3 / 3600.0)),
+], ids=["float", "explicit"])
+def test_stochastic_delta_e_identically_zero_on_other_grids(model, grid):
+    de, _ = delta_e_and_v(model, grid, RS.STOCHASTIC)
+    assert (de.value, de.abs_error_estimate) == (0.0, 0.0)
+    assert de.details["pieces"] > 100
 
 
 def test_centered_moment_of_rounded_dense_grid(semicircle):
@@ -277,25 +288,30 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
 
     Integrates w(x) err(x)^power (or w(x) E[(rd(x) - shift)^power] when a
     shift is given) at n nodes over every piece at once, as the oracle did
-    before it was blocked.  Returns the value and the per-piece terms.
+    before it was blocked.  Returns the value and the per-piece terms.  It
+    pins the blocking and chunking; the stochastic error formula itself is
+    pinned against exact arithmetic in test_rounding.py.
     """
     lo_p, hi_p, rd_data = whole_partition(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
     X = 0.5 * (lo_p + hi_p)[:, None] + 0.5 * (hi_p - lo_p)[:, None] * nodes[None, :]
     if scheme is RS.STOCHASTIC:
         lo, hi = rd_data
-        width = hi - lo
-        degenerate = width <= 0.0
-        p = (X - lo) / np.where(degenerate, 1.0, width)
+        width = np.where(hi > lo, hi - lo, 1.0)
+        degenerate = hi <= lo
         if shift is not None:
+            p = (X - lo) / width
             vals = (lo - shift) ** power * (1.0 - p) + (hi - shift) ** power * p
             vals = np.where(degenerate, (lo - shift) ** power, vals)
-        elif signed:
-            vals = (lo - X) ** power * (1.0 - p) + (hi - X) ** power * p
-            vals = np.where(degenerate, (lo - X) ** power, vals)
         else:
-            vals = (X - lo) ** power * (1.0 - p) + (hi - X) ** power * p
-            vals = np.where(degenerate, np.abs(lo - X) ** power, vals)
+            # the closed form: with a = x - lo and b = hi - x, E[err^k] is
+            # a b (b^(k-1) - (-a)^(k-1)) / w and E|err|^k is
+            # a b (b^(k-1) + a^(k-1)) / w, which is a b at k = 2
+            a, b = X - lo, hi - X
+            other = -((-a) ** (power - 1)) if signed else a ** (power - 1)
+            vals = a * b if power == 2 else a * b * (b ** (power - 1) + other) / width
+            clamp = lo - X if signed else np.abs(lo - X)
+            vals = np.where(degenerate, clamp ** power, vals)
     else:
         tgt = rd_data[0]
         if shift is not None:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from roundmoments import FloatSystem, UniformMesh, gap_stats, round_value
 from roundmoments.errors import ConfigError, PreconditionError
-from roundmoments.rounding import RoundingScheme, err_power, int_power, stoch_expectation
+from roundmoments.oracle import err_weighted_integral
+from roundmoments.quadrature import gauss_legendre_nodes
+from roundmoments.rounding import RoundingScheme, err_power, int_power, stoch_err_power, stoch_expectation
 
 DETERMINISTIC_SCHEMES = (RoundingScheme.TOWARD_ZERO, RoundingScheme.AWAY_FROM_ZERO, RoundingScheme.NEAREST)
 
@@ -119,6 +122,86 @@ def test_stochastic_pointwise_unbiased_everywhere():
             continue
         _, signed = stoch_expected_err_pows(float(a), float(b), float(x), 1)
         assert abs(signed) < 1e-15
+
+
+# --- closed-form stochastic error moments ------------------------------------
+
+U = 2.0 ** -53
+
+
+def exact_two_end(x, lo, hi, k, signed):
+    """E[err^k] (or E|err|^k) over the two cell ends, (lo - x)^k (1 - p) +
+    (hi - x)^k p, evaluated at 50 digits on the given doubles."""
+    with mpmath.workdps(50):
+        x, lo, hi = mpmath.mpf(x), mpmath.mpf(lo), mpmath.mpf(hi)
+        p = (x - lo) / (hi - lo)
+        e_lo, e_hi = (e if signed else abs(e) for e in (lo - x, hi - x))
+        return e_lo ** k * (1 - p) + e_hi ** k * p
+
+
+def stochastic_test_points():
+    """Cells [lo, hi] of random place and width, each with the 20- and
+    10-node Gauss points mapped into it as the oracle maps them, and points
+    within 1e-12 w of either end."""
+    rng = np.random.default_rng(21)
+    lo = rng.uniform(-8.0, 8.0, 32)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, lo.size)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = np.concatenate([gauss_legendre_nodes(n)[0] for n in (20, 10)])
+    ends = np.array([1e-12, 3e-13, 1e-13, 2e-15])
+    w = (hi - lo)[:, None]
+    x = np.hstack([mid[:, None] + half[:, None] * nodes, lo[:, None] + w * ends, hi[:, None] - w * ends])
+    lo, hi = (np.broadcast_to(v[:, None], x.shape).ravel() for v in (lo, hi))
+    x = x.ravel()
+    inside = (lo < x) & (x < hi)
+    return x[inside], lo[inside], hi[inside]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stoch_err_power_matches_exact_expectation(k):
+    x, lo, hi = stochastic_test_points()
+    assert x.size > 1000
+    abs_exact = np.array([float(exact_two_end(*v, k, False)) for v in zip(x, lo, hi)])
+    assert np.all(abs_exact > 0.0)
+    for signed in (True, False):
+        exact = [exact_two_end(*v, k, signed) for v in zip(x, lo, hi)]
+        closed = stoch_err_power(x, lo, hi, k, signed)
+        err = np.array([float(abs(mpmath.mpf(c) - e)) for c, e in zip(closed, exact)]) / abs_exact
+        assert err.max() <= 8.0 * U, (signed, err.max() / U)
+        # the two-end form f(lo) (1 - p) + f(hi) p loses 1 - p's digits near hi
+        two_end = stoch_expectation(x, lo, hi, err_power(lo, x, k, signed), err_power(hi, x, k, signed))
+        old = np.array([float(abs(mpmath.mpf(t) - e)) for t, e in zip(two_end, exact)]) / abs_exact
+        assert old.max() > 8.0 * U, (signed, old.max() / U)
+    if k == 1:
+        assert np.all(stoch_err_power(x, lo, hi, 1, True) == 0.0)
+
+
+def test_stoch_err_power_degenerate_cells_and_k0():
+    # a saturated or on-grid point keeps the clamp error (lo - x)^k
+    x, lo = np.array([-5.0, 6.0, 0.5]), np.array([-4.0, 4.0, 0.5])
+    for k in range(5):
+        for signed in (True, False):
+            np.testing.assert_array_equal(stoch_err_power(x, lo, lo, k, signed), err_power(lo, x, k, signed))
+    np.testing.assert_array_equal(stoch_err_power(np.array([0.1, 0.7]), 0.0, 1.0, 0, True), [1.0, 1.0])
+    assert stoch_err_power(0.25, 0.0, 1.0, 2, True) == 0.25 * 0.75
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stochastic_unit_cell_integrals_are_the_constants(k):
+    # weight 1 on the integers' unit cells: E|err|^k integrates to c(k), up
+    # to the 8 u of each node and the sum over the cell's graded pieces
+    c = RoundingScheme.STOCHASTIC.c(k)
+    for i in range(-3, 4):
+        got = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, np.ones_like, i, i + 1.0, k)
+        assert got.value == pytest.approx(c, rel=16.0 * U)
+        signed = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, np.ones_like, i, i + 1.0, k, signed=True)
+        if k % 2 == 0:
+            assert signed.value == got.value
+        elif k == 1:
+            assert (signed.value, signed.abs_error_estimate) == (0.0, 0.0)
+        else:
+            # mirrored Gauss nodes do not round to mirrored points
+            assert abs(signed.value) <= 8.0 * U * c
 
 
 def test_odd_symmetry_on_symmetric_grids():
