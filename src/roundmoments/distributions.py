@@ -32,7 +32,7 @@ class DensityModel:
     mode: float
     mean: float
     variance: float
-    _pdf: Callable
+    _pdf: Callable  # _pdf(x, out) writes the density at x into out and returns it
     _quantile: Callable
     _raw_moment: Callable[[int], float]
     _central_moment: Callable[[int], float]
@@ -60,8 +60,10 @@ class DensityModel:
         if hi > self.mode and np.any(np.diff(self.density(np.linspace(self.mode, hi, 21))) > slack):
             raise PreconditionError("density increases right of the declared mode")
 
-    def density(self, x):
-        return self._pdf(np.asarray(x, dtype=float))
+    def density(self, x, out=None):
+        """The density at x, written into ``out`` (a new array if None)."""
+        x = np.asarray(x, dtype=float)
+        return self._pdf(x, np.empty(x.shape) if out is None else out)
 
     def quantile(self, u):
         return self._quantile(np.asarray(u, dtype=float))
@@ -110,7 +112,7 @@ class DensityModel:
         if key not in self._cache:
 
             def product(x):
-                pdf = self._pdf(x)
+                pdf = self._pdf(x, np.empty_like(x))
                 dx, ax = np.abs(x - about), np.abs(x)
                 out = dx ** m * ax ** n * pdf
                 # where a power overflows and the density is tiny (or 0), the
@@ -133,7 +135,7 @@ class DensityModel:
         """sup over x of |x - mean| * f(x), by scan plus local refinement."""
         if "scw" not in self._cache:
             mu = self.mean
-            w = lambda x: np.abs(x - mu) * self._pdf(x)
+            w = lambda x: np.abs(x - mu) * self._pdf(x, np.empty_like(x))
             self._cache["scw"] = scan_max(w, *self.effective_range(), extra=(mu,))
         return self._cache["scw"]
 
@@ -180,10 +182,11 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         raise ConfigError(f"radius must be positive with a finite nonzero square, got {r!r}")
     coef = 2.0 / (math.pi * r * r)
 
-    def pdf(x):
-        t = x - mu
-        inside = np.abs(t) < r
-        return np.where(inside, coef * np.sqrt(np.maximum(r * r - t * t, 0.0)), 0.0)
+    def pdf(x, out):
+        # |t| >= r makes r r - t t <= 0, so fmax gives 0 there, and for NaN
+        t = np.subtract(x, mu, out=out)
+        np.fmax(np.subtract(r * r, np.multiply(t, t, out=out), out=out), 0.0, out=out)
+        return np.multiply(np.sqrt(out, out=out), coef, out=out)
 
     def quantile(u):
         # With x = mu + r sin(theta), the CDF is 1/2 + (2 theta + sin 2theta)/(2 pi).
@@ -281,9 +284,11 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
     sigma = math.sqrt(sigma2)
     norm = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
 
-    def pdf(x):
-        t = (x - mu) / sigma
-        return norm * np.exp(-0.5 * t * t)
+    def pdf(x, out):
+        t = np.divide(np.subtract(x, mu, out=out), sigma, out=out)
+        # t t (-0.5) equals (-0.5 t) t: scaling by 2^-1 is exact, and else both exps are 1 or 0
+        np.multiply(np.multiply(t, t, out=out), -0.5, out=out)
+        return np.multiply(np.exp(out, out=out), norm, out=out)
 
     def quantile(u):
         z = _std_normal_quantile(np.clip(np.asarray(u, dtype=float), 1e-300, 1.0 - 1e-16))
@@ -317,9 +322,11 @@ def make_exponential(lam: float) -> DensityModel:
     if not 0.0 < lam < math.inf or lam * lam == 0.0:  # the variance divides by lam^2
         raise ConfigError(f"rate must be positive and finite with a nonzero square, got {lam!r}")
 
-    def pdf(x):
-        xc = np.maximum(x, 0.0)
-        return np.where(x >= 0.0, lam * np.exp(-lam * xc), 0.0)
+    def pdf(x, out):
+        outside = ~(x >= 0.0)
+        np.multiply(np.exp(np.multiply(np.maximum(x, 0.0, out=out), -lam, out=out), out=out), lam, out=out)
+        np.copyto(out, 0.0, where=outside)
+        return out
 
     def quantile(u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0 - 1e-16)
@@ -354,8 +361,8 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
     dens = 1.0 / w
     mid = 0.5 * (lo + hi)
 
-    def pdf(x):
-        return np.where((x >= lo) & (x <= hi), dens, 0.0)
+    def pdf(x, out):
+        return np.multiply((x >= lo) & (x <= hi), dens, out=out)
 
     def quantile(u):
         return lo + np.clip(np.asarray(u, dtype=float), 0.0, 1.0) * w

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,12 +49,6 @@ class OracleResult:
     details: dict = field(default_factory=dict)
 
 
-def _weight_callable(model_or_weight) -> Callable:
-    if hasattr(model_or_weight, "density"):
-        return model_or_weight.density
-    return model_or_weight
-
-
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded one
     chunk at a time as columns (lo, hi, rd_data): rd_data holds both cell
@@ -72,8 +66,8 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     edges (square root onsets, jumps), and grading keeps fixed-order Gauss
     panels at full accuracy there.
     """
-    if not a < b:
-        raise PreconditionError("need a < b")
+    if not (a < b and math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError(f"need finite a < b, got [{a!r}, {b!r}]")
     i0, i1 = grid.index_range(a, b)
     cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
     ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
@@ -117,17 +111,20 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
     return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets[:, None],)
 
 
-def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
+def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces.
 
-    ``f`` maps a block's node matrix X (pieces x nodes) and its pieces'
-    rounding data to integrand factors; ``w`` must act pointwise.  ``chunks``
+    ``weight`` is a model or a pointwise callable.  ``f(X, *rd_data, out=,
+    scratch=)`` writes the integrand at a block's node matrix X (pieces x
+    nodes) into out, or returns an array that broadcasts to it; it may
+    overwrite X and use scratch, a spare node matrix.  ``chunks``
     are the pieces with their rounding data, chunk by chunk, from
     :func:`_partition`: one target, or the two cell ends of a stochastic
-    expectation.  Each chunk's pieces are taken QUAD_BLOCK at a time and the
-    block sums kept in the order they come, so memory is one chunk plus
-    O(QUAD_BLOCK x nodes) however many pieces there are.  Each block is
-    integrated at n nodes and at the half-order rerun whose difference is
+    expectation.  Each chunk's pieces are taken QUAD_BLOCK at a time in one
+    workspace of node-matrix buffers and the block sums kept in the order
+    they come, so memory is one chunk plus O(QUAD_BLOCK x nodes) however
+    many pieces there are.  Each block is integrated at n nodes and at the
+    half-order rerun (in the first part of each buffer) whose difference is
     the error estimate.  ``details`` counts the pieces, the partition
     ``chunks`` and the QUAD_BLOCK ``blocks`` they were cut into.
     """
@@ -137,6 +134,7 @@ def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
     for lo_p, hi_p, rd_data in chunks:
         pieces += lo_p.size
         n_chunks += 1
+        space = np.empty((4, min(lo_p.size, QUAD_BLOCK) * n))
         for start in range(0, lo_p.size, QUAD_BLOCK):
             blk = slice(start, start + QUAD_BLOCK)
             lo, hi = lo_p[blk], hi_p[blk]
@@ -144,11 +142,18 @@ def _per_cell_gauss(w, f, chunks, n: int) -> OracleResult:
             half = 0.5 * (hi - lo)
             rd_blk = [r[blk] for r in rd_data]
             for (nodes, weights), out in zip(rules, sums):
-                X = mid + half[:, None] * nodes[None, :]
-                vals = f(X, *rd_blk)
-                out.append(np.sum(half * ((np.asarray(w(X)) * vals) @ weights)))
-        # every chunk has a piece; drop its views before the next is built
-        del lo_p, hi_p, rd_data, lo, hi, rd_blk
+                X, W, F, S = (buf[: lo.size * nodes.size].reshape(lo.size, nodes.size) for buf in space)
+                np.add(mid, np.multiply(half[:, None], nodes, out=X), out=X)
+                if hasattr(weight, "density"):
+                    W = weight.density(X, out=W)
+                else:
+                    np.copyto(W, weight(X))
+                np.multiply(W, f(X, *rd_blk, out=F, scratch=S), out=F)
+                # the per-piece sums go into the weight's buffer, no longer read
+                terms = np.matmul(F, weights, out=space[1, : lo.size])
+                out.append(np.sum(np.multiply(half, terms, out=terms)))
+        # every chunk has a piece; drop its views and workspace before the next is built
+        del lo_p, hi_p, rd_data, lo, hi, rd_blk, space, X, W, F, S, terms
     value, coarse = (float(np.sum(s)) for s in sums)
     details = {"pieces": pieces, "nodes": n, "blocks": len(sums[0]), "chunks": n_chunks}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
@@ -168,10 +173,10 @@ def err_weighted_integral(
     Stochastic rounding integrates the expected error powers instead of a
     realization.  The error estimate compares against a half-order rerun.
     """
-    stochastic = scheme is RoundingScheme.STOCHASTIC
-    f = partial(stoch_err_power, k=k, signed=signed) if stochastic else lambda X, rd: err_power(rd, X, k, signed)
+    f = partial(stoch_err_power, k=k, signed=signed) if scheme is RoundingScheme.STOCHASTIC else (
+        lambda X, rd, out, scratch: err_power(rd, X, k, signed, out))
     n = max(k + 8, 20)
-    return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), n)
+    return _per_cell_gauss(model_or_weight, f, _partition(grid, scheme, a, b), n)
 
 
 def rd_moment_integral(
@@ -184,12 +189,12 @@ def rd_moment_integral(
     shift: float = 0.0,
 ) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx."""
-    def f(X, *rd):
+    def f(X, *rd, out, scratch):
         # the powers at the target or the two cell ends are constants per piece
         powers = [int_power(r - shift, j) for r in rd]
-        return stoch_expectation(X, *rd, *powers) if scheme is RoundingScheme.STOCHASTIC else powers[0]
+        return stoch_expectation(X, *rd, *powers, out=out) if scheme is RoundingScheme.STOCHASTIC else powers[0]
 
-    return _per_cell_gauss(_weight_callable(model_or_weight), f, _partition(grid, scheme, a, b), 20)
+    return _per_cell_gauss(model_or_weight, f, _partition(grid, scheme, a, b), 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:
@@ -216,8 +221,7 @@ def centered_moment_of_rounded(model: DensityModel, grid: Grid, scheme: Rounding
     """Quadrature value of M_k[rd(X)] (centered at E[rd(X)])."""
     a, b = model.effective_range()
     m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
-    mk = rd_moment_integral(grid, scheme, model, a, b, k, shift=m1.value)
-    return mk
+    return rd_moment_integral(grid, scheme, model, a, b, k, shift=m1.value)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class RoundingScheme(str, enum.Enum):
         return 1.0 / (1.0 - eps)
 
 
-def int_power(x, k: int):
+def int_power(x, k: int, out=None, scratch=None):
     """x ** k for a non-negative integer k, by repeated squaring.
 
     numpy's ``power`` has a fast path only for k == 2; larger exponents go
@@ -80,7 +80,8 @@ def int_power(x, k: int):
     of the k - 1 multiplications rounds once, so the relative error is at
     most (k - 1) * 2**-53 to first order.  Intermediate powers lie between
     |x| and |x|^k, so nothing over- or underflows that ``x ** k`` itself
-    would not.
+    would not.  With ``out``, which holds x on entry (it may be x itself),
+    the power is formed in place; ``scratch`` (new if None) takes the squares.
     """
     try:
         k = operator.index(k)
@@ -88,16 +89,23 @@ def int_power(x, k: int):
         raise ConfigError(f"power must be a non-negative integer, got {k!r}") from None
     if k < 0:
         raise ConfigError(f"power must be a non-negative integer, got {k}")
-    if k <= 2:
+    if out is None and k <= 2:
         return x ** k
-    result = None
-    while True:
-        if k & 1:
-            result = x if result is None else result * x
+    # out (without out, x until a first product makes a new array) is squared
+    # in place up to k's lowest set bit; the running square goes on in scratch
+    out, fresh = (np.asarray(x, dtype=float), True) if out is None else (out, False)
+    if k == 0:
+        out.fill(1.0)
+    while k and not k & 1:
+        out, fresh = np.multiply(out, out, out=np.empty_like(out) if fresh else out), False
         k >>= 1
-        if not k:
-            return result
-        x = x * x
+    square = out
+    while k > 1:
+        k >>= 1
+        scratch = square = np.multiply(square, square, out=np.empty_like(out) if scratch is None else scratch)
+        if k & 1:
+            out, fresh = np.multiply(out, square, out=np.empty_like(out) if fresh else out), False
+    return out
 
 
 def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
@@ -139,7 +147,7 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
     return float(out) if scalar else out
 
 
-def cell_fraction(x, lo, hi):
+def cell_fraction(x, lo, hi, out=None):
     """Position p = (x - lo) / (hi - lo) of x inside its cell [lo, hi], and
     the degenerate-cell mask (lo == hi: x on the grid or saturated).
 
@@ -148,31 +156,45 @@ def cell_fraction(x, lo, hi):
     """
     width = hi - lo
     degenerate = width <= 0.0
-    return (x - lo) / np.where(degenerate, 1.0, width), degenerate
+    return np.divide(np.subtract(x, lo, out=out), np.where(degenerate, 1.0, width), out=out), degenerate
 
 
-def stoch_expectation(x, lo, hi, f_lo, f_hi):
+def _own(out, x, *args):
+    """out and x for an in-place body, else a new array and a copy of x, broadcast."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (x, *args)))
+        out, x = np.empty(shape), np.array(np.broadcast_to(x, shape), dtype=float)
+    return out, x
+
+
+def stoch_expectation(x, lo, hi, f_lo, f_hi, out=None):
     """E[f(rd(x))] = f(lo) (1 - p) + f(hi) p under stochastic rounding of x
     inside its cell [lo, hi], and f(lo) on a degenerate cell.
 
     ``f_lo`` and ``f_hi`` are f evaluated at the cell ends; all arguments
-    broadcast against each other.
+    broadcast against each other.  With ``out``, of x's shape, the result
+    is written there and x is overwritten.
     """
-    p, degenerate = cell_fraction(x, lo, hi)
-    vals = f_lo * (1.0 - p) + f_hi * p
+    out, x = _own(out, x, lo, hi, f_lo, f_hi)
+    # p in out, then f_lo (1 - p) in x and f_hi p in out
+    p, degenerate = cell_fraction(x, lo, hi, out)
+    np.multiply(f_lo, np.subtract(1.0, p, out=x), out=x)
+    np.add(x, np.multiply(f_hi, p, out=out), out=out)
     if np.any(degenerate):
-        vals = np.where(degenerate, f_lo, vals)
-    return vals
+        np.copyto(out, f_lo, where=degenerate)
+    return out
 
 
-def err_power(rd, x, k: int, signed: bool):
-    """err^k (``signed``) or |err|^k for the rounding error err = rd - x."""
-    err = rd - x
-    # even powers need no abs
-    return int_power(np.abs(err) if k % 2 and not signed else err, k)
+def err_power(rd, x, k: int, signed: bool, out=None):
+    """err^k (``signed``) or |err|^k for the rounding error err = rd - x,
+    written into ``out`` (of x's shape) if given, which overwrites x for k >= 3."""
+    err = np.subtract(rd, x, out=out)
+    if k % 2 and not signed:  # even powers need no abs
+        err = np.abs(err, out=out)
+    return int_power(err, k) if out is None else int_power(err, k, out, x)
 
 
-def stoch_err_power(x, lo, hi, k: int, signed: bool):
+def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=None):
     """E[err^k] (``signed``) or E|err|^k under stochastic rounding of x in its
     cell [lo, hi], in closed form, and the clamp error on a degenerate cell.
 
@@ -180,18 +202,25 @@ def stoch_err_power(x, lo, hi, k: int, signed: bool):
     = a b (b^(k-1) - (-a)^(k-1)) / w and E|err|^k = a b (b^(k-1) + a^(k-1)) / w.
     No 1 - p, whose digits are lost near hi, is formed: signed k = 1 is
     exactly 0, k = 2 is a b, and every power keeps its relative accuracy.
+    With ``out``, of x's shape, the result is written there and x is
+    overwritten; the general form (k >= 3, |err|) also overwrites ``scratch``.
     """
     width = hi - lo
     degenerate = width <= 0.0
+    # the clamp error, taken before x is overwritten
+    clamp = err_power(lo, x, k, signed) if np.any(degenerate) else None
+    out, x = _own(out, x, width)
     if k == 0 or (k == 1 and signed):
-        vals = np.full(np.broadcast(x, width).shape, 1.0 if k == 0 else 0.0)
-    elif k == 2:
-        vals = (x - lo) * (hi - x)
+        out.fill(1.0 if k == 0 else 0.0)
     else:
-        a, b = x - lo, hi - x
-        a_pow, b_pow = int_power(a, k - 1), int_power(b, k - 1)
-        vals = a * b * (b_pow - a_pow if signed and k % 2 else b_pow + a_pow) / np.where(degenerate, 1.0, width)
-    if np.any(degenerate):
-        vals = np.where(degenerate, err_power(lo, x, k, signed), vals)
-    return vals
-
+        a, b = np.subtract(x, lo, out=out), np.subtract(hi, x, out=x)
+        if k == 2:
+            np.multiply(a, b, out=out)
+        else:
+            ab = np.multiply(a, b, out=scratch)
+            # b^(k-1) -/+ a^(k-1), each power formed in place
+            (np.subtract if signed and k % 2 else np.add)(int_power(b, k - 1, b), int_power(a, k - 1, a), out=out)
+            np.divide(np.multiply(ab, out, out=out), np.where(degenerate, 1.0, width), out=out)
+    if clamp is not None:
+        np.copyto(out, clamp, where=degenerate)
+    return out

@@ -331,7 +331,10 @@ def test_float_bound_two_bump_binade_is_not_unimodal(scheme, k, signed):
     # two bumps inside the binade [1, 2]: the one-region-per-stretch argument
     # needs a unimodal density, so no such model can be made, let alone
     # reach the bound (declared at 1.25, the top of the first bump)
-    pdf = lambda x: np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
+    def pdf(x, out):
+        out[...] = np.where((x >= 1.0) & (x <= 2.0), 1.0 - np.cos(4.0 * math.pi * (x - 1.0)), 0.0)
+        return out
+
     with pytest.raises(PreconditionError, match="density increases right of the declared mode"):
         model = dataclasses.replace(make_uniform(1.0, 2.0), _pdf=pdf, mode=1.25)
         float_moment_bound(model, FloatSystem(4, -4, 3), k, scheme, signed=signed)

@@ -144,10 +144,57 @@ def test_non_finite_rate_is_refused_before_its_density_is_evaluated(lam):
             make_exponential(lam)
 
 
+# Each family's density in its one-expression form, allocating every
+# temporary; the in-place bodies must give the same bits.
+def _reference_pdf(model, x):
+    p = dict(model.params)
+    if model.name == "semicircle":
+        r, t = p["r"], x - p["mu"]
+        coef = 2.0 / (math.pi * r * r)
+        return np.where(np.abs(t) < r, coef * np.sqrt(np.maximum(r * r - t * t, 0.0)), 0.0)
+    if model.name == "normal":
+        t = (x - p["mu"]) / math.sqrt(p["sigma2"])
+        return 1.0 / math.sqrt(2.0 * math.pi * p["sigma2"]) * np.exp(-0.5 * t * t)
+    if model.name == "exponential":
+        lam = p["lambda"]
+        return np.where(x >= 0.0, lam * np.exp(-lam * np.maximum(x, 0.0)), 0.0)
+    return np.where((x >= p["lo"]) & (x <= p["hi"]), 1.0 / (p["hi"] - p["lo"]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_semicircle(0.8, 0.3), make_normal(0.3, 2.0), make_exponential(1.5), make_uniform(-0.5, 1.25)],
+    ids=["semicircle", "normal", "exponential", "uniform"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_density_writes_into_out(model):
+    lo, hi = model.effective_range()
+    edges = [v for v in model.support if math.isfinite(v)]
+    # inside the support, outside it, on its edges and one double either side
+    x = np.concatenate([
+        np.linspace(lo, hi, 37),
+        [lo - 1.0, hi + 1.0, -1e300, 1e300, -math.inf, math.inf, math.nan, model.mode, 0.0, -0.0],
+        edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_pdf(model, x)
+    assert np.any(want > 0.0) and np.any(want == 0.0)
+    for shape in (x.shape, (x.size // 3, 3)):
+        pts = x[: math.prod(shape)].reshape(shape)
+        # a view into a larger buffer, as the oracle's workspace hands out
+        buf = np.full(2 * pts.size, np.nan)[: pts.size].reshape(shape)
+        got = model.density(pts, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got.view(np.int64), want[: pts.size].reshape(shape).view(np.int64))
+        np.testing.assert_array_equal(model.density(pts).view(np.int64), got.view(np.int64))
+    for v in x:
+        assert float(model.density(v)).hex() == float(_reference_pdf(model, v)).hex()
+
+
 def test_replace_starts_with_an_empty_cache():
     m = make_semicircle(1.0, 0.0)
     assert m.effective_range() == (-1.0, 1.0)
-    wide = replace(m, support=(-2.0, 2.0), variance=1.0, _pdf=lambda x: m.density(x / 2) / 2)
+    wide = replace(m, support=(-2.0, 2.0), variance=1.0, _pdf=lambda x, out: np.divide(m.density(x / 2), 2, out=out))
     assert wide.effective_range() == (-2.0, 2.0)
     # the cache is no init field, so a copy cannot be handed one
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -283,14 +285,16 @@ def whole_partition(grid, scheme, a, b):
     return np.concatenate(lo_p), np.concatenate(hi_p), tuple(np.concatenate(r) for r in zip(*rd_data))
 
 
-def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
+def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None, cube_by_squaring=False):
     """Single-matrix per-cell Gauss quadrature with plain ``**`` powers.
 
     Integrates w(x) err(x)^power (or w(x) E[(rd(x) - shift)^power] when a
     shift is given) at n nodes over every piece at once, as the oracle did
-    before it was blocked.  Returns the value and the per-piece terms.  It
-    pins the blocking and chunking; the stochastic error formula itself is
-    pinned against exact arithmetic in test_rounding.py.
+    before it was blocked.  With ``cube_by_squaring`` a deterministic cube
+    is e (e e), as the oracle's repeated squaring forms it, for a bit-for-bit
+    comparison.  Returns the value and the per-piece terms.  It pins the
+    blocking and chunking; the stochastic error formula itself is pinned
+    against exact arithmetic in test_rounding.py.
     """
     lo_p, hi_p, rd_data = whole_partition(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
@@ -317,8 +321,8 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
         if shift is not None:
             vals = (tgt - shift) ** power * np.ones_like(X)
         else:
-            err = tgt - X
-            vals = err ** power if signed else np.abs(err) ** power
+            err = tgt - X if signed else np.abs(tgt - X)
+            vals = err * err ** 2 if cube_by_squaring and power == 3 else err ** power
     terms = 0.5 * (hi_p - lo_p) * ((w(X) * vals) @ weights)
     return float(np.sum(terms)), terms
 
@@ -365,13 +369,119 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
     assert (got.details["blocks"], got.details["chunks"]) == (2 if extra == 1 else 1, 1)
 
 
-def test_single_block_is_bit_identical_to_reference():
-    # one block and k <= 2: the same operations in the same order as before
+def test_single_block_is_bit_identical_to_reference(semicircle):
+    # one block: the same operations in the same order as the single-matrix
+    # reference, whether the weight is a model's density written in place, a
+    # callable or a callable that returns a scalar
+    mesh = UniformMesh(0.05, 0.013)
+    normal = make_normal(0.2, 0.5)
+    weights = [(cubic_weight, cubic_weight), (normal, normal.density), (semicircle, semicircle.density),
+               (lambda x: 0.75, lambda x: 0.75)]
+    for scheme, (weight, w) in itertools.product(RS, weights):
+        for k in (1, 2, 3):
+            for signed in (True, False):
+                got = err_weighted_integral(mesh, scheme, weight, -1.0, 1.5, k, signed=signed)
+                assert (got.details["blocks"], got.details["chunks"]) == (1, 1)
+                want = reference_quad(mesh, scheme, w, -1.0, 1.5, 20, k, signed=signed, cube_by_squaring=True)[0]
+                assert got.value == want, (scheme, weight, k, signed)
+        for j in (1, 2):
+            got = rd_moment_integral(mesh, scheme, weight, -1.0, 1.5, j, shift=0.3)
+            assert got.value == reference_quad(mesh, scheme, w, -1.0, 1.5, 20, j, shift=0.3)[0], (scheme, weight, j)
+
+
+def test_kernel_uses_the_density_it_is_given():
+    # a _pdf that returns a new array and leaves ``out`` unwritten still
+    # weights the integral, not the kernel's uninitialised buffer
+    model = make_normal(0.2, 0.5)
+    ignores_out = dataclasses.replace(model, _pdf=lambda x, out: model.density(x))
     mesh = UniformMesh(0.05, 0.013)
     for scheme in RS:
-        got = err_weighted_integral(mesh, scheme, cubic_weight, -1.0, 1.5, 2, signed=False)
-        assert (got.details["blocks"], got.details["chunks"]) == (1, 1)
-        assert got.value == reference_quad(mesh, scheme, cubic_weight, -1.0, 1.5, 20, 2, signed=False)[0]
+        got = err_weighted_integral(mesh, scheme, ignores_out, -1.0, 1.5, 2)
+        assert got.value == err_weighted_integral(mesh, scheme, model, -1.0, 1.5, 2).value, scheme
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scheme", list(RS))
+def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
+    # a one-chunk float integral of several blocks with a model weight: each
+    # block builds X, the density, the integrand and their product in the
+    # kernel's workspace, so from one density call to the next nothing as
+    # large as a node matrix is allocated
+    model = make_normal(0.5, 1.0)
+    fs = FloatSystem(8, -12, 6)
+    a, b = model.effective_range()
+    node_matrix = oracle.QUAD_BLOCK * max(k + 8, 20) * 8
+    tracemalloc.start()
+    try:
+        chunks = list(oracle._partition(fs, scheme, a, b))
+        chunk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) == 1
+    del chunks
+    # first-call allocations (node tables, numpy internals) are not the loop's
+    err_weighted_integral(fs, scheme, model, a, b, k)
+    density = type(model).density
+    marks = []
+
+    def marked_density(self, x, out=None):
+        # traced memory now, and its peak since the last density call
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return density(self, x, out)
+
+    monkeypatch.setattr(type(model), "density", marked_density)
+    tracemalloc.start()
+    try:
+        got = err_weighted_integral(fs, scheme, model, a, b, k)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert got.details["chunks"] == 1 and got.details["blocks"] >= 3
+    assert len(marks) == 2 * got.details["blocks"] + 1
+    growth = [peak - current for (current, _), (_, peak) in zip(marks[:-1], marks[1:])]
+    assert max(growth) < node_matrix, (growth, node_matrix)
+    workspace = 4 * node_matrix
+    peak = max(peak for _, peak in marks)
+    assert peak < workspace + chunk_peak + node_matrix / 2, (peak, workspace, chunk_peak)
+
+
+def test_workspace_is_freed_before_the_next_chunk(monkeypatch):
+    # a chunk's workspace and pieces are dropped before the next chunk is
+    # built, whose temporaries would otherwise stack on them
+    model = make_normal(0.5, 1.0)
+    fs = FloatSystem(10, -40, 6)
+    a, b = model.effective_range()
+    # first-call allocations (imports, node tables) are not the walk's
+    err_weighted_integral(fs, RS.NEAREST, model, a, b, 1, signed=True)
+    pieces = oracle._pieces
+    held = []
+
+    def marked_pieces(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return pieces(*args)
+
+    monkeypatch.setattr(oracle, "_pieces", marked_pieces)
+    tracemalloc.start()
+    try:
+        got = err_weighted_integral(fs, RS.NEAREST, model, a, b, 1, signed=True)
+    finally:
+        tracemalloc.stop()
+    assert got.details["chunks"] == len(held) > 1
+    assert max(held) < oracle.QUAD_BLOCK * got.details["nodes"] * 8 / 2, held
+
+
+@pytest.mark.parametrize("a,b", [(-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)])
+@pytest.mark.parametrize("grid", [UniformMesh(0.1), FloatSystem(7, -12, 6), ExplicitSet(np.linspace(-3.0, 3.0, 61))],
+                         ids=["mesh", "float", "explicit"])
+def test_oracles_refuse_an_infinite_range(grid, a, b):
+    # on (-inf, 1) a mesh once raised a bare OverflowError from ceil(inf)
+    # and a float system silently returned nan
+    model = make_normal(0.0, 1.0)
+    with pytest.raises(PreconditionError, match="need finite a < b"):
+        err_weighted_integral(grid, RS.NEAREST, model, a, b, 1)
+    with pytest.raises(PreconditionError, match="need finite a < b"):
+        rd_moment_integral(grid, RS.STOCHASTIC, model, a, b, 1)
 
 
 def test_float_integral_memory_is_bounded_by_pieces():
