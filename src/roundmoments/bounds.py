@@ -202,6 +202,21 @@ def centered_moment_first_order(model: DensityModel, k: int, mode: str, eps_or_d
     return _report(base, 1, lead, high, "centered_moment_first_order", tier="A", mode=mode)
 
 
+def _cell_rule(k: int, scheme: RoundingScheme, signed: bool = False) -> tuple[float, float]:
+    """The per-cell argument behind every error-integral bound, as the
+    coefficients (lead, high) of a weight's mass M and supremum S: on
+    uniformly spaced cells with error bound delta, the integral of the
+    weight times |err|^k is at most lead M delta^k + high S delta^(k+1),
+    with (lead, high) = (c(k), 4 c(k)).  Signed (odd k), each cell's err^k
+    cancels against a constant weight, leaving (0, d(k)), with S the
+    weight's variation."""
+    if k < 1:
+        raise ConfigError("k must be a positive integer")
+    if signed and k % 2 == 0:
+        raise PreconditionError("signed error-power bound needs odd k")
+    return (0.0, scheme.d(k)) if signed else (scheme.c(k), 4.0 * scheme.c(k))
+
+
 def _abs_power_integral(a: float, b: float, k: int) -> float:
     def anti(t):
         return math.copysign(abs(t) ** (k + 1) / (k + 1.0), t)
@@ -230,30 +245,25 @@ def interval_error_bound(
     _check_mode(mode)
     if not a < b:
         raise ConfigError("need a < b")
-    if k < 1:
-        raise ConfigError("k must be a positive integer")
+    rule_lead, hcoef = _cell_rule(k, scheme, signed)
     base = eps_or_delta
     notes = ()
     if signed:
-        if k % 2 == 0:
-            raise PreconditionError("signed error-power bound needs odd k")
         if not scheme.cancels:
             raise PreconditionError("signed cancellation needs nearest or stochastic rounding")
         if endpoints_on_grid and scheme is RoundingScheme.NEAREST:
             hcoef = 0.0
             notes = ("grid-aligned endpoints: integral is exactly zero",)
         elif mode == MULTIPLICATIVE:
-            hcoef = scheme.d(k) * max(abs(a), abs(b)) ** (k + 1)
-        else:
-            hcoef = scheme.d(k)
+            hcoef *= max(abs(a), abs(b)) ** (k + 1)
         return _report(base, k, 0.0, hcoef, "interval_error_signed", tier="B", mode=mode, notes=notes)
 
     if mode == MULTIPLICATIVE:
-        lead = scheme.c(k) * _abs_power_integral(a, b, k)
-        hcoef = 2.0 * scheme.c(k) * (abs(a) ** (k + 1) + abs(b) ** (k + 1)) * scheme.beta(base) ** (k + 1)
+        # the weight is |x|^k, and each end's cell reaches past it by up to beta
+        lead = rule_lead * _abs_power_integral(a, b, k)
+        hcoef = 0.5 * hcoef * (abs(a) ** (k + 1) + abs(b) ** (k + 1)) * scheme.beta(base) ** (k + 1)
     else:
-        lead = scheme.c(k) * (b - a)
-        hcoef = 4.0 * scheme.c(k)
+        lead = rule_lead * (b - a)
     if endpoints_on_grid and scheme is not RoundingScheme.STOCHASTIC:
         if scheme is RoundingScheme.NEAREST or not a < 0.0 < b:
             hcoef = 0.0
@@ -262,7 +272,7 @@ def interval_error_bound(
         else:
             # directed rounding jumps at zero, not at a grid point: a cell
             # straddling zero exceeds the per-cell equality by <= c(k) d^(k+1)
-            hcoef = scheme.c(k)
+            hcoef = rule_lead
     return _report(base, k, lead, hcoef, "interval_error_abs", tier="B", mode=mode, notes=notes)
 
 
@@ -274,50 +284,39 @@ def unimodal_moment_bound(
     eps_or_delta: float,
     signed: bool = False,
 ) -> BoundReport:
-    """Error-moment bound for a unimodal density via its radial envelope."""
+    """Error-moment bound for a unimodal density via its radial envelope.
+
+    Additive, the cell rule's weight is the density (mass 1, sup its peak).
+    Multiplicative, (k + 1) times the envelope's x^k-weighted integral takes
+    the peak's place, and the absolute leading term is E|X|^k itself.
+    """
     _check_mode(mode)
-    if k < 1:
-        raise ConfigError("k must be a positive integer")
+    lead, hcoef = _cell_rule(k, scheme, signed)
     if not scheme.cancels:
         raise PreconditionError("envelope bound needs nearest or stochastic rounding")
-    env = Envelope(model)
-    base = eps_or_delta
-    if signed:
-        if k % 2 == 0:
-            raise PreconditionError("signed error-power bound needs odd k")
-        if mode == MULTIPLICATIVE:
-            # no endpoint inflation here: the signed endpoint term never
-            # reaches past the query point, unlike the absolute variant
-            hcoef = (k + 1.0) * scheme.d(k) * env.weighted_integral(k)
-        else:
-            hcoef = scheme.d(k) * model.peak
-        return _report(base, k, 0.0, hcoef, "unimodal_signed", tier="B", mode=mode)
-
     if mode == MULTIPLICATIVE:
-        lead = _finite(model.abs_mixed_moment(0, k, 0.0), "E|X|^k")
-        hcoef = 4.0 * (k + 1.0) * scheme.c(k) * env.weighted_integral(k) * scheme.beta(base) ** (k + 1)
+        hcoef = (k + 1.0) * hcoef * Envelope(model).weighted_integral(k)
+        # only the absolute variant's end cells reach past the query point
+        if not signed:
+            lead = _finite(model.abs_mixed_moment(0, k, 0.0), "E|X|^k")
+            hcoef *= scheme.beta(eps_or_delta) ** (k + 1)
     else:
-        lead = scheme.c(k)
-        hcoef = 4.0 * scheme.c(k) * model.peak
-    return _report(base, k, lead, hcoef, "unimodal_abs", tier="B", mode=mode)
+        hcoef *= model.peak
+    return _report(eps_or_delta, k, lead, hcoef, "unimodal_signed" if signed else "unimodal_abs", tier="B", mode=mode)
 
 
 def sheppard_two_sided(weight_integral: float, sup_weight: float, n: int, delta: float) -> BoundReport:
     """Two-sided bound for a weighted |err|^n integral on a uniform mesh
-    (nearest), given the weight's mass and supremum: b - a and 1 for the
-    unweighted integral over [a, b], 1 and the peak for a density.
-
-    Centered at the report's leading term, weight_integral * delta^n /
-    (n + 1), with its higher-order term, 4 * sup_weight * delta^(n+1) /
-    (n + 1), as radius.  Recovers the classical variance correction:
-    with full-gap spacing delta0 = 2*delta the center at n = 2 is
-    delta0^2 / 12.
+    (nearest): the cell rule for a weight of that mass and supremum (b - a
+    and 1 for the unweighted integral over [a, b], 1 and the peak for a
+    density), centered at its leading term with its higher-order term as
+    radius.  Recovers the classical variance correction: with full-gap
+    spacing delta0 = 2*delta the center at n = 2 is delta0^2 / 12.
     """
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
+    lead, high = _cell_rule(n, RoundingScheme.NEAREST)
     if not weight_integral > 0.0:
         raise ConfigError(f"weight integral must be positive, got {weight_integral!r}")
-    return _report(delta, n, weight_integral / (n + 1.0), 4.0 * sup_weight / (n + 1.0), "sheppard_two_sided", tier="C")
+    return _report(delta, n, lead * weight_integral, high * sup_weight, "sheppard_two_sided", tier="C")
 
 
 def _h_region_sum(model: DensityModel, center: float) -> float:
@@ -385,8 +384,7 @@ def mean_and_variance_diff_bounds(
         dv = centered_moment_first_order(model, 2, ADDITIVE, dlt)
         return replace(de, theorem="mean_diff"), replace(dv, theorem="variance_diff")
 
-    d1 = scheme.d(1)
-    c2 = scheme.c(2)
+    _, d1 = _cell_rule(1, scheme, signed=True)
 
     if tier == "B":
         de_coef = d1 * model.peak
@@ -404,11 +402,10 @@ def mean_and_variance_diff_bounds(
     # 2|E[(X-mu) err]|: the weight (x-mu) f(x) changes sign at the mean, so
     # each signed region contributes d(1) * sup of its magnitude.
     cov_coef = 2.0 * (2.0 * d1 * model.sup_centered_weight())
-    err2_lead = c2
-    err2_high = 4.0 * c2 * model.peak
+    err2_lead, err2_high = _cell_rule(2, scheme)
     # 2 E[err]^2 <= 2 (de_coef dlt^2)^2 = (2 de_coef^2 dlt) dlt^3, built
     # directly: dividing by dlt^3 would fail once it underflows
-    high = err2_high + 2.0 * de_coef * de_coef * dlt
+    high = err2_high * model.peak + 2.0 * de_coef * de_coef * dlt
     dv = _report(dlt, 2, cov_coef + err2_lead, high, "variance_diff", tier="C" if tier == "D" else tier)
     return de, dv
 
@@ -435,8 +432,7 @@ def float_moment_bound(
     """
     if not scheme.cancels:
         raise PreconditionError("per-binade cancellation needs nearest or stochastic rounding")
-    if signed and k % 2 == 0:
-        raise PreconditionError("signed error-power bound needs odd k")
+    lead, high = _cell_rule(k, scheme, signed)
     eps = scheme.eps(2.0 ** (-fs.mantissa_bits))
     supp_lo, supp_hi = model.effective_range()
     notes = []
@@ -450,15 +446,15 @@ def float_moment_bound(
         # stochastic rounding sees the full gap as its additive error
         dlt = scheme.delta(step)
         if signed:
-            total += 2.0 * scheme.d(k) * (sup - inf) * dlt ** (k + 1)
+            total += 2.0 * high * (sup - inf) * dlt ** (k + 1)
             # a stretch clipped off the grid (support edge inside a binade)
             # loses the aligned cancellation of its infimum part; an end is
             # on the grid when it is on the stretch's lattice anchor + j*step
             # (binade ends, 0 and +/- top always are; both sides are exact)
             if (a - anchor) % step or (b - anchor) % step:
-                total += inf * scheme.d(k) * dlt ** (k + 1)
+                total += inf * high * dlt ** (k + 1)
         else:
-            total += sup * (scheme.c(k) * (b - a) * dlt ** k + 4.0 * scheme.c(k) * dlt ** (k + 1))
+            total += sup * (lead * (b - a) * dlt ** k + high * dlt ** (k + 1))
     # overflow remainder: mass rounded onto +/- top keeps an O(1) error
     r_val = 0.0
     if supp_hi > fs.top:

@@ -166,7 +166,6 @@ def _gen_interval(rng, pool):
         return None
     k = rng.choice((1, 3)) if signed else rng.randint(1, 4)
     mesh = _mesh(rng)
-    one = np.ones_like
     if rng.random() < 0.5:
         a = rng.uniform(-3.0, 1.0)
         b = a + rng.uniform(4.0 * mesh.step, 3.0)
@@ -183,7 +182,7 @@ def _gen_interval(rng, pool):
         eps = _mult_eps(mesh, scheme, (a, b))
         rep = B.interval_error_bound(a, b, k, scheme, B.MULTIPLICATIVE, eps, signed=signed)
         desc = f"interval mult {scheme.value} k={k} signed={signed}"
-    orc = err_weighted_integral(mesh, scheme, one, a, b, k, signed=signed)
+    orc = err_weighted_integral(mesh, scheme, lambda x: 1.0, a, b, k, signed=signed)
     return [_result("interval", desc, orc.value, rep.value)]
 
 
@@ -211,7 +210,7 @@ def _gen_sheppard(rng, pool):
         a = rng.uniform(-2.0, 0.5)
         b = a + rng.uniform(4.0 * mesh.step, 2.5)
         rep = B.sheppard_two_sided(b - a, 1.0, n, dlt)
-        orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, np.ones_like, a, b, n, signed=False)
+        orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, lambda x: 1.0, a, b, n, signed=False)
         desc = f"sheppard unweighted n={n} delta={dlt:.3g}"
     else:
         model = _any_model(rng)

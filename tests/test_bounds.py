@@ -198,6 +198,71 @@ def test_sheppard_recovers_classical_variance_correction():
     assert rep.leading.value == pytest.approx(delta0 ** 2 / 12.0, rel=1e-14)
 
 
+def _coefs(rep):
+    return rep.leading.coef, rep.higher_order.coef
+
+
+# b - a = 2.9 at n = 2: (b - a)/3 and (1/3)(b - a) differ by 1.1e-16
+@pytest.mark.parametrize("a,b", [(-0.4, 2.5), (0.1, 1.25), (-3.0, -0.7)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sheppard_is_the_interval_rule_bit_for_bit(a, b, n):
+    got = sheppard_two_sided(b - a, 1.0, n, 0.1)
+    assert _coefs(got) == _coefs(interval_error_bound(a, b, n, RS.NEAREST, ADDITIVE, 0.1))
+
+
+MODELS = (make_semicircle(1.0), make_normal(0.4, 0.7), make_exponential(1.3), make_uniform(-0.2, 1.1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unimodal_additive_is_the_sheppard_rule_bit_for_bit(k):
+    for model in MODELS:
+        got = unimodal_moment_bound(model, k, RS.NEAREST, ADDITIVE, 0.1)
+        assert _coefs(got) == _coefs(sheppard_two_sided(1.0, model.peak, k, 0.1)), model.name
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC])
+def test_tier_terms_are_the_unimodal_rule_bit_for_bit(scheme):
+    # at delta = 0 the variance's 2 E[err]^2 term, 2 de^2 delta, is exactly 0
+    for model in MODELS:
+        de, dv = mean_and_variance_diff_bounds(model, "B", delta=0.0, scheme=scheme)
+        mean_term = unimodal_moment_bound(model, 1, scheme, ADDITIVE, 0.0, signed=True)
+        err2 = unimodal_moment_bound(model, 2, scheme, ADDITIVE, 0.0)
+        assert de.leading.coef == mean_term.higher_order.coef, model.name
+        assert dv.higher_order.coef == err2.higher_order.coef, model.name
+        cov = 2.0 * (2.0 * scheme.d(1) * model.sup_centered_weight())
+        assert dv.leading.coef == cov + err2.leading.coef, model.name
+
+
+_NORMAL = make_normal(0.5, 1.0)
+
+
+@pytest.mark.parametrize("bound,error,match", [
+    (lambda: float_moment_bound(_NORMAL, FloatSystem(6, -6, 6), 2, RS.NEAREST, signed=True),
+     PreconditionError, "signed error-power bound needs odd k"),
+    (lambda: sheppard_two_sided(1.0, 1.0, 0, 0.1), ConfigError, "k must be a positive integer"),
+    (lambda: interval_error_bound(0.0, 1.0, 0, RS.NEAREST, ADDITIVE, 0.5), ConfigError, "k must be a positive integer"),
+    # refused before the aligned short-cut to zero
+    (lambda: interval_error_bound(0.0, 1.0, 2, RS.NEAREST, ADDITIVE, 0.5, endpoints_on_grid=True, signed=True),
+     PreconditionError, "signed error-power bound needs odd k"),
+    # refused before the multiplicative |x|^k weight, whose integral divides by k + 1
+    (lambda: interval_error_bound(0.5, 1.0, -1, RS.NEAREST, MULTIPLICATIVE, 0.01),
+     ConfigError, "k must be a positive integer"),
+    (lambda: unimodal_moment_bound(_NORMAL, -1, RS.NEAREST, MULTIPLICATIVE, 0.01),
+     ConfigError, "k must be a positive integer"),
+    (lambda: unimodal_moment_bound(_NORMAL, 0, RS.NEAREST, MULTIPLICATIVE, 1.5),
+     ConfigError, "k must be a positive integer"),
+    (lambda: float_moment_bound(_NORMAL, FloatSystem(6, -6, 6), 0, RS.NEAREST, signed=False),
+     ConfigError, "k must be a positive integer"),
+    (lambda: float_moment_bound(_NORMAL, FloatSystem(6, -6, 6), -1, RS.NEAREST, signed=True),
+     ConfigError, "k must be a positive integer"),
+], ids=["float-signed-even-k", "sheppard-n0", "interval-k0", "interval-aligned-signed-even-k",
+        "interval-mult-negative-k", "unimodal-mult-negative-k", "unimodal-k0-before-beta", "float-k0",
+        "float-negative-k"])
+def test_the_cell_rule_refuses_each_family_alike(bound, error, match):
+    with pytest.raises(error, match=match):
+        bound()
+
+
 def test_tier_values_semicircle(semicircle):
     de, dv = mean_and_variance_diff_bounds(semicircle, "A", delta=0.1)
     assert de.value == pytest.approx(0.1)

@@ -524,6 +524,8 @@ _DIST = ["--dist", "semicircle:r=1"]
     (["bound", *_DIST, "--delta", "0.1", "--quantity", "centered", "--k", "1"], 2, "config error: k must be >= 2"),
     (["bound", *_DIST, "--delta", "0.1", "--quantity", "err-moment", "--k", "0"], 2,
      "config error: k must be a positive integer"),
+    (["bound", *_DIST, "--eps", "0.01", "--quantity", "err-moment", "--k", "-1"], 2,
+     "config error: k must be a positive integer"),
     (["bound", *_DIST, "--delta", "0.1", "--quantity", "err-moment", "--signed", "--k", "2"], 3,
      "hypothesis violated: signed error-power bound needs odd k"),
     (["bound", *_DIST, "--delta", "0.1", "--quantity", "strong", "--k", "0"], 2,
@@ -554,8 +556,9 @@ _DIST = ["--dist", "semicircle:r=1"]
      "hypothesis violated: 13086 partial sums overflow the float system"),
     (["sum-demo", "--k-min", "3", "--k-max", "3"], 2, "config error: k_min must be < k_max"),
     (["sum-demo", "--k-min", "-2000"], 2, "config error: exponent range exceeds double-exact arithmetic"),
-], ids=["centered-k1", "err-moment-k0", "signed-even-k", "strong-k0", "bogus-scheme", "uniform-empty",
-        "parameter-without-value", "no-dist", "no-delta-eps-or-mesh", "missing-config", "sweep-no-delta",
+], ids=["centered-k1", "err-moment-k0", "err-moment-mult-negative-k", "signed-even-k", "strong-k0",
+        "bogus-scheme", "uniform-empty", "parameter-without-value", "no-dist", "no-delta-eps-or-mesh",
+        "missing-config", "sweep-no-delta",
         "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "bound-eps-and-delta-strong",
         "bound-eps-and-delta-mean", "bound-eps-and-float-grid", "bound-delta-and-float-grid", "bound-eps-and-mesh",
         "sum-demo-overflow",

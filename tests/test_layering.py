@@ -1,6 +1,7 @@
 """The package's modules import each other in one direction only:
 grids -> rounding -> distributions -> {bounds | oracle} -> verify -> cli.
-Oracles never see the bound engine they check."""
+Oracles never see the bound engine they check, and one bound rule reads a
+scheme's error-integral constants."""
 
 import ast
 import pathlib
@@ -64,5 +65,30 @@ def test_no_module_imports_another_modules_private_name():
         for target, names in _relative_imports(module)
         for name in names
         if name.startswith("_")
+    ]
+    assert bad == []
+
+
+def _calls(node, where=""):
+    """(qualified name of the enclosing def or class, call) for each call
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{where}.{child.name}" if where else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def test_only_the_cell_rule_reads_the_error_integral_constants():
+    # a scheme's c(k) and d(k) are read in one place, the per-cell rule
+    # behind every error-integral bound; d itself is c for deterministic schemes
+    allowed = {("bounds", "_cell_rule"), ("rounding", "RoundingScheme.d")}
+    bad = [
+        f"{module}.{where or '<module>'} calls .{call.func.attr}()"
+        for module in _modules()
+        for where, call in _calls(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ("c", "d") and (module, where) not in allowed
     ]
     assert bad == []
