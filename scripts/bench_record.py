@@ -4,7 +4,8 @@
 Runs ``perfbench/run.py`` on two copies of the package, one run at a time,
 in alternating pairs: the parent is unpacked from ``git archive`` into a
 temporary directory, and the change (this checkout's working tree) is
-copied there too; the directory is removed afterwards.  Each run's result
+copied there too, the same set of files ``git archive`` would take of it
+once committed; the directory is removed afterwards.  Each run's result
 line, the last line perfbench prints, is kept unchanged, with the side
 that ran first in its pair.  Every workload also gets a summary: for each metric the
 quartiles on each side, the change's median over the parent's, and the
@@ -33,8 +34,6 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-# the files perfbench/run.py reads from a checkout
-RUN_DIRS = ("src", "perfbench")
 
 
 def better_directions() -> dict:
@@ -54,10 +53,14 @@ def unpack(rev: str, dest: pathlib.Path) -> None:
 
 
 def copy_tree(dest: pathlib.Path) -> None:
-    """This checkout's working files that a perfbench run reads."""
+    """This checkout's working files, tracked or not ignored: the files of
+    ``unpack`` once committed, so both sides of a pair run the same file set."""
     dest.mkdir(parents=True)
-    for name in RUN_DIRS:
-        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".perfbench*"))
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():  # a tracked file deleted from the working tree is not copied
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run(side: pathlib.Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:

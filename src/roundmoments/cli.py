@@ -35,9 +35,9 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # The oracle's largest array per partition chunk is 8 * (2 * CHUNK_CELLS +
-# 26) B, about 512 KiB, and a block's node matrix is QUAD_BLOCK * 20 * 8 B =
-# 320 KiB: below a 4 MiB mmap threshold every oracle array comes from the
-# heap, and 8 MiB of free heap top kept covers one block's working set.
+# 26) B, about 512 KiB, and its workspace five node matrices of QUAD_BLOCK *
+# 30 * 8 B = 240 KiB: below a 4 MiB mmap threshold every oracle array comes
+# from the heap, and 8 MiB of free heap top kept covers a block's working set.
 _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 8 << 20
 

@@ -23,16 +23,16 @@ from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
 from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_err_power, stoch_expectation
 
-# Pieces per block of the per-cell kernel.  A block's 20-node float64 node
-# matrix is 320 KiB, so it and the few temporaries the integrand builds from
-# it stay in L2 cache (1,024-2,048 was fastest with 2 MB of L2 per core;
-# 16,384 was 30% slower).
-QUAD_BLOCK = 2048
+# Pieces per block of the per-cell kernel.  A block's node matrix holds the
+# nodes of both Gauss rules, 20 + 10 a piece: 240 KiB of float64, so the
+# kernel's five-buffer workspace (1.2 MiB) stays in a 2 MB L2 cache (with one
+# 20-node rule, 1,024-2,048 pieces was fastest; 16,384 was 30% slower).
+QUAD_BLOCK = 1024
 # Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
 # most two per cell, plus the grading at either end) and one block's node
-# matrix at a time, so its memory does not grow with the grid; a chunk of 16
+# matrix at a time, so its memory does not grow with the grid; a chunk of 32
 # blocks makes its one points_in and one neighbors call cheap per piece.
-CHUNK_CELLS = 16 * QUAD_BLOCK
+CHUNK_CELLS = 32 * QUAD_BLOCK
 # Samples per Monte Carlo block.  A block's float64 array is 128 KiB, so the
 # ten or so temporaries that drawing, transforming and rounding one block
 # builds fit a 2 MB L2 cache together (16,384 beat 4,096 and 65,536).  Only
@@ -51,7 +51,7 @@ class OracleResult:
 
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded one
-    chunk at a time as columns (lo, hi, rd_data): rd_data holds both cell
+    chunk at a time as arrays (lo, hi, rd_data): rd_data holds both cell
     ends under stochastic rounding, else the rounding target.
 
     The chunks are cut at every CHUNK_CELLS-th grid point of [a, b], taken
@@ -95,7 +95,7 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
     c_lo, c_hi = grid.neighbors(0.5 * (lo_p + hi_p))
     if scheme is RoundingScheme.STOCHASTIC:
         # expected error powers are smooth inside a cell: no switch point
-        return lo_p, hi_p, (c_lo[:, None], c_hi[:, None])
+        return lo_p, hi_p, (c_lo, c_hi)
     switch = 0.5 * (c_lo + c_hi) if scheme is RoundingScheme.NEAREST else np.zeros_like(lo_p)
     # targets below and above each switch point: only rounding toward zero
     # takes the upper cell end below it
@@ -108,52 +108,51 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
     targets = np.concatenate([np.where(hi_p <= switch, below, above), above[inside]])
     # freed before the pieces are concatenated, to keep the peak down
     del c_lo, c_hi, switch, below, above, inside
-    return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets[:, None],)
+    return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets,)
 
 
 def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces.
 
     ``weight`` is a model or a pointwise callable.  ``f(X, *rd_data, out=,
-    scratch=)`` writes the integrand at a block's node matrix X (pieces x
-    nodes) into out, or returns an array that broadcasts to it; it may
-    overwrite X and use scratch, a spare node matrix.  ``chunks``
-    are the pieces with their rounding data, chunk by chunk, from
+    scratch=)`` writes the integrand at a block's node matrix X (nodes x
+    pieces) into out, or returns an array that broadcasts to it; it may
+    overwrite X and use scratch, two spare node matrices.  ``chunks`` are
+    the pieces with their rounding data, chunk by chunk, from
     :func:`_partition`: one target, or the two cell ends of a stochastic
     expectation.  Each chunk's pieces are taken QUAD_BLOCK at a time in one
     workspace of node-matrix buffers and the block sums kept in the order
     they come, so memory is one chunk plus O(QUAD_BLOCK x nodes) however
-    many pieces there are.  Each block is integrated at n nodes and at the
-    half-order rerun (in the first part of each buffer) whose difference is
-    the error estimate.  ``details`` counts the pieces, the partition
-    ``chunks`` and the QUAD_BLOCK ``blocks`` they were cut into.
+    many pieces there are.  X's rows are the nodes of the n-node rule, then
+    those of the half-order rule whose difference is the error estimate, so
+    a block is weighted once and each rule sums its own rows.  ``details``
+    counts the pieces, the partition ``chunks`` and the ``blocks``.
     """
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
+    nodes = np.concatenate([x for x, _ in rules])[:, None]
     sums: tuple[list, list] = ([], [])
     pieces = n_chunks = 0
     for lo_p, hi_p, rd_data in chunks:
         pieces += lo_p.size
         n_chunks += 1
-        space = np.empty((4, min(lo_p.size, QUAD_BLOCK) * n))
+        space = np.empty((5, nodes.size * min(lo_p.size, QUAD_BLOCK)))
         for start in range(0, lo_p.size, QUAD_BLOCK):
             blk = slice(start, start + QUAD_BLOCK)
-            lo, hi = lo_p[blk], hi_p[blk]
-            mid = 0.5 * (lo + hi)[:, None]
-            half = 0.5 * (hi - lo)
-            rd_blk = [r[blk] for r in rd_data]
-            for (nodes, weights), out in zip(rules, sums):
-                X, W, F, S = (buf[: lo.size * nodes.size].reshape(lo.size, nodes.size) for buf in space)
-                np.add(mid, np.multiply(half[:, None], nodes, out=X), out=X)
-                if hasattr(weight, "density"):
-                    W = weight.density(X, out=W)
-                else:
-                    np.copyto(W, weight(X))
-                np.multiply(W, f(X, *rd_blk, out=F, scratch=S), out=F)
+            lo, hi, *rd_blk = (column[blk] for column in (lo_p, hi_p, *rd_data))
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            X, W, F, *S = space[:, : nodes.size * lo.size].reshape(5, nodes.size, lo.size)
+            np.add(mid, np.multiply(nodes, half, out=X), out=X)
+            if hasattr(weight, "density"):
+                W = weight.density(X, out=W)
+            else:
+                np.copyto(W, weight(X))
+            np.multiply(W, f(X, *rd_blk, out=F, scratch=S), out=F)
+            for rows, (_, weights), out in zip((F[:n], F[n:]), rules, sums):
                 # the per-piece sums go into the weight's buffer, no longer read
-                terms = np.matmul(F, weights, out=space[1, : lo.size])
+                terms = np.matmul(weights, rows, out=space[1, : lo.size])
                 out.append(np.sum(np.multiply(half, terms, out=terms)))
         # every chunk has a piece; drop its views and workspace before the next is built
-        del lo_p, hi_p, rd_data, lo, hi, rd_blk, space, X, W, F, S, terms
+        del lo_p, hi_p, rd_data, lo, hi, rd_blk, space, X, W, F, S, rows, terms
     value, coarse = (float(np.sum(s)) for s in sums)
     details = {"pieces": pieces, "nodes": n, "blocks": len(sums[0]), "chunks": n_chunks}
     return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)

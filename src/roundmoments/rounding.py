@@ -194,7 +194,7 @@ def err_power(rd, x, k: int, signed: bool, out=None):
     return int_power(err, k) if out is None else int_power(err, k, out, x)
 
 
-def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=None):
+def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=(None, None)):
     """E[err^k] (``signed``) or E|err|^k under stochastic rounding of x in its
     cell [lo, hi], in closed form, and the clamp error on a degenerate cell.
 
@@ -203,7 +203,7 @@ def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=None):
     No 1 - p, whose digits are lost near hi, is formed: signed k = 1 is
     exactly 0, k = 2 is a b, and every power keeps its relative accuracy.
     With ``out``, of x's shape, the result is written there and x is
-    overwritten; the general form (k >= 3, |err|) also overwrites ``scratch``.
+    overwritten; k >= 3 also overwrites ``scratch``, two arrays of x's shape.
     """
     width = hi - lo
     degenerate = width <= 0.0
@@ -217,9 +217,10 @@ def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=None):
         if k == 2:
             np.multiply(a, b, out=out)
         else:
-            ab = np.multiply(a, b, out=scratch)
-            # b^(k-1) -/+ a^(k-1), each power formed in place
-            (np.subtract if signed and k % 2 else np.add)(int_power(b, k - 1, b), int_power(a, k - 1, a), out=out)
+            ab = np.multiply(a, b, out=scratch[0])
+            # b^(k-1) -/+ a^(k-1), each formed in place in turn, its running square in scratch[1]
+            b, a = int_power(b, k - 1, b, scratch[1]), int_power(a, k - 1, a, scratch[1])
+            (np.subtract if signed and k % 2 else np.add)(b, a, out=out)
             np.divide(np.multiply(ab, out, out=out), np.where(degenerate, 1.0, width), out=out)
     if clamp is not None:
         np.copyto(out, clamp, where=degenerate)
