@@ -21,15 +21,17 @@ change moved.  It prints:
   and column by column, and of each one's ``--format json`` and
   ``--format svg`` output;
 * the ``bound`` JSON of the tier-A mean and variance bounds, of the tier
-  B, C and D variance bounds and of the centered-moment bound, and of
+  B, C and D variance bounds and of the centered-moment bound, of the
+  strong and error-moment bounds of a normal and an exponential far below
+  unit length (or the exit code of one whose moment underflows), and of
   ``bound --plan`` with and without ``--n``/``--t`` (and ``--delta``);
 * the sha256 of ``json.dumps(rep.to_json())`` for one report of each
   bound family (asserting that ``BoundReport.from_json`` reads each back);
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
   touching it, including all-negative and zero-ending explicit sets (or
   the exception's class and message);
-* ``adaptive_quad`` on half-infinite and infinite ranges, with and without
-  breakpoints;
+* ``adaptive_quad`` on finite ranges, with and without breakpoints, and
+  its refusal of half-infinite and infinite ones;
 * ``float.hex`` of the value of the normal partial-moment bound for
   m = 0-6 and n = 1, 3, of the symmetric mixed-moment bound on the normal
   model (whose left tail is infinite) and on a uniform model straddling
@@ -37,7 +39,9 @@ change moved.  It prints:
   of the tier C and D mean bounds on the normal, exponential and uniform
   models, and of the float bound on ``FloatSystem(7, -12, 6)`` for three
   models, nearest and stochastic rounding, and k = 1 and 3 signed and
-  k = 2 absolute;
+  k = 2 absolute; the oracle E|err| of normal(3e-7, 6e-13) on
+  ``FloatSystem(7, -40, 6)`` under nearest rounding with its strong and
+  unimodal bounds, and the exponential(1) strong coefficient at k = 20;
 * the sha256 of each model's ``quantile`` on a fixed grid of u (edges
   down to the smallest subnormal included), and of ``sum-demo`` stdout
   under nearest and stochastic rounding;
@@ -130,7 +134,15 @@ INTEGRANDS = {
     "exponential": (MODELS["exponential"].density, (0.0,)),
     "normal": (MODELS["normal"].density, (-1.0, 0.3, 2.0)),
 }
-QUAD_RANGES = ((-math.inf, 0.8), (-0.4, math.inf), (-math.inf, math.inf), (-0.4, 0.8))
+# the infinite ranges are refused; the finite ones reach past each model's effective range
+QUAD_RANGES = ((-math.inf, 0.8), (-0.4, math.inf), (-math.inf, math.inf), (-0.4, 0.8), (-14.0, 0.8), (-0.4, 44.0),
+               (-14.0, 14.0))
+# bounds whose moments lie far from unit length, and one whose moment underflows
+SMALL_SCALE_BOUNDS = (
+    ("normal:mu=3e-7,sigma2=6e-13", "strong", "1"),
+    ("exponential:lambda=1e6", "err-moment", "1"),
+    ("normal:mu=0,sigma2=1e-300", "strong", "3"),
+)
 DISTS = (
     "semicircle:r=1,mu=0",
     "semicircle:r=1.5,mu=0.4",
@@ -274,6 +286,9 @@ def bound_lines():
             # key order kept: it is part of the printed JSON
             text = json.dumps(json.loads(out)) if rc == 0 else "-"
             yield f"bound {dist} tier={tier} variance rc={rc} {text}"
+    for dist, quantity, k in SMALL_SCALE_BOUNDS:
+        rc, out = cli_stdout(["bound", "--dist", dist, "--quantity", quantity, "--k", k, "--eps", "0.01"])
+        yield f"bound {dist} {quantity} k={k} eps=0.01 rc={rc} {json.dumps(json.loads(out)) if rc == 0 else '-'}"
     for extra in ((), ("--n", "400"), ("--n", "400", "--t", "0.5"), ("--n", "400", "--t", "0.5", "--delta", "0.1")):
         rc, out = cli_stdout(["bound", "--plan", "--variance", "2", "--c", "1.5", "--p", "0.05", *extra])
         yield f"bound plan {' '.join(extra)} rc={rc} {json.dumps(json.loads(out))}"
@@ -322,8 +337,12 @@ def quad_lines():
     for fname, (f, cuts) in INTEGRANDS.items():
         for a, b in QUAD_RANGES:
             for breakpoints in ((), cuts):
-                v, e = adaptive_quad(f, a, b, rtol=1e-12, breakpoints=breakpoints)
-                yield f"quad {fname} [{a!r}, {b!r}] breakpoints={breakpoints} {float.hex(v)} {float.hex(e)}"
+                try:
+                    v, e = adaptive_quad(f, a, b, rtol=1e-12, breakpoints=breakpoints)
+                    text = f"{float.hex(v)} {float.hex(e)}"
+                except RoundMomentsError as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                yield f"quad {fname} [{a!r}, {b!r}] breakpoints={breakpoints} {text}"
 
 
 def value_lines():
@@ -353,6 +372,16 @@ def value_lines():
         for tier in "CD":
             de, _ = B.mean_and_variance_diff_bounds(MODELS[mname], tier, mesh=mesh)
             yield f"value tier{tier}-mean {mname} {float.hex(de.value)}"
+    small, fs40 = make_normal(3e-7, 6e-13), FloatSystem(7, -40, 6)
+    a, b = small.effective_range()
+    orc = err_weighted_integral(fs40, nearest, small, a, b, 1, signed=False)
+    eps = nearest.eps(2.0 ** -fs40.mantissa_bits)
+    yield f"value small-normal float40 oracle {float.hex(orc.value)} {float.hex(orc.abs_error_estimate)}"
+    for name, rep in (("strong", B.strong_bound(small, 1, mult, eps)),
+                      ("unimodal", B.unimodal_moment_bound(small, 1, nearest, mult, eps))):
+        yield f"value small-normal float40 {name} {float.hex(rep.value)}"
+    rep = B.strong_bound(MODELS["exponential"], 20, mult, 0.01)
+    yield f"value strong exponential k=20 coef {float.hex(rep.leading.coef)}"
     fs = FloatSystem(7, -12, 6)
     for mname, model in FLOAT_MODELS.items():
         for scheme in (nearest, RoundingScheme.STOCHASTIC):

@@ -94,9 +94,12 @@ def _check_mode(mode: str):
 
 def _finite(x: float, what: str) -> float:
     # every model's moments are finite (quadrature cannot see a divergent
-    # one), so a moment that is not is one past a double's range
+    # one) and, as weighted moments of a density, positive: one that is
+    # not is past a double's range
     if not math.isfinite(x):
         raise ConfigError(f"{what} overflows a double")
+    if x == 0.0:
+        raise ConfigError(f"{what} underflows a double")
     return x
 
 
@@ -139,10 +142,8 @@ def mixed_moment_bound(
             raise PreconditionError("additive symmetry form needs m odd")
         split = SymmetricSplit(model, 0.0)
         j = (n + m) if mode == MULTIPLICATIVE else m
-        lo = model.support[0]
-        correction = 0.0
-        if lo < 0.0:
-            correction = split.h_integral(j, lo, 0.0)
+        lo = model.moment_range(j)[0]
+        correction = split.h_integral(j, lo, 0.0) if lo < 0.0 else 0.0
         coef = model.raw_moment(j) - 2.0 * correction
         coef = max(coef, 0.0)
         theorem = "mixed_moment_symmetric"

@@ -6,7 +6,9 @@ checked once, when it is made (by a ``make_*`` constructor or by
 ``dataclasses.replace``): its parameters must be resolvable and its density
 must be unimodal about the declared mode.  Raw and central moments are
 analytic for the built-in families; absolute and mixed absolute moments
-fall back to adaptive quadrature split at their kinks.
+fall back to adaptive quadrature split at their kinks.  Every such integral,
+and those of ``Envelope`` and ``SymmetricSplit``, runs over the model's
+finite ``moment_range``, so it scales exactly with the units.
 """
 
 from __future__ import annotations
@@ -97,10 +99,25 @@ class DensityModel:
             self._cache["er"] = (lo, hi)
         return self._cache["er"]
 
-    def _quad(self, f, breakpoints=()) -> float:
-        lo, hi = self.support
-        val, _ = adaptive_quad(f, lo, hi, rtol=1e-12, breakpoints=breakpoints)
-        return val
+    def moment_range(self, p: int) -> tuple[float, float]:
+        """The finite range of every integral against a weight of degree p
+        (|x - a|^m |x|^n, m + n = p): ``effective_range()`` widened by 2p
+        sd on each unbounded side.
+
+        The weight moves mass outward: the plain range drops 2.5e-4 of an
+        exponential's E[X^20] and 4.9% of its E[X^30].  With Q the
+        regularized upper incomplete gamma function, a normal keeps a share
+        Q((p + 1)/2, T^2/2) of E|X - mean|^p beyond T sd on each side, and
+        an exponential a share Q(p + 1, y) of E[X^p] beyond y/lambda.  The
+        widened range has T = 12.2 + 2p and y = 40.7 + 2p, where the shares
+        are below 3e-34 and 1.1e-15 (largest near p = 12) for every p up to
+        1000.  Both ends scale exactly with the units, and so does every
+        integral over them.
+        """
+        lo, hi = self.effective_range()
+        pad = 2.0 * p * math.sqrt(self.variance)
+        s_lo, s_hi = self.support
+        return (lo - pad if math.isinf(s_lo) else lo, hi + pad if math.isinf(s_hi) else hi)
 
     def abs_mixed_moment(self, m: int, n: int, about: float) -> float:
         """E[|X - about|^m |X|^n]; analytic for m = n = 0 and for E|X - mean|."""
@@ -127,7 +144,7 @@ class DensityModel:
 
             breakpoints = (0.0, about) if n else (about,)  # |x|^0 has no kink at 0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = self._quad(product, breakpoints)
+                value, _ = adaptive_quad(product, *self.moment_range(m + n), breakpoints=breakpoints)
             self._cache[key] = value
         return self._cache[key]
 
@@ -407,16 +424,8 @@ class Envelope:
         f = self.model.density
         ax = abs(self.model.mode)
         head = self.model.peak * ax ** (k + 1) / (k + 1.0)
-        lo, hi = self.model.support
-        upper = math.inf if math.isinf(hi) or math.isinf(lo) else max(abs(lo), abs(hi))
-        cuts = [abs(v) for v in (lo, hi) if not math.isinf(v)]
-        tail, _ = adaptive_quad(
-            lambda x: x ** k * np.maximum(f(x), f(-x)),
-            ax,
-            upper,
-            rtol=1e-12,
-            breakpoints=cuts,
-        )
+        cuts = [abs(v) for v in self.model.moment_range(k)]
+        tail, _ = adaptive_quad(lambda x: x ** k * np.maximum(f(x), f(-x)), ax, max(cuts), breakpoints=cuts)
         return head + tail
 
 
@@ -439,9 +448,9 @@ class SymmetricSplit:
 
     def h_integral(self, j: int, lo: float, hi: float) -> float:
         """Integral of x^j h(x) over [lo, hi]."""
-        s_lo, s_hi = self.model.support
-        cuts = [v for v in (s_lo, s_hi, 2.0 * self.center - s_lo, 2.0 * self.center - s_hi, self.center, 0.0) if not math.isinf(v)]
-        val, _ = adaptive_quad(lambda x: x ** j * self.h(x), lo, hi, rtol=1e-12, breakpoints=cuts)
+        r_lo, r_hi = self.model.moment_range(j)
+        cuts = (r_lo, r_hi, 2.0 * self.center - r_lo, 2.0 * self.center - r_hi, self.center, 0.0)
+        val, _ = adaptive_quad(lambda x: x ** j * self.h(x), lo, hi, breakpoints=cuts)
         return val
 
 

@@ -206,7 +206,7 @@ def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tu
     de = err_weighted_integral(grid, scheme, model, a, b, 1, signed=True)
     m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
     m2 = rd_moment_integral(grid, scheme, model, a, b, 2)
-    v_rd = m2.value - m1.value ** 2
+    v_rd = m2.value - m1.value * m1.value  # m1 ** 2 calls pow, which is not correctly rounded
     dv = OracleResult(
         v_rd - model.variance,
         m2.abs_error_estimate + 2.0 * abs(m1.value) * m1.abs_error_estimate + 1e-15 * abs(m2.value),

@@ -1,9 +1,10 @@
-"""Adaptive Gauss-Kronrod quadrature.
+"""Adaptive Gauss-Kronrod quadrature over finite ranges.
 
 A (7,15)-point Gauss-Kronrod pair drives interval bisection until the
-accumulated error estimate meets the requested tolerance.  Unbounded
-endpoints are mapped to (0, 1) through x = t/(1-t) before subdivision, so
-tail integrals converge without the caller truncating them.
+accumulated error estimate meets the requested tolerance.  Only finite
+ranges are taken: a map of an infinite tail onto a finite one carries a
+unit length of its own, so callers integrate over a model's finite
+``moment_range`` instead, and every result scales exactly with the units.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import PreconditionError
 
 # Kronrod-15 abscissae on [-1, 1] (symmetric; only the non-negative half is
 # stored) and the matching Kronrod and embedded Gauss-7 weights.
@@ -66,44 +69,18 @@ def adaptive_quad(
     rtol: float = 1e-12,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """Integrate ``f`` over [a, b], returning (value, error estimate).
+    """Integrate ``f`` over the finite range [a, b], returning (value, error
+    estimate).
 
     ``f`` must accept ndarray input.  ``breakpoints`` lists interior kinks
-    (absolute-value folds, support edges) used to seed the subdivision.
-    ``a`` and ``b`` may be ``-inf``/``inf``.
+    (absolute-value folds, support edges) used to seed the subdivision.  An
+    infinite or NaN end raises PreconditionError: an integral against a
+    model's density runs over its finite ``DensityModel.moment_range``.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise PreconditionError(f"need finite ends, got [{a!r}, {b!r}]")
     if a == b:
         return 0.0, 0.0
-    if not math.isinf(a) and not math.isinf(b):
-        return _adaptive_finite(f, a, b, rtol, breakpoints)
-
-    total = 0.0
-    err = 0.0
-    pieces = []
-    inner = sorted(p for p in breakpoints if not math.isinf(p))
-    lo_anchor = a if not math.isinf(a) else (inner[0] if inner else (min(b, 0.0) - 1.0 if not math.isinf(b) else -1.0))
-    hi_anchor = b if not math.isinf(b) else (inner[-1] if inner else (max(a, 0.0) + 1.0 if not math.isinf(a) else 1.0))
-    if math.isinf(a):
-        pieces.append((-1.0, lo_anchor))
-    if lo_anchor < hi_anchor:
-        v, e = _adaptive_finite(f, lo_anchor, hi_anchor, rtol, inner)
-        total += v
-        err += e
-    if math.isinf(b):
-        pieces.append((1.0, hi_anchor))
-    for sign, anchor in pieces:
-        # Map the tail onto t in (0, 1) via x = anchor +/- t/(1-t).
-        def g(t, _sign=sign, _anchor=anchor):
-            t = np.asarray(t, dtype=float)
-            x = _anchor + _sign * (t / (1.0 - t))
-            return f(x) / (1.0 - t) ** 2
-        v, e = _adaptive_finite(g, 0.0, 1.0 - 1e-14, rtol)
-        total += v
-        err += e
-    return total, err
-
-
-def _adaptive_finite(f, a, b, rtol, breakpoints=()) -> tuple[float, float]:
     cuts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
     heap = []
     total = 0.0

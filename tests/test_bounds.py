@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,7 +33,7 @@ from roundmoments.bounds import (
     unimodal_moment_bound,
 )
 from roundmoments.errors import ConfigError, PreconditionError
-from roundmoments.oracle import delta_e_and_v
+from roundmoments.oracle import delta_e_and_v, err_weighted_integral
 from roundmoments.quadrature import adaptive_quad
 from roundmoments.rounding import RoundingScheme as RS
 
@@ -44,6 +45,26 @@ def test_strong_bound_values(semicircle):
     got = strong_bound(semicircle, 1, MULTIPLICATIVE, 0.01).value
     assert got == pytest.approx(4 / (3 * math.pi) * 0.01, rel=1e-10)
     assert strong_bound(semicircle, 3, MULTIPLICATIVE, 0.0).value == 0.0
+
+
+def test_small_scale_bounds_dominate_the_float_oracle():
+    # all the mass of normal(3e-7, 6e-13) lies far below unit length, where
+    # a tail map with a unit length of its own once found E|X| = 0
+    model, fs = make_normal(3e-7, 6e-13), FloatSystem(7, -40, 6)
+    a, b = model.effective_range()
+    orc = err_weighted_integral(fs, RS.NEAREST, model, a, b, 1, signed=False)
+    assert orc.value == pytest.approx(9.34e-10, rel=1e-3)
+    eps = RS.NEAREST.eps(2.0 ** -fs.mantissa_bits)
+    assert strong_bound(model, 1, MULTIPLICATIVE, eps).value > orc.value + orc.abs_error_estimate
+    rep = unimodal_moment_bound(model, 1, RS.NEAREST, MULTIPLICATIVE, eps)
+    assert rep.value > orc.value + orc.abs_error_estimate
+
+
+def test_exponential_strong_coefficient_at_k20():
+    # E[X^20] = 20! for exponential(1) sits near x = 20, past half of the
+    # plain effective range: the integral must reach 2k sd beyond it
+    rep = strong_bound(make_exponential(1.0), 20, MULTIPLICATIVE, 0.01)
+    assert rep.leading.coef == pytest.approx(math.factorial(20), rel=1e-12)
 
 
 def test_mixed_moment_part_one(semicircle):
@@ -340,8 +361,9 @@ def test_float_bound_exponential_terms():
     for i in range(-4, 4):
         hg = 2.0 ** (i - 4 - 1)
         want += (f(2.0 ** i) - f(2.0 ** (i + 1))) * hg ** 2
-    # remainder beyond the top is genuinely nonzero here (top = 16)
-    tail, _ = adaptive_quad(lambda x: model.density(x) * (x - 16.0), 16.0, np.inf)
+    # remainder beyond the top is genuinely nonzero here (top = 16): the
+    # integral of e^-x (x - 16) over x >= 16 is e^-16
+    tail = math.exp(-16.0)
     remainder = rep.higher_order.coef
     assert remainder == pytest.approx(tail, rel=1e-6)
     assert NEGLIGIBLE_NOTE not in rep.notes
@@ -440,10 +462,9 @@ def test_normal_partial_gamma_tail_identity():
     # the gamma tail term equals the integral it stands for (sigma = 1)
     m = 2
     tail = 2.0 ** (m / 2.0) / math.sqrt(math.pi) * _gamma_tail(m)
-    want, _ = adaptive_quad(
-        lambda x: 2.0 * x ** m * np.exp(-x * x / 2.0) / math.sqrt(2 * math.pi), math.sqrt(m), np.inf
-    )
-    assert tail == pytest.approx(want, rel=1e-10)
+    want = mpmath.quad(lambda x: 2 * x ** m * mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi),
+                       [mpmath.sqrt(m), mpmath.inf])
+    assert tail == pytest.approx(float(want), rel=1e-10)
 
 
 def test_planner_closed_form():

@@ -27,6 +27,20 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("dist,quantity,want", [
+    # E|X| of normal(mu, s^2): s sqrt(2/pi) e^(-mu^2/(2 s^2)) + mu erf(mu/(s sqrt 2))
+    ("normal:mu=3e-7,sigma2=6e-13", "strong",
+     math.sqrt(12e-13 / math.pi) * math.exp(-9e-14 / 12e-13) + 3e-7 * math.erf(3e-7 / math.sqrt(12e-13))),
+    # E|X| = 1/lambda
+    ("exponential:lambda=1e6", "err-moment", 1e-6),
+], ids=["normal-strong", "exponential-err-moment"])
+def test_small_scale_bound_is_not_zero(capsys, dist, quantity, want):
+    code, out, _ = run_cli(capsys, "bound", "--dist", dist, "--quantity", quantity, "--k", "1", "--eps", "0.01")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] > 0.0
+    assert payload["leading"]["coef"] == pytest.approx(want, rel=1e-12)
+
+
 def test_bound_tier_b_mean(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--dist", "semicircle:r=1,mu=0", "--tier", "B", "--delta", "0.1", "--quantity", "mean"
@@ -556,13 +570,16 @@ _DIST = ["--dist", "semicircle:r=1"]
      "hypothesis violated: 13086 partial sums overflow the float system"),
     (["sum-demo", "--k-min", "3", "--k-max", "3"], 2, "config error: k_min must be < k_max"),
     (["sum-demo", "--k-min", "-2000"], 2, "config error: exponent range exceeds double-exact arithmetic"),
+    # E|X|^3 ~ 1e-450 is below the smallest double: refused, not printed as 0
+    (["bound", "--dist", "normal:mu=0,sigma2=1e-300", "--quantity", "strong", "--k", "3", "--eps", "0.01"], 2,
+     "config error: E[|X-mu0|^0 |X|^3] underflows a double"),
 ], ids=["centered-k1", "err-moment-k0", "err-moment-mult-negative-k", "signed-even-k", "strong-k0",
         "bogus-scheme", "uniform-empty", "parameter-without-value", "no-dist", "no-delta-eps-or-mesh",
         "missing-config", "sweep-no-delta",
         "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "bound-eps-and-delta-strong",
         "bound-eps-and-delta-mean", "bound-eps-and-float-grid", "bound-delta-and-float-grid", "bound-eps-and-mesh",
         "sum-demo-overflow",
-        "sum-demo-empty-exponents", "sum-demo-exponent-range"])
+        "sum-demo-empty-exponents", "sum-demo-exponent-range", "strong-moment-underflow"])
 def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)
     got, out, stderr = run_cli(capsys, *argv)
