@@ -42,6 +42,7 @@ from .bounds import (
 from .oracle import (
     MCMoments,
     OracleResult,
+    Weight,
     centered_moment_of_rounded,
     convergence_slope,
     delta_e_and_v,

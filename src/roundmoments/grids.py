@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 import numpy as np
@@ -27,9 +28,9 @@ CELL_BUDGET = 100_000_000
 # the numbering: index_range(lo, hi), the first and last index of the points
 # of [lo, hi], and points_at(i), the points of an integer index array.
 def _budget(i0: int, i1: int) -> tuple[int, int]:
-    """(i0, i1), unless the range holds more than CELL_BUDGET points."""
-    if i1 - i0 + 1 > CELL_BUDGET:
-        raise ConfigError(f"{i1 - i0 + 1} grid points in range, more than {CELL_BUDGET}")
+    """(i0, i1), unless the range holds more than CELL_BUDGET points; a count past 12 digits is shown to 3."""
+    if (n := i1 - i0 + 1) > CELL_BUDGET:
+        raise ConfigError(f"{n if n < 10**12 else format(Decimal(n), '.3g')} grid points in range, more than {CELL_BUDGET}")
     return i0, i1
 
 

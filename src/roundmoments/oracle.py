@@ -49,6 +49,15 @@ class OracleResult:
     details: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Weight:
+    """The weight (x - center)^power f(x), f the model's density or 1 with no model."""
+
+    model: DensityModel | None = None
+    center: float = 0.0
+    power: int = 0
+
+
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded one
     chunk at a time as arrays (lo, hi, rd_data): rd_data holds both cell
@@ -114,7 +123,7 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
 def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces.
 
-    ``weight`` is a model or a pointwise callable.  ``f(X, *rd_data, out=,
+    ``weight`` is a :class:`Weight`, or a model.  ``f(X, *rd_data, out=,
     scratch=)`` writes the integrand at a block's node matrix X (nodes x
     pieces) into out, or returns an array that broadcasts to it; it may
     overwrite X and use scratch, two spare node matrices.  ``chunks`` are
@@ -128,6 +137,7 @@ def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
     a block is weighted once and each rule sums its own rows.  ``details``
     counts the pieces, the partition ``chunks`` and the ``blocks``.
     """
+    weight = weight if isinstance(weight, Weight) else Weight(weight)
     rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
     nodes = np.concatenate([x for x, _ in rules])[:, None]
     sums: tuple[list, list] = ([], [])
@@ -142,10 +152,9 @@ def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             X, W, F, *S = space[:, : nodes.size * lo.size].reshape(5, nodes.size, lo.size)
             np.add(mid, np.multiply(nodes, half, out=X), out=X)
-            if hasattr(weight, "density"):
-                W = weight.density(X, out=W)
-            else:
-                np.copyto(W, weight(X))
+            W = np.positive(1.0, out=W) if weight.model is None else weight.model.density(X, out=W)
+            if weight.power:
+                np.multiply(W, int_power(np.subtract(X, weight.center, out=S[0]), weight.power, *S), out=W)
             np.multiply(W, f(X, *rd_blk, out=F, scratch=S), out=F)
             for rows, (_, weights), out in zip((F[:n], F[n:]), rules, sums):
                 # the per-piece sums go into the weight's buffer, no longer read
@@ -161,39 +170,38 @@ def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
 def err_weighted_integral(
     grid: Grid,
     scheme: RoundingScheme,
-    model_or_weight,
+    weight,
     a: float,
     b: float,
     k: int,
     signed: bool = False,
 ) -> OracleResult:
-    """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b].
-
+    """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b], where w
+    is ``weight``: a :class:`Weight`, or a model as ``Weight(model)``.
     Stochastic rounding integrates the expected error powers instead of a
-    realization.  The error estimate compares against a half-order rerun.
-    """
+    realization.  The error estimate compares against a half-order rerun."""
     f = partial(stoch_err_power, k=k, signed=signed) if scheme is RoundingScheme.STOCHASTIC else (
         lambda X, rd, out, scratch: err_power(rd, X, k, signed, out))
     n = max(k + 8, 20)
-    return _per_cell_gauss(model_or_weight, f, _partition(grid, scheme, a, b), n)
+    return _per_cell_gauss(weight, f, _partition(grid, scheme, a, b), n)
 
 
 def rd_moment_integral(
     grid: Grid,
     scheme: RoundingScheme,
-    model_or_weight,
+    weight,
     a: float,
     b: float,
     j: int,
     shift: float = 0.0,
 ) -> OracleResult:
-    """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx."""
+    """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx, with w as in err_weighted_integral."""
     def f(X, *rd, out, scratch):
         # the powers at the target or the two cell ends are constants per piece
         powers = [int_power(r - shift, j) for r in rd]
         return stoch_expectation(X, *rd, *powers, out=out) if scheme is RoundingScheme.STOCHASTIC else powers[0]
 
-    return _per_cell_gauss(model_or_weight, f, _partition(grid, scheme, a, b), 20)
+    return _per_cell_gauss(weight, f, _partition(grid, scheme, a, b), 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:

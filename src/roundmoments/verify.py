@@ -19,8 +19,8 @@ from . import bounds as B
 from .distributions import DensityModel, make_exponential, make_normal, make_semicircle, make_uniform
 from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh, ceil_to, floor_to, gap_stats
-from .oracle import centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
-from .rounding import RoundingScheme, int_power
+from .oracle import Weight, centered_moment_of_rounded, delta_e_and_v, err_weighted_integral
+from .rounding import RoundingScheme
 
 QUAD_BUDGET = 1e-12
 SWEEP_BUDGET = 1e-9  # slack of the offset sweep's dominance checks
@@ -141,8 +141,7 @@ def _gen_mixed(rng, pool):
         rep = B.mixed_moment_bound(model, mu0, m, n, mode, base)
         desc = f"mixed {model.name} {scheme.value} m={m} n={n} {mode}"
     a, b = model.effective_range()
-    w = lambda x: int_power(x - mu0, m) * model.density(x)
-    orc = err_weighted_integral(mesh, scheme, w, a, b, n, signed=True)
+    orc = err_weighted_integral(mesh, scheme, Weight(model, mu0, m), a, b, n, signed=True)
     return [_result("mixed", desc, orc.value, rep.value)]
 
 
@@ -182,7 +181,7 @@ def _gen_interval(rng, pool):
         eps = _mult_eps(mesh, scheme, (a, b))
         rep = B.interval_error_bound(a, b, k, scheme, B.MULTIPLICATIVE, eps, signed=signed)
         desc = f"interval mult {scheme.value} k={k} signed={signed}"
-    orc = err_weighted_integral(mesh, scheme, lambda x: 1.0, a, b, k, signed=signed)
+    orc = err_weighted_integral(mesh, scheme, Weight(), a, b, k, signed=signed)
     return [_result("interval", desc, orc.value, rep.value)]
 
 
@@ -210,7 +209,7 @@ def _gen_sheppard(rng, pool):
         a = rng.uniform(-2.0, 0.5)
         b = a + rng.uniform(4.0 * mesh.step, 2.5)
         rep = B.sheppard_two_sided(b - a, 1.0, n, dlt)
-        orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, lambda x: 1.0, a, b, n, signed=False)
+        orc = err_weighted_integral(mesh, RoundingScheme.NEAREST, Weight(), a, b, n, signed=False)
         desc = f"sheppard unweighted n={n} delta={dlt:.3g}"
     else:
         model = _any_model(rng)
@@ -272,8 +271,7 @@ def _gen_normal_partial(rng, pool):
     rep = B.normal_partial_moment_bound(mu, sigma2, m, n, eps)
     model = make_normal(mu, sigma2)
     a, b = model.effective_range()
-    w = lambda x: int_power(x - mu, m) * model.density(x)
-    orc = err_weighted_integral(fs, RoundingScheme.NEAREST, w, a, b, n, signed=True)
+    orc = err_weighted_integral(fs, RoundingScheme.NEAREST, Weight(model, mu, m), a, b, n, signed=True)
     desc = f"normal-partial mu={mu:.2f} s2={sigma2:.2f} m={m} n={n}"
     return [_result("normal_partial", desc, orc.value, rep.value)]
 

@@ -30,6 +30,7 @@ from roundmoments.bounds import (
 )
 from roundmoments.cli import main as cli_main
 from roundmoments.oracle import (
+    Weight,
     convergence_slope,
     err_weighted_integral,
     mc_rounded_moments,
@@ -38,7 +39,7 @@ from roundmoments.oracle import (
 from roundmoments.rounding import RoundingScheme as RS
 from roundmoments.verify import offset_sweep
 
-ONE = np.ones_like
+ONE = Weight()
 DETERMINISTIC_SCHEMES = (RS.TOWARD_ZERO, RS.AWAY_FROM_ZERO, RS.NEAREST)
 
 

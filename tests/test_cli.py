@@ -573,13 +573,17 @@ _DIST = ["--dist", "semicircle:r=1"]
     # E|X|^3 ~ 1e-450 is below the smallest double: refused, not printed as 0
     (["bound", "--dist", "normal:mu=0,sigma2=1e-300", "--quantity", "strong", "--k", "3", "--eps", "0.01"], 2,
      "config error: E[|X-mu0|^0 |X|^3] underflows a double"),
+    # 1.25e301 grid points: the count is shown to three digits, not all 302
+    (["sweep", "--dist", "normal:mu=0,sigma2=1", "--delta", "1e-300", "--offsets", "2"], 2,
+     "config error: 1.25e+301 grid points in range, more than 100000000\n"),
 ], ids=["centered-k1", "err-moment-k0", "err-moment-mult-negative-k", "signed-even-k", "strong-k0",
         "bogus-scheme", "uniform-empty", "parameter-without-value", "no-dist", "no-delta-eps-or-mesh",
         "missing-config", "sweep-no-delta",
         "sweep-one-offset", "bound-delta-and-mesh", "sweep-delta-and-mesh", "bound-eps-and-delta-strong",
         "bound-eps-and-delta-mean", "bound-eps-and-float-grid", "bound-delta-and-float-grid", "bound-eps-and-mesh",
         "sum-demo-overflow",
-        "sum-demo-empty-exponents", "sum-demo-exponent-range", "strong-moment-underflow"])
+        "sum-demo-empty-exponents", "sum-demo-exponent-range", "strong-moment-underflow",
+        "sweep-huge-grid-count"])
 def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)
     got, out, stderr = run_cli(capsys, *argv)

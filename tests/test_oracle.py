@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from roundmoments import (
+    DensityModel,
     ExplicitSet,
     FloatSystem,
     UniformMesh,
@@ -19,6 +20,7 @@ from roundmoments import grids
 from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
+    Weight,
     centered_moment_of_rounded,
     convergence_slope,
     delta_e_and_v,
@@ -28,11 +30,11 @@ from roundmoments.oracle import (
     simulated_sum,
 )
 from roundmoments.rounding import RoundingScheme as RS, int_power, round_value
-from roundmoments.verify import offset_sweep
+from roundmoments.verify import offset_sweep, run_suite
 
 from conftest import enumerate_float_system
 
-ONE = np.ones_like
+ONE = Weight()
 INT_MESH = UniformMesh(0.5, 0.0)
 DETERMINISTIC_SCHEMES = (RS.TOWARD_ZERO, RS.AWAY_FROM_ZERO, RS.NEAREST)
 
@@ -119,7 +121,7 @@ def test_delta_v_identity_cross_check(semicircle):
     mesh = UniformMesh(0.1, 0.033)
     de, dv = delta_e_and_v(semicircle, mesh, RS.NEAREST)
     a, b = semicircle.effective_range()
-    w = lambda x: (x - semicircle.mean) * semicircle.density(x)
+    w = Weight(semicircle, semicircle.mean, 1)
     cov = err_weighted_integral(mesh, RS.NEAREST, w, a, b, 1, signed=True).value
     err2 = err_weighted_integral(mesh, RS.NEAREST, semicircle, a, b, 2, signed=False).value
     assert dv.value == pytest.approx(2 * cov + err2 - de.value ** 2, abs=1e-12)
@@ -333,18 +335,27 @@ def assert_matches_reference(got, want, terms):
     assert abs(got.value - want) <= tol, (got.value, want, tol)
 
 
+def cube(d):
+    # as int_power forms it, by repeated squaring
+    return d * (d * d)
+
+
+CUBIC = Weight(make_normal(0.0, 0.5), 0.2, 3)
+
+
 def cubic_weight(x):
-    return (x - 0.2) ** 3 * np.exp(-x * x)
+    # the reference for CUBIC: the product the kernel forms
+    return CUBIC.model.density(x) * cube(x - 0.2)
 
 
 @pytest.mark.parametrize("scheme", [RS.NEAREST, RS.STOCHASTIC, RS.TOWARD_ZERO])
 def test_cubic_integrals_match_pow_reference(scheme):
     mesh = UniformMesh(0.03, 0.011)
     a, b = -2.7, 3.1
-    got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, 3, signed=True)
+    got = err_weighted_integral(mesh, scheme, CUBIC, a, b, 3, signed=True)
     want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 3)
     assert_matches_reference(got, want, terms)
-    got = rd_moment_integral(mesh, scheme, cubic_weight, a, b, 3, shift=0.4)
+    got = rd_moment_integral(mesh, scheme, CUBIC, a, b, 3, shift=0.4)
     want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 3, shift=0.4)
     assert_matches_reference(got, want, terms)
 
@@ -359,11 +370,11 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
     pieces = whole_partition(mesh, scheme, a, b)[0].size
     monkeypatch.setattr(oracle, "QUAD_BLOCK", pieces - extra)
     for k, signed in ((1, True), (2, False), (3, True), (4, False)):
-        got = err_weighted_integral(mesh, scheme, cubic_weight, a, b, k, signed=signed)
+        got = err_weighted_integral(mesh, scheme, CUBIC, a, b, k, signed=signed)
         want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
         assert_matches_reference(got, want, terms)
         assert got.details == {"pieces": pieces, "nodes": max(k + 8, 20), "blocks": 2 if extra == 1 else 1, "chunks": 1}
-    got = rd_moment_integral(mesh, scheme, cubic_weight, a, b, 2, shift=-0.1)
+    got = rd_moment_integral(mesh, scheme, CUBIC, a, b, 2, shift=-0.1)
     want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 2, shift=-0.1)
     assert_matches_reference(got, want, terms)
     assert (got.details["blocks"], got.details["chunks"]) == (2 if extra == 1 else 1, 1)
@@ -371,14 +382,15 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
 
 def test_single_block_is_bit_identical_to_reference(semicircle):
     # one block: the same operations in the same order as the single-matrix
-    # reference, whether the weight is a model's density written in place, a
-    # callable or a callable that returns a scalar.  Both rules come from one
-    # node matrix, and fusing them changes neither: the value is the 20-node
-    # reference's and the estimate its distance from the 10-node reference's
+    # reference, whether the weight is a model's density written in place, 1,
+    # or a cube of (x - center) with or without a density.  Both rules come
+    # from one node matrix, and fusing them changes neither: the value is the
+    # 20-node reference's and the estimate its distance from the 10-node
+    # reference's
     mesh = UniformMesh(0.05, 0.013)
     normal = make_normal(0.2, 0.5)
-    weights = [(cubic_weight, cubic_weight), (normal, normal.density), (semicircle, semicircle.density),
-               (lambda x: 0.75, lambda x: 0.75)]
+    weights = [(CUBIC, cubic_weight), (normal, normal.density), (semicircle, semicircle.density),
+               (Weight(), np.ones_like), (Weight(center=0.3, power=3), lambda x: cube(x - 0.3))]
     for scheme, (weight, w) in itertools.product(RS, weights):
         for k in (1, 2, 3):
             for signed in (True, False):
@@ -407,12 +419,14 @@ def test_kernel_uses_the_density_it_is_given():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("scheme", list(RS))
 def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
-    # a one-chunk float integral of several blocks with a model weight: each
-    # block builds X (the nodes of both rules), the density, the integrand
-    # and their product in the kernel's workspace, so from one density call
-    # to the next nothing as large as a node matrix is allocated; k - 1 of
-    # two set bits (k = 4, 6, 7) squares in the workspace too
+    # a one-chunk float integral of several blocks, weighted by the model, by
+    # 1 or by (x - c)^m times the model: each block builds X (the nodes of
+    # both rules), the weight, the integrand and their product in the
+    # kernel's workspace, so from one integrand call to the next nothing as
+    # large as a node matrix is allocated; k - 1 of two set bits (k = 4, 6,
+    # 7) squares in the workspace too, as (x - c)^m does
     model = make_normal(0.5, 1.0)
+    weights = [model, Weight(), *(Weight(model, 0.3, m) for m in (1, 2, 3))]
     fs = FloatSystem(8, -12, 6)
     a, b = model.effective_range()
     n = max(k + 8, 20)
@@ -426,30 +440,54 @@ def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
     assert len(chunks) == 1
     del chunks
     # first-call allocations (node tables, numpy internals) are not the loop's
-    err_weighted_integral(fs, scheme, model, a, b, k)
-    density = type(model).density
+    for weight in weights:
+        err_weighted_integral(fs, scheme, weight, a, b, k)
     marks = []
 
-    def marked_density(self, x, out=None):
-        # traced memory now, and its peak since the last density call
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
-        return density(self, x, out)
+    def marked(integrand):
+        def call(*args, **kwargs):
+            # traced memory now, and its peak since the last integrand call
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return integrand(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(type(model), "density", marked_density)
-    tracemalloc.start()
-    try:
-        got = err_weighted_integral(fs, scheme, model, a, b, k)
-        marks.append(tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert got.details["chunks"] == 1 and got.details["blocks"] >= 3
-    assert len(marks) == got.details["blocks"] + 1
-    growth = [peak - current for (current, _), (_, peak) in zip(marks[:-1], marks[1:])]
-    assert max(growth) < node_matrix, (growth, node_matrix)
-    workspace = 5 * node_matrix
-    peak = max(peak for _, peak in marks)
-    assert peak < workspace + chunk_peak + node_matrix / 2, (peak, workspace, chunk_peak)
+    for name in ("err_power", "stoch_err_power"):
+        monkeypatch.setattr(oracle, name, marked(getattr(oracle, name)))
+    for weight in weights:
+        marks.clear()
+        tracemalloc.start()
+        try:
+            got = err_weighted_integral(fs, scheme, weight, a, b, k)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert got.details["chunks"] == 1 and got.details["blocks"] >= 3
+        assert len(marks) == got.details["blocks"] + 1
+        growth = [peak - current for (current, _), (_, peak) in zip(marks[:-1], marks[1:])]
+        assert max(growth) < node_matrix, (weight, growth, node_matrix)
+        workspace = 5 * node_matrix
+        peak = max(peak for _, peak in marks)
+        assert peak < workspace + chunk_peak + node_matrix / 2, (weight, peak, workspace, chunk_peak)
+
+
+def test_only_data_weights_reach_the_kernel(monkeypatch):
+    # all nine check kinds of the suite, a sweep and a convergence fit hand
+    # the kernel a Weight or a model, never a pointwise callable
+    kernel, seen = oracle._per_cell_gauss, []
+
+    def checked(weight, *args):
+        seen.append(weight)
+        return kernel(weight, *args)
+
+    monkeypatch.setattr(oracle, "_per_cell_gauss", checked)
+    assert len({r.kind for r in run_suite(90, seed=0)}) == 9
+    offset_sweep(make_normal(0.3, 0.8), 0.1, 4, RS.NEAREST)
+    convergence_slope(make_semicircle(1.0, 0.3), RS.NEAREST, "delta_v", [0.2, 0.15, 0.1, 0.08], n_probe=2)
+    assert seen and all(isinstance(w, (Weight, DensityModel)) for w in seen)
+    # the interval and Sheppard checks weigh by 1, the mixed ones by a power times a density
+    shapes = {(w.model is None, w.power > 0) for w in seen if isinstance(w, Weight)}
+    assert {(True, False), (False, True)} <= shapes
 
 
 def test_workspace_is_freed_before_the_next_chunk(monkeypatch):
@@ -588,7 +626,7 @@ def test_multi_chunk_walk(monkeypatch, grid, a, b, cells, scheme):
         np.testing.assert_array_equal(rd_data[0][strict], round_value(grid, scheme, x[strict]))
     # and the streamed integral is the per-piece reference's
     for k, signed in ((1, True), (2, False)):
-        got = err_weighted_integral(grid, scheme, cubic_weight, a, b, k, signed=signed)
+        got = err_weighted_integral(grid, scheme, CUBIC, a, b, k, signed=signed)
         want, terms = reference_quad(grid, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
         assert got.details["pieces"] == terms.size
         assert_matches_reference(got, want, terms)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from roundmoments import FloatSystem, UniformMesh, gap_stats, round_value
 from roundmoments.errors import ConfigError, PreconditionError
-from roundmoments.oracle import err_weighted_integral
+from roundmoments.oracle import Weight, err_weighted_integral
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.rounding import RoundingScheme, err_power, int_power, stoch_err_power, stoch_expectation
 
@@ -192,9 +192,9 @@ def test_stochastic_unit_cell_integrals_are_the_constants(k):
     # to the 8 u of each node and the sum over the cell's graded pieces
     c = RoundingScheme.STOCHASTIC.c(k)
     for i in range(-3, 4):
-        got = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, np.ones_like, i, i + 1.0, k)
+        got = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, Weight(), i, i + 1.0, k)
         assert got.value == pytest.approx(c, rel=16.0 * U)
-        signed = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, np.ones_like, i, i + 1.0, k, signed=True)
+        signed = err_weighted_integral(INT_MESH, RoundingScheme.STOCHASTIC, Weight(), i, i + 1.0, k, signed=True)
         if k % 2 == 0:
             assert signed.value == got.value
         elif k == 1:
