@@ -39,6 +39,13 @@ class DensityModel:
     _raw_moment: Callable[[int], float]
     _central_moment: Callable[[int], float]
     _abs_central_first: float  # E|X - mean|
+    # ellipse_log_bound(lo, hi, h, a, b): log(sup|f(z)| / peak), free of units,
+    # on the Bernstein ellipses {m + h (a cos t + i b sin t)} for m in [lo, hi]
+    # of f continued from a piece that straddles no jump and keeps clear of
+    # the branch points, a = (rho + 1/rho)/2 and b = (rho - 1/rho)/2
+    ellipse_log_bound: Callable
+    branch_points: tuple = ()  # (lo, hi): f is analytic between them, not at them
+    jumps: tuple = ()  # past each, f continues as another entire function
     # not an init field, so a dataclasses.replace copy starts empty
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -72,7 +79,9 @@ class DensityModel:
 
     @property
     def peak(self) -> float:
-        return float(self.density(self.mode))
+        if "peak" not in self._cache:
+            self._cache["peak"] = float(self.density(self.mode))
+        return self._cache["peak"]
 
     def raw_moment(self, k: int) -> float:
         if k < 0:
@@ -246,6 +255,9 @@ def make_semicircle(r: float, mu: float = 0.0) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=4.0 * r / (3.0 * math.pi),
+        # |r^2 - t^2| <= (r + |t|)^2 at t = z - mu
+        ellipse_log_bound=lambda lo, hi, h, a, b: np.log1p((np.maximum(np.abs(lo - mu), np.abs(hi - mu)) + h * a) / r),
+        branch_points=(mu - r, mu + r),
     )
 
 
@@ -332,6 +344,9 @@ def make_normal(mu: float, sigma2: float) -> DensityModel:
         _raw_moment=lambda k: _raw_from_central(k, mu, central),
         _central_moment=central,
         _abs_central_first=sigma * math.sqrt(2.0 / math.pi),
+        # |exp(-(z - mu)^2 / 2 sigma2)| = exp((Im^2 - Re^2) / 2 sigma2), |Im| <= h b and |Re| >= the distance below
+        ellipse_log_bound=lambda lo, hi, h, a, b: (
+            np.square(h * b) - np.square(np.maximum(np.maximum(lo - mu, mu - hi) - h * a, 0.0))) / (2.0 * sigma2),
     )
 
 
@@ -368,6 +383,9 @@ def make_exponential(lam: float) -> DensityModel:
         _raw_moment=lambda k: math.factorial(k) / lam ** k,
         _central_moment=central,
         _abs_central_first=2.0 / (math.e * lam),
+        # lam exp(-lam z) right of 0, where Re z >= max(lo, 0) - h a, and 0 left of it
+        ellipse_log_bound=lambda lo, hi, h, a, b: lam * (h * a - np.maximum(lo, 0.0)),
+        jumps=(0.0,),
     )
 
 
@@ -406,6 +424,8 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
         _raw_moment=raw,
         _central_moment=central,
         _abs_central_first=w / 4.0,
+        ellipse_log_bound=lambda lo_, hi_, h, a, b: 0.0,  # the peak on [lo, hi] and 0 off it
+        jumps=(lo, hi),
     )
 
 

@@ -84,8 +84,10 @@ class UniformMesh:
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Indices z0..z1 of the points ``offset + z*step`` of [lo, hi]."""
         at = self.points_at
-        z0 = math.ceil((lo - self.offset) / self.step)
-        z1 = math.floor((hi - self.offset) / self.step)
+        q0, q1 = ((x - self.offset) / self.step for x in (lo, hi))
+        if not math.isfinite(q1 - q0):  # past a double's range: count in decimal for the budget to refuse
+            return _budget(0, int((Decimal(hi) - Decimal(lo)) / Decimal(self.step)))
+        z0, z1 = math.ceil(q0), math.floor(q1)
         # the divisions may round past a point: step each end onto [lo, hi]
         z0 += int(at(z0) < lo) - int(at(z0 - 1) >= lo)
         z1 += int(at(z1 + 1) <= hi) - int(at(z1) > hi)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,11 +23,20 @@ from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
 from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_err_power, stoch_expectation
 
-# Pieces per block of the per-cell kernel.  A block's node matrix holds the
-# nodes of both Gauss rules, 20 + 10 a piece: 240 KiB of float64, so the
-# kernel's five-buffer workspace (1.2 MiB) stays in a 2 MB L2 cache (with one
-# 20-node rule, 1,024-2,048 pieces was fastest; 16,384 was 30% slower).
+# Pieces per block of the per-cell kernel.  A block's node matrix has a row
+# per node of its rule, at most 20 (k + 8 for k > 12): 160 KiB of float64, so
+# the five-buffer workspace (800 KiB) stays in a 2 MB L2 cache (1,024-2,048
+# pieces was fastest at 20 nodes; 16,384 was 30% slower).
 QUAD_BLOCK = 1024
+# The node counts a block may run, the last the integral's ceiling.
+LADDER = (4, 6, 8, 12, 20)
+# The Bernstein ellipses every bound is minimised over: rho, the semi-axes a
+# = (rho + 1/rho)/2 and b = (rho - 1/rho)/2, and log((64/15) / (rho^2 - 1)).
+_RHO = np.array([1.5, 2.0, 3.0, 4.0, 6.0, *2.0 ** np.arange(3.0, 33.0)])
+_A, _B, _LOG_RHO = 0.5 * (_RHO + 1.0 / _RHO), 0.5 * (_RHO - 1.0 / _RHO), np.log(_RHO)
+_LOG_TREFETHEN = math.log(64.0 / 15.0) - np.log(_RHO * _RHO - 1.0)
+# Roundings of a node's weight times integrand, relative to its size.
+EVAL_ULPS = 32
 # Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
 # most two per cell, plus the grading at either end) and one block's node
 # matrix at a time, so its memory does not grow with the grid; a chunk of 32
@@ -39,6 +48,13 @@ CHUNK_CELLS = 32 * QUAD_BLOCK
 # the per-sample results are kept whole, so memory is O(MC_BLOCK) plus a few
 # arrays of n_samples doubles, however many summands a sum has.
 MC_BLOCK = 16_384
+
+
+# The last partition of one chunk, with its grid (by identity), scheme, range
+# and CHUNK_CELLS, and what _weight_bounds took from it: delta_e_and_v walks
+# one three times.
+_LAST_CHUNK: list = [None, None]
+_LAST_WEIGHT: list = [None, None]
 
 
 @dataclass(frozen=True)
@@ -70,16 +86,23 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     are cut at grid points and, under a deterministic scheme, at each cell's
     switch point (its midpoint under nearest rounding, 0 under directed
     rounding), so the error is one linear branch on each piece.  The
-    outermost pieces, in the first and last chunk, are graded geometrically
-    toward a and b: densities often lose smoothness exactly at their support
-    edges (square root onsets, jumps), and grading keeps fixed-order Gauss
-    panels at full accuracy there.
+    outermost pieces are graded geometrically toward a and b, where
+    densities often lose smoothness.  A one-chunk partition is kept, read
+    only, until the next is made.
     """
     if not (a < b and math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"need finite a < b, got [{a!r}, {b!r}]")
+    key, (last, chunk) = (scheme, a, b, CHUNK_CELLS), _LAST_CHUNK
+    if last is not None and last[0] is grid and last[1:] == key:
+        yield chunk
+        return
     i0, i1 = grid.index_range(a, b)
     cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
     ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
+    if len(ends) == 2:
+        _LAST_CHUNK[:] = (grid, *key), _pieces(grid, scheme, a, b, True, True)
+        yield _LAST_CHUNK[1]
+        return
     for lo, hi in zip(ends[:-1], ends[1:]):
         yield _pieces(grid, scheme, lo, hi, lo == a, hi == b)
 
@@ -120,88 +143,206 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
     return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets,)
 
 
-def _per_cell_gauss(weight, f, chunks, n: int) -> OracleResult:
-    """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces.
+class _Integrand(NamedTuple):
+    """f(X, *rd_data, out=, scratch=) at a node matrix (nodes x pieces); on a
+    piece a polynomial of ``degree`` with |f| <= R^power and |f'| <= ``lip``
+    R^(power - 1) (0 where R is), R = reach(lo, hi, *rd_data)."""
 
-    ``weight`` is a :class:`Weight`, or a model.  ``f(X, *rd_data, out=,
-    scratch=)`` writes the integrand at a block's node matrix X (nodes x
-    pieces) into out, or returns an array that broadcasts to it; it may
-    overwrite X and use scratch, two spare node matrices.  ``chunks`` are
-    the pieces with their rounding data, chunk by chunk, from
-    :func:`_partition`: one target, or the two cell ends of a stochastic
-    expectation.  Each chunk's pieces are taken QUAD_BLOCK at a time in one
-    workspace of node-matrix buffers and the block sums kept in the order
-    they come, so memory is one chunk plus O(QUAD_BLOCK x nodes) however
-    many pieces there are.  X's rows are the nodes of the n-node rule, then
-    those of the half-order rule whose difference is the error estimate, so
-    a block is weighted once and each rule sums its own rows.  ``details``
-    counts the pieces, the partition ``chunks`` and the ``blocks``.
-    """
+    f: Callable
+    reach: Callable
+    power: int
+    degree: int
+    lip: float
+
+
+@cache
+def _rung_logs(degree: int, rungs: tuple) -> np.ndarray:
+    """Rows over _RHO to add to log sup|w|: 0, -log(a - 1), and per n the log
+    of (64/15) rho^(degree + 2 - 2n) / (rho^2 - 1)."""
+    rows = [0.0 * _RHO, -np.log(_A - 1.0), *(_LOG_TREFETHEN + (degree + 2 - 2 * r) * _LOG_RHO for r in rungs)]
+    return np.array(rows)[:, :, None]
+
+
+def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
+    """Per block (one at each of ``starts``): the largest half-width h, summed
+    half-widths, max|x| + h + |center| + |mode|, log(sup|w| / scale) on its
+    Bernstein ellipses (a row per rho); scale; the pieces straddling a jump
+    or too near a branch point; 2h sup|w| of those, or of a lone block's."""
+    model, (last, kept) = weight.model, _LAST_WEIGHT
+    key = (lo_p, model, weight.center, weight.power, QUAD_BLOCK)
+    if last is not None and last[0] is lo_p and last[1] is model and last[2:] == key[2:]:
+        return kept
+    width = hi_p - lo_p
+    h, length = (0.5 * total.reduceat(width, starts) for total in (np.maximum, np.add))
+    lo, hi = np.minimum.reduceat(lo_p, starts), np.maximum.reduceat(hi_p, starts)
+    log, singular, scale = np.zeros((_RHO.size, starts.size)), False, 1.0 if model is None else model.peak
+    for p in () if model is None else model.jumps:
+        singular = singular | ((lo_p < p) & (p < hi_p))
+    if model is not None and model.branch_points:
+        # an ellipse of half-width a h keeps clear of a point while a h <= gap + h
+        room = 1.0 + 2.0 * np.minimum(lo_p - model.branch_points[0], model.branch_points[1] - hi_p) / width
+        singular = singular | (room < _A[0])
+        log[_A[:, None] > np.minimum.reduceat(np.where(singular, np.inf, room), starts)] = np.inf
+    if model is not None:
+        log += model.ellipse_log_bound(lo, hi, h, _A[:, None], _B[:, None])
+    if weight.power:
+        log += weight.power * np.log(np.maximum(np.abs(weight.center - lo), np.abs(weight.center - hi)) / h + _A[:, None])
+        scale = scale * int_power(h, weight.power)
+    far = np.maximum(hi, -lo) + (h + abs(weight.center) + (0.0 if model is None else abs(model.mode)))
+    at, real = np.flatnonzero(singular), None
+    if at.size or starts.size == 1:
+        # a unimodal density's sup on a piece is its value nearest the mode
+        pick = at if at.size else slice(None)
+        lo_s, hi_s = lo_p[pick], hi_p[pick]
+        real = width[pick] * (1.0 if model is None else model.density(np.clip(model.mode, lo_s, hi_s)))
+        if weight.power:
+            real *= int_power(np.maximum(np.abs(weight.center - lo_s), np.abs(weight.center - hi_s)), weight.power)
+    kept = h, length, far, log, scale, at, real
+    if _LAST_CHUNK[1] is not None and lo_p is _LAST_CHUNK[1][0]:
+        _LAST_WEIGHT[:] = key, kept
+    return kept
+
+
+def _block_bounds(weight: Weight, integrand: _Integrand, lo_p, hi_p, rd_data, starts, rungs: tuple):
+    """Each block's certified error per n of ``rungs``, node rounding bound,
+    magnitude bound, and whether a piece is at a point where the density is
+    not analytic.  With |w f| <= M = sup|w| rho^degree sup|f| on E_rho
+    (Bernstein-Walsh), the n-node error on a piece is at most h (64/15) M /
+    ((rho^2 - 1) rho^(2n - 2)) (Trefethen, SIAM Review 50(1), 2008, Thm
+    4.5).  Nodes moved by d = 4u (max|x| + |mode| + |center|) move its sum by
+    2hd (sup|w'| sup|f| + sup|w| sup|f'|), sup|w'| <= sup|w| / (h (a - 1))
+    (Cauchy).  A piece's magnitude is at most 2h sup|w| sup|f|, its error
+    twice that: the bound at a point where the density is not analytic."""
+    h, length, far, log, scale, at, real = _weight_bounds(weight, lo_p, hi_p, starts)
+    reach = integrand.reach(lo_p, hi_p, *rd_data)
+    top = np.maximum.reduceat(reach, starts)
+    sup = int_power(top, integrand.power)
+    slope = integrand.lip * (top > 0.0 if integrand.power < 2 else int_power(top, integrand.power - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past a double is inf, and inf times 0 is 0
+        # sup|w|, sup|w'| and the certificates over sup|f|, each minimised over rho
+        bounds = scale * np.exp(np.minimum.reduce(log + _rung_logs(integrand.degree, rungs), axis=1))
+        bounds[1] /= h
+        bounds[2:] *= length
+        spread = bounds[0] * slope
+        bounds = np.where(sup > 0.0, bounds * sup, 0.0)
+        moved = (8.0 * 2.0 ** -53) * length * far * (bounds[1] + np.where(slope > 0.0, spread, 0.0))
+    sizes = 2.0 * length * bounds[0]
+    certs, edge = np.minimum(bounds[2:], 2.0 * sizes).T, np.zeros(starts.size, dtype=bool)
+    if at.size:
+        fallback = 2.0 * real * int_power(reach[at], integrand.power)
+        certs += np.bincount(at // QUAD_BLOCK, fallback, starts.size)[:, None]
+        edge[at[fallback > 0.0] // QUAD_BLOCK] = True
+    elif real is not None:  # a lone block's magnitude bound, piece by piece
+        sizes = np.sum(real * int_power(reach, integrand.power), keepdims=True)
+    return certs, moved, sizes, edge
+
+
+@cache
+def _rules(rungs: tuple) -> list:
+    """The Gauss rule of each n of rungs: its nodes as a column, its weights."""
+    return [(x[:, None], w) for x, w in map(gauss_legendre_nodes, rungs)]
+
+
+def _run_block(nodes, weights, space, weight: Weight, f, lo, hi, *rd_data) -> tuple:
+    """One rule over the pieces [lo, hi] in the workspace's five buffers (X,
+    W, F, two scratch): the summed integrals, and the sum of h w |w f|."""
+    r, mid, half = nodes.size, 0.5 * (lo + hi), 0.5 * (hi - lo)
+    X, W, F, *S = space[:, : r * lo.size].reshape(5, r, lo.size)
+    np.add(mid, np.multiply(nodes, half, out=X), out=X)
+    W = np.positive(1.0, out=W) if weight.model is None else weight.model.density(X, out=W)
+    if weight.power:
+        np.multiply(W, int_power(np.subtract(X, weight.center, out=S[0]), weight.power, *S), out=W)
+    np.multiply(W, f(X, *rd_data, out=F, scratch=S), out=F)
+    # the per-piece sums go into the weight's buffer, no longer read
+    terms = np.matmul(weights, F, out=space[1, : lo.size])
+    value = np.add.reduce(np.multiply(half, terms, out=terms))
+    return value, float(np.dot(half, np.matmul(weights, np.abs(F, out=F), out=terms)))
+
+
+def _per_cell_gauss(weight, integrand: _Integrand, chunks, low: int, n: int) -> OracleResult:
+    """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces of
+    ``chunks`` (from :func:`_partition`), QUAD_BLOCK at a time in one
+    workspace, with ``weight`` a :class:`Weight` or a model.  A block runs the
+    fewest nodes of LADDER, ``low`` to ``n``, whose certified error is below
+    2^-53 times its magnitude (else n, and n at a point where the density is
+    not analytic): the fewest its magnitude's bound allows, rerun once if they
+    fail.  The estimate is ``details["discretization"]``, the certificates,
+    plus ``["roundoff"]``: node rounding, and gamma_N times the magnitudes for
+    EVAL_ULPS, the node sum, a block's pairwise sum (29 additions at most)
+    and the fsum.  ``details`` counts ``pieces``, ``chunks``, ``blocks``,
+    their ``runs``, and the most ``nodes``."""
     weight = weight if isinstance(weight, Weight) else Weight(weight)
-    rules = [gauss_legendre_nodes(order) for order in (n, max(n // 2, 4))]
-    nodes = np.concatenate([x for x, _ in rules])[:, None]
-    sums: tuple[list, list] = ([], [])
-    pieces = n_chunks = 0
+    rungs = (*(r for r in LADDER if low <= r < n), n)
+    rules = _rules(rungs)
+    last, u, sums, size, bound, moved = len(rungs) - 1, 2.0 ** -53, [], 0.0, 0.0, 0.0
+    pieces = n_chunks = runs = most = 0
     for lo_p, hi_p, rd_data in chunks:
-        pieces += lo_p.size
-        n_chunks += 1
-        space = np.empty((5, nodes.size * min(lo_p.size, QUAD_BLOCK)))
-        for start in range(0, lo_p.size, QUAD_BLOCK):
-            blk = slice(start, start + QUAD_BLOCK)
-            lo, hi, *rd_blk = (column[blk] for column in (lo_p, hi_p, *rd_data))
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            X, W, F, *S = space[:, : nodes.size * lo.size].reshape(5, nodes.size, lo.size)
-            np.add(mid, np.multiply(nodes, half, out=X), out=X)
-            W = np.positive(1.0, out=W) if weight.model is None else weight.model.density(X, out=W)
-            if weight.power:
-                np.multiply(W, int_power(np.subtract(X, weight.center, out=S[0]), weight.power, *S), out=W)
-            np.multiply(W, f(X, *rd_blk, out=F, scratch=S), out=F)
-            for rows, (_, weights), out in zip((F[:n], F[n:]), rules, sums):
-                # the per-piece sums go into the weight's buffer, no longer read
-                terms = np.matmul(weights, rows, out=space[1, : lo.size])
-                out.append(np.sum(np.multiply(half, terms, out=terms)))
+        pieces, n_chunks, starts = pieces + lo_p.size, n_chunks + 1, np.arange(0, lo_p.size, QUAD_BLOCK)
+        certs, moves, guesses, edges = _block_bounds(weight, integrand, lo_p, hi_p, rd_data, starts, rungs)
+        space = np.empty((5, n * min(lo_p.size, QUAD_BLOCK)))
+        for start, cert, move, guess, edge in zip(starts.tolist(), certs, moves.tolist(), guesses.tolist(), edges):
+            block = (space, weight, integrand.f, *(col[start : start + QUAD_BLOCK] for col in (lo_p, hi_p, *rd_data)))
+            i = last if edge or not cert[-1] <= u * guess else int(np.argmax(cert <= u * guess))
+            value, mag = _run_block(*rules[i], *block)
+            if not (cert[i] <= u * mag or i == last):
+                i = int(np.argmax(cert <= u * mag)) if cert[-1] <= u * mag else last
+                value, mag = _run_block(*rules[i], *block)
+                runs += 1
+            sums.append(value)
+            size, bound, moved, most = size + mag, bound + cert[i], moved + move, max(most, rungs[i])
+        runs += len(starts)
         # every chunk has a piece; drop its views and workspace before the next is built
-        del lo_p, hi_p, rd_data, lo, hi, rd_blk, space, X, W, F, S, rows, terms
-    value, coarse = (float(np.sum(s)) for s in sums)
-    details = {"pieces": pieces, "nodes": n, "blocks": len(sums[0]), "chunks": n_chunks}
-    return OracleResult(value, abs(value - coarse), "per_cell_quadrature", details)
+        del lo_p, hi_p, rd_data, block, space, certs, moves, guesses, edges
+    depth = EVAL_ULPS + most + 31
+    roundoff = depth * u / (1.0 - depth * u) * size + moved
+    details = {"pieces": pieces, "nodes": most, "blocks": len(sums), "runs": runs, "chunks": n_chunks,
+               "discretization": float(bound), "roundoff": roundoff}
+    return OracleResult(math.fsum(sums), float(bound) + roundoff, "per_cell_quadrature", details)
 
 
-def err_weighted_integral(
-    grid: Grid,
-    scheme: RoundingScheme,
-    weight,
-    a: float,
-    b: float,
-    k: int,
-    signed: bool = False,
-) -> OracleResult:
+def _err_integrand(scheme: RoundingScheme, k: int, signed: bool) -> _Integrand:
+    """err^k or |err|^k at a target, or between the cell ends their means,
+    in a and b (at most the reach, summing to the width): 0 for E[err], and
+    the clamp error past the top."""
+    if scheme is not RoundingScheme.STOCHASTIC:
+        return _Integrand(lambda X, rd, out, scratch: err_power(rd, X, k, signed, out),
+                          lambda lo, hi, rd: _farthest(rd, lo, hi, rd), k, k, k)
+    if signed and k == 1:
+        reach = lambda lo, hi, c_lo, c_hi: np.where(c_hi > c_lo, 0.0, _farthest(hi, c_lo, c_hi, lo))  # noqa: E731
+    else:
+        reach = lambda lo, hi, c_lo, c_hi: _farthest(hi, c_lo, c_hi, lo)  # noqa: E731
+    return _Integrand(partial(stoch_err_power, k=k, signed=signed), reach, k, k + 1, 2 * (k + 1))
+
+
+def _rd_integrand(scheme: RoundingScheme, j: int, shift: float) -> _Integrand:
+    """E[(rd(x) - shift)^j]: constant at a target, linear between cell ends."""
+    if scheme is not RoundingScheme.STOCHASTIC:
+        return _Integrand(lambda X, t, out, scratch: int_power(t - shift, j), lambda lo, hi, t: np.abs(t - shift), j, 0, 0)
+    return _Integrand(lambda X, *rd, out, scratch: stoch_expectation(X, *rd, *(int_power(r - shift, j) for r in rd), out=out),
+                      lambda lo, hi, c_lo, c_hi: np.maximum(np.abs(c_lo - shift), np.abs(c_hi - shift)), j, 1, j)
+
+
+def _farthest(a, b, c, d):
+    """max(a - b, c - d), with one temporary."""
+    out = np.subtract(a, b)
+    return np.maximum(out, np.subtract(c, d), out=out)
+
+
+def err_weighted_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, k: int,
+                          signed: bool = False) -> OracleResult:
     """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b], where w
     is ``weight``: a :class:`Weight`, or a model as ``Weight(model)``.
     Stochastic rounding integrates the expected error powers instead of a
-    realization.  The error estimate compares against a half-order rerun."""
-    f = partial(stoch_err_power, k=k, signed=signed) if scheme is RoundingScheme.STOCHASTIC else (
-        lambda X, rd, out, scratch: err_power(rd, X, k, signed, out))
-    n = max(k + 8, 20)
-    return _per_cell_gauss(weight, f, _partition(grid, scheme, a, b), n)
+    realization.  The estimate is a certified discretization bound plus a
+    rounding bound (see :func:`_per_cell_gauss`)."""
+    return _per_cell_gauss(weight, _err_integrand(scheme, k, signed), _partition(grid, scheme, a, b), k + 2,
+                           max(k + 8, 20))
 
 
-def rd_moment_integral(
-    grid: Grid,
-    scheme: RoundingScheme,
-    weight,
-    a: float,
-    b: float,
-    j: int,
-    shift: float = 0.0,
-) -> OracleResult:
+def rd_moment_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, j: int,
+                       shift: float = 0.0) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx, with w as in err_weighted_integral."""
-    def f(X, *rd, out, scratch):
-        # the powers at the target or the two cell ends are constants per piece
-        powers = [int_power(r - shift, j) for r in rd]
-        return stoch_expectation(X, *rd, *powers, out=out) if scheme is RoundingScheme.STOCHASTIC else powers[0]
-
-    return _per_cell_gauss(weight, f, _partition(grid, scheme, a, b), 20)
+    return _per_cell_gauss(weight, _rd_integrand(scheme, j, shift), _partition(grid, scheme, a, b), j + 2, 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:
@@ -214,14 +355,13 @@ def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tu
     de = err_weighted_integral(grid, scheme, model, a, b, 1, signed=True)
     m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
     m2 = rd_moment_integral(grid, scheme, model, a, b, 2)
-    v_rd = m2.value - m1.value * m1.value  # m1 ** 2 calls pow, which is not correctly rounded
-    dv = OracleResult(
-        v_rd - model.variance,
-        m2.abs_error_estimate + 2.0 * abs(m1.value) * m1.abs_error_estimate + 1e-15 * abs(m2.value),
-        "per_cell_quadrature",
-        dict(m2.details),
-    )
-    return de, dv
+    square = m1.value * m1.value  # m1 ** 2 calls pow, which is not correctly rounded
+    v_rd = m2.value - square
+    value = v_rd - model.variance
+    # the two results' errors, then one rounding of each of the three operations
+    spread = m2.abs_error_estimate + (2.0 * abs(m1.value) + m1.abs_error_estimate) * m1.abs_error_estimate
+    return de, OracleResult(value, spread + 2.0 ** -53 * (square + abs(v_rd) + abs(value)), "per_cell_quadrature",
+                            dict(m2.details))
 
 
 def centered_moment_of_rounded(model: DensityModel, grid: Grid, scheme: RoundingScheme, k: int) -> OracleResult:

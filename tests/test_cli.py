@@ -576,6 +576,9 @@ _DIST = ["--dist", "semicircle:r=1"]
     # 1.25e301 grid points: the count is shown to three digits, not all 302
     (["sweep", "--dist", "normal:mu=0,sigma2=1", "--delta", "1e-300", "--offsets", "2"], 2,
      "config error: 1.25e+301 grid points in range, more than 100000000\n"),
+    # the range over the step overflows a double: counted in decimal, not a bare OverflowError
+    (["sweep", "--dist", "normal:mu=0,sigma2=1e200", "--delta", "1e-300", "--offsets", "2"], 2,
+     "config error: 1.25e+401 grid points in range, more than 100000000\n"),
 ], ids=["centered-k1", "err-moment-k0", "err-moment-mult-negative-k", "signed-even-k", "strong-k0",
         "bogus-scheme", "uniform-empty", "parameter-without-value", "no-dist", "no-delta-eps-or-mesh",
         "missing-config", "sweep-no-delta",
@@ -583,7 +586,7 @@ _DIST = ["--dist", "semicircle:r=1"]
         "bound-eps-and-delta-mean", "bound-eps-and-float-grid", "bound-delta-and-float-grid", "bound-eps-and-mesh",
         "sum-demo-overflow",
         "sum-demo-empty-exponents", "sum-demo-exponent-range", "strong-moment-underflow",
-        "sweep-huge-grid-count"])
+        "sweep-huge-grid-count", "sweep-grid-count-past-a-double"])
 def test_refusals_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)
     got, out, stderr = run_cli(capsys, *argv)

@@ -11,6 +11,7 @@ from roundmoments import (
     ExplicitSet,
     FloatSystem,
     UniformMesh,
+    make_exponential,
     make_normal,
     make_semicircle,
     make_uniform,
@@ -373,7 +374,11 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
         got = err_weighted_integral(mesh, scheme, CUBIC, a, b, k, signed=signed)
         want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, got.details["nodes"], k, signed=signed)
         assert_matches_reference(got, want, terms)
-        assert got.details == {"pieces": pieces, "nodes": max(k + 8, 20), "blocks": 2 if extra == 1 else 1, "chunks": 1}
+        details = dict(got.details)
+        assert details.pop("nodes") in [*oracle.LADDER, max(k + 8, 20)]
+        assert details.pop("discretization") + details.pop("roundoff") == got.abs_error_estimate
+        assert details.pop("runs") >= details["blocks"]
+        assert details == {"pieces": pieces, "blocks": 2 if extra == 1 else 1, "chunks": 1}
     got = rd_moment_integral(mesh, scheme, CUBIC, a, b, 2, shift=-0.1)
     want, terms = reference_quad(mesh, scheme, cubic_weight, a, b, 20, 2, shift=-0.1)
     assert_matches_reference(got, want, terms)
@@ -382,27 +387,30 @@ def test_chunk_boundaries_match_single_matrix(monkeypatch, scheme, extra):
 
 def test_single_block_is_bit_identical_to_reference(semicircle):
     # one block: the same operations in the same order as the single-matrix
-    # reference, whether the weight is a model's density written in place, 1,
-    # or a cube of (x - center) with or without a density.  Both rules come
-    # from one node matrix, and fusing them changes neither: the value is the
-    # 20-node reference's and the estimate its distance from the 10-node
-    # reference's
+    # reference at the block's own node count, whether the weight is a
+    # model's density written in place, 1, or a cube of (x - center) with or
+    # without a density.  The estimate is its two parts, and it covers the
+    # distance to a 60-node reference
     mesh = UniformMesh(0.05, 0.013)
     normal = make_normal(0.2, 0.5)
     weights = [(CUBIC, cubic_weight), (normal, normal.density), (semicircle, semicircle.density),
                (Weight(), np.ones_like), (Weight(center=0.3, power=3), lambda x: cube(x - 0.3))]
+
+    def check(got, reference):
+        assert (got.details["blocks"], got.details["chunks"]) == (1, 1)
+        assert got.value == reference(got.details["nodes"])
+        assert got.abs_error_estimate == got.details["discretization"] + got.details["roundoff"]
+        assert abs(got.value - reference(60)) <= got.abs_error_estimate
+
     for scheme, (weight, w) in itertools.product(RS, weights):
         for k in (1, 2, 3):
             for signed in (True, False):
                 got = err_weighted_integral(mesh, scheme, weight, -1.0, 1.5, k, signed=signed)
-                assert (got.details["blocks"], got.details["chunks"]) == (1, 1)
-                fine, coarse = (reference_quad(mesh, scheme, w, -1.0, 1.5, n, k, signed=signed,
-                                               cube_by_squaring=True)[0] for n in (20, 10))
-                assert (got.value, got.abs_error_estimate) == (fine, abs(fine - coarse)), (scheme, weight, k, signed)
+                check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, k, signed=signed,
+                                                    cube_by_squaring=True)[0])
         for j in (1, 2):
             got = rd_moment_integral(mesh, scheme, weight, -1.0, 1.5, j, shift=0.3)
-            fine, coarse = (reference_quad(mesh, scheme, w, -1.0, 1.5, n, j, shift=0.3)[0] for n in (20, 10))
-            assert (got.value, got.abs_error_estimate) == (fine, abs(fine - coarse)), (scheme, weight, j)
+            check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, j, shift=0.3)[0])
 
 
 def test_kernel_uses_the_density_it_is_given():
@@ -420,17 +428,16 @@ def test_kernel_uses_the_density_it_is_given():
 @pytest.mark.parametrize("scheme", list(RS))
 def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
     # a one-chunk float integral of several blocks, weighted by the model, by
-    # 1 or by (x - c)^m times the model: each block builds X (the nodes of
-    # both rules), the weight, the integrand and their product in the
-    # kernel's workspace, so from one integrand call to the next nothing as
-    # large as a node matrix is allocated; k - 1 of two set bits (k = 4, 6,
-    # 7) squares in the workspace too, as (x - c)^m does
+    # 1 or by (x - c)^m times the model: each run of a block builds X (the
+    # nodes of its rule, at most the ceiling's), the weight, the integrand
+    # and their product in the kernel's workspace, so from one integrand call
+    # to the next nothing as large as a node matrix is allocated; k - 1 of
+    # two set bits (k = 4, 6, 7) squares in the workspace too, as (x - c)^m does
     model = make_normal(0.5, 1.0)
     weights = [model, Weight(), *(Weight(model, 0.3, m) for m in (1, 2, 3))]
     fs = FloatSystem(8, -12, 6)
     a, b = model.effective_range()
-    n = max(k + 8, 20)
-    node_matrix = oracle.QUAD_BLOCK * (n + n // 2) * 8
+    node_matrix = oracle.QUAD_BLOCK * max(k + 8, 20) * 8
     tracemalloc.start()
     try:
         chunks = list(oracle._partition(fs, scheme, a, b))
@@ -463,7 +470,7 @@ def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
         finally:
             tracemalloc.stop()
         assert got.details["chunks"] == 1 and got.details["blocks"] >= 3
-        assert len(marks) == got.details["blocks"] + 1
+        assert len(marks) == got.details["runs"] + 1
         growth = [peak - current for (current, _), (_, peak) in zip(marks[:-1], marks[1:])]
         assert max(growth) < node_matrix, (weight, growth, node_matrix)
         workspace = 5 * node_matrix
@@ -853,3 +860,155 @@ def test_ungraded_cell_at_a_support_edge_within_its_estimate():
     de, _ = delta_e_and_v(model, mesh, RS.AWAY_FROM_ZERO)
     want, _ = reference_quad(mesh, RS.AWAY_FROM_ZERO, model.density, *model.effective_range(), 200, 1)
     assert abs(de.value - want) <= de.abs_error_estimate
+
+
+# --- the certified error bound of each block ----------------------------------
+
+mpmath = pytest.importorskip("mpmath")
+
+CERT_MODELS = {
+    "normal": (make_normal(0.3, 0.5),
+               lambda x: mpmath.exp(-(x - 0.3) ** 2 / 1.0) / mpmath.sqrt(mpmath.pi)),
+    "exponential": (make_exponential(1.5), lambda x: 1.5 * mpmath.exp(-1.5 * x)),
+    "uniform": (make_uniform(-0.5, 1.0), lambda x: mpmath.mpf(1) / mpmath.mpf(1.5)),
+    "semicircle": (make_semicircle(1.0, 0.2),
+                   lambda x: 2 / mpmath.pi * mpmath.sqrt(1 - (x - 0.2) ** 2)),
+}
+
+
+def mp_gauss(n):
+    """The n-node Gauss-Legendre rule at the working precision: double nodes
+    refined by Newton's method on the three-term recurrence."""
+    rule = []
+    for x0 in np.polynomial.legendre.leggauss(n)[0]:
+        x = mpmath.mpf(float(x0))
+        for _ in range(6):
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return rule
+
+
+def cert_integrands(lo, hi):
+    """(name, kernel integrand, its rounding data, low, ceiling, exact
+    integrand) of each kind: a deterministic and a stochastic error power,
+    and a rounded moment at a target and between two cell ends.  The exact
+    integrand takes the piece's half-width and the node t in [-1, 1], so no
+    digits cancel: x - lo = half (1 + t) and hi - x = half (1 - t)."""
+    width = hi - lo
+    c_lo, c_hi = lo - width, hi + 3 * width
+    one = lambda v: np.array([v])  # noqa: E731
+
+    def stochastic(half, t, k):
+        # E[f(rd(x))] from a = x - c_lo and b = c_hi - x, which sum to 5 width
+        a, b = 2 * half + half * (1 + t), 6 * half + half * (1 - t)
+        return k(a, b) / (10 * half)
+
+    yield ("err", oracle._err_integrand(RS.NEAREST, 3, True), (one(lo),), 5, 20,
+           lambda half, t: (-half * (1 + t)) ** 3)
+    yield ("stochastic err", oracle._err_integrand(RS.STOCHASTIC, 3, False), (one(c_lo), one(c_hi)), 5, 20,
+           lambda half, t: stochastic(half, t, lambda a, b: b * a ** 3 + a * b ** 3))
+    yield ("rd", oracle._rd_integrand(RS.NEAREST, 2, 0.3), (one(hi),), 4, 20,
+           lambda half, t: (mpmath.mpf(hi) - mpmath.mpf(0.3)) ** 2)
+    yield ("stochastic rd", oracle._rd_integrand(RS.STOCHASTIC, 2, 0.3), (one(c_lo), one(c_hi)), 4, 20,
+           lambda half, t: stochastic(half, t, lambda a, b: (mpmath.mpf(c_lo) - mpmath.mpf(0.3)) ** 2 * b
+                                      + (mpmath.mpf(c_hi) - mpmath.mpf(0.3)) ** 2 * a))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(CERT_MODELS))
+def test_interior_piece_certificate_bounds_the_exact_error(name, power):
+    # one small interior piece, alone in its block: the bound is finite,
+    # below 1e-30 of the integral at the rule the kernel picks, and at least
+    # that rule's error in exact arithmetic, against mpmath at 40 digits and
+    # more, enough to resolve the bound
+    model, density = CERT_MODELS[name]
+    lo = model.mean + 0.1
+    hi = lo + 2.0 ** -19
+    center = lo - 0.37
+    weight = Weight(model, center, power)
+    for kind, integrand, rd, low, n, f in cert_integrands(lo, hi):
+        got = oracle._per_cell_gauss(weight, integrand, [(np.array([lo]), np.array([hi]), rd)], low, n)
+        bound, nodes = got.details["discretization"], got.details["nodes"]
+        assert nodes in oracle.LADDER and nodes >= low, (kind, nodes)
+        assert math.isfinite(bound) and 0.0 < bound < 1e-30 * abs(got.value), (kind, bound, got.value)
+        with mpmath.workdps(max(40, 20 - int(math.log10(bound / abs(got.value))))):
+            half, mid = (mpmath.mpf(hi) - mpmath.mpf(lo)) / 2, (mpmath.mpf(hi) + mpmath.mpf(lo)) / 2
+
+            def g(t):
+                return density(mid + half * t) * (0.37 + half * (1 + t)) ** power * f(half, t)
+
+            exact = half * mpmath.quad(g, [-1, 1], method="gauss-legendre")
+            rule = half * mpmath.fsum(c * g(t) for t, c in mp_gauss(nodes))
+            assert abs(rule - exact) <= bound, (kind, rule - exact, bound)
+            assert abs(got.value - exact) <= got.abs_error_estimate, (kind, got.value - exact, got.abs_error_estimate)
+
+
+@pytest.mark.parametrize("scheme", [RS.NEAREST, RS.AWAY_FROM_ZERO, RS.STOCHASTIC])
+@pytest.mark.parametrize("model,a,b", [
+    # the pieces at the semicircle's edges, a uniform's ends inside [a, b],
+    # and an exponential's 0 inside it
+    (make_semicircle(1.0, 0.2), -0.8, 1.2),
+    (make_uniform(-0.5, 1.0), -1.0, 1.5),
+    (make_exponential(1.5), -0.7, 9.0),
+], ids=["semicircle-edges", "uniform-ends", "exponential-zero"])
+def test_pieces_at_a_non_analytic_point_within_the_estimate(model, a, b, scheme):
+    # such a piece takes the fallback bound, and its block the 20-node
+    # ceiling; directed rounding cuts the pieces at 0, so no exponential's
+    # piece straddles it there
+    mesh = UniformMesh(0.05, 0.013)
+    fallback = not (model.name == "exponential" and scheme is RS.AWAY_FROM_ZERO)
+    for k, signed in ((1, scheme is not RS.STOCHASTIC), (2, False)):
+        got = err_weighted_integral(mesh, scheme, model, a, b, k, signed=signed)
+        want, _ = reference_quad(mesh, scheme, model.density, a, b, 200, k, signed=signed)
+        assert (got.details["nodes"] == 20) == fallback and got.details["discretization"] > 0.0
+        assert abs(got.value - want) <= got.abs_error_estimate, (k, got.value - want, got.abs_error_estimate)
+
+
+def test_delta_e_and_v_walks_one_kept_partition(monkeypatch):
+    # the three integrals of delta_e_and_v share a partition of one chunk;
+    # a new grid, even an equal one, or a new CHUNK_CELLS makes a new one
+    pieces, built = oracle._pieces, []
+
+    def counted(*args):
+        built.append(args)
+        return pieces(*args)
+
+    monkeypatch.setattr(oracle, "_pieces", counted)
+    model = make_normal(0.3, 0.8)
+    mesh = UniformMesh(0.1, 0.013)
+    de, dv = delta_e_and_v(model, mesh, RS.NEAREST)
+    assert len(built) == 1
+    assert (de.value, dv.value) == tuple(r.value for r in delta_e_and_v(model, UniformMesh(0.1, 0.013), RS.NEAREST))
+    assert len(built) == 2
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", 7)
+    again = err_weighted_integral(mesh, RS.NEAREST, model, *model.effective_range(), 1, signed=True)
+    assert again.details["chunks"] > 1 and len(built) > 3
+    assert again.value == pytest.approx(de.value, abs=again.abs_error_estimate + de.abs_error_estimate)
+
+
+def test_float_oracle_blocks_run_fewer_than_20_nodes(monkeypatch):
+    # the four integrals of the float_oracle benchmark: no block of the
+    # normal's, which is entire, needs the 20-node ceiling, and the
+    # certificates sit below the rounding bound
+    model = make_normal(0.5, 1.0)
+    fs = FloatSystem(12, -40, 6)
+    a, b = model.effective_range()
+    run, nodes = oracle._run_block, []
+
+    def spy(rule_nodes, *args):
+        nodes.append(rule_nodes.size)
+        return run(rule_nodes, *args)
+
+    monkeypatch.setattr(oracle, "_run_block", spy)
+    for scheme, k, signed in ((RS.NEAREST, 1, True), (RS.NEAREST, 2, False), (RS.STOCHASTIC, 1, True),
+                              (RS.STOCHASTIC, 2, False)):
+        nodes.clear()
+        got = err_weighted_integral(fs, scheme, model, a, b, k, signed=signed)
+        assert len(nodes) == got.details["runs"] >= got.details["blocks"] > 300
+        assert max(nodes) < 20 and got.details["nodes"] == max(nodes)
+        assert got.details["discretization"] <= got.details["roundoff"]
+        assert got.abs_error_estimate == got.details["discretization"] + got.details["roundoff"]
