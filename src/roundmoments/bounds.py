@@ -37,7 +37,10 @@ class BoundTerm:
 
     @property
     def value(self) -> float:
-        return self.coef * self.base ** self.power
+        try:
+            return self.coef * self.base ** self.power if self.coef else 0.0
+        except OverflowError:  # base^power overflowed, so |base| > 1: no partial product exceeds the whole
+            return math.prod([self.base] * self.power, start=self.coef)
 
 
 @dataclass(frozen=True)

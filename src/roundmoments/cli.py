@@ -12,7 +12,6 @@ configuration error, 3 violated theorem hypothesis.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -30,16 +29,6 @@ from .rounding import RoundingScheme
 from .verify import SweepRow, offset_sweep, run_suite, worst_margin
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-# The oracle's largest array per partition chunk is 8 * (2 * CHUNK_CELLS +
-# 26) B, about 512 KiB, and its workspace five node matrices of QUAD_BLOCK *
-# 30 * 8 B = 240 KiB: below a 4 MiB mmap threshold every oracle array comes
-# from the heap, and 8 MiB of free heap top kept covers a block's working set.
-_MMAP_THRESHOLD = 4 << 20
-_TRIM_THRESHOLD = 8 << 20
 
 
 def _g17(x) -> str:
@@ -366,26 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _keep_heap() -> None:
-    """Stop glibc from handing the freed top of the heap back to the kernel
-    after every quadrature block, and from mapping the oracle's arrays
-    one by one, so the next block reuses pages instead of faulting in fresh
-    ones.  The memory kept stays bounded however large the grid is, because
-    the oracle's arrays are bounded by QUAD_BLOCK and CHUNK_CELLS.  Does
-    nothing where the C library has no mallopt.  Called by the command line
-    only: importing the package leaves the process's allocator alone."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def main(argv=None) -> int:
-    _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

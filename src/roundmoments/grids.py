@@ -236,6 +236,12 @@ class ExplicitSet:
             raise ConfigError("explicit grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
+    def __eq__(self, other):
+        return type(other) is ExplicitSet and np.array_equal(self.points, other.points)
+
+    def __hash__(self):  # the points are finite with no -0.0: equal sets have equal bytes
+        return hash(self.points.tobytes())
+
     def neighbors(self, x):
         x = np.asarray(x, dtype=float)
         i_lo = np.searchsorted(self.points, x, side="right") - 1

@@ -376,6 +376,17 @@ def test_points_in_never_returns_negative_zero(grid):
         assert 0.0 in pts and not np.signbit(pts[pts == 0.0]).any(), (lo, hi)
 
 
+def test_grids_compare_and_hash_by_value():
+    grids_by_kind = (UniformMesh(0.25, 0.1), FloatSystem(3, -4, 2), ExplicitSet([0.0, 1.0, 2.0]))
+    twins = (UniformMesh(0.25, 0.1), FloatSystem(3, -4, 2), ExplicitSet(np.array([-0.0, 1.0, 2.0])))
+    for grid, twin in zip(grids_by_kind, twins):
+        assert grid == twin and hash(grid) == hash(twin)
+    assert ExplicitSet([0.0, 1.0, 2.0]) != ExplicitSet([0.0, 1.0, 3.0])
+    assert ExplicitSet([0.0, 1.0, 2.0]) != ExplicitSet([0.0, 1.0, 2.0, 3.0])
+    assert ExplicitSet([0.0, 1.0]) != UniformMesh(0.5)
+    assert len({*grids_by_kind, *twins}) == 3
+
+
 def test_uniform_offset_normalization():
     assert UniformMesh(0.5, 1.7).offset == pytest.approx(0.7)
     assert UniformMesh(0.5, -0.3).offset == pytest.approx(0.7)
@@ -405,11 +416,7 @@ def test_grid_config_round_trip():
         ({"kind": "float", "m": 5, "k_min": -3, "k_max": 4, "subnormals": False}, FloatSystem(5, -3, 4, subnormals=False)),
         ({"kind": "explicit", "points": [0.0, 0.5, 2.0]}, ExplicitSet(np.array([0.0, 0.5, 2.0]))),
     ):
-        grid = parse_grid_config(cfg)
-        assert type(grid) is type(want)
-        lo1, hi1 = grid.neighbors(0.3)
-        lo2, hi2 = want.neighbors(0.3)
-        assert float(lo1) == float(lo2) and float(hi1) == float(hi2)
+        assert parse_grid_config(cfg) == want
 
 
 def test_bad_configs_rejected():

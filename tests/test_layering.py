@@ -92,3 +92,20 @@ def test_only_the_cell_rule_reads_the_error_integral_constants():
         if isinstance(call.func, ast.Attribute) and call.func.attr in ("c", "d") and (module, where) not in allowed
     ]
     assert bad == []
+
+
+def _absolute_imports(module: str):
+    """The top-level package of each absolute import in ``module``."""
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_calls_foreign_code():
+    # no module reaches into the C library through ctypes, so neither
+    # importing the package nor running its command line sets anything for
+    # the whole process
+    bad = [f"{module} imports ctypes" for module in _modules() if "ctypes" in _absolute_imports(module)]
+    assert bad == []

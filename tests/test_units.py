@@ -38,6 +38,8 @@ MODELS = {
 EPS = 0.01
 DELTA = 0.1
 CANCELLING = (RS.NEAREST, RS.STOCHASTIC)
+TIERS = (("A", RS.TOWARD_ZERO), ("A", RS.NEAREST), ("B", RS.NEAREST), ("C", RS.NEAREST),
+         ("D", RS.NEAREST), ("B", RS.STOCHASTIC), ("D", RS.STOCHASTIC))
 
 
 def _moment_values(model, s):
@@ -74,8 +76,7 @@ def _bound_values(model, s):
                 rep = B.unimodal_moment_bound(model, k, scheme, mode, base, signed=signed)
                 yield f"unimodal {scheme.value} {mode} k={k} signed={signed}", rep.value, k
     mesh = UniformMesh(0.05 * s, 0.013 * s)
-    for tier, scheme in (("A", RS.TOWARD_ZERO), ("A", RS.NEAREST), ("B", RS.NEAREST), ("C", RS.NEAREST),
-                         ("D", RS.NEAREST), ("B", RS.STOCHASTIC), ("D", RS.STOCHASTIC)):
+    for tier, scheme in TIERS:
         de, dv = B.mean_and_variance_diff_bounds(model, tier, mesh=mesh, scheme=scheme)
         yield f"tier {tier} {scheme.value} mean", de.value, 1
         yield f"tier {tier} {scheme.value} variance", dv.value, 2
@@ -125,3 +126,15 @@ def test_every_value_scales_by_an_exact_power_of_two(name, j):
         if value != ref[key][0] * 2.0 ** (j * power)
     ]
     assert wrong == []
+
+
+def test_tiers_scale_up_to_where_a_power_of_delta_overflows():
+    # at s = 2^498 a bound term's delta^3 (and delta^2 for a zero term) is
+    # past a double while the term itself is not
+    def tiers(s):
+        model, mesh = make_normal(0.0, s * s), UniformMesh(0.1 * s, 0.013 * s)
+        return [B.mean_and_variance_diff_bounds(model, tier, mesh=mesh, scheme=scheme) for tier, scheme in TIERS]
+
+    s = 2.0 ** 498
+    want = [(de.value * s, dv.value * s * s) for de, dv in tiers(1.0)]
+    assert [(de.value, dv.value) for de, dv in tiers(s)] == want
