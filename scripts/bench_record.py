@@ -8,9 +8,12 @@ copied there too, the same set of files ``git archive`` would take of it
 once committed; the directory is removed afterwards.  Each run's result
 line, the last line perfbench prints, is kept unchanged, with the side
 that ran first in its pair.  Every workload also gets a summary: for each metric the
-quartiles on each side, the change's median over the parent's, and the
+quartiles on each side, the change's median over the parent's, the
 pairs the change won (by the metric's ``better`` direction in
-BENCHMARK.json).
+BENCHMARK.json), and whether a gain may be claimed: at least 10 pairs
+ran, the change won at least 9 of every 10 (ties count for neither side),
+and its median is better than the parent's by more than the parent's
+interquartile distance.
 
     python3 scripts/bench_record.py --parent 1a52c38 --pr 22 --seed 19 \\
         --seconds 20 --workload float_oracle:10 --workload verify:5 \\
@@ -84,7 +87,8 @@ def quartiles(values: list) -> dict:
 
 def summarize(pairs: list, better: dict) -> dict:
     """Quartiles of each metric on both sides, the change's median over the
-    parent's, and the pairs the change won; then the failure counts."""
+    parent's, the pairs the change won and whether the claim rule holds;
+    then the failure counts."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -92,10 +96,13 @@ def summarize(pairs: list, better: dict) -> dict:
         base = stats["parent"]["median"]
         sign = -1.0 if better.get(name) == "lower" else 1.0
         won = sum(sign * (c - p) > 0.0 for p, c in zip(vals["parent"], vals["change"]))
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
         out[name] = {
             **stats,
             "change_over_parent_median": stats["change"]["median"] / base if base else None,
             "pairs_won_by_change": f"{won} of {len(pairs)}",
+            "gain_claimable": len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+            and sign * (stats["change"]["median"] - base) > spread,
         }
     if "throughput" in out:
         out["throughput_pairs_won_by_change"] = out["throughput"]["pairs_won_by_change"]
@@ -154,7 +161,8 @@ def record(args) -> int:
 
 def compare(path: pathlib.Path) -> None:
     """For each workload and metric: both sides' medians and quartiles, the
-    ratio of the medians and the pairs the change won."""
+    ratio of the medians, the pairs the change won and whether a gain may
+    be claimed."""
     better = better_directions()
     doc = json.loads(pathlib.Path(path).read_text())
     for entry in doc["workloads"]:
@@ -171,7 +179,8 @@ def compare(path: pathlib.Path) -> None:
             ratio = s["change_over_parent_median"]
             print(f"  {name:40s} {p['median']:11.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> "
                   f"{c['median']:11.5g} [{c['q1']:.5g}, {c['q3']:.5g}]  "
-                  f"x{ratio if ratio is not None else float('nan'):.3f}  won {s['pairs_won_by_change']}")
+                  f"x{ratio if ratio is not None else float('nan'):.3f}  won {s['pairs_won_by_change']}  "
+                  f"{'gain claimable' if s['gain_claimable'] else 'no gain claimable'}")
 
 
 def main() -> int:

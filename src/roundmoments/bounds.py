@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_center, scan_max
+from .distributions import DensityModel, Envelope, SymmetricSplit, best_mesh_center
 from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, UniformMesh
 from .quadrature import adaptive_quad
@@ -323,39 +323,6 @@ def sheppard_two_sided(weight_integral: float, sup_weight: float, n: int, delta:
     return _report(delta, n, lead * weight_integral, high * sup_weight, "sheppard_two_sided", tier="C")
 
 
-def _h_region_sum(model: DensityModel, center: float) -> float:
-    """Sum of per-bump suprema of the asymmetric remainder h about center.
-
-    The cancellation bound charges one cell-integral term per connected
-    level-set interval, so h with several bumps (a decreasing density split
-    about a positive center, say) pays once per bump.
-    """
-    split = SymmetricSplit(model, center)
-    lo, hi = model.effective_range()
-    span_lo = min(lo, 2.0 * center - hi)
-    span_hi = max(hi, 2.0 * center - lo)
-    xs = np.linspace(span_lo, span_hi, 4001)
-    # the mode too: once the span is many supports wide, the even samples
-    # can all miss a density that is 0 at both ends (a semicircle)
-    extras = np.asarray([lo, hi, 2.0 * center - lo, 2.0 * center - hi, center, model.mode])
-    xs = np.unique(np.concatenate([xs, extras[(extras >= span_lo) & (extras <= span_hi)]]))
-    ys = np.asarray(split.h(xs), dtype=float)
-    top = float(ys.max())
-    if top <= 0.0:
-        return 0.0
-    # bumps are the runs of samples above the threshold: [start, stop)
-    active = np.concatenate([[False], ys > 1e-9 * top, [False]])
-    starts, stops = np.flatnonzero(np.diff(active)).reshape(-1, 2).T
-    total = 0.0
-    for i, j in zip(starts, stops):
-        seg_max = float(ys[i:j].max())
-        # refine the bump peak so the scan cannot undercut the true supremum
-        a = xs[max(i - 1, 0)]
-        b = xs[min(j, xs.size - 1)]
-        total += max(seg_max, scan_max(split.h, a, b, n=257))
-    return total
-
-
 def mean_and_variance_diff_bounds(
     model: DensityModel,
     tier: str,
@@ -397,9 +364,9 @@ def mean_and_variance_diff_bounds(
             # Unknown offset: mesh points and midpoints form a half_gap
             # lattice, so some admissible center satisfies |c| <= half_gap/2.
             half = 0.5 * mesh.half_gap
-            h_sum = max(_h_region_sum(model, c) for c in np.linspace(-half, half, 5))
+            h_sum = max(SymmetricSplit(model, c).bump_sup_sum() for c in np.linspace(-half, half, 5))
         else:
-            h_sum = _h_region_sum(model, best_mesh_center(mesh))
+            h_sum = SymmetricSplit(model, best_mesh_center(mesh)).bump_sup_sum()
         de_coef = d1 * h_sum
     de = _report(dlt, 2, de_coef, 0.0, "mean_diff", tier=tier)
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -248,7 +248,7 @@ def sweep_svg(rows) -> str:
 
 def _sweep_csv(rows) -> str:
     lines = [CSV_HEADER]
-    lines.extend(",".join(_g17(v) for v in astuple(r)) for r in rows)
+    lines.extend(",".join(_g17(getattr(r, f.name)) for f in fields(SweepRow)) for r in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ from .grids import UniformMesh
 from .quadrature import adaptive_quad
 
 _MASS_TOL = 1e-18
+_T33 = np.arange(33.0)  # scan_max's rescan points, before scaling
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class DensityModel:
     mode: float
     mean: float
     variance: float
-    _pdf: Callable  # _pdf(x, out) writes the density at x into out and returns it
+    _pdf: Callable  # _pdf(x, out) writes the density at x into out (which may be x) and returns it
     _quantile: Callable
     _raw_moment: Callable[[int], float]
     _central_moment: Callable[[int], float]
@@ -173,7 +174,9 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
     between the two samples around the best value so far.  It stops when
     those two samples are adjacent doubles (or one point, as when lo == hi)
     or when the bracket stops shrinking.  No shape of f is assumed, so a
-    peak on a kink is reached as surely as a smooth one.
+    peak on a kink is reached as surely as a smooth one.  Every rescan's
+    points are exactly ``np.linspace(a, b, 33)``, formed as linspace forms
+    them without its per-call setup.
     """
     xs = np.linspace(lo, hi, n)
     if extra:
@@ -183,13 +186,16 @@ def scan_max(f, lo: float, hi: float, extra=(), n: int = 4001) -> float:
     width = math.inf
     while True:
         ys = np.asarray(f(xs))
-        i = int(np.argmax(ys))
+        i = int(ys.argmax())
         best = max(best, float(ys[i]))
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        if np.nextafter(a, b) >= b or not b - a < width:
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
+        if math.nextafter(a, b) >= b or not b - a < width:
             return best
         width = b - a
-        xs = np.linspace(a, b, 33)
+        step = (b - a) / 32.0
+        # where a subnormal bracket's step underflows to 0, linspace divides first
+        xs = _T33 * step + a if step else np.linspace(a, b, 33)
+        xs[-1] = b
 
 
 def _catalan(j: int) -> int:
@@ -463,8 +469,9 @@ class SymmetricSplit:
 
     def h(self, x):
         x = np.asarray(x, dtype=float)
-        f = self.model.density
-        return np.maximum(f(x) - f(2.0 * self.center - x), 0.0)
+        both = np.array([x, 2.0 * self.center - x])
+        f = self.model.density(both, out=both)
+        return np.maximum(f[0] - f[1], 0.0)
 
     def h_integral(self, j: int, lo: float, hi: float) -> float:
         """Integral of x^j h(x) over [lo, hi]."""
@@ -472,6 +479,47 @@ class SymmetricSplit:
         cuts = (r_lo, r_hi, 2.0 * self.center - r_lo, 2.0 * self.center - r_hi, self.center, 0.0)
         val, _ = adaptive_quad(lambda x: x ** j * self.h(x), lo, hi, breakpoints=cuts)
         return val
+
+    def bump_sup_sum(self) -> float:
+        """Sum of per-bump suprema of h, cached on the model per exact center.
+
+        The cancellation bound charges one cell-integral term per connected
+        level-set interval, so h with several bumps (a decreasing density
+        split about a positive center, say) pays once per bump.
+        """
+        key = ("bump_sup_sum", self.center)
+        if key not in self.model._cache:
+            self.model._cache[key] = self._scan_bumps()
+        return self.model._cache[key]
+
+    def _scan_bumps(self) -> float:
+        model, center = self.model, self.center
+        lo, hi = model.effective_range()
+        span_lo = min(lo, 2.0 * center - hi)
+        span_hi = max(hi, 2.0 * center - lo)
+        xs = np.linspace(span_lo, span_hi, 4001)
+        # the mode too: once the span is many supports wide, the even samples
+        # can all miss a density that is 0 at both ends (a semicircle)
+        extras = np.asarray(sorted({lo, hi, 2.0 * center - lo, 2.0 * center - hi, center, model.mode}))
+        extras = extras[(extras >= span_lo) & (extras <= span_hi)]
+        at = np.searchsorted(xs, extras)
+        new = xs[np.minimum(at, xs.size - 1)] != extras
+        xs = np.insert(xs, at[new], extras[new])
+        ys = self.h(xs)
+        top = float(ys.max())
+        if top <= 0.0:
+            return 0.0
+        # bumps are the runs of samples above the threshold: [start, stop)
+        active = np.concatenate([[False], ys > 1e-9 * top, [False]])
+        starts, stops = np.flatnonzero(np.diff(active)).reshape(-1, 2).T
+        total = 0.0
+        for i, j in zip(starts, stops):
+            seg_max = float(ys[i:j].max())
+            # refine the bump peak so the scan cannot undercut the true supremum
+            a = xs[max(i - 1, 0)]
+            b = xs[min(j, xs.size - 1)]
+            total += max(seg_max, scan_max(self.h, a, b, n=257))
+        return total
 
 
 def best_mesh_center(mesh: UniformMesh) -> float:

@@ -19,6 +19,8 @@ from roundmoments import (
     make_uniform,
     parse_dist_config,
 )
+from roundmoments import distributions as D
+from roundmoments.bounds import mean_and_variance_diff_bounds
 from roundmoments.distributions import scan_max
 from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.quadrature import adaptive_quad
@@ -416,3 +418,39 @@ def test_scan_max_reaches_a_peak_on_a_kink():
 
 def test_scan_max_of_one_point():
     assert scan_max(lambda x: 1.0 - x * x, 0.5, 0.5) == 0.75
+
+
+def _rescans(monkeypatch, run):
+    """The 33-point rescans of every scan_max call that run() makes."""
+    rounds = []
+
+    def recording(f, *args, **kwargs):
+        def g(xs):
+            rounds.append(np.array(xs))
+            return f(xs)
+
+        return scan_max(g, *args, **kwargs)
+
+    monkeypatch.setattr(D, "scan_max", recording)
+    run()
+    return [xs for xs in rounds if xs.size == 33]
+
+
+@pytest.mark.parametrize(
+    "run, subnormal",
+    [
+        (lambda: D.scan_max(lambda x: np.exp(-((x - 0.3) ** 2)), -2.0, 3.0), False),
+        # the zoom onto the jump at 0 reaches (-1.5e-323, 1.5e-323)
+        (lambda: SymmetricSplit(make_exponential(1.0), 0.025).bump_sup_sum(), True),
+        # sup_centered_weight's zoom onto the jump at 0 reaches (0, 2e-323)
+        (lambda: mean_and_variance_diff_bounds(make_uniform(0.0, 1.0), "D", mesh=UniformMesh(0.1, 0.0123)), True),
+    ],
+    ids=["smooth-peak", "exponential-remainder", "uniform-tier-D"],
+)
+def test_scan_max_rescans_exactly_linspace(monkeypatch, run, subnormal):
+    rounds = _rescans(monkeypatch, run)
+    assert len(rounds) > 10
+    for xs in rounds:
+        assert xs.tobytes() == np.linspace(xs[0], xs[-1], 33).tobytes()
+    # a bracket whose (b - a)/32 underflows to 0, where linspace divides first
+    assert any((xs[-1] - xs[0]) / 32.0 == 0.0 for xs in rounds) == subnormal

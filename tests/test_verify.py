@@ -1,5 +1,7 @@
+from roundmoments import SymmetricSplit, UniformMesh, make_semicircle
+from roundmoments.bounds import mean_and_variance_diff_bounds
 from roundmoments.rounding import RoundingScheme
-from roundmoments.verify import SWEEP_BUDGET, SweepRow, run_suite, worst_margin
+from roundmoments.verify import SWEEP_BUDGET, SweepRow, offset_sweep, run_suite, worst_margin
 
 
 def test_suite_passes_default_seed():
@@ -48,3 +50,16 @@ def test_sweep_row_violations_name_each_exceeded_bound():
     within = 0.5 * SWEEP_BUDGET
     row = SweepRow(0.2, 0.5 + within, 0.25 + within, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25)
     assert row.violations() == []
+
+
+def test_sweep_scans_each_mesh_center_once(monkeypatch):
+    scans = []
+    uncached = SymmetricSplit._scan_bumps
+    monkeypatch.setattr(SymmetricSplit, "_scan_bumps", lambda self: scans.append(self.center) or uncached(self))
+    rows = offset_sweep(make_semicircle(1.0, 0.0), 0.05, 64)
+    # tier C's 5 centers and tier D's 64 offsets, whose mesh centers take 50
+    # distinct values, two of them also tier C centers: 53 scans, not 69
+    assert len(scans) == len(set(scans)) == 53
+    for row in rows:
+        de, _ = mean_and_variance_diff_bounds(make_semicircle(1.0, 0.0), "D", mesh=UniformMesh(0.05, row.offset))
+        assert de.value.hex() == row.bound_D_E.hex()
