@@ -27,6 +27,10 @@ change moved.  It prints:
   ``bound --plan`` with and without ``--n``/``--t`` (and ``--delta``);
 * the sha256 of ``json.dumps(rep.to_json())`` for one report of each
   bound family (asserting that ``BoundReport.from_json`` reads each back);
+* the sha256 of ``ExplicitSet.neighbors`` (the bytes of lo, then of hi)
+  on ``linspace(0, 1, 100_001)**2`` at 10^5 uniforms of Philox stream
+  (0, 0), every point, every midpoint, and the ``nextafter`` neighbours of
+  every point that lie inside the set's range;
 * ``gap_stats`` on each grid kind over ranges on either side of zero and
   touching it, including all-negative and zero-ending explicit sets (or
   the exception's class and message);
@@ -91,6 +95,7 @@ from roundmoments.errors import PreconditionError, RoundMomentsError  # noqa: E4
 from roundmoments.oracle import (  # noqa: E402
     CHUNK_CELLS,
     _partition,
+    _philox_stream,
     centered_moment_of_rounded,
     convergence_slope,
     delta_e_and_v,
@@ -322,6 +327,14 @@ def report_lines():
         yield f"report {name} notes={len(rep.notes)} sha256={sha(blob)}"
 
 
+def neighbor_lines():
+    pts = SQUARES.points
+    queries = np.concatenate([_philox_stream(0, 0).random(100_000), pts, 0.5 * (pts[:-1] + pts[1:]),
+                              np.nextafter(pts[1:], -np.inf), np.nextafter(pts[:-1], np.inf)])
+    lo, hi = SQUARES.neighbors(queries)
+    yield f"neighbors squares queries={queries.size} sha256={hashlib.sha256(lo.tobytes() + hi.tobytes()).hexdigest()}"
+
+
 def gap_lines():
     for gname, grid in GAP_GRIDS.items():
         for lo, hi in GAP_RANGES:
@@ -465,8 +478,8 @@ def convergence_lines():
 
 
 def main() -> int:
-    for section in (oracle_lines, partition_lines, verify_lines, sweep_lines, bound_lines, report_lines, gap_lines,
-                    quad_lines, value_lines, quantile_lines, mc_lines, construction_lines, convergence_lines):
+    for section in (oracle_lines, partition_lines, verify_lines, sweep_lines, bound_lines, report_lines, neighbor_lines,
+                    gap_lines, quad_lines, value_lines, quantile_lines, mc_lines, construction_lines, convergence_lines):
         for line in section():
             print(line, flush=True)
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Union
 
@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 
 CELL_BUDGET = 100_000_000
+# Bucket edges an explicit set's index computes at a time: a 512 KiB array.
+INDEX_CHUNK = 65_536
 
 
 # Each grid kind numbers its points in order and offers two primitives on
@@ -221,9 +223,16 @@ class FloatSystem:
 
 @dataclass(frozen=True)
 class ExplicitSet:
-    """A strictly increasing finite point set."""
+    """A strictly increasing finite point set.
+
+    Neighbor queries go through an index built on the first query and kept
+    in ``_cache``, outside ``==``, ``hash`` and ``repr``: N equal-width
+    buckets over [p_0, p_{N-1}], N the number of points, each with the int32
+    count of points at or below its lower edge (4 B per point).
+    """
 
     points: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float) + 0.0  # a -0.0 point is +0.0
@@ -242,16 +251,49 @@ class ExplicitSet:
     def __hash__(self):  # the points are finite with no -0.0: equal sets have equal bytes
         return hash(self.points.tobytes())
 
+    def _index(self) -> tuple[float, np.ndarray]:
+        """The bucket width and the count of points at or below each edge
+        p_0 + j * width, j = 0..N, built INDEX_CHUNK edges at a time.  A span
+        past a double makes the width inf and the first edge NaN, and a width
+        that underflows to 0 makes every edge p_0: then no query lies between
+        its bucket's edges, and every query is searched."""
+        if "index" not in self._cache:
+            pts = self.points
+            counts = np.empty(pts.size + 1, dtype=np.int32)
+            with np.errstate(over="ignore", invalid="ignore"):
+                width = (pts[-1] - pts[0]) / pts.size
+                for start in range(0, counts.size, INDEX_CHUNK):
+                    j = np.arange(start, min(start + INDEX_CHUNK, counts.size), dtype=float)
+                    counts[start : start + j.size] = np.searchsorted(pts, pts[0] + j * width, side="right")
+            self._cache["index"] = width, counts
+        return self._cache["index"]
+
     def neighbors(self, x):
         x = np.asarray(x, dtype=float)
-        i_lo = np.searchsorted(self.points, x, side="right") - 1
+        pts, flat = self.points, x.reshape(-1)
+        width, counts = self._index()
+        # x's bucket j, and whether x lies between its edges as _index
+        # computed them; NaN and far queries land in the end buckets
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            j = np.minimum(np.fmax(np.floor((flat - pts[0]) / width), 0.0), pts.size - 1.0)
+            fast = (pts[0] + j * width <= flat) & (flat < pts[0] + (j + 1.0) * width)
+        j = j.astype(np.intp)
+        below, upto = counts[j], counts[j + 1]
+        # With at most one point in the bucket, the points at or below x are
+        # those at or below its upper edge, less that point if it lies above x.
+        fast &= upto - below <= 1
+        count = upto - (pts[upto - 1] > flat)
+        if not fast.all():
+            slow = ~fast
+            count[slow] = np.searchsorted(pts, flat[slow], side="right")
+        i_lo = count.reshape(x.shape) - 1
         # the point at or below x is x itself exactly when x is on the set
-        i_hi = i_lo + (self.points[np.maximum(i_lo, 0)] != x)
+        i_hi = i_lo + (pts[np.maximum(i_lo, 0)] != x)
         if np.any(i_lo < 0):
             raise PreconditionError("no grid point at or below query")
-        if np.any(i_hi >= self.points.size):
+        if np.any(i_hi >= pts.size):
             raise PreconditionError("no grid point at or above query")
-        return self.points[i_lo], self.points[i_hi]
+        return pts[i_lo], pts[i_hi]
 
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         return _budget(int(np.searchsorted(self.points, lo, side="left")),

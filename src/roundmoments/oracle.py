@@ -44,9 +44,11 @@ EVAL_ULPS = 32
 CHUNK_CELLS = 32 * QUAD_BLOCK
 # Samples per Monte Carlo block.  A block's float64 array is 128 KiB, so the
 # ten or so temporaries that drawing, transforming and rounding one block
-# builds fit a 2 MB L2 cache together (16,384 beat 4,096 and 65,536).  Only
-# the per-sample results are kept whole, so memory is O(MC_BLOCK) plus a few
-# arrays of n_samples doubles, however many summands a sum has.
+# builds fit a 2 MB L2 cache together (16,384 beat 4,096 and 65,536).  The
+# moments are summed over slices of at most MC_BLOCK samples cut along
+# np.sum's own pairwise tree, so they equal whole-array sums bit for bit.
+# Only the rounded values are kept whole, so memory is O(MC_BLOCK) plus 8 B
+# per sample, however many moments or summands there are.
 MC_BLOCK = 16_384
 
 
@@ -407,7 +409,8 @@ def mc_rounded_moments(
     stochastic-rounding variate for sample i is element i of stream
     (seed, 1), so results are reproducible regardless of scheduling.
     Samples are drawn, transformed and rounded MC_BLOCK at a time; only the
-    rounded values are kept whole.
+    rounded values are kept whole, and every moment is summed from them a
+    slice at a time (see :func:`_tree_sum`).
     """
     if k_max < 1:
         raise PreconditionError("need k_max >= 1")
@@ -422,30 +425,57 @@ def mc_rounded_moments(
     root_n = math.sqrt(n_samples)
     info = {"samples": n_samples, "seed": seed}
 
-    def spread(vals: np.ndarray) -> tuple[float, float]:
-        # the mean and the sum of squared deviations from it, each as
-        # np.mean and np.std compute them
-        mean = np.mean(vals)
-        dev = vals - mean
-        dev *= dev
-        return float(mean), float(np.sum(dev))
-
     def res(value: float, squares: float) -> OracleResult:
         # 4 * np.std(vals) / sqrt(n)
         return OracleResult(value, 4.0 * math.sqrt(squares / n_samples) / root_n, "monte_carlo", dict(info))
 
-    raws = [spread(int_power(rd, k)) for k in range(1, k_max + 1)]
-    raw = tuple(res(*r) for r in raws)
-    rbar, rd_squares = raws[0]
-    centered = rd  # rd itself is not read again
-    centered -= rbar
+    # each mean and sum of squared deviations from it as np.mean and np.std
+    # compute them: raw orders about 0, central ones about rbar
+    raw_orders, central_orders = range(1, k_max + 1), range(2, max(k_max, 2) + 1)
+    raw_means = _power_sums(rd, 0.0, raw_orders) / n_samples
+    raw_squares = _power_sums(rd, 0.0, raw_orders, raw_means).tolist()
+    raw = tuple(map(res, raw_means.tolist(), raw_squares))
+    rbar = raw[0].value
+    central_means = _power_sums(rd, rbar, central_orders) / n_samples
     # The second central moment is always needed: its spread is Delta_V's.
-    central = tuple(res(*spread(int_power(centered, k))) for k in range(2, max(k_max, 2) + 1))
+    central = tuple(map(res, central_means.tolist(), _power_sums(rd, rbar, central_orders, central_means).tolist()))
     delta_e = OracleResult(rbar - model.mean, raw[0].abs_error_estimate, "monte_carlo", dict(info))
     # np.var(rd, ddof=1)
-    v_rd = rd_squares / (n_samples - 1)
+    v_rd = raw_squares[0] / (n_samples - 1)
     delta_v = OracleResult(v_rd - model.variance, central[0].abs_error_estimate, "monte_carlo", dict(info))
     return MCMoments(raw=raw, central=central[: k_max - 1], delta_e=delta_e, delta_v=delta_v)
+
+
+def _power_sums(rd: np.ndarray, shift: float, orders, means=None) -> np.ndarray:
+    """Per k of ``orders``, np.sum of (rd - shift)^k, or with ``means`` of
+    ((rd - shift)^k - means[k])^2, bit for bit, without building either array
+    whole: each slice of :func:`_tree_sum` forms its own powers."""
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        x, sums = rd[lo:hi] - shift, np.empty(len(orders))
+        for i, k in enumerate(orders):
+            p = int_power(x, k)  # a new array
+            if means is not None:
+                p -= means[i]
+                p *= p
+            sums[i] = np.sum(p)
+        return sums
+
+    return _tree_sum(leaf, 0, rd.size)
+
+
+def _tree_sum(leaf: Callable, lo: int, hi: int):
+    """leaf(lo, hi), np.sum over the elements [lo, hi) of some arrays, added
+    up along np.sum's own pairwise tree: a node splits at half its length
+    rounded down to a multiple of 8 until it holds at most MC_BLOCK, which is
+    more than numpy's 128-element leaf, so each slice's np.sum is a subtree
+    of the whole one and the result equals np.sum over [lo, hi) bit for bit.
+    It recurses by module-level calls: a closure calling itself would be a
+    reference cycle, keeping the arrays it reads alive until the cyclic
+    collector runs."""
+    if hi - lo <= MC_BLOCK:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    return _tree_sum(leaf, lo, mid) + _tree_sum(leaf, mid, hi)
 
 
 @dataclass(frozen=True)

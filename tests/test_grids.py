@@ -82,6 +82,51 @@ def test_explicit_neighbors_one_search_matches_two():
             es.neighbors(query)
 
 
+def bucket_index_sets():
+    """About 300 explicit point sets that stress the bucket index: even,
+    crowded, heavy-tailed, two-point, around zero, and spans that over- and
+    underflow a double."""
+    rng = np.random.default_rng(32)
+    sets = [np.array([-1e308, 0.0, 1e308]), np.array([0.0, 5e-324, 1e-323]), np.array([0.0, 5e-324]),
+            np.linspace(0.0, 1.0, 2 * grids.INDEX_CHUNK + 3) ** 2]  # the last fills three chunks of edges
+    for _ in range(60):
+        n = int(rng.integers(3, 300))
+        sets.append(np.unique(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-300, 300)))
+        sets.append(np.linspace(0.0, 1.0, n) ** int(rng.integers(2, 9)) * 10.0 ** rng.integers(-5, 5))
+        sets.append(np.cumsum(rng.pareto(0.7, n) + 1e-3))
+        sets.append(np.sort(rng.uniform(-1e3, 1e3, 2)))
+        sets.append(np.unique(np.concatenate([[0.0], -rng.random(n // 2), rng.random(n // 2)])))
+    return [s for s in sets if s.size >= 2 and np.all(np.diff(s) > 0)]
+
+
+def test_bucketed_explicit_neighbors_are_exact():
+    rng = np.random.default_rng(5)
+    for pts in bucket_index_sets():
+        es = ExplicitSet(pts)
+        pts = es.points
+        mids = pts[:-1] + 0.5 * np.diff(pts)
+        lam = rng.random(200)  # uniforms on [p_0, p_{N-1}], whose length may be past a double
+        queries = np.concatenate([pts, np.nextafter(pts[1:], -np.inf), np.nextafter(pts[:-1], np.inf), mids,
+                                  np.clip(lam * pts[0] + (1.0 - lam) * pts[-1], pts[0], pts[-1])])
+        count = np.searchsorted(pts, queries, side="right")
+        want_lo, want_hi = pts[count - 1], pts[count - (pts[count - 1] == queries)]
+        lo, hi = es.neighbors(queries)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), pts
+        lo, hi = es.neighbors(queries[: queries.size // 4 * 4].reshape(-1, 4)[::-1])
+        assert np.array_equal(lo.ravel(), want_lo[: lo.size].reshape(-1, 4)[::-1].ravel())
+        assert np.array_equal(hi.ravel(), want_hi[: hi.size].reshape(-1, 4)[::-1].ravel())
+        for i in rng.integers(0, queries.size, 5):
+            assert es.neighbors(queries[i]) == (want_lo[i], want_hi[i])
+        below, above = np.nextafter(pts[0], -np.inf), np.nextafter(pts[-1], np.inf)
+        for query, side in ((below, "below"), (above, "above"), (-np.inf, "below"), (np.inf, "above"),
+                            (np.nan, "above"), ([[pts[0], above], [mids[0], below]], "below"), ([mids[0], np.nan], "above")):
+            with pytest.raises(PreconditionError, match=f"^no grid point at or {side} query$"):
+                es.neighbors(query)
+        # the index is kept out of equality, hashing and repr
+        fresh = ExplicitSet(pts.copy())
+        assert es == fresh and hash(es) == hash(fresh) and repr(es) == repr(fresh)
+
+
 def test_float_system_saturates_flagged():
     fs = FloatSystem(3, -2, 3)
     assert floor_to(fs, 100.0) == 8.0
