@@ -7,7 +7,8 @@ temporary directory, and the change (this checkout's working tree) is
 copied there too, the same set of files ``git archive`` would take of it
 once committed; the directory is removed afterwards.  Each run's result
 line, the last line perfbench prints, is kept unchanged, with the side
-that ran first in its pair.  Every workload also gets a summary: for each metric the
+that ran first in its pair, and so is each side's line count of
+``src/roundmoments/*.py``.  Every workload also gets a summary: for each metric the
 quartiles on each side, the change's median over the parent's, the
 pairs the change won (by the metric's ``better`` direction in
 BENCHMARK.json), and whether a gain may be claimed: at least 10 pairs
@@ -64,6 +65,12 @@ def copy_tree(dest: pathlib.Path) -> None:
         if (ROOT / name).is_file():  # a tracked file deleted from the working tree is not copied
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
+
+
+def src_lines(tree: pathlib.Path) -> int:
+    """The newlines of ``tree``'s src/roundmoments/*.py, as
+    ``cat src/roundmoments/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "roundmoments").glob("*.py"))
 
 
 def run(side: pathlib.Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -131,6 +138,7 @@ def record(args) -> int:
         "change": "working tree",
         "host": None,
         "src_sha256": {},
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": [],
     }
     try:
@@ -165,6 +173,8 @@ def compare(path: pathlib.Path) -> None:
     be claimed."""
     better = better_directions()
     doc = json.loads(pathlib.Path(path).read_text())
+    if "src_lines" in doc:  # files recorded before the count was kept lack it
+        print(f"src lines: {doc['src_lines']['parent']} -> {doc['src_lines']['change']}")
     for entry in doc["workloads"]:
         summary = summarize(entry["pairs"], better)
         print(f"{entry['workload']} seed {entry['seed']} trace {entry['trace']}: {len(entry['pairs'])} pairs, "

@@ -73,10 +73,7 @@ def _report(base, power, lead, high, theorem, tier=None, mode=ADDITIVE, notes=()
     higher-order term sits one power above the leading one by default."""
     leading = BoundTerm(lead, power, base)
     higher = BoundTerm(high, power + 1 if high_power is None else high_power, base)
-    try:
-        value = leading.value + higher.value
-    except OverflowError:
-        value = math.inf
+    value = leading.value + higher.value
     if not math.isfinite(value):
         raise ConfigError(f"{theorem} bound overflows a double at base {base!r}")
     return BoundReport(

@@ -52,13 +52,6 @@ CHUNK_CELLS = 32 * QUAD_BLOCK
 MC_BLOCK = 16_384
 
 
-# The last partition of one chunk, with its grid (by identity), scheme, range
-# and CHUNK_CELLS, and what _weight_bounds took from it: delta_e_and_v walks
-# one three times.
-_LAST_CHUNK: list = [None, None]
-_LAST_WEIGHT: list = [None, None]
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -69,17 +62,30 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class Weight:
-    """The weight (x - center)^power f(x), f the model's density or 1 with no model."""
+    """The weight (x - center)^power f(x), f the model's density or 1 with no
+    model.  ``_cache``, outside ``==``, ``hash`` and ``repr``, keeps the last
+    partition of one chunk walked with this weight and the _weight_bounds
+    taken from it, so walks that pass one Weight share them."""
 
     model: DensityModel | None = None
     center: float = 0.0
     power: int = 0
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded one
-    chunk at a time as arrays (lo, hi, rd_data): rd_data holds both cell
-    ends under stochastic rounding, else the rounding target.
+    """The chunks of :func:`_chunks` for no weight, yielded one at a time and
+    kept nowhere; nothing, the checks on [a, b] included, runs before the
+    first chunk is asked for."""
+    yield from _chunks(None, grid, scheme, a, b)
+
+
+def _chunks(weight, grid: Grid, scheme: RoundingScheme, a: float, b: float):
+    """Pieces [lo, hi] of [a, b] with each piece's rounding data, as chunks
+    of arrays (lo, hi, rd_data): rd_data holds both cell ends under
+    stochastic rounding, else the rounding target.  A partition of one chunk
+    is a list, kept on ``weight`` if it is a :class:`Weight` until that walks
+    another; a longer one is a generator, kept nowhere.
 
     The chunks are cut at every CHUNK_CELLS-th grid point of [a, b], taken
     from the grid's numbering of its points, so no chunk holds more than
@@ -89,24 +95,20 @@ def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
     switch point (its midpoint under nearest rounding, 0 under directed
     rounding), so the error is one linear branch on each piece.  The
     outermost pieces are graded geometrically toward a and b, where
-    densities often lose smoothness.  A one-chunk partition is kept, read
-    only, until the next is made.
+    densities often lose smoothness.
     """
-    if not (a < b and math.isfinite(a) and math.isfinite(b)):
-        raise PreconditionError(f"need finite a < b, got [{a!r}, {b!r}]")
-    key, (last, chunk) = (scheme, a, b, CHUNK_CELLS), _LAST_CHUNK
-    if last is not None and last[0] is grid and last[1:] == key:
-        yield chunk
-        return
-    i0, i1 = grid.index_range(a, b)
-    cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
-    ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
-    if len(ends) == 2:
-        _LAST_CHUNK[:] = (grid, *key), _pieces(grid, scheme, a, b, True, True)
-        yield _LAST_CHUNK[1]
-        return
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        yield _pieces(grid, scheme, lo, hi, lo == a, hi == b)
+    key, kept = (grid, scheme, a, b, CHUNK_CELLS, QUAD_BLOCK), weight._cache if isinstance(weight, Weight) else {}
+    if kept.get("key") != key:
+        kept.clear()
+        if not (a < b and math.isfinite(a) and math.isfinite(b)):
+            raise PreconditionError(f"need finite a < b, got [{a!r}, {b!r}]")
+        i0, i1 = grid.index_range(a, b)
+        cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
+        ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
+        if len(ends) > 2:
+            return (_pieces(grid, scheme, lo, hi, lo == a, hi == b) for lo, hi in zip(ends[:-1], ends[1:]))
+        kept.update(key=key, chunk=_pieces(grid, scheme, a, b, True, True))
+    return [kept["chunk"]]
 
 
 def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: bool, grade_hi: bool):
@@ -170,10 +172,7 @@ def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
     half-widths, max|x| + h + |center| + |mode|, log(sup|w| / scale) on its
     Bernstein ellipses (a row per rho); scale; the pieces straddling a jump
     or too near a branch point; 2h sup|w| of those, or of a lone block's."""
-    model, (last, kept) = weight.model, _LAST_WEIGHT
-    key = (lo_p, model, weight.center, weight.power, QUAD_BLOCK)
-    if last is not None and last[0] is lo_p and last[1] is model and last[2:] == key[2:]:
-        return kept
+    model = weight.model
     width = hi_p - lo_p
     h, length = (0.5 * total.reduceat(width, starts) for total in (np.maximum, np.add))
     lo, hi = np.minimum.reduceat(lo_p, starts), np.maximum.reduceat(hi_p, starts)
@@ -199,10 +198,7 @@ def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
         real = width[pick] * (1.0 if model is None else model.density(np.clip(model.mode, lo_s, hi_s)))
         if weight.power:
             real *= int_power(np.maximum(np.abs(weight.center - lo_s), np.abs(weight.center - hi_s)), weight.power)
-    kept = h, length, far, log, scale, at, real
-    if _LAST_CHUNK[1] is not None and lo_p is _LAST_CHUNK[1][0]:
-        _LAST_WEIGHT[:] = key, kept
-    return kept
+    return h, length, far, log, scale, at, real
 
 
 def _block_bounds(weight: Weight, integrand: _Integrand, lo_p, hi_p, rd_data, starts, rungs: tuple):
@@ -215,7 +211,10 @@ def _block_bounds(weight: Weight, integrand: _Integrand, lo_p, hi_p, rd_data, st
     2hd (sup|w'| sup|f| + sup|w| sup|f'|), sup|w'| <= sup|w| / (h (a - 1))
     (Cauchy).  A piece's magnitude is at most 2h sup|w| sup|f|, its error
     twice that: the bound at a point where the density is not analytic."""
-    h, length, far, log, scale, at, real = _weight_bounds(weight, lo_p, hi_p, starts)
+    kept = weight._cache if lo_p is weight._cache.get("chunk", (None,))[0] else {}
+    if "bounds" not in kept:  # taken once from a partition kept on the weight
+        kept["bounds"] = _weight_bounds(weight, lo_p, hi_p, starts)
+    h, length, far, log, scale, at, real = kept["bounds"]
     reach = integrand.reach(lo_p, hi_p, *rd_data)
     top = np.maximum.reduceat(reach, starts)
     sup = int_power(top, integrand.power)
@@ -263,7 +262,7 @@ def _run_block(nodes, weights, space, weight: Weight, f, lo, hi, *rd_data) -> tu
 
 def _per_cell_gauss(weight, integrand: _Integrand, chunks, low: int, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces of
-    ``chunks`` (from :func:`_partition`), QUAD_BLOCK at a time in one
+    ``chunks`` (from :func:`_chunks`), QUAD_BLOCK at a time in one
     workspace, with ``weight`` a :class:`Weight` or a model.  A block runs the
     fewest nodes of LADDER, ``low`` to ``n``, whose certified error is below
     2^-53 times its magnitude (else n, and n at a point where the density is
@@ -333,18 +332,19 @@ def _farthest(a, b, c, d):
 def err_weighted_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, k: int,
                           signed: bool = False) -> OracleResult:
     """Per-cell quadrature of integral w(x) err(x)^k dx over [a, b], where w
-    is ``weight``: a :class:`Weight`, or a model as ``Weight(model)``.
-    Stochastic rounding integrates the expected error powers instead of a
+    is ``weight``: a :class:`Weight`, or a model as ``Weight(model)``.  A
+    partition of one chunk is built once for all the walks that pass one
+    Weight, and a model keeps none.  Stochastic rounding integrates the expected error powers instead of a
     realization.  The estimate is a certified discretization bound plus a
     rounding bound (see :func:`_per_cell_gauss`)."""
-    return _per_cell_gauss(weight, _err_integrand(scheme, k, signed), _partition(grid, scheme, a, b), k + 2,
+    return _per_cell_gauss(weight, _err_integrand(scheme, k, signed), _chunks(weight, grid, scheme, a, b), k + 2,
                            max(k + 8, 20))
 
 
 def rd_moment_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, j: int,
                        shift: float = 0.0) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx, with w as in err_weighted_integral."""
-    return _per_cell_gauss(weight, _rd_integrand(scheme, j, shift), _partition(grid, scheme, a, b), j + 2, 20)
+    return _per_cell_gauss(weight, _rd_integrand(scheme, j, shift), _chunks(weight, grid, scheme, a, b), j + 2, 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:
@@ -353,10 +353,10 @@ def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tu
     Delta_E comes straight from the error integral (no cancellation);
     V[rd(X)] is assembled from per-cell first and second rounded moments.
     """
-    a, b = model.effective_range()
-    de = err_weighted_integral(grid, scheme, model, a, b, 1, signed=True)
-    m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
-    m2 = rd_moment_integral(grid, scheme, model, a, b, 2)
+    (a, b), weight = model.effective_range(), Weight(model)
+    de = err_weighted_integral(grid, scheme, weight, a, b, 1, signed=True)
+    m1 = rd_moment_integral(grid, scheme, weight, a, b, 1)
+    m2 = rd_moment_integral(grid, scheme, weight, a, b, 2)
     square = m1.value * m1.value  # m1 ** 2 calls pow, which is not correctly rounded
     v_rd = m2.value - square
     value = v_rd - model.variance
@@ -368,9 +368,9 @@ def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tu
 
 def centered_moment_of_rounded(model: DensityModel, grid: Grid, scheme: RoundingScheme, k: int) -> OracleResult:
     """Quadrature value of M_k[rd(X)] (centered at E[rd(X)])."""
-    a, b = model.effective_range()
-    m1 = rd_moment_integral(grid, scheme, model, a, b, 1)
-    return rd_moment_integral(grid, scheme, model, a, b, k, shift=m1.value)
+    (a, b), weight = model.effective_range(), Weight(model)
+    m1 = rd_moment_integral(grid, scheme, weight, a, b, 1)
+    return rd_moment_integral(grid, scheme, weight, a, b, k, shift=m1.value)
 
 
 @dataclass(frozen=True)
@@ -422,15 +422,9 @@ def mc_rounded_moments(
     for blk, size in _sample_blocks(n_samples):
         x = np.asarray(model.quantile(draws.random(size)), dtype=float)
         rd[blk] = round_value(grid, scheme, x, None if variates is None else variates.random(size))
-    root_n = math.sqrt(n_samples)
     info = {"samples": n_samples, "seed": seed}
-
-    def res(value: float, squares: float) -> OracleResult:
-        # 4 * np.std(vals) / sqrt(n)
-        return OracleResult(value, 4.0 * math.sqrt(squares / n_samples) / root_n, "monte_carlo", dict(info))
-
-    # each mean and sum of squared deviations from it as np.mean and np.std
-    # compute them: raw orders about 0, central ones about rbar
+    res = partial(_mc_result, info)
+    # raw orders about 0, central ones about rbar
     raw_orders, central_orders = range(1, k_max + 1), range(2, max(k_max, 2) + 1)
     raw_means = _power_sums(rd, 0.0, raw_orders) / n_samples
     raw_squares = _power_sums(rd, 0.0, raw_orders, raw_means).tolist()
@@ -444,6 +438,14 @@ def mc_rounded_moments(
     v_rd = raw_squares[0] / (n_samples - 1)
     delta_v = OracleResult(v_rd - model.variance, central[0].abs_error_estimate, "monte_carlo", dict(info))
     return MCMoments(raw=raw, central=central[: k_max - 1], delta_e=delta_e, delta_v=delta_v)
+
+
+def _mc_result(info: dict, mean: float, squares: float) -> OracleResult:
+    """The Monte Carlo mean of info["samples"] values whose squared deviations
+    from it sum to ``squares``, as np.mean and np.std give them from
+    :func:`_power_sums`, with an estimate of 4 np.std / sqrt(n)."""
+    n = info["samples"]
+    return OracleResult(mean, 4.0 * math.sqrt(squares / n) / math.sqrt(n), "monte_carlo", dict(info))
 
 
 def _power_sums(rd: np.ndarray, shift: float, orders, means=None) -> np.ndarray:
@@ -563,11 +565,6 @@ def simulated_sum(
             overflow += int(np.sum(fs.saturates(s)))
             rounded = round_value(fs, scheme, s, None if variates is None else variates.random(size))
         diff[blk] = np.abs(exact - rounded)
-    value = float(np.mean(diff))
-    se = 4.0 * float(np.std(diff)) / math.sqrt(n_samples)
-    return OracleResult(
-        value,
-        se,
-        "monte_carlo",
-        {"samples": n_samples, "seed": seed, "overflow_events": overflow},
-    )
+    mean = _power_sums(diff, 0.0, (1,)) / n_samples
+    squares = float(_power_sums(diff, 0.0, (1,), mean)[0])
+    return _mc_result({"samples": n_samples, "seed": seed, "overflow_events": overflow}, float(mean[0]), squares)

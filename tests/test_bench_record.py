@@ -1,6 +1,8 @@
-"""scripts/bench_record.py's summary of recorded pairs, on synthetic pairs."""
+"""scripts/bench_record.py's summary of recorded pairs, on synthetic pairs,
+and its line count, on temporary trees."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -49,3 +51,21 @@ def test_no_claim_from_fewer_than_ten_pairs():
     s = bench_record.summarize(_pairs(PARENT[:9], [120.0] * 9), BETTER)
     assert s["throughput"]["pairs_won_by_change"] == "9 of 9"
     assert s["throughput"]["gain_claimable"] is False
+
+
+def test_src_lines_are_recorded_and_printed(tmp_path, capsys):
+    # the newlines of src/roundmoments/*.py only, as `cat ... | wc -l` counts
+    # them: a last line without one is not counted, nor is any other file
+    for side, texts in (("parent", ["a\nb\n", "c\n", "d"]), ("change", ["a\n"])):
+        pkg = tmp_path / side / "src" / "roundmoments"
+        pkg.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (pkg / f"m{i}.py").write_text(text)
+        (pkg / "notes.txt").write_text("x\n")
+        (tmp_path / side / "src" / "other.py").write_text("x\n")
+    counts = {side: bench_record.src_lines(tmp_path / side) for side in bench_record.SIDES}
+    assert counts == {"parent": 3, "change": 1}
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps({"src_lines": counts, "workloads": []}))
+    bench_record.compare(path)
+    assert capsys.readouterr().out == "src lines: 3 -> 1\n"

@@ -1,12 +1,19 @@
 """The package's modules import each other in one direction only:
 grids -> rounding -> distributions -> {bounds | oracle} -> verify -> cli.
-Oracles never see the bound engine they check, and one bound rule reads a
-scheme's error-integral constants."""
+Oracles never see the bound engine they check, one bound rule reads a
+scheme's error-integral constants, and no module-level object is written
+after import."""
 
 import ast
+import importlib
 import pathlib
 
+import numpy as np
+
 import roundmoments
+from roundmoments import FloatSystem, RoundingScheme, UniformMesh, make_normal, make_semicircle
+from roundmoments.oracle import centered_moment_of_rounded, mc_rounded_moments, simulated_sum
+from roundmoments.verify import offset_sweep, run_suite
 
 PACKAGE = pathlib.Path(roundmoments.__file__).parent
 
@@ -109,3 +116,36 @@ def test_no_module_calls_foreign_code():
     # the whole process
     bad = [f"{module} imports ctypes" for module in _modules() if "ctypes" in _absolute_imports(module)]
     assert bad == []
+
+
+def _module_state() -> dict:
+    """Each module-level name of each package module: the identity of its
+    object, and the contents of a list, dict or set and the bytes of an array.
+    A functools.cache wrapper of a pure function keeps its identity however
+    much it holds, and dunder names (a warning registry) are the interpreter's."""
+    def contents(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tobytes()
+        if isinstance(obj, list):
+            return [id(x) for x in obj]
+        if isinstance(obj, dict):
+            return {key: id(value) for key, value in obj.items()}
+        return set(obj) if isinstance(obj, (set, frozenset)) else None
+
+    modules = [importlib.import_module(f"roundmoments.{m}") for m in _modules() if m != "__main__"]
+    return {(module.__name__, name): (id(obj), contents(obj))
+            for module in modules for name, obj in vars(module).items() if not name.startswith("__")}
+
+
+def test_no_module_state_after_use():
+    # every call holds what it reuses on objects its caller passes, so no
+    # module-level object is written after import
+    before = _module_state()
+    assert len({r.kind for r in run_suite(30, seed=0)}) == 9
+    offset_sweep(make_normal(0.3, 1.0), 0.1, 2, RoundingScheme.STOCHASTIC)
+    offset_sweep(make_semicircle(1.0), 0.1, 2, RoundingScheme.NEAREST)
+    model, mesh = make_normal(0.3, 0.8), UniformMesh(0.1, 0.013)
+    centered_moment_of_rounded(model, mesh, RoundingScheme.NEAREST, 3)
+    mc_rounded_moments(model, mesh, RoundingScheme.STOCHASTIC, 3, 1000, seed=0)
+    simulated_sum([model] * 3, FloatSystem(7, -12, 6), RoundingScheme.STOCHASTIC, 1000, seed=0)
+    assert _module_state() == before

@@ -996,8 +996,9 @@ def test_pieces_at_a_non_analytic_point_within_the_estimate(model, a, b, scheme)
 
 
 def test_delta_e_and_v_walks_one_kept_partition(monkeypatch):
-    # the three integrals of delta_e_and_v share a partition of one chunk;
-    # a new grid, even an equal one, or a new CHUNK_CELLS makes a new one
+    # the three integrals of delta_e_and_v pass one Weight, which keeps their
+    # partition of one chunk: reuse is scoped to that Weight, so another call,
+    # even on an equal grid, builds its own, and so does a walk of more chunks
     pieces, built = oracle._pieces, []
 
     def counted(*args):
@@ -1015,6 +1016,46 @@ def test_delta_e_and_v_walks_one_kept_partition(monkeypatch):
     again = err_weighted_integral(mesh, RS.NEAREST, model, *model.effective_range(), 1, signed=True)
     assert again.details["chunks"] > 1 and len(built) > 3
     assert again.value == pytest.approx(de.value, abs=again.abs_error_estimate + de.abs_error_estimate)
+
+
+def test_a_kept_partition_belongs_to_its_weight(monkeypatch):
+    # two equal Weights walked in turn over two grids: each keeps its own
+    # partition, and every walk equals a walk that keeps nothing, bit for bit
+    model = make_normal(0.3, 0.8)
+    a, b = model.effective_range()
+    meshes = UniformMesh(0.1, 0.013), UniformMesh(0.07)
+    walks = [lambda g, w: err_weighted_integral(g, RS.NEAREST, w, a, b, 1, signed=True),
+             lambda g, w: rd_moment_integral(g, RS.NEAREST, w, a, b, 2),
+             lambda g, w: rd_moment_integral(g, RS.NEAREST, w, a, b, 3, shift=0.25)]
+    want = [[walk(mesh, model) for mesh in meshes] for walk in walks]
+    pieces, built = oracle._pieces, []
+
+    def counted(*args):
+        built.append(args)
+        return pieces(*args)
+
+    monkeypatch.setattr(oracle, "_pieces", counted)
+    weights = Weight(model), Weight(model)
+    got = [[walk(mesh, weight) for mesh, weight in zip(meshes, weights)] for walk in walks]
+    assert got == want
+    assert [args[0] for args in built] == list(meshes)
+
+
+def test_a_bare_model_walk_holds_nothing_after_it_returns():
+    # one chunk of 36,211 pieces is 0.88 MB: a walk that is passed a model,
+    # not a Weight, keeps none of it
+    model = make_normal(0.3, 1.0)
+    a, b = model.effective_range()
+    # first-call allocations (the model's cached values, node tables) are not the walk's
+    err_weighted_integral(UniformMesh(0.1), RS.NEAREST, model, a, b, 1, signed=True)
+    tracemalloc.start()
+    try:
+        got = err_weighted_integral(UniformMesh(6.9e-4), RS.NEAREST, model, a, b, 1, signed=True)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got.details["chunks"], got.details["pieces"]) == (1, 36_211)
+    assert held < 64 * 1024, held
 
 
 def test_float_oracle_blocks_run_fewer_than_20_nodes(monkeypatch):
