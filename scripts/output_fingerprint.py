@@ -11,7 +11,7 @@ change moved.  It prints:
   so their partitions span many chunks); and the stochastic error
   integrals for k = 1-4, signed and absolute, of normal(0.5, 1) on
   ``FloatSystem(7, -12, 6)`` and on the explicit grid;
-* the sha256 of ``oracle._partition``'s chunks (each chunk's first and
+* the sha256 of ``oracle._chunks``' chunks for no weight (each chunk's first and
   last edge and its piece count) under each scheme on each grid kind,
   ranges of more than ``CHUNK_CELLS`` cells included: a float range across
   zero, and explicit ranges starting on and off a set point;
@@ -94,7 +94,7 @@ from roundmoments.cli import main as cli_main  # noqa: E402
 from roundmoments.errors import PreconditionError, RoundMomentsError  # noqa: E402
 from roundmoments.oracle import (  # noqa: E402
     CHUNK_CELLS,
-    _partition,
+    _chunks,
     _philox_stream,
     centered_moment_of_rounded,
     convergence_slope,
@@ -240,7 +240,7 @@ def partition_lines():
     for label, grid, a, b in PARTITIONS:
         for scheme in RoundingScheme:
             chunks = [f"{float.hex(lo_p.min())} {float.hex(hi_p.max())} {lo_p.size}"
-                      for lo_p, hi_p, _ in _partition(grid, scheme, a, b)]
+                      for lo_p, hi_p, _ in _chunks(None, grid, scheme, a, b)]
             yield f"partition {label} {scheme.value} chunks={len(chunks)} sha256={sha(chr(10).join(chunks))}"
     yield f"partition CHUNK_CELLS={CHUNK_CELLS}"
 

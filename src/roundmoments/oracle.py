@@ -3,9 +3,11 @@
 Everything here works directly from grid geometry: integration pieces are
 cut at grid points and at the error function's breakpoints (the cell
 midpoint under nearest rounding, zero for the directed schemes), where the
-error is linear, so fixed-order Gauss panels integrate it essentially
-exactly.  Stochastic rounding replaces the error powers by their per-point
-expectations, in closed form.  Nothing in this module calls the bound engine.
+error is linear, so every integrand (an error power, its expectation under
+stochastic rounding, or a rounded moment) is a polynomial on each piece.
+Fixed-order Gauss panels integrate the weight's local moments against its
+coefficients (product integration).  Nothing in this module calls the bound
+engine.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,11 +23,11 @@ from .distributions import DensityModel
 from .errors import PreconditionError
 from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
-from .rounding import RoundingScheme, err_power, int_power, round_value, stoch_err_power, stoch_expectation
+from .rounding import RoundingScheme, int_power, round_value
 
 # Pieces per block of the per-cell kernel.  A block's node matrix has a row
 # per node of its rule, at most 20 (k + 8 for k > 12): 160 KiB of float64, so
-# the five-buffer workspace (800 KiB) stays in a 2 MB L2 cache (1,024-2,048
+# the three-buffer workspace (480 KiB) stays in a 2 MB L2 cache (1,024-2,048
 # pieces was fastest at 20 nodes; 16,384 was 30% slower).
 QUAD_BLOCK = 1024
 # The node counts a block may run, the last the integral's ceiling.
@@ -35,8 +37,13 @@ LADDER = (4, 6, 8, 12, 20)
 _RHO = np.array([1.5, 2.0, 3.0, 4.0, 6.0, *2.0 ** np.arange(3.0, 33.0)])
 _A, _B, _LOG_RHO = 0.5 * (_RHO + 1.0 / _RHO), 0.5 * (_RHO - 1.0 / _RHO), np.log(_RHO)
 _LOG_TREFETHEN = math.log(64.0 / 15.0) - np.log(_RHO * _RHO - 1.0)
-# Roundings of a node's weight times integrand, relative to its size.
+# Roundings of a node's weight, relative to its size.
 EVAL_ULPS = 32
+# Roundings of an integrand's coefficients per row, relative to its reach P
+# (at most (D + 2) / 2 in all for degree D <= 9 against 50 digits).
+COEF_ULPS = 2
+# Rows of 1 and of i, whose products with |c_i| h^i are sum |c_i| h^i and sum i |c_i| h^i.
+_SUMS = np.array([np.ones(64), np.arange(64.0)])
 # Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
 # most two per cell, plus the grading at either end) and one block's node
 # matrix at a time, so its memory does not grow with the grid; a chunk of 32
@@ -73,19 +80,13 @@ class Weight:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _partition(grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """The chunks of :func:`_chunks` for no weight, yielded one at a time and
-    kept nowhere; nothing, the checks on [a, b] included, runs before the
-    first chunk is asked for."""
-    yield from _chunks(None, grid, scheme, a, b)
-
-
 def _chunks(weight, grid: Grid, scheme: RoundingScheme, a: float, b: float):
-    """Pieces [lo, hi] of [a, b] with each piece's rounding data, as chunks
-    of arrays (lo, hi, rd_data): rd_data holds both cell ends under
-    stochastic rounding, else the rounding target.  A partition of one chunk
-    is a list, kept on ``weight`` if it is a :class:`Weight` until that walks
-    another; a longer one is a generator, kept nowhere.
+    """Pieces [lo, hi] of [a, b] with each piece's rounding data, yielded as
+    chunks of arrays (lo, hi, rd_data): rd_data holds both cell ends under
+    stochastic rounding, else the rounding target.  Nothing, the checks on
+    [a, b] included, runs before the first chunk is asked for.  A partition
+    of one chunk is kept on ``weight`` if it is a :class:`Weight` until that
+    walks another; a longer one, or one for no Weight, is kept nowhere.
 
     The chunks are cut at every CHUNK_CELLS-th grid point of [a, b], taken
     from the grid's numbering of its points, so no chunk holds more than
@@ -106,9 +107,10 @@ def _chunks(weight, grid: Grid, scheme: RoundingScheme, a: float, b: float):
         cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
         ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
         if len(ends) > 2:
-            return (_pieces(grid, scheme, lo, hi, lo == a, hi == b) for lo, hi in zip(ends[:-1], ends[1:]))
+            yield from (_pieces(grid, scheme, lo, hi, lo == a, hi == b) for lo, hi in zip(ends[:-1], ends[1:]))
+            return
         kept.update(key=key, chunk=_pieces(grid, scheme, a, b, True, True))
-    return [kept["chunk"]]
+    yield kept["chunk"]
 
 
 def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: bool, grade_hi: bool):
@@ -145,18 +147,6 @@ def _pieces(grid: Grid, scheme: RoundingScheme, lo: float, hi: float, grade_lo: 
     # freed before the pieces are concatenated, to keep the peak down
     del c_lo, c_hi, switch, below, above, inside
     return np.concatenate([lo_p, cut]), np.concatenate([hi_p, upper]), (targets,)
-
-
-class _Integrand(NamedTuple):
-    """f(X, *rd_data, out=, scratch=) at a node matrix (nodes x pieces); on a
-    piece a polynomial of ``degree`` with |f| <= R^power and |f'| <= ``lip``
-    R^(power - 1) (0 where R is), R = reach(lo, hi, *rd_data)."""
-
-    f: Callable
-    reach: Callable
-    power: int
-    degree: int
-    lip: float
 
 
 @cache
@@ -201,132 +191,193 @@ def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
     return h, length, far, log, scale, at, real
 
 
-def _block_bounds(weight: Weight, integrand: _Integrand, lo_p, hi_p, rd_data, starts, rungs: tuple):
-    """Each block's certified error per n of ``rungs``, node rounding bound,
-    magnitude bound, and whether a piece is at a point where the density is
-    not analytic.  With |w f| <= M = sup|w| rho^degree sup|f| on E_rho
-    (Bernstein-Walsh), the n-node error on a piece is at most h (64/15) M /
-    ((rho^2 - 1) rho^(2n - 2)) (Trefethen, SIAM Review 50(1), 2008, Thm
-    4.5).  Nodes moved by d = 4u (max|x| + |mode| + |center|) move its sum by
-    2hd (sup|w'| sup|f| + sup|w| sup|f'|), sup|w'| <= sup|w| / (h (a - 1))
-    (Cauchy).  A piece's magnitude is at most 2h sup|w| sup|f|, its error
-    twice that: the bound at a point where the density is not analytic."""
+def _block_bounds(weight: Weight, degree: int, lo_p, hi_p, starts, rungs: tuple) -> tuple:
+    """Per block, as lists, for g of ``degree`` with sup|g| = sup|g'| = 1: the
+    certified error per n of ``rungs``, the node rounding due to sup|w'| and
+    to sup|g'|, and the magnitude bound; then the pieces where the density is
+    not analytic, their (or a lone block's) 2h sup|w|, and where each block's
+    start.  With |w g| <= M = sup|w| rho^degree sup|g| on E_rho, the n-node
+    error on a piece is at most h (64/15) M / ((rho^2 - 1) rho^(2n - 2))
+    (Trefethen, SIAM Review 50(1), 2008, Thm 4.5).  Nodes moved by d = 4u
+    (max|x| + |mode| + |center|) move its sum by 2hd (sup|w'| sup|g| + sup|w|
+    sup|g'|), sup|w'| <= sup|w| / (h (a - 1)) (Cauchy).  A piece's magnitude
+    is at most 2h sup|w| sup|g|, its error twice that where w is not analytic."""
     kept = weight._cache if lo_p is weight._cache.get("chunk", (None,))[0] else {}
     if "bounds" not in kept:  # taken once from a partition kept on the weight
         kept["bounds"] = _weight_bounds(weight, lo_p, hi_p, starts)
     h, length, far, log, scale, at, real = kept["bounds"]
-    reach = integrand.reach(lo_p, hi_p, *rd_data)
-    top = np.maximum.reduceat(reach, starts)
-    sup = int_power(top, integrand.power)
-    slope = integrand.lip * (top > 0.0 if integrand.power < 2 else int_power(top, integrand.power - 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound past a double is inf, and inf times 0 is 0
-        # sup|w|, sup|w'| and the certificates over sup|f|, each minimised over rho
-        bounds = scale * np.exp(np.minimum.reduce(log + _rung_logs(integrand.degree, rungs), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past a double is inf
+        # sup|w|, sup|w'| and the certificates, each minimised over rho
+        bounds = scale * np.exp(np.minimum.reduce(log + _rung_logs(degree, rungs), axis=1))
         bounds[1] /= h
         bounds[2:] *= length
-        spread = bounds[0] * slope
-        bounds = np.where(sup > 0.0, bounds * sup, 0.0)
-        moved = (8.0 * 2.0 ** -53) * length * far * (bounds[1] + np.where(slope > 0.0, spread, 0.0))
-    sizes = 2.0 * length * bounds[0]
-    certs, edge = np.minimum(bounds[2:], 2.0 * sizes).T, np.zeros(starts.size, dtype=bool)
-    if at.size:
-        fallback = 2.0 * real * int_power(reach[at], integrand.power)
-        certs += np.bincount(at // QUAD_BLOCK, fallback, starts.size)[:, None]
-        edge[at[fallback > 0.0] // QUAD_BLOCK] = True
-    elif real is not None:  # a lone block's magnitude bound, piece by piece
-        sizes = np.sum(real * int_power(reach, integrand.power), keepdims=True)
-    return certs, moved, sizes, edge
+        sizes = 2.0 * length * bounds[0]
+        moved = (8.0 * 2.0 ** -53) * length * far * bounds[1::-1]
+    certs, cuts = np.minimum(bounds[2:], 2.0 * sizes).T, np.searchsorted(at, [*starts, lo_p.size])
+    return (*(v.tolist() for v in (certs, *moved, sizes)), at, real, cuts.tolist())
 
 
 @cache
 def _rules(rungs: tuple) -> list:
-    """The Gauss rule of each n of rungs: its nodes as a column, its weights."""
-    return [(x[:, None], w) for x, w in map(gauss_legendre_nodes, rungs)]
+    """The Gauss rule of each n of rungs: its nodes as a column, its weights,
+    and its weights times the powers of its nodes, a row per power."""
+    return [(x[:, None], w, w * x ** np.arange(x.size)[:, None]) for x, w in map(gauss_legendre_nodes, rungs)]
 
 
-def _run_block(nodes, weights, space, weight: Weight, f, lo, hi, *rd_data) -> tuple:
-    """One rule over the pieces [lo, hi] in the workspace's five buffers (X,
-    W, F, two scratch): the summed integrals, and the sum of h w |w f|."""
-    r, mid, half = nodes.size, 0.5 * (lo + hi), 0.5 * (hi - lo)
-    X, W, F, *S = space[:, : r * lo.size].reshape(5, r, lo.size)
+def _run_block(nodes, weights, moments, space, weight: Weight, rows, mid, half, reach) -> tuple:
+    """One rule over the pieces of ``mid`` and ``half`` in the workspace's
+    three buffers (X, W, scratch): the summed integrals of w(x) sum c_i t^i,
+    c_i the i-th of ``rows`` and t = (x - mid) / h, and their magnitude bound
+    sum h P sum w |w| (``reach`` is h P).  The local moments sum_n w_n t_n^i
+    W_n are one product of the rule's ``moments`` rows with W."""
+    r, size = nodes.size, mid.size
+    X, W, S = space[:, : r * size].reshape(3, r, size)
     np.add(mid, np.multiply(nodes, half, out=X), out=X)
     W = np.positive(1.0, out=W) if weight.model is None else weight.model.density(X, out=W)
     if weight.power:
-        np.multiply(W, int_power(np.subtract(X, weight.center, out=S[0]), weight.power, *S), out=W)
-    np.multiply(W, f(X, *rd_data, out=F, scratch=S), out=F)
-    # the per-piece sums go into the weight's buffer, no longer read
-    terms = np.matmul(weights, F, out=space[1, : lo.size])
-    value = np.add.reduce(np.multiply(half, terms, out=terms))
-    return value, float(np.dot(half, np.matmul(weights, np.abs(F, out=F), out=terms)))
+        np.multiply(W, int_power(np.subtract(X, weight.center, out=X), weight.power, X, S), out=W)
+    local = np.matmul(moments[: len(rows)], W, out=S[: len(rows)])
+    # sum w |w| is the zeroth moment where w cannot be negative
+    mag = float(np.dot(reach, np.matmul(weights, np.abs(W, out=X)) if weight.power % 2 else local[0]))
+    terms = np.add.reduce(np.multiply(rows, local, out=local), axis=0, out=X[0])
+    return np.add.reduce(np.multiply(half, terms, out=terms)), mag
 
 
-def _per_cell_gauss(weight, integrand: _Integrand, chunks, low: int, n: int) -> OracleResult:
-    """Per-cell Gauss quadrature of w(x) f(X, *rd_data) over the pieces of
-    ``chunks`` (from :func:`_chunks`), QUAD_BLOCK at a time in one
-    workspace, with ``weight`` a :class:`Weight` or a model.  A block runs the
-    fewest nodes of LADDER, ``low`` to ``n``, whose certified error is below
-    2^-53 times its magnitude (else n, and n at a point where the density is
-    not analytic): the fewest its magnitude's bound allows, rerun once if they
-    fail.  The estimate is ``details["discretization"]``, the certificates,
-    plus ``["roundoff"]``: node rounding, and gamma_N times the magnitudes for
-    EVAL_ULPS, the node sum, a block's pairwise sum (29 additions at most)
-    and the fsum.  ``details`` counts ``pieces``, ``chunks``, ``blocks``,
-    their ``runs``, and the most ``nodes``."""
+def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult:
+    """Per-cell Gauss quadrature of w(x) g(x) over the pieces of ``chunks``
+    (from :func:`_chunks`), QUAD_BLOCK at a time in one workspace, with
+    ``weight`` a :class:`Weight` or a model and g a polynomial in u = x - mid
+    on each piece, whose coefficients ``integrand(mid, *rd_data)`` gives a
+    row per power.  A block runs the fewest nodes of LADDER, ``low`` to
+    ``n``, whose certified error is below 2^-53 times its magnitude's bound
+    (else n, and n where the density is not analytic), rerun once if they
+    fail its magnitude.  The estimate is ``details["discretization"]``, the
+    certificates, plus ``["roundoff"]``: node rounding, and gamma_N times the
+    magnitudes sum h P sum w |w| (P = sum |c_i| h^i), N counting for g of degree
+    D EVAL_ULPS, the D + 1 of the rule's w_n t_n^i, the 2D of c_i h^i,
+    COEF_ULPS per row, the node sum, the D + 1 terms of the contraction, the
+    half-width, a block's pairwise sum (29 additions) and the fsum.
+    ``details`` counts ``pieces``, ``chunks``, ``blocks``, their ``runs``,
+    and the most ``nodes``."""
     weight = weight if isinstance(weight, Weight) else Weight(weight)
     rungs = (*(r for r in LADDER if low <= r < n), n)
     rules = _rules(rungs)
     last, u, sums, size, bound, moved = len(rungs) - 1, 2.0 ** -53, [], 0.0, 0.0, 0.0
-    pieces = n_chunks = runs = most = 0
+    pieces = n_chunks = runs = most = degree = 0
     for lo_p, hi_p, rd_data in chunks:
         pieces, n_chunks, starts = pieces + lo_p.size, n_chunks + 1, np.arange(0, lo_p.size, QUAD_BLOCK)
-        certs, moves, guesses, edges = _block_bounds(weight, integrand, lo_p, hi_p, rd_data, starts, rungs)
-        space = np.empty((5, n * min(lo_p.size, QUAD_BLOCK)))
-        for start, cert, move, guess, edge in zip(starts.tolist(), certs, moves.tolist(), guesses.tolist(), edges):
-            block = (space, weight, integrand.f, *(col[start : start + QUAD_BLOCK] for col in (lo_p, hi_p, *rd_data)))
-            i = last if edge or not cert[-1] <= u * guess else int(np.argmax(cert <= u * guess))
+        mid_p, half_p = 0.5 * (lo_p + hi_p), 0.5 * (hi_p - lo_p)
+        space = np.empty((3, n * min(lo_p.size, QUAD_BLOCK)))
+        for b, start in enumerate(starts.tolist()):
+            end = start + QUAD_BLOCK
+            mid, half = mid_p[start:end], half_p[start:end]
+            rows = integrand(mid, *[col[start:end] for col in rd_data])
+            power = half
+            for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
+                rows[i] *= power
+                power = power * half
+            # P = sum |c_i| h^i and P' = sum i |c_i| h^(i - 1), bounds of |g| and |g'| on each piece
+            reach, slope = np.matmul(_SUMS[:, : len(rows)], np.abs(rows))
+            slope /= half
+            if not b:  # the chunk's, once its integrand's degree is known
+                degree = len(rows) - 1
+                certs, by_sup, by_slope, sizes, at, real, cuts = _block_bounds(weight, degree, lo_p, hi_p, starts, rungs)
+            top, steep = float(reach.max()), float(slope.max())
+            # a zero integrand has no error, though a bound be inf
+            cert = [c * top for c in certs[b]] if top > 0.0 else [0.0] * len(rungs)
+            guess = sizes[b] * top if top > 0.0 else 0.0
+            move = (by_sup[b] * top if top > 0.0 else 0.0) + (by_slope[b] * steep if steep > 0.0 else 0.0)
+            edge, singular = False, at[cuts[b] : cuts[b + 1]]
+            if singular.size:
+                fallback = 2.0 * real[cuts[b] : cuts[b + 1]] * reach[singular - start]
+                cert, edge = [c + float(fallback.sum()) for c in cert], bool(np.any(fallback > 0.0))
+            elif real is not None and not at.size:  # a lone block's magnitude bound, piece by piece
+                guess = float(np.dot(real, reach))
+            block = (space, weight, rows, mid, half, np.multiply(reach, half, out=reach))
+            i = last if edge or not cert[-1] <= u * guess else next(j for j, c in enumerate(cert) if c <= u * guess)
             value, mag = _run_block(*rules[i], *block)
             if not (cert[i] <= u * mag or i == last):
-                i = int(np.argmax(cert <= u * mag)) if cert[-1] <= u * mag else last
+                i = next((j for j, c in enumerate(cert) if c <= u * mag), last) if cert[-1] <= u * mag else last
                 value, mag = _run_block(*rules[i], *block)
                 runs += 1
             sums.append(value)
             size, bound, moved, most = size + mag, bound + cert[i], moved + move, max(most, rungs[i])
+            del rows, power, reach, slope, block  # before the next block's are built
         runs += len(starts)
-        # every chunk has a piece; drop its views and workspace before the next is built
-        del lo_p, hi_p, rd_data, block, space, certs, moves, guesses, edges
-    depth = EVAL_ULPS + most + 31
+        # every chunk has a piece; drop its arrays and workspace before the next is built
+        del lo_p, hi_p, rd_data, mid_p, half_p, mid, half, space, certs, by_sup, by_slope, sizes, at, real, cuts
+    depth = EVAL_ULPS + most + (COEF_ULPS + 4) * (degree + 1) + 29
     roundoff = depth * u / (1.0 - depth * u) * size + moved
     details = {"pieces": pieces, "nodes": most, "blocks": len(sums), "runs": runs, "chunks": n_chunks,
-               "discretization": float(bound), "roundoff": roundoff}
-    return OracleResult(math.fsum(sums), float(bound) + roundoff, "per_cell_quadrature", details)
+               "discretization": bound, "roundoff": roundoff}
+    return OracleResult(math.fsum(sums), bound + roundoff, "per_cell_quadrature", details)
 
 
-def _err_integrand(scheme: RoundingScheme, k: int, signed: bool) -> _Integrand:
-    """err^k or |err|^k at a target, or between the cell ends their means,
-    in a and b (at most the reach, summing to the width): 0 for E[err], and
-    the clamp error past the top."""
-    if scheme is not RoundingScheme.STOCHASTIC:
-        return _Integrand(lambda X, rd, out, scratch: err_power(rd, X, k, signed, out),
-                          lambda lo, hi, rd: _farthest(rd, lo, hi, rd), k, k, k)
-    if signed and k == 1:
-        reach = lambda lo, hi, c_lo, c_hi: np.where(c_hi > c_lo, 0.0, _farthest(hi, c_lo, c_hi, lo))  # noqa: E731
-    else:
-        reach = lambda lo, hi, c_lo, c_hi: _farthest(hi, c_lo, c_hi, lo)  # noqa: E731
-    return _Integrand(partial(stoch_err_power, k=k, signed=signed), reach, k, k + 1, 2 * (k + 1))
+def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np.ndarray:
+    """Rows c_0..c_D of err^k (or |err|^k) in u = x - mid on each piece: at
+    a target t, those of :func:`_target_rows` at d = t - mid.  Between cell
+    ends c_lo and c_hi, with A = (mid - c_lo) + u, B = (c_hi - mid) - u and
+    w = c_hi - c_lo, E[err^k] = (B (-A)^k + A B^k) / w = A B Q / w with Q =
+    B^(k-1) -/+ A^(k-1), of degree k (k + 1 for |err|^k at odd k).  Each
+    difference b^p - a^p of Q's constants is taken with its factor b - a,
+    which is formed from c_lo + c_hi and its rounding (TwoSum), so it keeps
+    its digits near the cell's centre, and signed k = 1 is exactly 0.  A
+    degenerate (saturated) cell takes the clamp error (c_lo - mid) - u."""
+    if scheme is not RoundingScheme.STOCHASTIC or k == 0:
+        return _target_rows(rd_data[0] - mid, k, signed)
+    c_lo, c_hi = rd_data
+    a, b, sign, rows = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0, np.zeros((k + 2, mid.size))
+    total = c_lo + c_hi
+    z = total - c_lo
+    diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)  # b - a, by TwoSum
+    del total, z
+    # Q_i = C(k-1, i) (-1)^i (b^p + sign (-1)^i a^p), p = k - 1 - i, from p = 0 up, with
+    # b^p - a^p = (b - a) e_p, e_p = b^(p-1) + a e_(p-1), e_0 = 0 (so b^0 - a^0 adds
+    # nothing); each adds to three rows of A B Q = (a b + (b - a) u - u^2) Q
+    ab, pa, pb, e = a * b, 1.0, 1.0, 0.0
+    for p in range(k):
+        i, alt = k - 1 - p, (-1.0) ** (k - 1 - p)
+        if alt == sign or p:
+            q = (pb + pa if alt == sign else diff * e) * (math.comb(k - 1, i) * alt)
+            rows[i] += ab * q
+            rows[i + 1] += diff * q
+            rows[i + 2] -= q
+        e, pa, pb = (pb + a * e, pa * a, pb * b) if p else (1.0, a, b)
+    w = c_hi - c_lo
+    degenerate, rows = np.flatnonzero(w <= 0.0), rows[: k + 2 if k % 2 and not signed else k + 1]
+    w[degenerate] = 1.0
+    for row in rows:
+        row /= w
+    rows[:, degenerate] = 0.0
+    rows[: k + 1, degenerate] = _target_rows(c_lo[degenerate] - mid[degenerate], k, signed)
+    return rows
 
 
-def _rd_integrand(scheme: RoundingScheme, j: int, shift: float) -> _Integrand:
-    """E[(rd(x) - shift)^j]: constant at a target, linear between cell ends."""
-    if scheme is not RoundingScheme.STOCHASTIC:
-        return _Integrand(lambda X, t, out, scratch: int_power(t - shift, j), lambda lo, hi, t: np.abs(t - shift), j, 0, 0)
-    return _Integrand(lambda X, *rd, out, scratch: stoch_expectation(X, *rd, *(int_power(r - shift, j) for r in rd), out=out),
-                      lambda lo, hi, c_lo, c_hi: np.maximum(np.abs(c_lo - shift), np.abs(c_hi - shift)), j, 1, j)
+def _target_rows(d, k: int, signed: bool) -> np.ndarray:
+    """Rows C(k, i) (-1)^i d^(k-i) of (d - u)^k in u; for |d - u|^k at odd k
+    times sign(d): the error keeps its sign on a piece cut at its switch point."""
+    rows, power = np.empty((k + 1, d.size)), np.copysign(1.0, d) if k % 2 and not signed else 1.0
+    for i in range(k, -1, -1):
+        rows[i] = power * (math.comb(k, i) * (-1.0) ** i)
+        power = power * d
+    return rows
 
 
-def _farthest(a, b, c, d):
-    """max(a - b, c - d), with one temporary."""
-    out = np.subtract(a, b)
-    return np.maximum(out, np.subtract(c, d), out=out)
+def _rd_rows(scheme: RoundingScheme, j: int, shift: float, mid, *rd_data) -> np.ndarray:
+    """Rows of E[(rd(x) - shift)^j] in u = x - mid: (t - shift)^j at a target,
+    and (f_lo (c_hi - mid) + f_hi (mid - c_lo)) / w + (f_hi - f_lo) u / w
+    between cell ends, with f = (c - shift)^j at each and w = c_hi - c_lo (f_lo
+    on a degenerate cell).  The first is a convex combination, so its
+    rounding stays relative to it where f_lo and f_hi share a sign."""
+    if scheme is not RoundingScheme.STOCHASTIC or j == 0:
+        return int_power(rd_data[0] - shift, j)[None]
+    c_lo, c_hi = rd_data
+    f_lo, f_hi, w = int_power(c_lo - shift, j), int_power(c_hi - shift, j), c_hi - c_lo
+    degenerate = np.flatnonzero(w <= 0.0)
+    w[degenerate] = 1.0
+    rows = np.array([f_lo * (c_hi - mid) + f_hi * (mid - c_lo), f_hi - f_lo]) / w
+    rows[0, degenerate] = f_lo[degenerate]  # f_hi - f_lo is 0 there
+    return rows
 
 
 def err_weighted_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, k: int,
@@ -337,14 +388,14 @@ def err_weighted_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, 
     Weight, and a model keeps none.  Stochastic rounding integrates the expected error powers instead of a
     realization.  The estimate is a certified discretization bound plus a
     rounding bound (see :func:`_per_cell_gauss`)."""
-    return _per_cell_gauss(weight, _err_integrand(scheme, k, signed), _chunks(weight, grid, scheme, a, b), k + 2,
+    return _per_cell_gauss(weight, partial(_err_rows, scheme, k, signed), _chunks(weight, grid, scheme, a, b), k + 2,
                            max(k + 8, 20))
 
 
 def rd_moment_integral(grid: Grid, scheme: RoundingScheme, weight, a: float, b: float, j: int,
                        shift: float = 0.0) -> OracleResult:
     """Per-cell quadrature of integral w(x) E[(rd(x) - shift)^j] dx, with w as in err_weighted_integral."""
-    return _per_cell_gauss(weight, _rd_integrand(scheme, j, shift), _chunks(weight, grid, scheme, a, b), j + 2, 20)
+    return _per_cell_gauss(weight, partial(_rd_rows, scheme, j, shift), _chunks(weight, grid, scheme, a, b), j + 2, 20)
 
 
 def delta_e_and_v(model: DensityModel, grid: Grid, scheme: RoundingScheme) -> tuple[OracleResult, OracleResult]:

@@ -1,4 +1,4 @@
-"""Rounding schemes, their error models and constants, and error functions.
+"""Rounding schemes, their error models and constants, and rounding onto a grid.
 
 Four schemes are supported: toward zero, away from zero, nearest (ties away
 from zero, which preserves odd symmetry on sign-symmetric grids), and
@@ -135,9 +135,8 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
     elif scheme is RoundingScheme.STOCHASTIC:
         if u is None:
             raise PreconditionError("stochastic rounding needs a uniform variate")
-        u = np.asarray(u, dtype=float)
-        p_up, _ = cell_fraction(x, lo, hi)
-        out = np.where(u < p_up, hi, lo)
+        width = hi - lo
+        out = np.where(np.asarray(u, dtype=float) < (x - lo) / np.where(width <= 0.0, 1.0, width), hi, lo)
     else:  # pragma: no cover
         raise ConfigError(f"unknown scheme {scheme!r}")
 
@@ -145,83 +144,3 @@ def round_value(grid: Grid, scheme: RoundingScheme, x, u=None):
     # the clamped neighbor (lo == hi == +/- top of a float system).
     out = np.where(on_grid, lo, out)
     return float(out) if scalar else out
-
-
-def cell_fraction(x, lo, hi, out=None):
-    """Position p = (x - lo) / (hi - lo) of x inside its cell [lo, hi], and
-    the degenerate-cell mask (lo == hi: x on the grid or saturated).
-
-    Stochastic rounding sends x to hi with probability p.  On a degenerate
-    cell p is x - lo, which callers must not read as a probability.
-    """
-    width = hi - lo
-    degenerate = width <= 0.0
-    return np.divide(np.subtract(x, lo, out=out), np.where(degenerate, 1.0, width), out=out), degenerate
-
-
-def _own(out, x, *args):
-    """out and x for an in-place body, else a new array and a copy of x, broadcast."""
-    if out is None:
-        shape = np.broadcast_shapes(*map(np.shape, (x, *args)))
-        out, x = np.empty(shape), np.array(np.broadcast_to(x, shape), dtype=float)
-    return out, x
-
-
-def stoch_expectation(x, lo, hi, f_lo, f_hi, out=None):
-    """E[f(rd(x))] = f(lo) (1 - p) + f(hi) p under stochastic rounding of x
-    inside its cell [lo, hi], and f(lo) on a degenerate cell.
-
-    ``f_lo`` and ``f_hi`` are f evaluated at the cell ends; all arguments
-    broadcast against each other.  With ``out``, of x's shape, the result
-    is written there and x is overwritten.
-    """
-    out, x = _own(out, x, lo, hi, f_lo, f_hi)
-    # p in out, then f_lo (1 - p) in x and f_hi p in out
-    p, degenerate = cell_fraction(x, lo, hi, out)
-    np.multiply(f_lo, np.subtract(1.0, p, out=x), out=x)
-    np.add(x, np.multiply(f_hi, p, out=out), out=out)
-    if np.any(degenerate):
-        np.copyto(out, f_lo, where=degenerate)
-    return out
-
-
-def err_power(rd, x, k: int, signed: bool, out=None):
-    """err^k (``signed``) or |err|^k for the rounding error err = rd - x,
-    written into ``out`` (of x's shape) if given, which overwrites x for k >= 3."""
-    err = np.subtract(rd, x, out=out)
-    if k % 2 and not signed:  # even powers need no abs
-        err = np.abs(err, out=out)
-    return int_power(err, k) if out is None else int_power(err, k, out, x)
-
-
-def stoch_err_power(x, lo, hi, k: int, signed: bool, out=None, scratch=(None, None)):
-    """E[err^k] (``signed``) or E|err|^k under stochastic rounding of x in its
-    cell [lo, hi], in closed form, and the clamp error on a degenerate cell.
-
-    With a = x - lo, b = hi - x and w = hi - lo, E[err^k] = (b (-a)^k + a b^k) / w
-    = a b (b^(k-1) - (-a)^(k-1)) / w and E|err|^k = a b (b^(k-1) + a^(k-1)) / w.
-    No 1 - p, whose digits are lost near hi, is formed: signed k = 1 is
-    exactly 0, k = 2 is a b, and every power keeps its relative accuracy.
-    With ``out``, of x's shape, the result is written there and x is
-    overwritten; k >= 3 also overwrites ``scratch``, two arrays of x's shape.
-    """
-    width = hi - lo
-    degenerate = width <= 0.0
-    # the clamp error, taken before x is overwritten
-    clamp = err_power(lo, x, k, signed) if np.any(degenerate) else None
-    out, x = _own(out, x, width)
-    if k == 0 or (k == 1 and signed):
-        out.fill(1.0 if k == 0 else 0.0)
-    else:
-        a, b = np.subtract(x, lo, out=out), np.subtract(hi, x, out=x)
-        if k == 2:
-            np.multiply(a, b, out=out)
-        else:
-            ab = np.multiply(a, b, out=scratch[0])
-            # b^(k-1) -/+ a^(k-1), each formed in place in turn, its running square in scratch[1]
-            b, a = int_power(b, k - 1, b, scratch[1]), int_power(a, k - 1, a, scratch[1])
-            (np.subtract if signed and k % 2 else np.add)(b, a, out=out)
-            np.divide(np.multiply(ab, out, out=out), np.where(degenerate, 1.0, width), out=out)
-    if clamp is not None:
-        np.copyto(out, clamp, where=degenerate)
-    return out

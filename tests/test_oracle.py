@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -284,50 +285,35 @@ def test_too_many_cells_guard(semicircle):
 
 
 def whole_partition(grid, scheme, a, b):
-    """The pieces of every chunk of ``oracle._partition``, concatenated."""
-    lo_p, hi_p, rd_data = zip(*oracle._partition(grid, scheme, a, b))
+    """The pieces of every chunk of ``oracle._chunks`` for no weight, concatenated."""
+    lo_p, hi_p, rd_data = zip(*oracle._chunks(None, grid, scheme, a, b))
     return np.concatenate(lo_p), np.concatenate(hi_p), tuple(np.concatenate(r) for r in zip(*rd_data))
 
 
-def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None, cube_by_squaring=False):
-    """Single-matrix per-cell Gauss quadrature with plain ``**`` powers.
+def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
+    """Single-matrix per-cell Gauss quadrature in the moment form.
 
     Integrates w(x) err(x)^power (or w(x) E[(rd(x) - shift)^power] when a
     shift is given) at n nodes over every piece at once, in one nodes x
-    pieces matrix laid out as the kernel lays out a block.  With
-    ``cube_by_squaring`` a deterministic cube is e (e e), as the oracle's
-    repeated squaring forms it, for a bit-for-bit comparison.  Returns the value and the per-piece terms.  It pins the
-    blocking and chunking; the stochastic error formula itself is pinned
-    against exact arithmetic in test_rounding.py.
+    pieces matrix laid out as the kernel lays out a block: the local moments
+    sum_n w_n t_n^i W_n, t = (x - mid) / h, contracted with the oracle's
+    coefficient rows, each row scaled by h^i.  Returns the value and the
+    per-piece terms.  It pins the blocking and chunking; the rows themselves
+    are pinned against exact arithmetic in test_rounding.py.
     """
     lo_p, hi_p, rd_data = whole_partition(grid, scheme, a, b)
     nodes, weights = gauss_legendre_nodes(n)
-    X = 0.5 * (lo_p + hi_p) + 0.5 * (hi_p - lo_p) * nodes[:, None]
-    if scheme is RS.STOCHASTIC:
-        lo, hi = rd_data
-        width = np.where(hi > lo, hi - lo, 1.0)
-        degenerate = hi <= lo
-        if shift is not None:
-            p = (X - lo) / width
-            vals = (lo - shift) ** power * (1.0 - p) + (hi - shift) ** power * p
-            vals = np.where(degenerate, (lo - shift) ** power, vals)
-        else:
-            # the closed form: with a = x - lo and b = hi - x, E[err^k] is
-            # a b (b^(k-1) - (-a)^(k-1)) / w and E|err|^k is
-            # a b (b^(k-1) + a^(k-1)) / w, which is a b at k = 2
-            a, b = X - lo, hi - X
-            other = -((-a) ** (power - 1)) if signed else a ** (power - 1)
-            vals = a * b if power == 2 else a * b * (b ** (power - 1) + other) / width
-            clamp = lo - X if signed else np.abs(lo - X)
-            vals = np.where(degenerate, clamp ** power, vals)
+    mid, half = 0.5 * (lo_p + hi_p), 0.5 * (hi_p - lo_p)
+    if shift is None:
+        rows = oracle._err_rows(scheme, power, signed, mid, *rd_data)
     else:
-        tgt = rd_data[0]
-        if shift is not None:
-            vals = (tgt - shift) ** power * np.ones_like(X)
-        else:
-            err = tgt - X if signed else np.abs(tgt - X)
-            vals = err * err ** 2 if cube_by_squaring and power == 3 else err ** power
-    terms = 0.5 * (hi_p - lo_p) * (weights @ (w(X) * vals))
+        rows = oracle._rd_rows(scheme, power, shift, mid, *rd_data)
+    scale = half
+    for i in range(1, len(rows)):
+        rows[i] = rows[i] * scale
+        scale = scale * half
+    moments = (weights * nodes ** np.arange(n)[:, None])[: len(rows)] @ w(mid + nodes[:, None] * half)
+    terms = half * np.sum(rows * moments, axis=0)
     return float(np.sum(terms)), terms
 
 
@@ -407,8 +393,7 @@ def test_single_block_is_bit_identical_to_reference(semicircle):
         for k in (1, 2, 3):
             for signed in (True, False):
                 got = err_weighted_integral(mesh, scheme, weight, -1.0, 1.5, k, signed=signed)
-                check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, k, signed=signed,
-                                                    cube_by_squaring=True)[0])
+                check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, k, signed=signed)[0])
         for j in (1, 2):
             got = rd_moment_integral(mesh, scheme, weight, -1.0, 1.5, j, shift=0.3)
             check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, j, shift=0.3)[0])
@@ -429,11 +414,11 @@ def test_kernel_uses_the_density_it_is_given():
 @pytest.mark.parametrize("scheme", list(RS))
 def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
     # a one-chunk float integral of several blocks, weighted by the model, by
-    # 1 or by (x - c)^m times the model: each run of a block builds X (the
-    # nodes of its rule, at most the ceiling's), the weight, the integrand
-    # and their product in the kernel's workspace, so from one integrand call
-    # to the next nothing as large as a node matrix is allocated; k - 1 of
-    # two set bits (k = 4, 6, 7) squares in the workspace too, as (x - c)^m does
+    # 1 or by (x - c)^m times the model: each run of a block builds U, X (the
+    # nodes of its rule, at most the ceiling's), the weight and its products
+    # with the powers of U in the kernel's workspace, so from one block run
+    # to the next nothing as large as a node matrix is allocated; (x - c)^m
+    # squares in the workspace too
     model = make_normal(0.5, 1.0)
     weights = [model, Weight(), *(Weight(model, 0.3, m) for m in (1, 2, 3))]
     fs = FloatSystem(8, -12, 6)
@@ -441,7 +426,7 @@ def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
     node_matrix = oracle.QUAD_BLOCK * max(k + 8, 20) * 8
     tracemalloc.start()
     try:
-        chunks = list(oracle._partition(fs, scheme, a, b))
+        chunks = list(oracle._chunks(None, fs, scheme, a, b))
         chunk_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,16 +437,15 @@ def test_block_loop_allocates_no_node_matrix(monkeypatch, scheme, k):
         err_weighted_integral(fs, scheme, weight, a, b, k)
     marks = []
 
-    def marked(integrand):
+    def marked(run):
         def call(*args, **kwargs):
-            # traced memory now, and its peak since the last integrand call
+            # traced memory now, and its peak since the last block run
             marks.append(tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
-            return integrand(*args, **kwargs)
+            return run(*args, **kwargs)
         return call
 
-    for name in ("err_power", "stoch_err_power"):
-        monkeypatch.setattr(oracle, name, marked(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "_run_block", marked(oracle._run_block))
     for weight in weights:
         marks.clear()
         tracemalloc.start()
@@ -550,7 +534,7 @@ def test_float_integral_memory_is_bounded_by_pieces():
     pieces, nodes = got.details["pieces"], got.details["nodes"]
     assert pieces > 150_000
     # blocks are cut chunk by chunk: each partition chunk ends its last block
-    chunks = [lo.size for lo, _, _ in oracle._partition(fs, RS.NEAREST, a, b)]
+    chunks = [lo.size for lo, _, _ in oracle._chunks(None, fs, RS.NEAREST, a, b)]
     assert sum(chunks) == pieces
     assert got.details["blocks"] == sum(math.ceil(size / oracle.QUAD_BLOCK) for size in chunks)
     assert got.details["chunks"] == len(chunks) > 1
@@ -597,9 +581,9 @@ def sorted_pieces(lo_p, hi_p, rd_data):
 @pytest.mark.parametrize("grid,a,b", MULTI_CHUNK_CASES)
 def test_multi_chunk_walk(monkeypatch, grid, a, b, cells, scheme):
     single = sorted_pieces(*whole_partition(grid, scheme, a, b))
-    assert len(list(oracle._partition(grid, scheme, a, b))) == 1
+    assert len(list(oracle._chunks(None, grid, scheme, a, b))) == 1
     monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
-    chunks = list(oracle._partition(grid, scheme, a, b))
+    chunks = list(oracle._chunks(None, grid, scheme, a, b))
     assert len(chunks) > 1
     # each chunk tiles its own sub-range, whose inner ends are grid points;
     # together they tile [a, b], and every chunk but the last holds exactly
@@ -669,7 +653,7 @@ def test_partition_cuts_every_cells_th_point(monkeypatch, grid, pts, cells):
         inside = pts[(pts >= a) & (pts <= b)]
         # every cells-th point of the range, counted from its first one
         cuts = [float(p) for p in inside[cells - 1 :: cells] if a < p < b]
-        ends = [float(hi_p.max()) for _, hi_p, _ in oracle._partition(grid, RS.NEAREST, a, b)]
+        ends = [float(hi_p.max()) for _, hi_p, _ in oracle._chunks(None, grid, RS.NEAREST, a, b)]
         assert ends == cuts + [b], (a, b)
         for start, end in zip([a, *cuts], cuts + [b]):
             # a chunk's cells are its inner points plus one
@@ -681,9 +665,9 @@ def test_partition_checks_the_budget_on_the_whole_range(monkeypatch, grid, pts):
     monkeypatch.setattr(grids, "CELL_BUDGET", 10)
     monkeypatch.setattr(oracle, "CHUNK_CELLS", 4)
     # ten points pass, in chunks of 3, 4 and 2 cells
-    assert len(list(oracle._partition(grid, RS.NEAREST, pts[20], pts[29]))) == 3
+    assert len(list(oracle._chunks(None, grid, RS.NEAREST, pts[20], pts[29]))) == 3
     # eleven are refused when the first chunk is asked for
-    chunks = oracle._partition(grid, RS.NEAREST, pts[20], pts[30])
+    chunks = oracle._chunks(None, grid, RS.NEAREST, pts[20], pts[30])
     with pytest.raises(ConfigError, match="11 grid points in range, more than 10"):
         next(chunks)
     with pytest.raises(ConfigError, match="11 grid points in range, more than 10"):
@@ -889,6 +873,57 @@ def test_ungraded_cell_at_a_support_edge_within_its_estimate():
     assert abs(de.value - want) <= de.abs_error_estimate
 
 
+# --- the semicircle's edge error, which the recorded reference carries -------
+
+# Seed 2000 check 47 and seed 0 check 67 of the recorded verify suites:
+# (r, mu), the mesh and the scheme
+SEMICIRCLE_EDGE_CASES = {
+    "seed2000-check47": ((1.183498473487091, 0.2113473847267826),
+                         UniformMesh(0.11266324382507563, 0.15622286636579102), RS.STOCHASTIC),
+    "seed0-check67": ((1.538536927628753, -0.11084079188731866),
+                      UniformMesh(0.0956616221297365, 0.08714204337053821), RS.AWAY_FROM_ZERO),
+}
+
+
+def semicircle_delta_v(r, mu, mesh, scheme, n=40):
+    """Delta_V of semicircle(r, mu) on the oracle's own pieces, each
+    integrated in its angle: x = mu + r cos(theta) turns the density into
+    (2/pi) sin^2(theta), entire, so n-node Gauss-Legendre in theta on every
+    piece is exact to rounding (40 and 80 nodes agree to 2e-16)."""
+    lo_p, hi_p, rd_data = whole_partition(mesh, scheme, mu - r, mu + r)
+    t, w = gauss_legendre_nodes(n)
+    th_lo, th_hi = (np.arccos(np.clip((v - mu) / r, -1.0, 1.0)) for v in (hi_p, lo_p))
+    theta = 0.5 * (th_lo + th_hi) + 0.5 * (th_hi - th_lo) * t[:, None]
+    x, dmu = mu + r * np.cos(theta), (2.0 / math.pi) * np.sin(theta) ** 2 * 0.5 * (th_hi - th_lo) * w[:, None]
+    if scheme is RS.STOCHASTIC:
+        c_lo, c_hi = rd_data
+        p = (x - c_lo) / np.where(c_hi > c_lo, c_hi - c_lo, 1.0)
+        moments = [np.sum(dmu * (c_lo ** j * (1.0 - p) + c_hi ** j * p)) for j in (1, 2)]
+    else:
+        moments = [np.sum(dmu * rd_data[0] ** j) for j in (1, 2)]
+    return moments[1] - moments[0] ** 2 - r * r / 4.0
+
+
+@pytest.mark.parametrize("case", SEMICIRCLE_EDGE_CASES)
+def test_semicircle_edge_delta_v_within_its_estimate(case):
+    (r, mu), mesh, scheme = SEMICIRCLE_EDGE_CASES[case]
+    _, dv = delta_e_and_v(make_semicircle(r, mu), mesh, scheme)
+    exact = semicircle_delta_v(r, mu, mesh, scheme)
+    # to the rounding of m2 - m1^2, m2 below 1
+    assert abs(exact - semicircle_delta_v(r, mu, mesh, scheme, 80)) <= 1e-15
+    assert abs(dv.value - exact) <= dv.abs_error_estimate, (dv.value, exact, dv.abs_error_estimate)
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed 13-step grading leaves the semicircle's edge cell inexact "
+                                       "(ROADMAP item 22); the recorded reference carries it (items 11, 12)")
+@pytest.mark.parametrize("case", SEMICIRCLE_EDGE_CASES)
+def test_semicircle_edge_delta_v_within_1e9_relative(case):
+    (r, mu), mesh, scheme = SEMICIRCLE_EDGE_CASES[case]
+    _, dv = delta_e_and_v(make_semicircle(r, mu), mesh, scheme)
+    exact = semicircle_delta_v(r, mu, mesh, scheme)
+    assert abs(dv.value - exact) <= 1e-9 * abs(exact), (dv.value, exact)
+
+
 # --- the certified error bound of each block ----------------------------------
 
 mpmath = pytest.importorskip("mpmath")
@@ -934,13 +969,13 @@ def cert_integrands(lo, hi):
         a, b = 2 * half + half * (1 + t), 6 * half + half * (1 - t)
         return k(a, b) / (10 * half)
 
-    yield ("err", oracle._err_integrand(RS.NEAREST, 3, True), (one(lo),), 5, 20,
+    yield ("err", partial(oracle._err_rows, RS.NEAREST, 3, True), (one(lo),), 5, 20,
            lambda half, t: (-half * (1 + t)) ** 3)
-    yield ("stochastic err", oracle._err_integrand(RS.STOCHASTIC, 3, False), (one(c_lo), one(c_hi)), 5, 20,
+    yield ("stochastic err", partial(oracle._err_rows, RS.STOCHASTIC, 3, False), (one(c_lo), one(c_hi)), 5, 20,
            lambda half, t: stochastic(half, t, lambda a, b: b * a ** 3 + a * b ** 3))
-    yield ("rd", oracle._rd_integrand(RS.NEAREST, 2, 0.3), (one(hi),), 4, 20,
+    yield ("rd", partial(oracle._rd_rows, RS.NEAREST, 2, 0.3), (one(hi),), 4, 20,
            lambda half, t: (mpmath.mpf(hi) - mpmath.mpf(0.3)) ** 2)
-    yield ("stochastic rd", oracle._rd_integrand(RS.STOCHASTIC, 2, 0.3), (one(c_lo), one(c_hi)), 4, 20,
+    yield ("stochastic rd", partial(oracle._rd_rows, RS.STOCHASTIC, 2, 0.3), (one(c_lo), one(c_hi)), 4, 20,
            lambda half, t: stochastic(half, t, lambda a, b: (mpmath.mpf(c_lo) - mpmath.mpf(0.3)) ** 2 * b
                                       + (mpmath.mpf(c_hi) - mpmath.mpf(0.3)) ** 2 * a))
 

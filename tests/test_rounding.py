@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roundmoments import FloatSystem, UniformMesh, gap_stats, round_value
+from roundmoments import ExplicitSet, FloatSystem, UniformMesh, gap_stats, oracle, round_value
 from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.oracle import Weight, err_weighted_integral
 from roundmoments.quadrature import gauss_legendre_nodes
-from roundmoments.rounding import RoundingScheme, err_power, int_power, stoch_err_power, stoch_expectation
+from roundmoments.rounding import RoundingScheme, int_power
 
 DETERMINISTIC_SCHEMES = (RoundingScheme.TOWARD_ZERO, RoundingScheme.AWAY_FROM_ZERO, RoundingScheme.NEAREST)
 
@@ -88,11 +88,10 @@ def test_constant_table():
 
 def stoch_expected_err_pows(lo, hi, x, k):
     """(E|err|^k, E err^k) under stochastic rounding of x in its cell [lo, hi],
-    taken as the oracle takes them: the expectation over the cell ends."""
-    return tuple(
-        float(stoch_expectation(x, lo, hi, err_power(lo, x, k, signed), err_power(hi, x, k, signed)))
-        for signed in (False, True)
-    )
+    taken as the oracle takes them: the constant coefficient of its rows on a
+    piece whose midpoint is x."""
+    cell = (np.array([x], dtype=float), np.array([lo], dtype=float), np.array([hi], dtype=float))
+    return tuple(float(oracle._err_rows(RoundingScheme.STOCHASTIC, k, signed, *cell)[0, 0]) for signed in (False, True))
 
 
 def test_stoch_expected_pows_two_outcome():
@@ -124,66 +123,111 @@ def test_stochastic_pointwise_unbiased_everywhere():
         assert abs(signed) < 1e-15
 
 
-# --- closed-form stochastic error moments ------------------------------------
+# --- the oracle's integrands as coefficient rows -----------------------------
 
 U = 2.0 ** -53
 
+# Partitions whose pieces the rows are checked on: range ends at the centre
+# of a cell across zero and of one beside it, so the graded sub-cell pieces
+# sit where B - A cancels; 1e-12 of a cell from its end; past a float
+# system's top, on saturated cells; and a random explicit set.
+ROW_PARTITIONS = [
+    (UniformMesh(0.5, 0.3), -0.2, 2.8),
+    (UniformMesh(0.37, 0.11), 0.48 + 0.74 * 1e-12, 3.4),
+    (UniformMesh(0.05, 0.013), -1.9, 0.013 - 0.1 * 1e-12),
+    (FloatSystem(4, -6, 3), -20.0, 0.75 + 0.015625),
+    (ExplicitSet(np.sort(np.random.default_rng(8).uniform(-3.0, 3.0, 40)) ** 3), -2.0, 1.5),
+]
 
-def exact_two_end(x, lo, hi, k, signed):
-    """E[err^k] (or E|err|^k) over the two cell ends, (lo - x)^k (1 - p) +
-    (hi - x)^k p, evaluated at 50 digits on the given doubles."""
+
+def row_test_points(scheme):
+    """(x - mid as the kernel forms it, mid, half-width, rounding data) at
+    the nodes of the 4-node Gauss rule and the two outermost of the 20-node
+    rule on every piece of ROW_PARTITIONS."""
+    nodes = np.concatenate([gauss_legendre_nodes(4)[0], gauss_legendre_nodes(20)[0][[0, -1]]])[:, None]
+    parts = [piece for grid, a, b in ROW_PARTITIONS for piece in oracle._chunks(None, grid, scheme, a, b)]
+    lo_p, hi_p = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+    rd = [np.concatenate([p[2][i] for p in parts]) for i in range(len(parts[0][2]))]
+    mid, half = 0.5 * (lo_p + hi_p), 0.5 * (hi_p - lo_p)
+    return nodes * half, mid, half, rd
+
+
+def exact_expectation(f, x, rd):
+    """E[f(rd(x))] at 50 digits: f at the target, or over the two cell ends
+    with p = (x - lo) / (hi - lo), and f(lo) on a degenerate cell."""
+    if len(rd) == 1:
+        return f(rd[0])
+    lo, hi = rd
+    if lo == hi:
+        return f(lo)
+    p = (x - lo) / (hi - lo)
+    return f(lo) * (1 - p) + f(hi) * p
+
+
+def worst_row_error(rows, u, mid, half, rd, f):
+    """max |sum c_i u^i - exact| / (u P) over the points, P = sum |c_i| h^i,
+    with f(target, x) the exact integrand at 50 digits."""
+    worst, mp = 0.0, mpmath.mpf
     with mpmath.workdps(50):
-        x, lo, hi = mpmath.mpf(x), mpmath.mpf(lo), mpmath.mpf(hi)
-        p = (x - lo) / (hi - lo)
-        e_lo, e_hi = (e if signed else abs(e) for e in (lo - x, hi - x))
-        return e_lo ** k * (1 - p) + e_hi ** k * p
+        for j in range(mid.size):
+            c = [mp(float(r[j])) for r in rows]
+            reach = sum(abs(ci) * mp(float(half[j])) ** i for i, ci in enumerate(c))
+            ends = [mp(float(r[j])) for r in rd]
+            for uj in u[:, j]:
+                uj = mp(float(uj))
+                x = mp(float(mid[j])) + uj
+                err = abs(sum(ci * uj ** i for i, ci in enumerate(c)) - exact_expectation(lambda t: f(t, x), x, ends))
+                # an exact 0 is within 1e-50 of its 50-digit value
+                if err > 1e-40:
+                    worst = max(worst, float(err / (U * reach)) if reach else math.inf)
+    return worst
 
 
-def stochastic_test_points():
-    """Cells [lo, hi] of random place and width, each with the 20- and
-    10-node Gauss points mapped into it as the oracle maps them, and points
-    within 1e-12 w of either end."""
-    rng = np.random.default_rng(21)
-    lo = rng.uniform(-8.0, 8.0, 32)
-    hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, lo.size)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = np.concatenate([gauss_legendre_nodes(n)[0] for n in (20, 10)])
-    ends = np.array([1e-12, 3e-13, 1e-13, 2e-15])
-    w = (hi - lo)[:, None]
-    x = np.hstack([mid[:, None] + half[:, None] * nodes, lo[:, None] + w * ends, hi[:, None] - w * ends])
-    lo, hi = (np.broadcast_to(v[:, None], x.shape).ravel() for v in (lo, hi))
-    x = x.ravel()
-    inside = (lo < x) & (x < hi)
-    return x[inside], lo[inside], hi[inside]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_stoch_err_power_matches_exact_expectation(k):
-    x, lo, hi = stochastic_test_points()
-    assert x.size > 1000
-    abs_exact = np.array([float(exact_two_end(*v, k, False)) for v in zip(x, lo, hi)])
-    assert np.all(abs_exact > 0.0)
+@pytest.mark.parametrize("scheme", list(RoundingScheme))
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_err_rows_match_exact_arithmetic(scheme, k):
+    # err^k and |err|^k as the oracle's coefficient rows, summed exactly at the
+    # nodes the kernel forms, within 16 u P of the 50-digit value
+    u, mid, half, rd = row_test_points(scheme)
+    assert u.size >= 1000 and np.any(half < 1e-6 * (half.max()))
+    if scheme is RoundingScheme.STOCHASTIC:
+        assert np.any(rd[0] == rd[1]) and np.any(rd[0] < rd[1])
     for signed in (True, False):
-        exact = [exact_two_end(*v, k, signed) for v in zip(x, lo, hi)]
-        closed = stoch_err_power(x, lo, hi, k, signed)
-        err = np.array([float(abs(mpmath.mpf(c) - e)) for c, e in zip(closed, exact)]) / abs_exact
-        assert err.max() <= 8.0 * U, (signed, err.max() / U)
-        # the two-end form f(lo) (1 - p) + f(hi) p loses 1 - p's digits near hi
-        two_end = stoch_expectation(x, lo, hi, err_power(lo, x, k, signed), err_power(hi, x, k, signed))
-        old = np.array([float(abs(mpmath.mpf(t) - e)) for t, e in zip(two_end, exact)]) / abs_exact
-        assert old.max() > 8.0 * U, (signed, old.max() / U)
-    if k == 1:
-        assert np.all(stoch_err_power(x, lo, hi, 1, True) == 0.0)
+        rows = oracle._err_rows(scheme, k, signed, mid, *rd)
+        # of degree k, and k + 1 for a stochastic |err|^k at odd k
+        stochastic_odd_abs = scheme is RoundingScheme.STOCHASTIC and k % 2 and not signed
+        assert rows.shape == (k + 2 if stochastic_odd_abs else k + 1, mid.size)
+        worst = worst_row_error(rows, u, mid, half, rd, lambda t, x: (t - x) ** k if signed else abs(t - x) ** k)
+        assert worst <= 16.0, (signed, worst)
 
 
-def test_stoch_err_power_degenerate_cells_and_k0():
-    # a saturated or on-grid point keeps the clamp error (lo - x)^k
-    x, lo = np.array([-5.0, 6.0, 0.5]), np.array([-4.0, 4.0, 0.5])
+@pytest.mark.parametrize("scheme", [RoundingScheme.NEAREST, RoundingScheme.STOCHASTIC])
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_rd_rows_match_exact_arithmetic(scheme, j):
+    u, mid, half, rd = row_test_points(scheme)
+    for shift in (0.0, 0.3, -1.7):
+        rows = oracle._rd_rows(scheme, j, shift, mid, *rd)
+        assert rows.shape == (2 if scheme is RoundingScheme.STOCHASTIC and j else 1, mid.size)
+        worst = worst_row_error(rows, u, mid, half, rd, lambda t, x: (t - mpmath.mpf(shift)) ** j)
+        assert worst <= 16.0, (shift, worst)
+
+
+def test_err_rows_signed_k1_and_degenerate_cells():
+    # stochastic E[err] is exactly 0 off a degenerate cell, and a degenerate
+    # (saturated or on-grid) cell takes the clamp error (c_lo - mid) - u
+    mid, lo = np.array([-5.0, 6.0, 0.5, 0.3, 0.9]), np.array([-4.0, 4.0, 0.5, 0.0, 0.0])
+    hi = np.array([-4.0, 4.0, 0.5, 1.0, 1.0])
+    rows = oracle._err_rows(RoundingScheme.STOCHASTIC, 1, True, mid, lo, hi)
+    assert np.all(rows[:, 3:] == 0.0)
     for k in range(5):
         for signed in (True, False):
-            np.testing.assert_array_equal(stoch_err_power(x, lo, lo, k, signed), err_power(lo, x, k, signed))
-    np.testing.assert_array_equal(stoch_err_power(np.array([0.1, 0.7]), 0.0, 1.0, 0, True), [1.0, 1.0])
-    assert stoch_err_power(0.25, 0.0, 1.0, 2, True) == 0.25 * 0.75
+            clamp = oracle._err_rows(RoundingScheme.NEAREST, k, signed, mid[:3], lo[:3])
+            rows = oracle._err_rows(RoundingScheme.STOCHASTIC, k, signed, mid[:3], lo[:3], hi[:3])
+            np.testing.assert_array_equal(rows[: k + 1], clamp)
+            assert np.all(rows[k + 1 :] == 0.0)
+    np.testing.assert_array_equal(oracle._err_rows(RoundingScheme.STOCHASTIC, 0, True, mid, lo, hi), np.ones((1, 5)))
+    # E[err^2] = a b at a = x - lo, b = hi - x
+    assert oracle._err_rows(RoundingScheme.STOCHASTIC, 2, True, mid[3:4], lo[3:4], hi[3:4])[0, 0] == 0.3 * (1.0 - 0.3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
