@@ -40,7 +40,7 @@ _LOG_TREFETHEN = math.log(64.0 / 15.0) - np.log(_RHO * _RHO - 1.0)
 # Roundings of a node's weight, relative to its size.
 EVAL_ULPS = 32
 # Roundings of an integrand's coefficients per row, relative to its reach P
-# (at most (D + 2) / 2 in all for degree D <= 9 against 50 digits).
+# (2 (D + 1) for degree D; the rows' worst against 50 digits is 5.6 to D = 9).
 COEF_ULPS = 2
 # Rows of 1 and of i, whose products with |c_i| h^i are sum |c_i| h^i and sum i |c_i| h^i.
 _SUMS = np.array([np.ones(64), np.arange(64.0)])
@@ -272,17 +272,15 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
             end = start + QUAD_BLOCK
             mid, half = mid_p[start:end], half_p[start:end]
             rows = integrand(mid, *[col[start:end] for col in rd_data])
-            power = half
             for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
-                rows[i] *= power
-                power = power * half
+                rows[i:] *= half
             # P = sum |c_i| h^i and P' = sum i |c_i| h^(i - 1), bounds of |g| and |g'| on each piece
-            reach, slope = np.matmul(_SUMS[:, : len(rows)], np.abs(rows))
+            reach, slope = both = np.matmul(_SUMS[:, : len(rows)], np.abs(rows))
             slope /= half
             if not b:  # the chunk's, once its integrand's degree is known
                 degree = len(rows) - 1
                 certs, by_sup, by_slope, sizes, at, real, cuts = _block_bounds(weight, degree, lo_p, hi_p, starts, rungs)
-            top, steep = float(reach.max()), float(slope.max())
+            top, steep = np.maximum.reduce(both, axis=1).tolist()
             # a zero integrand has no error, though a bound be inf
             cert = [c * top for c in certs[b]] if top > 0.0 else [0.0] * len(rungs)
             guess = sizes[b] * top if top > 0.0 else 0.0
@@ -302,7 +300,7 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
                 runs += 1
             sums.append(value)
             size, bound, moved, most = size + mag, bound + cert[i], moved + move, max(most, rungs[i])
-            del rows, power, reach, slope, block  # before the next block's are built
+            del rows, reach, slope, both, block  # before the next block's are built
         runs += len(starts)
         # every chunk has a piece; drop its arrays and workspace before the next is built
         del lo_p, hi_p, rd_data, mid_p, half_p, mid, half, space, certs, by_sup, by_slope, sizes, at, real, cuts
@@ -324,42 +322,46 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
     its digits near the cell's centre, and signed k = 1 is exactly 0.  A
     degenerate (saturated) cell takes the clamp error (c_lo - mid) - u."""
     if scheme is not RoundingScheme.STOCHASTIC or k == 0:
-        return _target_rows(rd_data[0] - mid, k, signed)
+        return _target_rows(mid - rd_data[0], k, signed)
     c_lo, c_hi = rd_data
-    a, b, sign, rows = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0, np.zeros((k + 2, mid.size))
-    total = c_lo + c_hi
-    z = total - c_lo
-    diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)  # b - a, by TwoSum
-    del total, z
-    # Q_i = C(k-1, i) (-1)^i (b^p + sign (-1)^i a^p), p = k - 1 - i, from p = 0 up, with
-    # b^p - a^p = (b - a) e_p, e_p = b^(p-1) + a e_(p-1), e_0 = 0 (so b^0 - a^0 adds
-    # nothing); each adds to three rows of A B Q = (a b + (b - a) u - u^2) Q
-    ab, pa, pb, e = a * b, 1.0, 1.0, 0.0
-    for p in range(k):
-        i, alt = k - 1 - p, (-1.0) ** (k - 1 - p)
-        if alt == sign or p:
-            q = (pb + pa if alt == sign else diff * e) * (math.comb(k - 1, i) * alt)
-            rows[i] += ab * q
-            rows[i + 1] += diff * q
-            rows[i + 2] -= q
-        e, pa, pb = (pb + a * e, pa * a, pb * b) if p else (1.0, a, b)
-    w = c_hi - c_lo
-    degenerate, rows = np.flatnonzero(w <= 0.0), rows[: k + 2 if k % 2 and not signed else k + 1]
+    w, rows = c_hi - c_lo, np.zeros((k + 2 if k % 2 and not signed else k + 1, mid.size))
+    if k > 1 or not signed:  # signed k = 1 is exactly 0
+        a, b, sign, total = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0, c_lo + c_hi
+        z = total - c_lo
+        diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)  # b - a, by TwoSum
+        del total, z
+        # Q_i = C(k-1, i) (-1)^i (b^p + sign (-1)^i a^p), p = k - 1 - i, from p = 0 up, with
+        # b^p - a^p = (b - a) e_p, e_p = b^(p-1) + a e_(p-1), e_0 = 0 (so b^0 - a^0 adds
+        # nothing); each adds to three rows of A B Q = (a b + (b - a) u - u^2) Q
+        ab, pa, pb, e = a * b, 1.0, 1.0, 0.0
+        for p in range(k):
+            if p:
+                e, pa, pb = (pb + a * e, pa * a, pb * b) if p > 1 else (1.0, a, b)
+            i, alt = k - 1 - p, (-1.0) ** (k - 1 - p)
+            if alt == sign or p:
+                q = (pb + pa if alt == sign else diff * e) * (math.comb(k - 1, i) * alt)
+                rows[i] += ab * q
+                rows[i + 1] += diff * q
+                rows[i + 2] -= q
+    degenerate = np.flatnonzero(w <= 0.0)
     w[degenerate] = 1.0
-    for row in rows:
-        row /= w
-    rows[:, degenerate] = 0.0
-    rows[: k + 1, degenerate] = _target_rows(c_lo[degenerate] - mid[degenerate], k, signed)
+    rows /= w
+    if degenerate.size:
+        rows[:, degenerate] = 0.0
+        rows[: k + 1, degenerate] = _target_rows(mid[degenerate] - c_lo[degenerate], k, signed)
     return rows
 
 
-def _target_rows(d, k: int, signed: bool) -> np.ndarray:
-    """Rows C(k, i) (-1)^i d^(k-i) of (d - u)^k in u; for |d - u|^k at odd k
-    times sign(d): the error keeps its sign on a piece cut at its switch point."""
-    rows, power = np.empty((k + 1, d.size)), np.copysign(1.0, d) if k % 2 and not signed else 1.0
-    for i in range(k, -1, -1):
-        rows[i] = power * (math.comb(k, i) * (-1.0) ** i)
-        power = power * d
+def _target_rows(e, k: int, signed: bool) -> np.ndarray:
+    """Rows C(k, i) (-1)^i d^(k-i) = C(k, i) (-1)^k e^(k-i) of (d - u)^k in u,
+    d = -e the target less mid; for |d - u|^k at odd k times sign(d): the
+    error keeps its sign on a piece cut at its switch point."""
+    rows = np.empty((k + 1, e.size))
+    rows[k] = np.copysign(1.0, e) if k % 2 and not signed else (-1.0) ** k
+    for i in range(k - 1, -1, -1):
+        np.multiply(rows[i + 1], e, out=rows[i])
+    for i in range(1, k):
+        rows[i] *= math.comb(k, i)
     return rows
 
 

@@ -308,10 +308,8 @@ def reference_quad(grid, scheme, w, a, b, n, power, signed=True, shift=None):
         rows = oracle._err_rows(scheme, power, signed, mid, *rd_data)
     else:
         rows = oracle._rd_rows(scheme, power, shift, mid, *rd_data)
-    scale = half
-    for i in range(1, len(rows)):
-        rows[i] = rows[i] * scale
-        scale = scale * half
+    for i in range(1, len(rows)):  # c_i h^i, one factor h at a time
+        rows[i:] = rows[i:] * half
     moments = (weights * nodes ** np.arange(n)[:, None])[: len(rows)] @ w(mid + nodes[:, None] * half)
     terms = half * np.sum(rows * moments, axis=0)
     return float(np.sum(terms)), terms
