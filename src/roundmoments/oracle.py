@@ -236,7 +236,7 @@ def _run_block(nodes, weights, moments, space, weight: Weight, rows, mid, half, 
     W = np.positive(1.0, out=W) if weight.model is None else weight.model.density(X, out=W)
     if weight.power:
         np.multiply(W, int_power(np.subtract(X, weight.center, out=X), weight.power, X, S), out=W)
-    local = np.matmul(moments[: len(rows)], W, out=S[: len(rows)])
+    local = np.dot(moments[: len(rows)], W, out=S[: len(rows)])
     # sum w |w| is the zeroth moment where w cannot be negative
     mag = float(np.dot(reach, np.matmul(weights, np.abs(W, out=X)) if weight.power % 2 else local[0]))
     terms = np.add.reduce(np.multiply(rows, local, out=local), axis=0, out=X[0])
@@ -275,7 +275,7 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
             for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
                 rows[i:] *= half
             # P = sum |c_i| h^i and P' = sum i |c_i| h^(i - 1), bounds of |g| and |g'| on each piece
-            reach, slope = both = np.matmul(_SUMS[:, : len(rows)], np.abs(rows))
+            reach, slope = both = np.dot(_SUMS[:, : len(rows)], np.abs(rows))
             slope /= half
             if not b:  # the chunk's, once its integrand's degree is known
                 degree = len(rows) - 1
@@ -326,10 +326,13 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
     c_lo, c_hi = rd_data
     w, rows = c_hi - c_lo, np.zeros((k + 2 if k % 2 and not signed else k + 1, mid.size))
     if k > 1 or not signed:  # signed k = 1 is exactly 0
-        a, b, sign, total = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0, c_lo + c_hi
-        z = total - c_lo
-        diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)  # b - a, by TwoSum
-        del total, z
+        a, b, sign = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0
+        diff = b - a
+        if sign < 0.0:  # Q = B^(k-1) - A^(k-1) cancels near the cell's centre: b - a by TwoSum
+            total = c_lo + c_hi
+            z = total - c_lo
+            diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)
+            del total, z
         # Q_i = C(k-1, i) (-1)^i (b^p + sign (-1)^i a^p), p = k - 1 - i, from p = 0 up, with
         # b^p - a^p = (b - a) e_p, e_p = b^(p-1) + a e_(p-1), e_0 = 0 (so b^0 - a^0 adds
         # nothing); each adds to three rows of A B Q = (a b + (b - a) u - u^2) Q
@@ -339,16 +342,18 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
                 e, pa, pb = (pb + a * e, pa * a, pb * b) if p > 1 else (1.0, a, b)
             i, alt = k - 1 - p, (-1.0) ** (k - 1 - p)
             if alt == sign or p:
-                q = (pb + pa if alt == sign else diff * e) * (math.comb(k - 1, i) * alt)
+                q, c = pb + pa if alt == sign else diff * e, math.comb(k - 1, i) * alt
+                q = q if c == 1.0 else q * c
                 rows[i] += ab * q
                 rows[i + 1] += diff * q
                 rows[i + 2] -= q
+    if np.logical_and.reduce(w):  # no degenerate cell
+        return np.divide(rows, w, out=rows)
     degenerate = np.flatnonzero(w <= 0.0)
     w[degenerate] = 1.0
     rows /= w
-    if degenerate.size:
-        rows[:, degenerate] = 0.0
-        rows[: k + 1, degenerate] = _target_rows(mid[degenerate] - c_lo[degenerate], k, signed)
+    rows[:, degenerate] = 0.0
+    rows[: k + 1, degenerate] = _target_rows(mid[degenerate] - c_lo[degenerate], k, signed)
     return rows
 
 
