@@ -266,11 +266,11 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
     pieces = n_chunks = runs = most = degree = 0
     for lo_p, hi_p, rd_data in chunks:
         pieces, n_chunks, starts = pieces + lo_p.size, n_chunks + 1, np.arange(0, lo_p.size, QUAD_BLOCK)
-        mid_p, half_p = 0.5 * (lo_p + hi_p), 0.5 * (hi_p - lo_p)
         space = np.empty((3, n * min(lo_p.size, QUAD_BLOCK)))
         for b, start in enumerate(starts.tolist()):
             end = start + QUAD_BLOCK
-            mid, half = mid_p[start:end], half_p[start:end]
+            lo, hi = lo_p[start:end], hi_p[start:end]
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             rows = integrand(mid, *[col[start:end] for col in rd_data])
             for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
                 rows[i:] *= half
@@ -303,7 +303,7 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
             del rows, reach, slope, both, block  # before the next block's are built
         runs += len(starts)
         # every chunk has a piece; drop its arrays and workspace before the next is built
-        del lo_p, hi_p, rd_data, mid_p, half_p, mid, half, space, certs, by_sup, by_slope, sizes, at, real, cuts
+        del lo_p, hi_p, rd_data, lo, hi, mid, half, space, certs, by_sup, by_slope, sizes, at, real, cuts
     depth = EVAL_ULPS + most + (COEF_ULPS + 4) * (degree + 1) + 29
     roundoff = depth * u / (1.0 - depth * u) * size + moved
     details = {"pieces": pieces, "nodes": most, "blocks": len(sums), "runs": runs, "chunks": n_chunks,
