@@ -326,13 +326,9 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
     c_lo, c_hi = rd_data
     w, rows = c_hi - c_lo, np.zeros((k + 2 if k % 2 and not signed else k + 1, mid.size))
     if k > 1 or not signed:  # signed k = 1 is exactly 0
-        a, b, sign = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0
-        diff = b - a
-        if sign < 0.0:  # Q = B^(k-1) - A^(k-1) cancels near the cell's centre: b - a by TwoSum
-            total = c_lo + c_hi
-            z = total - c_lo
-            diff = (c_lo - (total - z)) + (c_hi - z) + (total - 2.0 * mid)
-            del total, z
+        a, b, sign, total = mid - c_lo, c_hi - mid, -1.0 if signed and k % 2 else 1.0, c_lo + c_hi
+        # b - a, by TwoSum where Q = B^(k-1) - A^(k-1) cancels near the cell's centre
+        diff = (c_lo - (total - (z := total - c_lo))) + (c_hi - z) + (total - 2.0 * mid) if sign < 0.0 else b - a
         # Q_i = C(k-1, i) (-1)^i (b^p + sign (-1)^i a^p), p = k - 1 - i, from p = 0 up, with
         # b^p - a^p = (b - a) e_p, e_p = b^(p-1) + a e_(p-1), e_0 = 0 (so b^0 - a^0 adds
         # nothing); each adds to three rows of A B Q = (a b + (b - a) u - u^2) Q
@@ -342,16 +338,14 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
                 e, pa, pb = (pb + a * e, pa * a, pb * b) if p > 1 else (1.0, a, b)
             i, alt = k - 1 - p, (-1.0) ** (k - 1 - p)
             if alt == sign or p:
-                q, c = pb + pa if alt == sign else diff * e, math.comb(k - 1, i) * alt
-                q = q if c == 1.0 else q * c
+                q = (pb + pa if alt == sign else diff * e) * (math.comb(k - 1, i) * alt)
                 rows[i] += ab * q
                 rows[i + 1] += diff * q
                 rows[i + 2] -= q
     if np.logical_and.reduce(w):  # no degenerate cell
         return np.divide(rows, w, out=rows)
     degenerate = np.flatnonzero(w <= 0.0)
-    w[degenerate] = 1.0
-    rows /= w
+    rows /= np.where(w > 0.0, w, 1.0)
     rows[:, degenerate] = 0.0
     rows[: k + 1, degenerate] = _target_rows(mid[degenerate] - c_lo[degenerate], k, signed)
     return rows
@@ -381,8 +375,7 @@ def _rd_rows(scheme: RoundingScheme, j: int, shift: float, mid, *rd_data) -> np.
     c_lo, c_hi = rd_data
     f_lo, f_hi, w = int_power(c_lo - shift, j), int_power(c_hi - shift, j), c_hi - c_lo
     degenerate = np.flatnonzero(w <= 0.0)
-    w[degenerate] = 1.0
-    rows = np.array([f_lo * (c_hi - mid) + f_hi * (mid - c_lo), f_hi - f_lo]) / w
+    rows = np.array([f_lo * (c_hi - mid) + f_hi * (mid - c_lo), f_hi - f_lo]) / np.where(w > 0.0, w, 1.0)
     rows[0, degenerate] = f_lo[degenerate]  # f_hi - f_lo is 0 there
     return rows
 
