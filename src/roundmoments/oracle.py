@@ -318,8 +318,8 @@ def _err_rows(scheme: RoundingScheme, k: int, signed: bool, mid, *rd_data) -> np
     w = c_hi - c_lo, E[err^k] = (B (-A)^k + A B^k) / w = A B Q / w with Q =
     B^(k-1) -/+ A^(k-1), of degree k (k + 1 for |err|^k at odd k).  Each
     difference b^p - a^p of Q's constants is taken with its factor b - a,
-    which is formed from c_lo + c_hi and its rounding (TwoSum), so it keeps
-    its digits near the cell's centre, and signed k = 1 is exactly 0.  A
+    by TwoSum for signed odd k, where Q cancels near the cell's centre
+    (else |c_0| bounds its rounding); signed k = 1 is exactly 0.  A
     degenerate (saturated) cell takes the clamp error (c_lo - mid) - u."""
     if scheme is not RoundingScheme.STOCHASTIC or k == 0:
         return _target_rows(mid - rd_data[0], k, signed)
