@@ -397,6 +397,26 @@ def test_single_block_is_bit_identical_to_reference(semicircle):
             check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, j, shift=0.3)[0])
 
 
+@pytest.mark.parametrize("scheme,k", [(RS.NEAREST, 70), (RS.STOCHASTIC, 63)])
+def test_high_powers_match_direct_evaluation(scheme, k):
+    # rows of degree 64 and more (a stochastic |err|^k at odd k has k + 2) are
+    # integrated, and agree with |err|^k, or its two-end expectation, at the
+    # nodes themselves
+    model, mesh = make_normal(0.0, 1.0), UniformMesh(0.5, 0.1)
+    got = err_weighted_integral(mesh, scheme, model, -3.0, 3.0, k)
+    lo_p, hi_p, rd_data = whole_partition(mesh, scheme, -3.0, 3.0)
+    nodes, weights = gauss_legendre_nodes(k + 8)
+    x = 0.5 * (lo_p + hi_p) + 0.5 * (hi_p - lo_p) * nodes[:, None]
+    if scheme is RS.STOCHASTIC:
+        c_lo, c_hi = rd_data
+        p = (x - c_lo) / (c_hi - c_lo)
+        g = (1.0 - p) * np.abs(c_lo - x) ** k + p * np.abs(c_hi - x) ** k
+    else:
+        g = np.abs(rd_data[0] - x) ** k
+    want = float(np.sum(0.5 * (hi_p - lo_p) * (weights @ (model.density(x) * g))))
+    assert abs(got.value - want) <= got.abs_error_estimate + 1e-13 * want, (got.value, want)
+
+
 def test_kernel_uses_the_density_it_is_given():
     # a _pdf that returns a new array and leaves ``out`` unwritten still
     # weights the integral, not the kernel's uninitialised buffer
