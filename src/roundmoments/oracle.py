@@ -42,6 +42,8 @@ EVAL_ULPS = 32
 # Roundings of an integrand's coefficients per row, relative to its reach P
 # (2 (D + 1) for degree D; the rows' worst against 50 digits is 5.6 to D = 9).
 COEF_ULPS = 2
+# Rows of 1 and of i < n, whose products with |c_i| h^i are sum |c_i| h^i and sum i |c_i| h^i.
+_SUMS = cache(lambda n: np.array([np.ones(n), np.arange(n)]))
 # Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
 # most two per cell, plus the grading at either end) and one block's node
 # matrix at a time, so its memory does not grow with the grid; a chunk of 32
@@ -259,8 +261,7 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
     and the most ``nodes``."""
     weight = weight if isinstance(weight, Weight) else Weight(weight)
     rungs = (*(r for r in LADDER if low <= r < n), n)
-    # rows of 1 and of i, to sum |c_i| h^i and i |c_i| h^i over the D + 1 <= n rows
-    rules, by_power = _rules(rungs), np.array([np.ones(n), np.arange(n)])
+    rules = _rules(rungs)
     last, u, sums, size, bound, moved = len(rungs) - 1, 2.0 ** -53, [], 0.0, 0.0, 0.0
     pieces = n_chunks = runs = most = degree = 0
     for lo_p, hi_p, rd_data in chunks:
@@ -274,7 +275,7 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
             for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
                 rows[i:] *= half
             # P = sum |c_i| h^i and P' = sum i |c_i| h^(i - 1), bounds of |g| and |g'| on each piece
-            reach, slope = both = np.dot(by_power[:, : len(rows)], np.abs(rows))
+            reach, slope = both = np.dot(_SUMS(n)[:, : len(rows)], np.abs(rows))
             slope /= half
             if not b:  # the chunk's, once its integrand's degree is known
                 degree = len(rows) - 1
