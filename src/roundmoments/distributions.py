@@ -29,6 +29,8 @@ _T33 = np.arange(33.0)  # scan_max's rescan points, before scaling
 
 @dataclass(frozen=True)
 class DensityModel:
+    """A density analytic on its support's interior, and past it except at ``branch_points``."""
+
     name: str
     params: tuple
     support: tuple[float, float]
@@ -40,13 +42,11 @@ class DensityModel:
     _raw_moment: Callable[[int], float]
     _central_moment: Callable[[int], float]
     _abs_central_first: float  # E|X - mean|
-    # ellipse_log_bound(lo, hi, h, a, b): log(sup|f(z)| / peak), free of units,
-    # on the Bernstein ellipses {m + h (a cos t + i b sin t)} for m in [lo, hi]
-    # of f continued from a piece that straddles no jump and keeps clear of
+    # ellipse_log_bound(lo, hi, h, a, b): log(sup|f(z)| / peak), free of units, on the Bernstein
+    # ellipses {m + h (a cos t + i b sin t)} for m in [lo, hi], a piece of the support clear of
     # the branch points, a = (rho + 1/rho)/2 and b = (rho - 1/rho)/2
     ellipse_log_bound: Callable
     branch_points: tuple = ()  # (lo, hi): f is analytic between them, not at them
-    jumps: tuple = ()  # past each, f continues as another entire function
     # not an init field, so a dataclasses.replace copy starts empty
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -389,9 +389,8 @@ def make_exponential(lam: float) -> DensityModel:
         _raw_moment=lambda k: math.factorial(k) / lam ** k,
         _central_moment=central,
         _abs_central_first=2.0 / (math.e * lam),
-        # lam exp(-lam z) right of 0, where Re z >= max(lo, 0) - h a, and 0 left of it
-        ellipse_log_bound=lambda lo, hi, h, a, b: lam * (h * a - np.maximum(lo, 0.0)),
-        jumps=(0.0,),
+        # lam exp(-lam z), where Re z >= lo - h a
+        ellipse_log_bound=lambda lo, hi, h, a, b: lam * (h * a - lo),
     )
 
 
@@ -430,8 +429,7 @@ def make_uniform(lo: float, hi: float) -> DensityModel:
         _raw_moment=raw,
         _central_moment=central,
         _abs_central_first=w / 4.0,
-        ellipse_log_bound=lambda lo_, hi_, h, a, b: 0.0,  # the peak on [lo, hi] and 0 off it
-        jumps=(lo, hi),
+        ellipse_log_bound=lambda lo_, hi_, h, a, b: 0.0,  # the peak, continued past [lo, hi] as a constant
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DensityModel
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .grids import FloatSystem, Grid, UniformMesh
 from .quadrature import gauss_legendre_nodes
 from .rounding import RoundingScheme, int_power, round_value
@@ -42,8 +42,6 @@ EVAL_ULPS = 32
 # Roundings of an integrand's coefficients per row, relative to its reach P
 # (2 (D + 1) for degree D; the rows' worst against 50 digits is 5.6 to D = 9).
 COEF_ULPS = 2
-# Rows of 1 and of i < n, whose products with |c_i| h^i are sum |c_i| h^i and sum i |c_i| h^i.
-_SUMS = cache(lambda n: np.array([np.ones(n), np.arange(n)]))
 # Grid cells per partition chunk.  The oracle holds one chunk's pieces (at
 # most two per cell, plus the grading at either end) and one block's node
 # matrix at a time, so its memory does not grow with the grid; a chunk of 32
@@ -94,15 +92,19 @@ def _chunks(weight, grid: Grid, scheme: RoundingScheme, a: float, b: float):
     CELL_BUDGET is checked on all of [a, b] before the first chunk.  Pieces
     are cut at grid points and, under a deterministic scheme, at each cell's
     switch point (its midpoint under nearest rounding, 0 under directed
-    rounding), so the error is one linear branch on each piece.  The
-    outermost pieces are graded geometrically toward a and b, where
-    densities often lose smoothness.
+    rounding), so the error is one linear branch on each piece.  With a
+    model, [a, b] is first clipped to its support (an empty overlap yields
+    no chunk), and the outermost pieces are graded toward its ends.
     """
     key, kept = (grid, scheme, a, b, CHUNK_CELLS, QUAD_BLOCK), weight._cache if isinstance(weight, Weight) else {}
     if kept.get("key") != key:
         kept.clear()
         if not (a < b and math.isfinite(a) and math.isfinite(b)):
             raise PreconditionError(f"need finite a < b, got [{a!r}, {b!r}]")
+        if (model := weight.model if isinstance(weight, Weight) else weight) is not None:
+            a, b = max(a, model.support[0]), min(b, model.support[1])
+        if not a < b:
+            return
         i0, i1 = grid.index_range(a, b)
         cuts = grid.points_at(np.arange(i0 + CHUNK_CELLS - 1, i1 + 1, CHUNK_CELLS))
         ends = [a, *cuts[(cuts > a) & (cuts < b)].tolist(), b]
@@ -160,19 +162,17 @@ def _rung_logs(degree: int, rungs: tuple) -> np.ndarray:
 def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
     """Per block (one at each of ``starts``): the largest half-width h, summed
     half-widths, max|x| + h + |center| + |mode|, log(sup|w| / scale) on its
-    Bernstein ellipses (a row per rho); scale; the pieces straddling a jump
-    or too near a branch point; 2h sup|w| of those, or of a lone block's."""
+    Bernstein ellipses (a row per rho); scale; the pieces too near a branch
+    point; 2h sup|w| of those, or of a lone block's."""
     model = weight.model
     width = hi_p - lo_p
     h, length = (0.5 * total.reduceat(width, starts) for total in (np.maximum, np.add))
     lo, hi = np.minimum.reduceat(lo_p, starts), np.maximum.reduceat(hi_p, starts)
     log, singular, scale = np.zeros((_RHO.size, starts.size)), False, 1.0 if model is None else model.peak
-    for p in () if model is None else model.jumps:
-        singular = singular | ((lo_p < p) & (p < hi_p))
     if model is not None and model.branch_points:
         # an ellipse of half-width a h keeps clear of a point while a h <= gap + h
         room = 1.0 + 2.0 * np.minimum(lo_p - model.branch_points[0], model.branch_points[1] - hi_p) / width
-        singular = singular | (room < _A[0])
+        singular = room < _A[0]
         log[_A[:, None] > np.minimum.reduceat(np.where(singular, np.inf, room), starts)] = np.inf
     if model is not None:
         log += model.ellipse_log_bound(lo, hi, h, _A[:, None], _B[:, None])
@@ -192,29 +192,29 @@ def _weight_bounds(weight: Weight, lo_p, hi_p, starts) -> tuple:
 
 
 def _block_bounds(weight: Weight, degree: int, lo_p, hi_p, starts, rungs: tuple) -> tuple:
-    """Per block, as lists, for g of ``degree`` with sup|g| = sup|g'| = 1: the
-    certified error per n of ``rungs``, the node rounding due to sup|w'| and
-    to sup|g'|, and the magnitude bound; then the pieces where the density is
-    not analytic, their (or a lone block's) 2h sup|w|, and where each block's
-    start.  With |w g| <= M = sup|w| rho^degree sup|g| on E_rho, the n-node
-    error on a piece is at most h (64/15) M / ((rho^2 - 1) rho^(2n - 2))
-    (Trefethen, SIAM Review 50(1), 2008, Thm 4.5).  Nodes moved by d = 4u
-    (max|x| + |mode| + |center|) move its sum by 2hd (sup|w'| sup|g| + sup|w|
-    sup|g'|), sup|w'| <= sup|w| / (h (a - 1)) (Cauchy).  A piece's magnitude
-    is at most 2h sup|w| sup|g|, its error twice that where w is not analytic."""
+    """Per block, as lists, for g of ``degree`` with sup|g| = 1: the
+    certified error per n of ``rungs``, the weight's node rounding and the
+    magnitude bound; then the pieces too near a branch point, their (or a
+    lone block's) 2h sup|w|, and where each block's start.  With |w g| <= M
+    = sup|w| rho^degree sup|g| on E_rho, the n-node error on a piece is at
+    most h (64/15) M / ((rho^2 - 1) rho^(2n - 2)) (Trefethen, SIAM Review
+    50(1), 2008, Thm 4.5).  g is formed at the rule's nodes t_n, w at mid +
+    t_n h, which rounding moves by d = 4u (max|x| + |mode| + |center|), so
+    the sum by 2hd sup|w'| sup|g|, sup|w'| <= sup|w| / (h (a - 1)) (Cauchy).
+    A piece's magnitude is at most 2h sup|w| sup|g|, its error twice that
+    near a branch point."""
     kept = weight._cache if lo_p is weight._cache.get("chunk", (None,))[0] else {}
     if "bounds" not in kept:  # taken once from a partition kept on the weight
         kept["bounds"] = _weight_bounds(weight, lo_p, hi_p, starts)
     h, length, far, log, scale, at, real = kept["bounds"]
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound past a double is inf
-        # sup|w|, sup|w'| and the certificates, each minimised over rho
-        bounds = scale * np.exp(np.minimum.reduce(log + _rung_logs(degree, rungs), axis=1))
-        bounds[1] /= h
-        bounds[2:] *= length
-        sizes = 2.0 * length * bounds[0]
-        moved = (8.0 * 2.0 ** -53) * length * far * bounds[1::-1]
+    # sup|w|, sup|w'| and the certificates, each minimised over rho
+    bounds = scale * np.exp(np.minimum.reduce(log + _rung_logs(degree, rungs), axis=1))
+    bounds[1] /= h
+    bounds[2:] *= length
+    sizes = 2.0 * length * bounds[0]
+    moved = (8.0 * 2.0 ** -53) * length * far * bounds[1]
     certs, cuts = np.minimum(bounds[2:], 2.0 * sizes).T, np.searchsorted(at, [*starts, lo_p.size])
-    return (*(v.tolist() for v in (certs, *moved, sizes)), at, real, cuts.tolist())
+    return certs.tolist(), moved.tolist(), sizes.tolist(), at, real, cuts.tolist()
 
 
 @cache
@@ -243,6 +243,7 @@ def _run_block(nodes, weights, moments, space, weight: Weight, rows, mid, half, 
     return np.add.reduce(np.multiply(half, terms, out=terms)), mag
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a bound past a double is inf, and a sum that is not finite is refused
 def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult:
     """Per-cell Gauss quadrature of w(x) g(x) over the pieces of ``chunks``
     (from :func:`_chunks`), QUAD_BLOCK at a time in one workspace, with
@@ -250,15 +251,17 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
     on each piece, whose coefficients ``integrand(mid, *rd_data)`` gives a
     row per power.  A block runs the fewest nodes of LADDER, ``low`` to
     ``n``, whose certified error is below 2^-53 times its magnitude's bound
-    (else n, and n where the density is not analytic), rerun once if they
-    fail its magnitude.  The estimate is ``details["discretization"]``, the
-    certificates, plus ``["roundoff"]``: node rounding, and gamma_N times the
-    magnitudes sum h P sum w |w| (P = sum |c_i| h^i), N counting for g of degree
-    D EVAL_ULPS, the D + 1 of the rule's w_n t_n^i, the 2D of c_i h^i,
-    COEF_ULPS per row, the node sum, the D + 1 terms of the contraction, the
-    half-width, a block's pairwise sum (29 additions) and the fsum.
-    ``details`` counts ``pieces``, ``chunks``, ``blocks``, their ``runs``,
-    and the most ``nodes``."""
+    (else n, and n near a branch point), rerun once if they fail its
+    magnitude.  The estimate is ``details["discretization"]``, the
+    certificates, plus ``["roundoff"]``: the weight's node rounding, and
+    gamma_N times the magnitudes sum h P sum w |w| (P = sum |c_i| h^i), N
+    counting for g of degree D EVAL_ULPS, the D + 1 of the rule's w_n t_n^i,
+    the 2D of c_i h^i, COEF_ULPS per row, the node sum, the D + 1 terms of
+    the contraction, the half-width, a block's pairwise sum (29 additions),
+    the fsum, and 2n for the stored n-node rule's offsets from exact Gauss
+    nodes and weights (its error on each t^i, i < 2n, is below 2n u sum w_n).
+    A sum past half a double raises ConfigError.  ``details`` counts
+    ``pieces``, ``chunks``, ``blocks``, their ``runs``, and the most ``nodes``."""
     weight = weight if isinstance(weight, Weight) else Weight(weight)
     rungs = (*(r for r in LADDER if low <= r < n), n)
     rules = _rules(rungs)
@@ -274,17 +277,13 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
             rows = integrand(mid, *[col[start:end] for col in rd_data])
             for i in range(1, len(rows)):  # c_i h^i, g's coefficients in t = u / h
                 rows[i:] *= half
-            # P = sum |c_i| h^i and P' = sum i |c_i| h^(i - 1), bounds of |g| and |g'| on each piece
-            reach, slope = both = np.dot(_SUMS(n)[:, : len(rows)], np.abs(rows))
-            slope /= half
+            reach = np.add.reduce(np.abs(rows), axis=0)  # P = sum |c_i| h^i, a bound of |g| on each piece
             if not b:  # the chunk's, once its integrand's degree is known
                 degree = len(rows) - 1
-                certs, by_sup, by_slope, sizes, at, real, cuts = _block_bounds(weight, degree, lo_p, hi_p, starts, rungs)
-            top, steep = np.maximum.reduce(both, axis=1).tolist()
-            # a zero integrand has no error, though a bound be inf
-            cert = [c * top for c in certs[b]] if top > 0.0 else [0.0] * len(rungs)
-            guess = sizes[b] * top if top > 0.0 else 0.0
-            move = (by_sup[b] * top if top > 0.0 else 0.0) + (by_slope[b] * steep if steep > 0.0 else 0.0)
+                certs, by_sup, sizes, at, real, cuts = _block_bounds(weight, degree, lo_p, hi_p, starts, rungs)
+            top, cert, guess, move = float(np.max(reach)), [0.0] * len(rungs), 0.0, 0.0
+            if top > 0.0:  # a zero integrand has no error, though a bound be inf
+                cert, guess, move = [c * top for c in certs[b]], sizes[b] * top, by_sup[b] * top
             edge, singular = False, at[cuts[b] : cuts[b + 1]]
             if singular.size:
                 fallback = 2.0 * real[cuts[b] : cuts[b + 1]] * reach[singular - start]
@@ -300,11 +299,13 @@ def _per_cell_gauss(weight, integrand, chunks, low: int, n: int) -> OracleResult
                 runs += 1
             sums.append(value)
             size, bound, moved, most = size + mag, bound + cert[i], moved + move, max(most, rungs[i])
-            del rows, reach, slope, both, block  # before the next block's are built
+            del rows, reach, block  # before the next block's are built
         runs += len(starts)
         # every chunk has a piece; drop its arrays and workspace before the next is built
-        del lo_p, hi_p, rd_data, lo, hi, mid, half, space, certs, by_sup, by_slope, sizes, at, real, cuts
-    depth = EVAL_ULPS + most + (COEF_ULPS + 4) * (degree + 1) + 29
+        del lo_p, hi_p, rd_data, lo, hi, mid, half, space, certs, by_sup, sizes, at, real, cuts
+    if not math.isfinite(2.0 * sum(map(abs, sums))):  # so no partial of the fsum overflows
+        raise ConfigError(f"an oracle integral over {pieces} pieces overflows a double")
+    depth = EVAL_ULPS + 3 * most + (COEF_ULPS + 4) * (degree + 1) + 29
     roundoff = depth * u / (1.0 - depth * u) * size + moved
     details = {"pieces": pieces, "nodes": most, "blocks": len(sums), "runs": runs, "chunks": n_chunks,
                "discretization": bound, "roundoff": roundoff}

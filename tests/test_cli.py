@@ -238,6 +238,9 @@ def _finite_json(text: str):
     # bound terms that overflow a double
     (["bound", "--dist", "semicircle:r=1", "--delta", "1e200"], 2),
     (["--format", "json", "sweep", "--dist", "semicircle:r=1", "--delta", "1e100", "--no-check"], 2),
+    # the rounded second moment, about 1e310, overflows the oracle's sum
+    (["--format", "json", "sweep", "--dist", "normal:mu=1e155,sigma2=1e300",
+      "--grid", "uniform:half_gap=1e149,offset=0", "--scheme", "nearest", "--offsets", "2"], 2),
     # high-order centered bounds: binomial products and the exponential's
     # exact central moment pass the largest double
     (["bound", "--dist", "semicircle:r=1,mu=0", "--quantity", "centered", "--k", "700", "--delta", "0.1"], 2),
@@ -248,7 +251,8 @@ def _finite_json(text: str):
     (["bound", "--dist", "normal:mu=0,sigma2=1", "--quantity", "centered", "--k", "200", "--delta", "0.1"], 0),
 ], ids=["sweep-huge-step", "bound-huge-step", "sweep-subnormal-step", "bound-subnormal-step", "sweep-cell-budget",
         "bound-mean-tiny-step", "bound-variance-tiny-step", "bound-power-overflow", "bound-term-overflow",
-        "sweep-value-overflow", "centered-semicircle-k700", "centered-uniform-k1200", "centered-exponential-k200", "centered-normal-k200"])
+        "sweep-value-overflow", "sweep-oracle-overflow",
+        "centered-semicircle-k700", "centered-uniform-k1200", "centered-exponential-k200", "centered-normal-k200"])
 def test_extreme_mesh_or_delta_is_a_config_error_or_finite(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == want, err

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import gc
 import itertools
 import math
@@ -23,6 +24,7 @@ from roundmoments import grids
 from roundmoments.errors import ConfigError, PreconditionError
 from roundmoments.quadrature import gauss_legendre_nodes
 from roundmoments.oracle import (
+    OracleResult,
     Weight,
     centered_moment_of_rounded,
     convergence_slope,
@@ -375,7 +377,8 @@ def test_single_block_is_bit_identical_to_reference(semicircle):
     # reference at the block's own node count, whether the weight is a
     # model's density written in place, 1, or a cube of (x - center) with or
     # without a density.  The estimate is its two parts, and it covers the
-    # distance to a 60-node reference
+    # distance to a 60-node reference.  The kernel clips [-1, 1.5] to a
+    # model's support, so the reference integrates the semicircle's over [-1, 1]
     mesh = UniformMesh(0.05, 0.013)
     normal = make_normal(0.2, 0.5)
     weights = [(CUBIC, cubic_weight), (normal, normal.density), (semicircle, semicircle.density),
@@ -388,13 +391,14 @@ def test_single_block_is_bit_identical_to_reference(semicircle):
         assert abs(got.value - reference(60)) <= got.abs_error_estimate
 
     for scheme, (weight, w) in itertools.product(RS, weights):
+        b = 1.0 if weight is semicircle else 1.5
         for k in (1, 2, 3):
             for signed in (True, False):
                 got = err_weighted_integral(mesh, scheme, weight, -1.0, 1.5, k, signed=signed)
-                check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, k, signed=signed)[0])
+                check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, b, n, k, signed=signed)[0])
         for j in (1, 2):
             got = rd_moment_integral(mesh, scheme, weight, -1.0, 1.5, j, shift=0.3)
-            check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, 1.5, n, j, shift=0.3)[0])
+            check(got, lambda n: reference_quad(mesh, scheme, w, -1.0, b, n, j, shift=0.3)[0])
 
 
 @pytest.mark.parametrize("scheme,k", [(RS.NEAREST, 70), (RS.STOCHASTIC, 63)])
@@ -1027,6 +1031,58 @@ def test_interior_piece_certificate_bounds_the_exact_error(name, power):
             assert abs(got.value - exact) <= got.abs_error_estimate, (kind, got.value - exact, got.abs_error_estimate)
 
 
+def decimal_gauss_half(n):
+    """The nodes t >= 0 of the n-node Gauss-Legendre rule and their weights,
+    in the current decimal context: double nodes refined by two Newton steps
+    on the three-term recurrence."""
+    rule = []
+    for t0 in np.polynomial.legendre.leggauss(n)[0][n // 2 :]:
+        t = decimal.Decimal(float(t0))
+        for _ in range(2):
+            p0, p1 = decimal.Decimal(1), t
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+            dp = n * (t * p1 - p0) / (t * t - 1)
+            t -= p1 / dp
+        rule.append((t, 2 / ((1 - t * t) * dp * dp)))
+    return rule
+
+
+# every node count a block can run: the ladder, and err_weighted_integral's
+# ceiling k + 8 for each k up to 70, the largest tested
+RULE_SIZES = sorted({*oracle.LADDER, *range(21, 79)})
+
+
+def test_stored_gauss_rules_stay_within_what_the_estimate_counts():
+    # the rule the kernel runs, against Gauss rules at 40 digits: it is
+    # symmetric, its nodes are within 1.5 ulps (worst 1.44, at 42 nodes), its
+    # weights' offsets sum to at most 6n u (worst 5.68n u, at 41; the end
+    # weights are off by 626 ulps relative at 20 nodes), and its error on
+    # every t^i, i < 2n, is below the 2n u sum w_n that N counts for it in
+    # _per_cell_gauss (worst 1.23n u sum w_n, at 41)
+    u = decimal.Decimal(2) ** -53
+    with decimal.localcontext() as context:
+        context.prec = 40
+        for n in RULE_SIZES:
+            t, w = gauss_legendre_nodes(n)
+            assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+            half = list(zip(t[n // 2 :].tolist(), w[n // 2 :].tolist(), decimal_gauss_half(n)))
+            for node, _, (exact, _) in half:
+                assert abs(decimal.Decimal(node) - exact) <= decimal.Decimal(1.5 * np.spacing(abs(node))) or node == 0.0
+            offsets = sum(abs(decimal.Decimal(weight) - exact) * (2 if node else 1)
+                          for node, weight, (_, exact) in half)
+            assert offsets <= 6 * n * u, (n, offsets / u)
+            # sum w_n t_n^i is 0 at odd i by symmetry; at even i, over t_n >= 0
+            moments = [decimal.Decimal(0)] * n
+            for node, weight, _ in half:
+                term, square = decimal.Decimal(weight) * (2 if node else 1), decimal.Decimal(node) ** 2
+                for i in range(n):
+                    moments[i] += term
+                    term *= square
+            error = max(abs(m - decimal.Decimal(2) / (2 * i + 1)) for i, m in enumerate(moments))
+            assert error <= 2 * n * u * sum(map(decimal.Decimal, w.tolist())), (n, error / u)
+
+
 @pytest.mark.parametrize("scheme", [RS.NEAREST, RS.AWAY_FROM_ZERO, RS.STOCHASTIC])
 @pytest.mark.parametrize("model,a,b", [
     # the pieces at the semicircle's edges, a uniform's ends inside [a, b],
@@ -1036,16 +1092,39 @@ def test_interior_piece_certificate_bounds_the_exact_error(name, power):
     (make_exponential(1.5), -0.7, 9.0),
 ], ids=["semicircle-edges", "uniform-ends", "exponential-zero"])
 def test_pieces_at_a_non_analytic_point_within_the_estimate(model, a, b, scheme):
-    # such a piece takes the fallback bound, and its block the 20-node
-    # ceiling; directed rounding cuts the pieces at 0, so no exponential's
-    # piece straddles it there
+    # a piece next to the semicircle's edges takes the fallback bound, and
+    # its block the 20-node ceiling; the uniform's ends and the exponential's
+    # 0 are ends of the support every integral is clipped to, so no piece
+    # straddles them and neither needs the ceiling
     mesh = UniformMesh(0.05, 0.013)
-    fallback = not (model.name == "exponential" and scheme is RS.AWAY_FROM_ZERO)
+    lo, hi = max(a, model.support[0]), min(b, model.support[1])
     for k, signed in ((1, scheme is not RS.STOCHASTIC), (2, False)):
         got = err_weighted_integral(mesh, scheme, model, a, b, k, signed=signed)
-        want, _ = reference_quad(mesh, scheme, model.density, a, b, 200, k, signed=signed)
-        assert (got.details["nodes"] == 20) == fallback and got.details["discretization"] > 0.0
+        want, _ = reference_quad(mesh, scheme, model.density, lo, hi, 200, k, signed=signed)
+        assert (got.details["nodes"] == 20) == (model.name == "semicircle") and got.details["discretization"] > 0.0
         assert abs(got.value - want) <= got.abs_error_estimate, (k, got.value - want, got.abs_error_estimate)
+
+
+@pytest.mark.parametrize("scheme", list(RS))
+def test_an_integral_is_clipped_to_its_models_support(scheme):
+    # a range overhanging a uniform's or an exponential's support integrates
+    # the overlap alone, bit for bit in value, estimate and details, whether
+    # the model is passed bare or in a Weight; a range outside the support,
+    # or touching it at one point, is exactly 0 over no piece
+    mesh = UniformMesh(0.05, 0.013)
+    nothing = {"pieces": 0, "nodes": 0, "blocks": 0, "runs": 0, "chunks": 0, "discretization": 0.0, "roundoff": 0.0}
+    for model, (a, b), outside in ((make_uniform(-0.5, 1.0), (-1.0, 1.5), [(-3.0, -0.6), (1.0, 2.0)]),
+                                   (make_exponential(1.5), (-0.7, 9.0), [(-2.0, -0.5), (-1.0, 0.0)])):
+        lo, hi = max(a, model.support[0]), min(b, model.support[1])
+        for weight in (model, Weight(model), Weight(model, 0.2, 3)):
+            for walk in (lambda a, b: err_weighted_integral(mesh, scheme, weight, a, b, 2),
+                         lambda a, b: err_weighted_integral(mesh, scheme, weight, a, b, 3, signed=True),
+                         lambda a, b: rd_moment_integral(mesh, scheme, weight, a, b, 2, shift=0.3)):
+                over, within = walk(a, b), walk(lo, hi)
+                assert over == within and over.details["pieces"] > 0
+                for ends in outside:
+                    assert walk(*ends) == OracleResult(0.0, 0.0, "per_cell_quadrature", nothing)
+                assert walk(a, b) == over  # a Weight's kept partition is not spoilt by the empty walks
 
 
 def test_delta_e_and_v_walks_one_kept_partition(monkeypatch):
